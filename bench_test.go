@@ -424,6 +424,46 @@ func BenchmarkFig10cd_LineageVerify(b *testing.B) {
 	}
 }
 
+// BenchmarkVerifyClue64 states both costs of the client's lineage check
+// side by side: cold is the pure verifier every paper-figure benchmark
+// above measures (65 ECDSA checks per proof), warm is what a
+// client.Client pays for a range it has already verified (its
+// verified-signature memo answers all 65; the CM-Tree folds remain).
+func BenchmarkVerifyClue64(b *testing.B) {
+	tl, err := benchkit.NewTestLedger("ledger://benchmemo", 15, 128)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for v := 0; v < 64; v++ {
+		if _, err := tl.Append(benchkit.Payload("asset", v, 256), "asset"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	bundle, err := tl.L.ProveClue("asset", 0, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		v    ledger.Verifier
+	}{
+		{"cold", ledger.Verifier{LSP: tl.LSP.Public()}},
+		{"warm", ledger.Verifier{LSP: tl.LSP.Public(), Memo: new(sig.Memo)}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			if _, err := c.v.VerifyClue(bundle); err != nil { // warms the memo, if any
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.v.VerifyClue(bundle); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // ------------------------------------------------- batched write path
 
 // BenchmarkAppendSingleVsBatch shows the mechanism behind the paper's

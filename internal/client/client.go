@@ -69,8 +69,9 @@ const IdempotencyKeyHeader = "Idempotency-Key"
 
 // Client talks to one ledger service endpoint on behalf of one member.
 // A Client is safe for concurrent use once configured: the only mutable
-// state is the request nonce, which is drawn atomically from a counter
-// shared with every derived client (Clone, WithContext).
+// state is the request nonce, drawn atomically from a counter, and the
+// verified-signature memo; both are shared with every derived client
+// (Clone, WithContext).
 type Client struct {
 	BaseURL string
 	// HTTP is the transport; nil means http.DefaultClient.
@@ -116,29 +117,61 @@ type Client struct {
 	sleepFn  func(ctx context.Context, d time.Duration) error
 	jitterFn func(bound time.Duration) time.Duration
 
-	nonceOnce sync.Once
-	nonce     *atomic.Uint64
+	sharedOnce sync.Once
+	nonce      *atomic.Uint64
+	// memo remembers signatures this client (or a clone) has already
+	// verified on the read path, so a proof that repeats the LSP state
+	// of an unchanged generation or a record seen before skips those
+	// ECDSA checks. Always on; see sig.Memo for why it cannot change a
+	// verdict.
+	memo *sig.Memo
 }
 
-// nextNonce draws a process-unique request nonce. The counter is lazily
-// allocated and shared by all clients derived from this one, so derived
-// clients can never reuse a nonce.
-func (c *Client) nextNonce() uint64 {
-	c.nonceOnce.Do(func() {
+// shared lazily allocates the state every client derived from this one
+// shares: the nonce counter and the verified-signature memo.
+func (c *Client) shared() {
+	c.sharedOnce.Do(func() {
 		if c.nonce == nil {
 			c.nonce = new(atomic.Uint64)
 		}
+		if c.memo == nil {
+			c.memo = new(sig.Memo)
+		}
 	})
+}
+
+// nextNonce draws a process-unique request nonce. The counter is shared
+// by all clients derived from this one, so derived clients can never
+// reuse a nonce.
+func (c *Client) nextNonce() uint64 {
+	c.shared()
 	return c.nonce.Add(1)
 }
 
+// verifier is the read-path trust root: the pinned LSP key and the
+// shared memo. Receipts (π_s) are not checked through it — each is
+// seen once.
+func (c *Client) verifier() ledger.Verifier {
+	c.shared()
+	return ledger.Verifier{LSP: c.LSP, Memo: c.memo}
+}
+
+// MemoStats reports how many read-path signature checks this client and
+// its clones answered from the verified-signature memo (hits) and how
+// many ran ECDSA (misses).
+func (c *Client) MemoStats() (hits, misses uint64) {
+	c.shared()
+	return c.memo.Stats()
+}
+
 // Clone returns a new Client with the same configuration. The clone
-// shares this client's nonce counter (and Breaker, if any), so clones
-// may append concurrently without nonce collisions. Client values must
-// not be copied directly (the nonce counter is copy-protected); use
-// Clone to derive a variant, e.g. one pointed at a different BaseURL.
+// shares this client's nonce counter and verified-signature memo (and
+// Breaker, if any), so clones may append concurrently without nonce
+// collisions. Client values must not be copied directly (the nonce
+// counter is copy-protected); use Clone to derive a variant, e.g. one
+// pointed at a different BaseURL.
 func (c *Client) Clone() *Client {
-	c.nextNonce() // force counter allocation so the clone shares it
+	c.shared() // allocate the shared state so the clone shares it
 	return &Client{
 		BaseURL:      c.BaseURL,
 		HTTP:         c.HTTP,
@@ -155,12 +188,13 @@ func (c *Client) Clone() *Client {
 		sleepFn:      c.sleepFn,
 		jitterFn:     c.jitterFn,
 		nonce:        c.nonce,
+		memo:         c.memo,
 	}
 }
 
 // WithContext returns a derived client whose calls run under ctx
-// (sharing the nonce counter and breaker with the receiver). This is
-// the per-call cancellation/deadline mechanism:
+// (sharing the nonce counter, memo and breaker with the receiver). This
+// is the per-call cancellation/deadline mechanism:
 //
 //	rc, err := cli.WithContext(ctx).Append(payload, "clue")
 func (c *Client) WithContext(ctx context.Context) *Client {
@@ -500,7 +534,7 @@ func (c *Client) State() (*ledger.SignedState, error) {
 	if err != nil {
 		return nil, rep.tamper("state decode", err)
 	}
-	if err := st.Verify(c.LSP); err != nil {
+	if err := c.verifier().VerifySignedState(st); err != nil {
 		return nil, rep.tamper("state signature", err)
 	}
 	return st, nil
@@ -551,7 +585,7 @@ func (c *Client) VerifyExistence(jsn uint64, withPayload bool) (*journal.Record,
 	if err != nil {
 		return nil, nil, rep.tamper("existence proof decode", err)
 	}
-	rec, err := ledger.VerifyExistence(proof, c.LSP)
+	rec, err := c.verifier().VerifyExistenceAnchored(proof, nil)
 	if err != nil {
 		return nil, nil, rep.tamper("existence proof verification", err)
 	}
@@ -583,7 +617,7 @@ func (c *Client) VerifyExistenceBatch(jsns []uint64, withPayload bool) ([]*journ
 		return nil, nil, rep.tamper("proof batch shape",
 			fmt.Errorf("%w: %d proofs for %d jsns", ledger.ErrVerify, len(batch.Items), len(jsns)))
 	}
-	recs, err := ledger.VerifyExistenceBatch(batch, c.LSP)
+	recs, err := c.verifier().VerifyExistenceBatch(batch)
 	if err != nil {
 		return nil, nil, rep.tamper("proof batch verification", err)
 	}
@@ -642,7 +676,7 @@ func (c *Client) VerifyExistenceAnchored(jsn uint64, anchor *fam.Anchor, withPay
 	if err != nil {
 		return nil, nil, rep.tamper("anchored proof decode", err)
 	}
-	rec, err := ledger.VerifyExistenceAnchored(proof, c.LSP, anchor)
+	rec, err := c.verifier().VerifyExistenceAnchored(proof, anchor)
 	if err != nil {
 		return nil, nil, rep.tamper("anchored proof verification", err)
 	}
@@ -651,7 +685,7 @@ func (c *Client) VerifyExistenceAnchored(jsn uint64, anchor *fam.Anchor, withPay
 
 // ClueJSNs lists a clue's journal sequence numbers.
 func (c *Client) ClueJSNs(clue string) ([]uint64, error) {
-	rep, err := c.call("GET", "/v1/clue/"+clue+"/jsns", nil)
+	rep, err := c.call("GET", "/v1/clue/"+url.PathEscape(clue)+"/jsns", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -662,7 +696,7 @@ func (c *Client) ClueJSNs(clue string) ([]uint64, error) {
 // version range (end = 0 means the whole clue). It returns the verified
 // records.
 func (c *Client) VerifyClue(clue string, begin, end uint64) ([]*journal.Record, error) {
-	rep, err := c.call("GET", fmt.Sprintf("/v1/clue/%s/proof?begin=%d&end=%d", clue, begin, end), nil)
+	rep, err := c.call("GET", fmt.Sprintf("/v1/clue/%s/proof?begin=%d&end=%d", url.PathEscape(clue), begin, end), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -674,7 +708,7 @@ func (c *Client) VerifyClue(clue string, begin, end uint64) ([]*journal.Record, 
 	if err != nil {
 		return nil, rep.tamper("clue bundle decode", err)
 	}
-	recs, err := ledger.VerifyClue(bundle, c.LSP)
+	recs, err := c.verifier().VerifyClue(bundle)
 	if err != nil {
 		return nil, rep.tamper("clue lineage verification", err)
 	}
@@ -718,7 +752,7 @@ func (c *Client) VerifyState(key []byte) (uint64, hashutil.Digest, error) {
 	if err != nil {
 		return 0, hashutil.Zero, rep.tamper("state proof decode", err)
 	}
-	jsn, dig, err := ledger.VerifyState(p, c.LSP)
+	jsn, dig, err := c.verifier().VerifyState(p)
 	if err != nil {
 		return 0, hashutil.Zero, rep.tamper("state proof verification", err)
 	}
@@ -810,7 +844,7 @@ func (c *Client) FetchBundle(jsn uint64, withPayload bool) (*ledger.ProofBundle,
 	if err != nil {
 		return nil, rep.tamper("bundle decode", err)
 	}
-	if _, _, err := ledger.VerifyBundle(b, c.LSP, nil); err != nil {
+	if _, _, err := c.verifier().VerifyBundle(b, nil); err != nil {
 		return nil, rep.tamper("bundle verification", err)
 	}
 	return b, nil

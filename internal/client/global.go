@@ -8,6 +8,7 @@ package client
 import (
 	"encoding/base64"
 	"fmt"
+	"net/url"
 
 	"ledgerdb/internal/hashutil"
 	"ledgerdb/internal/journal"
@@ -197,6 +198,12 @@ func (c *Client) AppendBatchSharded(payloads [][]byte, clues [][]string) (map[in
 	return receipts, hashes, nil
 }
 
+// globalVerifier is verifier for the cross-shard trust root.
+func (c *Client) globalVerifier() shard.Verifier {
+	c.shared()
+	return shard.Verifier{Coordinator: c.Coordinator, Memo: c.memo}
+}
+
 // GlobalState fetches the coordinator-signed cross-shard state and
 // verifies it against the pinned Coordinator key.
 func (c *Client) GlobalState() (*shard.GlobalState, error) {
@@ -212,7 +219,7 @@ func (c *Client) GlobalState() (*shard.GlobalState, error) {
 	if err != nil {
 		return nil, rep.tamper("global state decode", err)
 	}
-	if err := g.Verify(c.Coordinator); err != nil {
+	if err := c.globalVerifier().VerifyGlobalState(g); err != nil {
 		return nil, rep.tamper("global state signature", err)
 	}
 	return g, nil
@@ -240,7 +247,7 @@ func (c *Client) VerifyExistenceGlobal(shardIdx int, jsn uint64, withPayload boo
 	if err != nil {
 		return nil, nil, rep.tamper("global proof decode", err)
 	}
-	rec, err := shard.VerifyGlobal(p, c.Coordinator)
+	rec, err := c.globalVerifier().VerifyGlobal(p)
 	if err != nil {
 		return nil, nil, rep.tamper("global proof verification", err)
 	}
@@ -255,7 +262,7 @@ func (c *Client) VerifyExistenceGlobal(shardIdx int, jsn uint64, withPayload boo
 // ShardOf asks the router which shard owns a clue (and how many shards
 // the topology has), so shard-local reads can go to the owning service.
 func (c *Client) ShardOf(clue string) (shardIdx, shards int, err error) {
-	rep, err := c.call("GET", "/v1/shard-of?clue="+clue, nil)
+	rep, err := c.call("GET", "/v1/shard-of?clue="+url.QueryEscape(clue), nil)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -65,7 +65,7 @@ func (c *Client) decodeVerifiedResult(rep *reply, enc string, q ledger.Query) ([
 	if err != nil {
 		return nil, nil, rep.tamper("query result decode", err)
 	}
-	recs, err := ledger.VerifyQueryResult(c.LSP, q, res)
+	recs, err := c.verifier().VerifyQueryResult(q, res)
 	if err != nil {
 		return nil, nil, rep.tamper("query result verification", err)
 	}
@@ -140,7 +140,7 @@ func (c *Client) decodeVerifiedAbsence(rep *reply, enc, name string, prefix bool
 		return nil, rep.tamper("absence proof binding",
 			fmt.Errorf("%w: proof answers (%q, prefix=%t), asked (%q, prefix=%t)", ledger.ErrVerify, ap.Name, ap.Prefix, name, prefix))
 	}
-	if err := ledger.VerifyAbsence(c.LSP, ap); err != nil {
+	if err := c.verifier().VerifyAbsence(ap); err != nil {
 		return nil, rep.tamper("absence proof verification", err)
 	}
 	return ap, nil

@@ -50,17 +50,23 @@ func (r *Request) VerifyAllSigsAt(h hashutil.Digest) error {
 
 // VerifyRecordSigs re-checks a committed record's client signature and
 // co-signatures against its request-hash — the who leg of a Dasein audit.
-func VerifyRecordSigs(rec *Record) error {
+func VerifyRecordSigs(rec *Record) error { return VerifyRecordSigsMemo(rec, nil) }
+
+// VerifyRecordSigsMemo is VerifyRecordSigs for a verifier that keeps a
+// memo of signatures it has already checked (nil = none). A committed
+// record is immutable, so a reader that proves the same record again
+// presents the same triples.
+func VerifyRecordSigsMemo(rec *Record, m *sig.Memo) error {
 	if rec.Type == TypeTime {
 		// Time journals carry the TSA attestation instead; the audit
 		// verifies π_t separately.
 		return nil
 	}
-	if err := sig.Verify(rec.ClientPK, rec.RequestHash, rec.ClientSig); err != nil {
+	if err := m.Verify(rec.ClientPK, rec.RequestHash, rec.ClientSig); err != nil {
 		return fmt.Errorf("%w: record %d π_c: %v", ErrBadSignature, rec.JSN, err)
 	}
 	for i, cs := range rec.CoSigners {
-		if err := sig.Verify(cs.PK, rec.RequestHash, cs.Sig); err != nil {
+		if err := m.Verify(cs.PK, rec.RequestHash, cs.Sig); err != nil {
 			return fmt.Errorf("%w: record %d co-signer %d: %v", ErrBadSignature, rec.JSN, i, err)
 		}
 	}

@@ -96,10 +96,15 @@ func (l *Ledger) ProveAbsence(name string, prefix bool) (*AbsenceProof, error) {
 // p.Name (or starts with it when p.Prefix) in the clue set the signed
 // state commits to.
 func VerifyAbsence(lsp sig.PublicKey, p *AbsenceProof) error {
+	return Verifier{LSP: lsp}.VerifyAbsence(p)
+}
+
+// VerifyAbsence is the package-level VerifyAbsence under v.
+func (v Verifier) VerifyAbsence(p *AbsenceProof) error {
 	if p == nil || p.State == nil {
 		return fmt.Errorf("%w: nil absence proof", ErrVerify)
 	}
-	if err := p.State.Verify(lsp); err != nil {
+	if err := v.VerifySignedState(p.State); err != nil {
 		return err
 	}
 	count, root := p.State.ClueCount, p.State.ClueSetRoot

@@ -116,10 +116,15 @@ func (s *SignedState) sign(kp *sig.KeyPair) error {
 
 // Verify checks the LSP signature on the state.
 func (s *SignedState) Verify(lsp sig.PublicKey) error {
-	if s.LSPPK != lsp {
-		return fmt.Errorf("%w: state signed by %s, want %s", journal.ErrBadSignature, s.LSPPK, lsp)
+	return Verifier{LSP: lsp}.VerifySignedState(s)
+}
+
+// VerifySignedState checks the LSP signature on a state.
+func (v Verifier) VerifySignedState(s *SignedState) error {
+	if s.LSPPK != v.LSP {
+		return fmt.Errorf("%w: state signed by %s, want %s", journal.ErrBadSignature, s.LSPPK, v.LSP)
 	}
-	if err := sig.Verify(s.LSPPK, s.signedDigest(), s.LSPSig); err != nil {
+	if err := v.Memo.Verify(s.LSPPK, s.signedDigest(), s.LSPSig); err != nil {
 		return fmt.Errorf("%w: state: %v", journal.ErrBadSignature, err)
 	}
 	return nil

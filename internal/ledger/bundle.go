@@ -146,16 +146,23 @@ func (l *Ledger) ExportBundle(jsn uint64, withPayload bool) (*ProofBundle, error
 // record and, when a time chain is present, the verified attestation
 // whose Timestamp upper-bounds the record's commit time.
 func VerifyBundle(b *ProofBundle, lsp sig.PublicKey, tsaKeys []sig.PublicKey) (*journal.Record, *journal.TimeAttestation, error) {
+	return Verifier{LSP: lsp}.VerifyBundle(b, tsaKeys)
+}
+
+// VerifyBundle is the package-level VerifyBundle under v. The TSA
+// attestation is checked from scratch either way: a client meets each
+// one once.
+func (v Verifier) VerifyBundle(b *ProofBundle, tsaKeys []sig.PublicKey) (*journal.Record, *journal.TimeAttestation, error) {
 	if b == nil || b.State == nil || b.Fam == nil {
 		return nil, nil, fmt.Errorf("%w: incomplete bundle", ErrVerify)
 	}
 	if b.URI != b.State.URI {
 		return nil, nil, fmt.Errorf("%w: bundle for %q carries state of %q", ErrVerify, b.URI, b.State.URI)
 	}
-	if err := b.State.Verify(lsp); err != nil {
+	if err := v.VerifySignedState(b.State); err != nil {
 		return nil, nil, err
 	}
-	rec, err := verifyExistenceItem(b.RecordBytes, b.Payload, b.Fam, nil, b.State.JournalRoot)
+	rec, err := verifyExistenceItem(b.RecordBytes, b.Payload, b.Fam, nil, b.State.JournalRoot, v.Memo)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -168,7 +175,7 @@ func VerifyBundle(b *ProofBundle, lsp sig.PublicKey, tsaKeys []sig.PublicKey) (*
 	if b.TimeFam == nil || b.TimeProof == nil {
 		return nil, nil, fmt.Errorf("%w: incomplete time chain", ErrVerify)
 	}
-	trec, err := verifyExistenceItem(b.TimeRecordBytes, nil, b.TimeFam, nil, b.State.JournalRoot)
+	trec, err := verifyExistenceItem(b.TimeRecordBytes, nil, b.TimeFam, nil, b.State.JournalRoot, v.Memo)
 	if err != nil {
 		return nil, nil, fmt.Errorf("time journal: %w", err)
 	}

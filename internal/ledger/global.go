@@ -6,6 +6,7 @@ import (
 	"ledgerdb/internal/hashutil"
 	"ledgerdb/internal/journal"
 	"ledgerdb/internal/merkle/fam"
+	"ledgerdb/internal/sig"
 )
 
 // This file is the engine surface the sharded topology builds on
@@ -102,6 +103,9 @@ type RecordProof struct {
 // the payload against the recorded digest when present (what). The root's
 // own authenticity — LSP signature, or global accumulator membership plus
 // coordinator signature — is the caller's concern.
-func VerifyRecordAtRoot(recordBytes, payload []byte, fp *fam.Proof, root hashutil.Digest) (*journal.Record, error) {
-	return verifyExistenceItem(recordBytes, payload, fp, nil, root)
+//
+// memo is the caller's verified-signature memo for π_c and the
+// co-signatures; nil verifies them from scratch.
+func VerifyRecordAtRoot(recordBytes, payload []byte, fp *fam.Proof, root hashutil.Digest, memo *sig.Memo) (*journal.Record, error) {
+	return verifyExistenceItem(recordBytes, payload, fp, nil, root, memo)
 }

@@ -117,16 +117,21 @@ func (l *Ledger) ProveExistenceBatch(jsns []uint64, withPayload bool) (*Existenc
 // the same what/who checks as VerifyExistence. Returns the decoded
 // records in batch order.
 func VerifyExistenceBatch(b *ExistenceProofBatch, lsp sig.PublicKey) ([]*journal.Record, error) {
+	return Verifier{LSP: lsp}.VerifyExistenceBatch(b)
+}
+
+// VerifyExistenceBatch is the package-level VerifyExistenceBatch under v.
+func (v Verifier) VerifyExistenceBatch(b *ExistenceProofBatch) ([]*journal.Record, error) {
 	if b == nil || b.State == nil {
 		return nil, fmt.Errorf("%w: incomplete proof batch", ErrVerify)
 	}
-	if err := b.State.Verify(lsp); err != nil {
+	if err := v.VerifySignedState(b.State); err != nil {
 		return nil, err
 	}
 	recs := make([]*journal.Record, 0, len(b.Items))
 	for i := range b.Items {
 		it := &b.Items[i]
-		rec, err := verifyExistenceItem(it.RecordBytes, it.Payload, it.Fam, nil, b.State.JournalRoot)
+		rec, err := verifyExistenceItem(it.RecordBytes, it.Payload, it.Fam, nil, b.State.JournalRoot, v.Memo)
 		if err != nil {
 			return nil, fmt.Errorf("batch item %d: %w", i, err)
 		}
@@ -139,8 +144,9 @@ func VerifyExistenceBatch(b *ExistenceProofBatch, lsp sig.PublicKey) ([]*journal
 // verification (everything except the state signature, which the caller
 // has already checked): decode, fold the tx-hash through the fam path
 // to root, re-verify client signatures, and match any shipped payload
-// against the recorded digest.
-func verifyExistenceItem(recordBytes, payload []byte, fp *fam.Proof, a *fam.Anchor, root hashutil.Digest) (*journal.Record, error) {
+// against the recorded digest. memo is the caller's verified-signature
+// memo (nil = none).
+func verifyExistenceItem(recordBytes, payload []byte, fp *fam.Proof, a *fam.Anchor, root hashutil.Digest, memo *sig.Memo) (*journal.Record, error) {
 	if fp == nil {
 		return nil, fmt.Errorf("%w: incomplete proof", ErrVerify)
 	}
@@ -162,7 +168,7 @@ func verifyExistenceItem(recordBytes, payload []byte, fp *fam.Proof, a *fam.Anch
 	if err != nil {
 		return nil, fmt.Errorf("%w: what: %v", ErrVerify, err)
 	}
-	if err := journal.VerifyRecordSigs(rec); err != nil {
+	if err := journal.VerifyRecordSigsMemo(rec, memo); err != nil {
 		return nil, fmt.Errorf("%w: who: %v", ErrVerify, err)
 	}
 	if payload != nil {

@@ -123,6 +123,11 @@ type QueryResult struct {
 // replies, and emptiness of time/signer replies — the signed state
 // commits to the clue set, not to time or signer orderings.
 func VerifyQueryResult(lsp sig.PublicKey, q Query, res *QueryResult) ([]*journal.Record, error) {
+	return Verifier{LSP: lsp}.VerifyQueryResult(q, res)
+}
+
+// VerifyQueryResult is the package-level VerifyQueryResult under v.
+func (v Verifier) VerifyQueryResult(q Query, res *QueryResult) ([]*journal.Record, error) {
 	if res == nil {
 		return nil, fmt.Errorf("%w: nil query result", ErrVerify)
 	}
@@ -137,7 +142,7 @@ func VerifyQueryResult(lsp sig.PublicKey, q Query, res *QueryResult) ([]*journal
 			if !res.Absence.Prefix || res.Absence.Name != q.Prefix {
 				return nil, fmt.Errorf("%w: absence proof is for %q, query prefix %q", ErrVerify, res.Absence.Name, q.Prefix)
 			}
-			if err := VerifyAbsence(lsp, res.Absence); err != nil {
+			if err := v.VerifyAbsence(res.Absence); err != nil {
 				return nil, err
 			}
 		}
@@ -146,7 +151,7 @@ func VerifyQueryResult(lsp sig.PublicKey, q Query, res *QueryResult) ([]*journal
 	if uint64(len(res.Batch.Items)) > q.EffectiveLimit() {
 		return nil, fmt.Errorf("%w: %d matches exceed requested limit %d", ErrVerify, len(res.Batch.Items), q.EffectiveLimit())
 	}
-	recs, err := VerifyExistenceBatch(res.Batch, lsp)
+	recs, err := v.VerifyExistenceBatch(res.Batch)
 	if err != nil {
 		return nil, err
 	}

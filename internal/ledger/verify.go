@@ -17,6 +17,20 @@ import (
 // different manners" per §II-C: at server side when the LSP is trusted,
 // at client side when it is not.
 
+// Verifier is a client's trust root for every proof shape in this
+// package: the pinned LSP key, plus an optional memo of signatures this
+// verifier has already checked. Each proof shape has exactly one
+// verifier body, a method here; the package-level Verify* functions are
+// the same bodies with a nil memo, so they stay pure functions of
+// (proof, key) that pay every ECDSA check every time. A Verifier with a
+// memo accepts exactly the proofs a Verifier without one accepts — the
+// memo only skips re-verifying a (key, digest, signature) triple that
+// already verified (see sig.Memo).
+type Verifier struct {
+	LSP  sig.PublicKey
+	Memo *sig.Memo // nil verifies every signature from scratch
+}
+
 // ExistenceProof bundles everything a distrusting client needs to verify
 // that a journal exists verbatim on the ledger (the what factor):
 // the raw record, its fam accumulator proof, and the LSP-signed state the
@@ -120,22 +134,24 @@ func (l *Ledger) proveExistence(jsn uint64, a *fam.Anchor, withPayload bool) (*E
 // Occult Protocol 2 falls out naturally: an occulted journal ships no
 // payload, and its retained PayloadDigest is what the tx-hash covers.
 func VerifyExistence(p *ExistenceProof, lsp sig.PublicKey) (*journal.Record, error) {
-	return verifyExistence(p, lsp, nil)
+	return Verifier{LSP: lsp}.VerifyExistenceAnchored(p, nil)
 }
 
 // VerifyExistenceAnchored is VerifyExistence under a fam-aoa anchor.
 func VerifyExistenceAnchored(p *ExistenceProof, lsp sig.PublicKey, a *fam.Anchor) (*journal.Record, error) {
-	return verifyExistence(p, lsp, a)
+	return Verifier{LSP: lsp}.VerifyExistenceAnchored(p, a)
 }
 
-func verifyExistence(p *ExistenceProof, lsp sig.PublicKey, a *fam.Anchor) (*journal.Record, error) {
+// VerifyExistenceAnchored is the one existence verifier body: a nil
+// anchor folds the full fam path, a non-nil one the fam-aoa short path.
+func (v Verifier) VerifyExistenceAnchored(p *ExistenceProof, a *fam.Anchor) (*journal.Record, error) {
 	if p == nil || p.State == nil || p.Fam == nil {
 		return nil, fmt.Errorf("%w: incomplete proof", ErrVerify)
 	}
-	if err := p.State.Verify(lsp); err != nil {
+	if err := v.VerifySignedState(p.State); err != nil {
 		return nil, err
 	}
-	return verifyExistenceItem(p.RecordBytes, p.Payload, p.Fam, a, p.State.JournalRoot)
+	return verifyExistenceItem(p.RecordBytes, p.Payload, p.Fam, a, p.State.JournalRoot, v.Memo)
 }
 
 // VerifyExistenceServer is the trusted-LSP fast path: the server checks
@@ -254,6 +270,11 @@ func (l *Ledger) ProveClueByTime(clue string, t1, t2 int64) (*ClueProofBundle, e
 // and re-verify every record's client signatures. Returns the decoded
 // records on success.
 func VerifyClue(b *ClueProofBundle, lsp sig.PublicKey) ([]*journal.Record, error) {
+	return Verifier{LSP: lsp}.VerifyClue(b)
+}
+
+// VerifyClue is the package-level VerifyClue under v.
+func (v Verifier) VerifyClue(b *ClueProofBundle) ([]*journal.Record, error) {
 	if b == nil || b.CM == nil || b.State == nil {
 		return nil, fmt.Errorf("%w: incomplete clue bundle", ErrVerify)
 	}
@@ -262,7 +283,7 @@ func VerifyClue(b *ClueProofBundle, lsp sig.PublicKey) ([]*journal.Record, error
 	if b.Clue != b.CM.Clue {
 		return nil, fmt.Errorf("%w: bundle labeled %q but proves clue %q", ErrVerify, b.Clue, b.CM.Clue)
 	}
-	if err := b.State.Verify(lsp); err != nil {
+	if err := v.VerifySignedState(b.State); err != nil {
 		return nil, err
 	}
 	recs := make([]*journal.Record, 0, len(b.Records))
@@ -272,7 +293,7 @@ func VerifyClue(b *ClueProofBundle, lsp sig.PublicKey) ([]*journal.Record, error
 		if err != nil {
 			return nil, fmt.Errorf("%w: record %d: %v", ErrVerify, i, err)
 		}
-		if err := journal.VerifyRecordSigs(rec); err != nil {
+		if err := journal.VerifyRecordSigsMemo(rec, v.Memo); err != nil {
 			return nil, fmt.Errorf("%w: who: %v", ErrVerify, err)
 		}
 		recs = append(recs, rec)
@@ -398,10 +419,15 @@ func (l *Ledger) ProveState(key []byte) (*StateProof, error) {
 // signed StateRoot. Returns the jsn and payload digest of the journal
 // holding the current value.
 func VerifyState(p *StateProof, lsp sig.PublicKey) (uint64, hashutil.Digest, error) {
+	return Verifier{LSP: lsp}.VerifyState(p)
+}
+
+// VerifyState is the package-level VerifyState under v.
+func (v Verifier) VerifyState(p *StateProof) (uint64, hashutil.Digest, error) {
 	if p == nil || p.MPT == nil || p.State == nil {
 		return 0, hashutil.Zero, fmt.Errorf("%w: incomplete state proof", ErrVerify)
 	}
-	if err := p.State.Verify(lsp); err != nil {
+	if err := v.VerifySignedState(p.State); err != nil {
 		return 0, hashutil.Zero, err
 	}
 	if err := mpt.VerifyProof(p.State.StateRoot, p.Key, p.Value, p.MPT); err != nil {

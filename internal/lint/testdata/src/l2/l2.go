@@ -5,6 +5,9 @@ package l2
 import (
 	"fmt"
 	"os"
+
+	"ledgerdb/internal/hashutil"
+	"ledgerdb/internal/sig"
 )
 
 func VerifyThing() error       { return nil }
@@ -21,6 +24,13 @@ func drops() {
 	doIO()             // want "L2: error from doIO dropped on the floor"
 	go doIO()          // want "L2: go error from doIO dropped on the floor" "L7: goroutine is not provably joinable"
 	_, _ = CheckPair() // want "L2: verdict of CheckPair discarded with _"
+}
+
+// A memoised verdict is still a verdict: dropping it is the same bug
+// whether or not the memo answered.
+func dropsMemo(m *sig.Memo, pk sig.PublicKey, d hashutil.Digest, sg sig.Signature) {
+	m.Verify(pk, d, sg)     // want "L2: result of Verify dropped"
+	_ = m.Verify(pk, d, sg) // want "L2: verdict of Verify discarded with _"
 }
 
 func consumes() error {

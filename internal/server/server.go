@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"ledgerdb/internal/hashutil"
 	"ledgerdb/internal/index"
@@ -488,6 +487,10 @@ func (s *Server) handleProofAnchored(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, &Envelope{Proof: b64(p.EncodeBytes())})
 }
 
+// The clue handlers take the path segment verbatim (PathValue has
+// already unescaped it): admission accepts any non-empty clue, spaces
+// and slashes included, so lookup must not normalise what append did
+// not.
 func (s *Server) handleClueProof(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	q := r.URL.Query()
@@ -502,8 +505,7 @@ func (s *Server) handleClueProof(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleClueJSNs(w http.ResponseWriter, r *http.Request) {
-	name := strings.TrimSpace(r.PathValue("name"))
-	recs, err := s.Ledger.ListClue(name)
+	recs, err := s.Ledger.ListClue(r.PathValue("name"))
 	if err != nil {
 		writeErr(w, err)
 		return

@@ -314,3 +314,62 @@ func TestGlobalStateCodec(t *testing.T) {
 		t.Fatal("truncated state decoded")
 	}
 }
+
+// TestVerifierMemoDifferentialGlobal is ledger's
+// TestVerifierMemoDifferential for the cross-shard proof shape: after a
+// memo is warmed on the valid global proof, every single-byte mutant
+// must get the same verdict — accept/reject, error class, message —
+// from a Verifier holding that memo as from one without.
+func TestVerifierMemoDifferentialGlobal(t *testing.T) {
+	tp := newTopology(t, 3)
+	var shard int
+	var jsn uint64
+	for i := 0; i < 12; i++ {
+		shard, jsn = tp.append(t, fmt.Sprintf("c%d", i), "body", uint64(i))
+	}
+	p, err := tp.coord.ProveGlobal(shard, jsn, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := p.EncodeBytes()
+	cold := Verifier{Coordinator: tp.coord.PublicKey()}
+	warm := Verifier{Coordinator: tp.coord.PublicKey(), Memo: new(sig.Memo)}
+	if _, err := warm.VerifyGlobal(p); err != nil {
+		t.Fatal(err)
+	}
+	_, misses := warm.Memo.Stats()
+	if misses != 2 { // the global state and the record's π_c
+		t.Fatalf("global proof ran %d ECDSA checks, want 2", misses)
+	}
+	if _, err := warm.VerifyGlobal(p); err != nil {
+		t.Fatal(err)
+	}
+	if _, again := warm.Memo.Stats(); again != misses {
+		t.Fatalf("re-verifying the same proof ran %d ECDSA checks", again-misses)
+	}
+	verdict := func(err error) string {
+		if err == nil {
+			return "accept"
+		}
+		return fmt.Sprintf("reject[proof=%t sig=%t] %v", errors.Is(err, ErrBadProof), errors.Is(err, journal.ErrBadSignature), err)
+	}
+	mut := make([]byte, len(enc))
+	mutants := 0
+	for _, mask := range []byte{0xFF, 0x01} {
+		for i := range enc {
+			copy(mut, enc)
+			mut[i] ^= mask
+			q, err := DecodeGlobalProof(mut)
+			if err != nil {
+				continue
+			}
+			_, ec := cold.VerifyGlobal(q)
+			_, ew := warm.VerifyGlobal(q)
+			if want, got := verdict(ec), verdict(ew); got != want {
+				t.Fatalf("byte %d ^ %#x:\n  nil memo:  %s\n  warm memo: %s", i, mask, want, got)
+			}
+			mutants++
+		}
+	}
+	t.Logf("%d decodable mutants of %d bytes, verdicts identical", mutants, len(enc))
+}

@@ -86,12 +86,26 @@ func (g *GlobalState) sign(kp *sig.KeyPair) error {
 	return nil
 }
 
+// Verifier is a client's trust root for cross-shard proofs: the pinned
+// coordinator key plus an optional memo of signatures it has already
+// checked. It mirrors ledger.Verifier: one verifier body per shape, and
+// the package-level functions are the same bodies with a nil memo.
+type Verifier struct {
+	Coordinator sig.PublicKey
+	Memo        *sig.Memo // nil verifies every signature from scratch
+}
+
 // Verify checks the coordinator signature on the global state.
 func (g *GlobalState) Verify(coord sig.PublicKey) error {
-	if g.CoordPK != coord {
-		return fmt.Errorf("%w: state signed by %s, want %s", journal.ErrBadSignature, g.CoordPK, coord)
+	return Verifier{Coordinator: coord}.VerifyGlobalState(g)
+}
+
+// VerifyGlobalState checks the coordinator signature on a global state.
+func (v Verifier) VerifyGlobalState(g *GlobalState) error {
+	if g.CoordPK != v.Coordinator {
+		return fmt.Errorf("%w: state signed by %s, want %s", journal.ErrBadSignature, g.CoordPK, v.Coordinator)
 	}
-	if err := sig.Verify(g.CoordPK, g.signedDigest(), g.CoordSig); err != nil {
+	if err := v.Memo.Verify(g.CoordPK, g.signedDigest(), g.CoordSig); err != nil {
 		return fmt.Errorf("%w: global state: %v", journal.ErrBadSignature, err)
 	}
 	return nil
@@ -164,10 +178,15 @@ type GlobalProof struct {
 // fam path to the head's shard root (which re-verifies π_c and the
 // payload digest). Returns the decoded record on success.
 func VerifyGlobal(p *GlobalProof, coord sig.PublicKey) (*journal.Record, error) {
+	return Verifier{Coordinator: coord}.VerifyGlobal(p)
+}
+
+// VerifyGlobal is the package-level VerifyGlobal under v.
+func (v Verifier) VerifyGlobal(p *GlobalProof) (*journal.Record, error) {
 	if p == nil || p.Acc == nil || p.Record == nil || p.Global == nil {
 		return nil, fmt.Errorf("%w: incomplete proof", ErrBadProof)
 	}
-	if err := p.Global.Verify(coord); err != nil {
+	if err := v.VerifyGlobalState(p.Global); err != nil {
 		return nil, err
 	}
 	if p.Acc.TreeSize != uint64(p.Global.Shards) {
@@ -182,7 +201,7 @@ func VerifyGlobal(p *GlobalProof, coord sig.PublicKey) (*journal.Record, error) 
 	if p.Head.Size == 0 {
 		return nil, fmt.Errorf("%w: empty shard head cannot cover a record", ErrBadProof)
 	}
-	rec, err := ledger.VerifyRecordAtRoot(p.Record.RecordBytes, p.Record.Payload, p.Record.Fam, p.Head.Root)
+	rec, err := ledger.VerifyRecordAtRoot(p.Record.RecordBytes, p.Record.Payload, p.Record.Fam, p.Head.Root, v.Memo)
 	if err != nil {
 		return nil, fmt.Errorf("%w: shard %d: %v", ErrBadProof, p.Head.Shard, err)
 	}

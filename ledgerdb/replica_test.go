@@ -73,8 +73,11 @@ func TestStackFollowerConverges(t *testing.T) {
 	}
 
 	// Honest watermarks: caught up means applied == primary == provable.
+	// (CaughtUp itself was asserted by waitCaughtUp; every 1 ms round
+	// clears it until it has re-proved it, so sampling it again here
+	// fails about once in 200 runs.)
 	st := f.Status()
-	if !st.CaughtUp || st.AppliedJSN != stack.Ledger.Size() || st.CheckpointJSN != st.AppliedJSN {
+	if st.AppliedJSN != stack.Ledger.Size() || st.CheckpointJSN != st.AppliedJSN {
 		t.Fatalf("status %+v", st)
 	}
 }

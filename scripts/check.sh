@@ -14,7 +14,7 @@
 #   scripts/check.sh shard    # multi-shard topology e2e incl. kill-one-shard chaos (-race)
 #   scripts/check.sh query    # rich-query layer: index + absence tests (-race), crash + fuzz smoke
 #   scripts/check.sh replica  # replication: puller/bundle tests (-race), partition chaos, follower crash torture
-#   scripts/check.sh perf     # hot-path bench smoke + allocs/op regression guards
+#   scripts/check.sh perf     # hot-path bench smoke + allocs/op and ECDSA-count guards + the ledgerbench module's own vet/tests
 #   scripts/check.sh all      # everything
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -145,6 +145,12 @@ stage_perf() {
     go test -run 'TestEncodeDigestZeroAlloc|TestAppendAllocBudget' -count 1 -v ./internal/ledger | grep -E 'allocs/op|PASS|FAIL|ok '
     go test -run 'TestDigestHelpersDoNotAllocate' -count 1 ./internal/hashutil
     go test -run 'TestReadBufSteadyStateAllocs' -count 1 ./internal/streamfs
+
+    echo "== verified-signature memo guard (repeat clue proof = 0 ECDSA; tampered replies still refused) =="
+    go test -run 'TestMemoPerfGuard' -count 1 ./internal/client
+
+    echo "== ledgerbench (its own module: tier-1 does not reach it; TestServerDefaultsMatchMain pins the traced stack to main.go) =="
+    (cd ledgerbench && go vet ./... && go test ./...)
 }
 
 stage_examples() {
