@@ -1,12 +1,15 @@
 package client
 
 import (
+	"encoding/base64"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
 	"ledgerdb/internal/sig"
+	"ledgerdb/internal/wire"
 )
 
 // Hostile-server tests: the SDK must fail cleanly (typed error, no
@@ -74,6 +77,24 @@ func TestValidBase64GarbageBytes(t *testing.T) {
 	}
 	if _, _, err := c.VerifyState([]byte("k")); err == nil {
 		t.Fatal("junk state proof accepted")
+	}
+}
+
+// A batch receipt announcing more tx-hashes than it has bytes for is
+// tamper evidence, not an allocation request (chaostest found this one:
+// a flipped byte in Count asked for 2^46 digests).
+func TestBatchReceiptHostileCount(t *testing.T) {
+	w := wire.NewWriter(16)
+	w.Uvarint(1)       // FirstJSN
+	w.Uvarint(1 << 46) // Count
+	c := hostileClient(t, func(rw http.ResponseWriter, r *http.Request) {
+		rw.Header().Set("Content-Type", "application/json")
+		fmt.Fprintf(rw, `{"receipt":%q}`, base64.StdEncoding.EncodeToString(w.Bytes()))
+	})
+	_, _, err := c.AppendBatch([][]byte{[]byte("x")}, nil)
+	var te *TamperError
+	if !errors.As(err, &te) {
+		t.Fatalf("err = %v, want TamperError", err)
 	}
 }
 

@@ -85,6 +85,11 @@ func (c *Client) decodeBatchReceipt(rep *reply, raw []byte) (*ledger.BatchReceip
 		LSPPK:     sig.DecodePublicKey(r),
 		LSPSig:    sig.DecodeSignature(r),
 	}
+	// Count is the server's word until the signature below is checked:
+	// a reply cannot hold more digests than it has bytes left.
+	if br.Count > uint64(r.Remaining()/hashutil.Size) {
+		return nil, nil, rep.tamper("batch receipt decode", fmt.Errorf("%d tx-hashes in %d bytes", br.Count, r.Remaining()))
+	}
 	txHashes := make([]hashutil.Digest, 0, br.Count)
 	for i := uint64(0); i < br.Count; i++ {
 		txHashes = append(txHashes, r.Digest())

@@ -156,7 +156,7 @@ func TestMemoPerfGuard(t *testing.T) {
 // provable over HTTP, byte for byte the name that was appended.
 func TestClueNamesNeedingEscape(t *testing.T) {
 	c := memoClient(t)
-	names := []string{"a/b", "a?b", "50% off", "a#b", " padded ", "q=1&r=2", "a+b", "ü/€", "a%2Fb"}
+	names := []string{"a/b", "a?b", "50% off", "a#b", " padded ", "q=1&r=2", "a+b", "ü/€", "a%2Fb", "...", "./x", "a/.."}
 	for _, name := range names {
 		appendVersions(t, c, name, 2)
 	}
@@ -176,6 +176,14 @@ func TestClueNamesNeedingEscape(t *testing.T) {
 			if len(rec.Clues) != 1 || rec.Clues[0] != name {
 				t.Errorf("VerifyClue(%q) proved a record of clue %q", name, rec.Clues)
 			}
+		}
+	}
+	// The two names no escaping can carry in a path segment (HTTP removes
+	// dot segments) are refused at admission rather than stranded.
+	for _, name := range []string{".", ".."} {
+		var ae *APIError
+		if _, err := c.Append([]byte("x"), name); !errors.As(err, &ae) || ae.Status != http.StatusBadRequest {
+			t.Errorf("Append with clue %q: %v, want 400", name, err)
 		}
 	}
 }

@@ -152,6 +152,13 @@ func (r *Request) ValidateShape() error {
 		if c == "" {
 			return fmt.Errorf("%w: empty clue", ErrBadRequest)
 		}
+		// A clue is addressed as one URL path segment
+		// (/v1/clue/<name>/proof), and HTTP removes dot segments however
+		// they are escaped: these two names could be appended but never
+		// proven remotely.
+		if c == "." || c == ".." {
+			return fmt.Errorf("%w: clue %q is not addressable", ErrBadRequest, c)
+		}
 	}
 	return nil
 }

@@ -70,10 +70,12 @@ func TestValidateRejectsTamperedRequest(t *testing.T) {
 func TestValidateStructuralErrors(t *testing.T) {
 	kp := sig.GenerateDeterministic("c")
 	cases := []Request{
-		{Type: TypeNormal, Payload: []byte("x")},                                // no URI
-		{LedgerURI: "l", Payload: []byte("x")},                                  // no type
-		{LedgerURI: "l", Type: TypeNormal},                                      // no payload
-		{LedgerURI: "l", Type: TypeNormal, Payload: []byte("x"), Clues: []string{""}}, // empty clue
+		{Type: TypeNormal, Payload: []byte("x")},                                             // no URI
+		{LedgerURI: "l", Payload: []byte("x")},                                               // no type
+		{LedgerURI: "l", Type: TypeNormal},                                                   // no payload
+		{LedgerURI: "l", Type: TypeNormal, Payload: []byte("x"), Clues: []string{""}},        // empty clue
+		{LedgerURI: "l", Type: TypeNormal, Payload: []byte("x"), Clues: []string{"."}},       // dot segment
+		{LedgerURI: "l", Type: TypeNormal, Payload: []byte("x"), Clues: []string{"a", ".."}}, // dot segment
 	}
 	for i := range cases {
 		if err := cases[i].Sign(kp); err != nil {

@@ -162,7 +162,7 @@ func (v Verifier) VerifyBundle(b *ProofBundle, tsaKeys []sig.PublicKey) (*journa
 	if err := v.VerifySignedState(b.State); err != nil {
 		return nil, nil, err
 	}
-	rec, err := verifyExistenceItem(b.RecordBytes, b.Payload, b.Fam, nil, b.State.JournalRoot, v.Memo)
+	rec, err := v.verifyExistenceItem(b.RecordBytes, b.Payload, b.Fam, nil, b.State.JournalRoot)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -175,7 +175,7 @@ func (v Verifier) VerifyBundle(b *ProofBundle, tsaKeys []sig.PublicKey) (*journa
 	if b.TimeFam == nil || b.TimeProof == nil {
 		return nil, nil, fmt.Errorf("%w: incomplete time chain", ErrVerify)
 	}
-	trec, err := verifyExistenceItem(b.TimeRecordBytes, nil, b.TimeFam, nil, b.State.JournalRoot, v.Memo)
+	trec, err := v.verifyExistenceItem(b.TimeRecordBytes, nil, b.TimeFam, nil, b.State.JournalRoot)
 	if err != nil {
 		return nil, nil, fmt.Errorf("time journal: %w", err)
 	}

@@ -6,7 +6,6 @@ import (
 	"ledgerdb/internal/hashutil"
 	"ledgerdb/internal/journal"
 	"ledgerdb/internal/merkle/fam"
-	"ledgerdb/internal/sig"
 )
 
 // This file is the engine surface the sharded topology builds on
@@ -103,9 +102,13 @@ type RecordProof struct {
 // the payload against the recorded digest when present (what). The root's
 // own authenticity — LSP signature, or global accumulator membership plus
 // coordinator signature — is the caller's concern.
-//
-// memo is the caller's verified-signature memo for π_c and the
-// co-signatures; nil verifies them from scratch.
-func VerifyRecordAtRoot(recordBytes, payload []byte, fp *fam.Proof, root hashutil.Digest, memo *sig.Memo) (*journal.Record, error) {
-	return verifyExistenceItem(recordBytes, payload, fp, nil, root, memo)
+func VerifyRecordAtRoot(recordBytes, payload []byte, fp *fam.Proof, root hashutil.Digest) (*journal.Record, error) {
+	return Verifier{}.VerifyRecordAtRoot(recordBytes, payload, fp, root)
+}
+
+// VerifyRecordAtRoot is the package-level VerifyRecordAtRoot under v.
+// The root is the caller's to authenticate, so v.LSP plays no part;
+// v.Memo answers for π_c and the co-signatures.
+func (v Verifier) VerifyRecordAtRoot(recordBytes, payload []byte, fp *fam.Proof, root hashutil.Digest) (*journal.Record, error) {
+	return v.verifyExistenceItem(recordBytes, payload, fp, nil, root)
 }

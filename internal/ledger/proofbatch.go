@@ -131,7 +131,7 @@ func (v Verifier) VerifyExistenceBatch(b *ExistenceProofBatch) ([]*journal.Recor
 	recs := make([]*journal.Record, 0, len(b.Items))
 	for i := range b.Items {
 		it := &b.Items[i]
-		rec, err := verifyExistenceItem(it.RecordBytes, it.Payload, it.Fam, nil, b.State.JournalRoot, v.Memo)
+		rec, err := v.verifyExistenceItem(it.RecordBytes, it.Payload, it.Fam, nil, b.State.JournalRoot)
 		if err != nil {
 			return nil, fmt.Errorf("batch item %d: %w", i, err)
 		}
@@ -144,9 +144,9 @@ func (v Verifier) VerifyExistenceBatch(b *ExistenceProofBatch) ([]*journal.Recor
 // verification (everything except the state signature, which the caller
 // has already checked): decode, fold the tx-hash through the fam path
 // to root, re-verify client signatures, and match any shipped payload
-// against the recorded digest. memo is the caller's verified-signature
-// memo (nil = none).
-func verifyExistenceItem(recordBytes, payload []byte, fp *fam.Proof, a *fam.Anchor, root hashutil.Digest, memo *sig.Memo) (*journal.Record, error) {
+// against the recorded digest. Only v.Memo is consulted; v.LSP has done
+// its work on the state (or is not the root's authority at all).
+func (v Verifier) verifyExistenceItem(recordBytes, payload []byte, fp *fam.Proof, a *fam.Anchor, root hashutil.Digest) (*journal.Record, error) {
 	if fp == nil {
 		return nil, fmt.Errorf("%w: incomplete proof", ErrVerify)
 	}
@@ -168,7 +168,7 @@ func verifyExistenceItem(recordBytes, payload []byte, fp *fam.Proof, a *fam.Anch
 	if err != nil {
 		return nil, fmt.Errorf("%w: what: %v", ErrVerify, err)
 	}
-	if err := journal.VerifyRecordSigsMemo(rec, memo); err != nil {
+	if err := journal.VerifyRecordSigsMemo(rec, v.Memo); err != nil {
 		return nil, fmt.Errorf("%w: who: %v", ErrVerify, err)
 	}
 	if payload != nil {

@@ -151,7 +151,7 @@ func (v Verifier) VerifyExistenceAnchored(p *ExistenceProof, a *fam.Anchor) (*jo
 	if err := v.VerifySignedState(p.State); err != nil {
 		return nil, err
 	}
-	return verifyExistenceItem(p.RecordBytes, p.Payload, p.Fam, a, p.State.JournalRoot, v.Memo)
+	return v.verifyExistenceItem(p.RecordBytes, p.Payload, p.Fam, a, p.State.JournalRoot)
 }
 
 // VerifyExistenceServer is the trusted-LSP fast path: the server checks

@@ -488,9 +488,9 @@ func (s *Server) handleProofAnchored(w http.ResponseWriter, r *http.Request) {
 }
 
 // The clue handlers take the path segment verbatim (PathValue has
-// already unescaped it): admission accepts any non-empty clue, spaces
-// and slashes included, so lookup must not normalise what append did
-// not.
+// already unescaped it): admission accepts any non-empty clue but "."
+// and ".." (which no URL path can carry), spaces and slashes included,
+// so lookup must not normalise what append did not.
 func (s *Server) handleClueProof(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	q := r.URL.Query()

@@ -201,7 +201,7 @@ func (v Verifier) VerifyGlobal(p *GlobalProof) (*journal.Record, error) {
 	if p.Head.Size == 0 {
 		return nil, fmt.Errorf("%w: empty shard head cannot cover a record", ErrBadProof)
 	}
-	rec, err := ledger.VerifyRecordAtRoot(p.Record.RecordBytes, p.Record.Payload, p.Record.Fam, p.Head.Root, v.Memo)
+	rec, err := ledger.Verifier{Memo: v.Memo}.VerifyRecordAtRoot(p.Record.RecordBytes, p.Record.Payload, p.Record.Fam, p.Head.Root)
 	if err != nil {
 		return nil, fmt.Errorf("%w: shard %d: %v", ErrBadProof, p.Head.Shard, err)
 	}

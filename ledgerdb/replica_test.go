@@ -73,11 +73,15 @@ func TestStackFollowerConverges(t *testing.T) {
 	}
 
 	// Honest watermarks: caught up means applied == primary == provable.
-	// (CaughtUp itself was asserted by waitCaughtUp; every 1 ms round
-	// clears it until it has re-proved it, so sampling it again here
-	// fails about once in 200 runs.)
+	// The puller is pessimistic while a round is in flight (it clears
+	// CaughtUp until that round re-proves it), so with 1 ms rounds a
+	// single sample can land mid-round; sample until one lands between
+	// rounds, and require every claim of that one snapshot.
 	st := f.Status()
-	if st.AppliedJSN != stack.Ledger.Size() || st.CheckpointJSN != st.AppliedJSN {
+	for deadline := time.Now().Add(10 * time.Second); !st.CaughtUp && time.Now().Before(deadline); st = f.Status() {
+		time.Sleep(100 * time.Microsecond)
+	}
+	if !st.CaughtUp || st.AppliedJSN != stack.Ledger.Size() || st.CheckpointJSN != st.AppliedJSN {
 		t.Fatalf("status %+v", st)
 	}
 }
