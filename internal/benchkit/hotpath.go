@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -29,10 +32,30 @@ type HotPathResult struct {
 	OpsPerSec   float64 `json:"ops_per_sec"`
 }
 
-// HotPathReport is the full BENCH_hotpath.json document.
+// HotPathReport is the full BENCH_hotpath.json document. The file is
+// checked in: regenerate it (`go run ./cmd/bench hotpath`) in any change
+// that moves a hot path, so the repository carries its own trajectory.
+// The host fields say what the numbers were measured on — rows are only
+// comparable between reports from like hosts.
 type HotPathReport struct {
+	NProc      int             `json:"nproc"`
 	GOMAXPROCS int             `json:"gomaxprocs"`
+	GoVersion  string          `json:"go_version"`
+	Commit     string          `json:"commit"` // HEAD the tree was built from; "-dirty" if it had local changes
 	Results    []HotPathResult `json:"results"`
+}
+
+// gitCommit names the checkout the report was measured on, best effort.
+func gitCommit() string {
+	head, err := exec.Command("git", "rev-parse", "--short=12", "HEAD").Output()
+	if err != nil {
+		return "unknown"
+	}
+	commit := strings.TrimSpace(string(head))
+	if st, err := exec.Command("git", "status", "--porcelain").Output(); err == nil && len(st) > 0 {
+		commit += "-dirty"
+	}
+	return commit
 }
 
 func resultOf(name string, r testing.BenchmarkResult) HotPathResult {
@@ -52,11 +75,18 @@ func resultOf(name string, r testing.BenchmarkResult) HotPathResult {
 
 // HotPath measures the profile-driven hot paths: the zero-alloc
 // encode+digest core, full Append under the serial / pipelined /
-// admission-batch-verify configurations, and zero-copy journal serving
-// from the disk backend. It returns the printable table plus the
+// admission-batch-verify configurations, zero-copy journal serving from
+// the disk backend, and the rows that touch a disk on the write path —
+// the payload log's Put/Get and pipelined Append over disk streams plus
+// the payload log. It returns the printable table plus the
 // machine-readable results.
 func HotPath(full bool) (*Table, *HotPathReport) {
-	rep := &HotPathReport{GOMAXPROCS: runtime.GOMAXPROCS(0)}
+	rep := &HotPathReport{
+		NProc:      runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion:  runtime.Version(),
+		Commit:     gitCommit(),
+	}
 	add := func(name string, r testing.BenchmarkResult) {
 		rep.Results = append(rep.Results, resultOf(name, r))
 	}
@@ -73,20 +103,23 @@ func HotPath(full bool) (*Table, *HotPathReport) {
 		}
 	}))
 
-	add("append-serial", benchAppend(0, 0))
-	add("append-pipelined", benchAppend(64, 0))
+	add("append-serial", benchAppend(0, 0, false))
+	add("append-pipelined", benchAppend(64, 0, false))
 	batches := []int{16}
 	if full {
 		batches = []int{16, 64, 256}
 	}
 	for _, batch := range batches {
-		add(fmt.Sprintf("append-batchverify-%d", batch), benchAppend(64, batch))
+		add(fmt.Sprintf("append-batchverify-%d", batch), benchAppend(64, batch, false))
 	}
 	add("proof-getjournal-zerocopy", benchGetJournal())
+	add("disk-blob-put", benchDiskBlobs(false))
+	add("disk-blob-get", benchDiskBlobs(true))
+	add("append-pipelined-disk", benchAppend(64, 0, true))
 
 	t := &Table{
 		Title: "Hot paths: steady-state cost of the profiled append and serve paths",
-		Note:  "encode-digest is the zero-alloc core; append-* include one π_c ECDSA verify per op (the single-core floor)",
+		Note:  "encode-digest is the zero-alloc core; append-* include one π_c ECDSA verify per op (the single-core floor); *-disk and disk-* rows run on the temp dir's file system",
 		Header: []string{"workload", "ns/op", "allocs/op", "B/op", "ops/s"},
 	}
 	for _, r := range rep.Results {
@@ -125,10 +158,15 @@ func hotPathRecord() *journal.Record {
 // benchAppend measures Append throughput: depth 0 is the synchronous
 // baseline; with a pipeline, 32 concurrent submitters per core keep
 // groups forming; verifyBatch additionally routes π_c checks through
-// the admission worker pool.
-func benchAppend(depth, verifyBatch int) testing.BenchmarkResult {
+// the admission worker pool; onDisk swaps the memory stores for disk
+// streams and the payload log as cmd/ledgerdb-server opens them.
+func benchAppend(depth, verifyBatch int, onDisk bool) testing.BenchmarkResult {
 	return testing.Benchmark(func(b *testing.B) {
-		tl, err := newHotLedger(depth, verifyBatch)
+		dir := ""
+		if onDisk {
+			dir = b.TempDir()
+		}
+		tl, err := newHotLedger(depth, verifyBatch, dir)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -165,7 +203,10 @@ func benchAppend(depth, verifyBatch int) testing.BenchmarkResult {
 	})
 }
 
-func newHotLedger(depth, verifyBatch int) (*TestLedger, error) {
+// newHotLedger opens the append-bench ledger, in memory or — with a dir —
+// on disk streams (SyncEvery 256, the server's setting) and the payload
+// log.
+func newHotLedger(depth, verifyBatch int, dir string) (*TestLedger, error) {
 	tl := &TestLedger{
 		LSP:    sig.GenerateDeterministic("bench/lsp"),
 		DBA:    sig.GenerateDeterministic("bench/dba"),
@@ -173,14 +214,24 @@ func newHotLedger(depth, verifyBatch int) (*TestLedger, error) {
 		URI:    "ledger://hotpath-append",
 		clock:  1,
 	}
+	store, blobs := streamfs.NewMemory(), streamfs.NewMemoryBlobs()
+	if dir != "" {
+		var err error
+		if store, err = streamfs.OpenDisk(filepath.Join(dir, "streams"), streamfs.DiskOptions{SyncEvery: 256}); err != nil {
+			return nil, err
+		}
+		if blobs, err = streamfs.OpenDiskBlobs(filepath.Join(dir, "blobs")); err != nil {
+			return nil, err
+		}
+	}
 	l, err := ledger.Open(ledger.Config{
 		URI:           tl.URI,
 		FractalHeight: 6,
 		BlockSize:     64,
 		LSP:           tl.LSP,
 		DBA:           tl.DBA.Public(),
-		Store:         streamfs.NewMemory(),
-		Blobs:         streamfs.NewMemoryBlobs(),
+		Store:         store,
+		Blobs:         blobs,
 		Clock:         func() int64 { return atomic.AddInt64(&tl.clock, 1) },
 		PipelineDepth: depth,
 		VerifyBatch:   verifyBatch,
@@ -208,7 +259,7 @@ func ProfileWorkloads(full bool) *Table {
 		Header: []string{"workload", "ops", "elapsed", "rate"},
 	}
 
-	tl, err := newHotLedger(64, 16)
+	tl, err := newHotLedger(64, 16, "")
 	if err != nil {
 		panic(err)
 	}
@@ -321,6 +372,46 @@ func benchGetJournal() testing.BenchmarkResult {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := l.GetJournal(uint64(i) % size); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// benchDiskBlobs measures the payload log at the benchmark's payload
+// size: Put is one framed append (plus the digest check), Get one
+// positioned read (plus the digest check). No fsync is included — the
+// ledger flushes the log once per commit group.
+func benchDiskBlobs(get bool) testing.BenchmarkResult {
+	return testing.Benchmark(func(b *testing.B) {
+		blobs, err := streamfs.OpenDiskBlobs(b.TempDir())
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := b.N
+		if get {
+			n = 4096
+		}
+		payloads := make([][]byte, n)
+		keys := make([]hashutil.Digest, n)
+		for i := range payloads {
+			payloads[i] = Payload("hot-blob", i, 256)
+			keys[i] = hashutil.Sum(payloads[i])
+			if get {
+				if err := blobs.Put(keys[i], payloads[i]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if get {
+				_, err = blobs.Get(keys[(i*31)%n])
+			} else {
+				err = blobs.Put(keys[i], payloads[i])
+			}
+			if err != nil {
 				b.Fatal(err)
 			}
 		}

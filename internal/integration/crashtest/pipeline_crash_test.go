@@ -44,11 +44,11 @@ type pipeHarness struct {
 	lsp    *sig.KeyPair
 	dba    *sig.KeyPair
 	client *sig.KeyPair
-	blobs  streamfs.BlobStore
 	disk   *faultfs.Disk
 	l      *ledger.Ledger
 
 	segSize     int64
+	blobSeg     int64
 	blockSize   int
 	cfgSync     int
 	verifyBatch int
@@ -78,10 +78,13 @@ func newPipeHarness(t *testing.T, rng *rand.Rand, repro string) *pipeHarness {
 		lsp:    sig.GenerateDeterministic("pipecrash/lsp"),
 		dba:    sig.GenerateDeterministic("pipecrash/dba"),
 		client: sig.GenerateDeterministic("pipecrash/client"),
-		blobs:  streamfs.NewMemoryBlobs(),
 		disk:   faultfs.NewDisk(),
-		// Small segments so the crash cut lands on rollovers too.
+		// Small segments so the crash cut lands on rollovers too — of the
+		// streams and of the payload log, which shares the image: the cut
+		// hits admission's Puts and the payload flush that now leads every
+		// group sync as readily as the stream writes.
 		segSize:     int64(96 + 96*rng.Intn(4)),
+		blobSeg:     int64(64 + 64*rng.Intn(4)),
 		blockSize:   3 + rng.Intn(4),
 		cfgSync:     rng.Intn(4),
 		verifyBatch: []int{0, 8}[rng.Intn(2)],
@@ -101,6 +104,10 @@ func (h *pipeHarness) open(d *faultfs.Disk) (*ledger.Ledger, error) {
 	if err != nil {
 		return nil, err
 	}
+	blobs, err := streamfs.OpenDiskBlobsOn(d, "blobs", h.blobSeg)
+	if err != nil {
+		return nil, err
+	}
 	return ledger.Open(ledger.Config{
 		URI:           pipeURI,
 		FractalHeight: 3,
@@ -109,7 +116,7 @@ func (h *pipeHarness) open(d *faultfs.Disk) (*ledger.Ledger, error) {
 		LSP:           h.lsp,
 		DBA:           h.dba.Public(),
 		Store:         store,
-		Blobs:         h.blobs,
+		Blobs:         blobs,
 		SyncEvery:     h.cfgSync,
 		PipelineDepth: 4,
 		VerifyBatch:   h.verifyBatch,
@@ -218,6 +225,11 @@ func (h *pipeHarness) verifyRecovered(mode faultfs.CrashMode) {
 		if rec.TxHash() != dr.txHash {
 			h.fatalf("mode %d: durable receipt jsn %d tx-hash diverged", mode, dr.jsn)
 		}
+		// Nor its payload: the group flush makes payloads durable before
+		// the journals that name them (GetPayload re-hashes the bytes).
+		if _, err := l2.GetPayload(dr.jsn); err != nil {
+			h.fatalf("mode %d: payload of durable receipt jsn %d: %v", mode, dr.jsn, err)
+		}
 	}
 	// Every surviving journal is readable and the whole ledger passes a
 	// full audit — recovery ordering (survival→journal→digest→block)
@@ -228,9 +240,13 @@ func (h *pipeHarness) verifyRecovered(mode faultfs.CrashMode) {
 		}
 	}
 	if _, err := audit.Audit(l2, nil, audit.Config{
-		LSP:           h.lsp.Public(),
-		DBA:           h.dba.Public(),
-		CheckPayloads: true,
+		LSP: h.lsp.Public(),
+		DBA: h.dba.Public(),
+		// Past the last flush point a journal can reach the disk before
+		// its payload (a stream flushes on its own when it seals a
+		// segment), so a lost write cache may leave such a journal
+		// digest-only; the durable receipts were checked above.
+		CheckPayloads: mode == faultfs.TornWrite,
 	}); err != nil {
 		h.fatalf("mode %d: audit after recovery: %v", mode, err)
 	}

@@ -22,6 +22,7 @@ import (
 	"ledgerdb/internal/journal"
 	"ledgerdb/internal/ledger"
 	"ledgerdb/internal/sig"
+	"ledgerdb/internal/streamfs"
 	"ledgerdb/internal/streamfs/faultfs"
 )
 
@@ -52,6 +53,9 @@ func detHarness(t *testing.T) *harness {
 func detSetup(t *testing.T) (*harness, *ledger.PurgeDescriptor, *sig.MultiSig) {
 	h := detHarness(t)
 	h.blockSize = 100
+	// The callers cut at offsets counted back from the purge's last
+	// stream writes; keep the payload log's bytes out of that trace.
+	h.memBlobs = streamfs.NewMemoryBlobs()
 	var err error
 	h.disk = faultfs.NewDisk()
 	h.l, err = h.open(h.disk)

@@ -127,12 +127,8 @@ func (l *Ledger) ExportBundle(jsn uint64, withPayload bool) (*ProofBundle, error
 	}
 	b.RecordBytes = raw
 	if withPayload && !occ {
-		rec, err := journal.DecodeRecord(raw)
-		if err != nil {
+		if b.Payload, err = l.proofPayload(raw); err != nil {
 			return nil, err
-		}
-		if payload, perr := l.cfg.Blobs.Get(rec.PayloadDigest); perr == nil {
-			b.Payload = payload
 		}
 	}
 	return b, nil

@@ -3,6 +3,7 @@ package ledger
 import (
 	"fmt"
 
+	"ledgerdb/internal/hashutil"
 	"ledgerdb/internal/journal"
 	"ledgerdb/internal/streamfs"
 )
@@ -16,21 +17,29 @@ import (
 //
 // Sync order is part of the invariant:
 //
-//	survival → journals → digests → blocks
+//	payloads → survival → journals → digests → blocks
 //
-// Survivor copies become durable before the purge journal that retires
+// Payloads become durable before any journal that names their digest
+// (admission stores the payload before the request is sequenced, so every
+// payload of an applied journal is already in the payload log when the
+// flush starts); survivor copies before the purge journal that retires
 // their originals; journal records before the digests that accumulate
 // them; and block headers last, so a durable header always covers
 // durable records. Recovery (recover.go) exploits the converse: any
 // stream suffix beyond the shortest of journals/digests is an
 // unacknowledged tail and is reconciled away.
 
-// syncCommitLocked flushes all four streams in commit order. A failed
-// flush latches l.failed: after a failed fsync nothing further can be
-// trusted to reach disk, so the engine refuses writes until reopened
-// (the reopen re-scans and the reconciliation trims the limbo suffix).
+// syncCommitLocked flushes the payload log and all four streams in commit
+// order. A failed flush latches l.failed: after a failed fsync nothing
+// further can be trusted to reach disk, so the engine refuses writes
+// until reopened (the reopen re-scans and the reconciliation trims the
+// limbo suffix).
 func (l *Ledger) syncCommitLocked() error {
 	if l.failed != nil {
+		return l.failed
+	}
+	if err := l.cfg.Blobs.Sync(); err != nil {
+		l.failed = fmt.Errorf("ledger: commit-point sync: %w", err)
 		return l.failed
 	}
 	for _, s := range []streamfs.Stream{l.survival, l.journals, l.digests, l.blocks} {
@@ -92,9 +101,13 @@ func (l *Ledger) flushDeferredSyncLocked() error {
 }
 
 // syncAppliedLocked is the cheaper Config.SyncEvery flush between commit
-// points: journal and digest streams only (no block was cut, the other
-// streams did not move).
+// points: payloads, then journal and digest streams only (no block was
+// cut, the other streams did not move).
 func (l *Ledger) syncAppliedLocked() error {
+	if err := l.cfg.Blobs.Sync(); err != nil {
+		l.failed = fmt.Errorf("ledger: record sync: %w", err)
+		return l.failed
+	}
 	for _, s := range []streamfs.Stream{l.journals, l.digests} {
 		if err := s.Sync(); err != nil {
 			l.failed = fmt.Errorf("ledger: record sync: %w", err)
@@ -165,8 +178,17 @@ func (l *Ledger) completePurgeLocked(desc *PurgeDescriptor) error {
 		for _, s := range desc.Survivors {
 			survivors[s] = true
 		}
+		// An occulted journal gave its payload reference up when its
+		// erasure ran; only one still waiting in the async queue holds one.
+		queued := make(map[uint64]bool, len(l.eraseQueue))
+		for _, jsn := range l.eraseQueue {
+			queued[jsn] = true
+		}
+		// One batched Delete: the payload log rewrites each segment it
+		// touches once, however many of the purged journals lived in it.
+		var erase []hashutil.Digest
 		for jsn := l.base; jsn < desc.Point; jsn++ {
-			if survivors[jsn] {
+			if survivors[jsn] || l.occulted[jsn] && !queued[jsn] {
 				continue
 			}
 			raw, err := l.journals.Read(jsn)
@@ -183,10 +205,11 @@ func (l *Ledger) completePurgeLocked(desc *PurgeDescriptor) error {
 				l.payloadRefs[rec.PayloadDigest]--
 			}
 			if l.payloadRefs[rec.PayloadDigest] == 0 {
-				if err := l.cfg.Blobs.Delete(rec.PayloadDigest); err != nil {
-					return err
-				}
+				erase = append(erase, rec.PayloadDigest)
 			}
+		}
+		if err := l.cfg.Blobs.Delete(erase...); err != nil {
+			return err
 		}
 	}
 	if err := l.journals.Truncate(desc.Point); err != nil {

@@ -75,12 +75,8 @@ func (l *Ledger) ProveExistenceAt(jsn, size uint64, withPayload bool) (*RecordPr
 	}
 	p := &RecordProof{RecordBytes: raw, Fam: fp}
 	if withPayload && !occ {
-		rec, err := journal.DecodeRecord(raw)
-		if err != nil {
+		if p.Payload, err = l.proofPayload(raw); err != nil {
 			return nil, err
-		}
-		if payload, err := l.cfg.Blobs.Get(rec.PayloadDigest); err == nil {
-			p.Payload = payload
 		}
 	}
 	return p, nil

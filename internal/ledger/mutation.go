@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"ledgerdb/internal/ca"
@@ -371,24 +372,38 @@ func (l *Ledger) checkOccultSigners(desc *OccultDescriptor, ms *sig.MultiSig) er
 	return fmt.Errorf("%w: prerequisite 2: no regulator signature", ErrNotPermitted)
 }
 
-// erasePayloadLocked deletes a journal's payload blob, respecting
-// content-address sharing.
-func (l *Ledger) erasePayloadLocked(jsn uint64) error {
-	raw, err := l.journals.Read(jsn)
-	if err != nil {
-		return err
+// erasePayloadLocked deletes the payload blobs of the given journals,
+// respecting content-address sharing, in one batched Delete (the payload
+// log rewrites each touched segment once per call). On failure nothing
+// is settled: the reference counts are restored, so a repeat run decides
+// the same erasures.
+func (l *Ledger) erasePayloadLocked(jsns ...uint64) (err error) {
+	var released, erase []hashutil.Digest
+	defer func() {
+		if err != nil {
+			for _, d := range released {
+				l.payloadRefs[d]++
+			}
+		}
+	}()
+	for _, jsn := range jsns {
+		raw, err := l.journals.Read(jsn)
+		if err != nil {
+			return err
+		}
+		rec, err := journal.DecodeRecord(raw)
+		if err != nil {
+			return err
+		}
+		if l.payloadRefs[rec.PayloadDigest] > 0 {
+			l.payloadRefs[rec.PayloadDigest]--
+			released = append(released, rec.PayloadDigest)
+		}
+		if l.payloadRefs[rec.PayloadDigest] == 0 {
+			erase = append(erase, rec.PayloadDigest)
+		}
 	}
-	rec, err := journal.DecodeRecord(raw)
-	if err != nil {
-		return err
-	}
-	if l.payloadRefs[rec.PayloadDigest] > 0 {
-		l.payloadRefs[rec.PayloadDigest]--
-	}
-	if l.payloadRefs[rec.PayloadDigest] == 0 {
-		return l.cfg.Blobs.Delete(rec.PayloadDigest)
-	}
-	return nil
+	return l.cfg.Blobs.Delete(erase...)
 }
 
 // OccultClue occults every normal journal recorded under a clue — the
@@ -532,19 +547,14 @@ func (l *Ledger) Reorganize() (int, error) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	n := 0
-	for _, jsn := range l.eraseQueue {
-		// A purge may have truncated the journal out from under its
-		// queued erasure; the purge path already settled that payload's
-		// fate (erased or retained with the rest of the purged prefix).
-		if jsn < l.base {
-			continue
-		}
-		if err := l.erasePayloadLocked(jsn); err != nil {
-			return n, err
-		}
-		n++
+	// A purge may have truncated the journal out from under its queued
+	// erasure; the purge path already settled that payload's fate (erased
+	// or retained with the rest of the purged prefix).
+	l.eraseQueue = slices.DeleteFunc(l.eraseQueue, func(jsn uint64) bool { return jsn < l.base })
+	if err := l.erasePayloadLocked(l.eraseQueue...); err != nil {
+		return 0, err
 	}
+	n := len(l.eraseQueue)
 	l.eraseQueue = l.eraseQueue[:0]
 	l.stateGen++
 	return n, nil

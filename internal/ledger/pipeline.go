@@ -110,6 +110,9 @@ func (l *Ledger) admitChecked(req *journal.Request, extra []byte, reqHash hashut
 	if meta > streamfs.MaxRecordSize {
 		return admitted{}, fmt.Errorf("%w: record metadata of ~%d bytes exceeds stream record capacity", journal.ErrBadRequest, meta)
 	}
+	if len(req.Payload) > streamfs.MaxRecordSize {
+		return admitted{}, fmt.Errorf("%w: payload of %d bytes exceeds the %d-byte payload capacity", journal.ErrBadRequest, len(req.Payload), streamfs.MaxRecordSize)
+	}
 	adm := admitted{
 		req:           req,
 		reqHash:       reqHash,
@@ -429,6 +432,9 @@ func (l *Ledger) Close() error {
 		// verification already or fall back to inline verify and then
 		// fail at sequencing with ErrClosed.
 		l.verif.close()
+	}
+	if err := l.cfg.Blobs.Sync(); err != nil {
+		return err
 	}
 	for _, s := range []streamfs.Stream{l.journals, l.digests, l.blocks, l.survival} {
 		if err := s.Sync(); err != nil {

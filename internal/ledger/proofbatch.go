@@ -100,12 +100,8 @@ func (l *Ledger) ProveExistenceBatch(jsns []uint64, withPayload bool) (*Existenc
 		}
 		b.Items[i] = ExistenceItem{RecordBytes: raw, Fam: fps[i]}
 		if withPayload && !occ[i] {
-			rec, err := journal.DecodeRecord(raw)
-			if err != nil {
+			if b.Items[i].Payload, err = l.proofPayload(raw); err != nil {
 				return nil, err
-			}
-			if payload, err := l.cfg.Blobs.Get(rec.PayloadDigest); err == nil {
-				b.Items[i].Payload = payload
 			}
 		}
 	}

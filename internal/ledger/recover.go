@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"ledgerdb/internal/hashutil"
@@ -201,6 +202,7 @@ func (l *Ledger) recover() error {
 
 	// If the ledger was purged, seed clue / state / membership data from
 	// the most recent pseudo genesis before replaying live journals.
+	var redoErase []uint64 // synchronously occulted journals met by the replay
 	replayFrom := l.base
 	if l.base > 0 {
 		info, jsn, err := l.findPseudoGenesis()
@@ -209,7 +211,7 @@ func (l *Ledger) recover() error {
 		}
 		switch {
 		case info != nil:
-			if err := l.seedFromSnapshot(info, jsn); err != nil {
+			if err := l.seedFromSnapshot(info, jsn, &redoErase); err != nil {
 				return err
 			}
 			replayFrom = jsn + 1
@@ -237,10 +239,22 @@ func (l *Ledger) recover() error {
 		if err != nil {
 			return fmt.Errorf("ledger: journal %d: %w", jsn, err)
 		}
-		l.replayRecord(rec)
+		l.replayRecord(rec, &redoErase)
 		return nil
 	}); err != nil {
 		return err
+	}
+
+	// Roll interrupted occult erasures forward. A synchronous occult
+	// erases the payload right after its journal is durable; a crash in
+	// between leaves the occult decided and the bytes on disk. Erasing
+	// again is a no-op for payloads already gone, and it settles the
+	// reference counts the replay just rebuilt (which counted the occulted
+	// journals themselves) exactly as the live path left them. (A journal
+	// below the base was purged after its occult; the purge settled it.)
+	redoErase = slices.DeleteFunc(redoErase, func(jsn uint64) bool { return jsn < l.base })
+	if err := l.erasePayloadLocked(redoErase...); err != nil {
+		return fmt.Errorf("ledger: roll occult erasure forward: %w", err)
 	}
 
 	// Roll an interrupted purge forward: if the purge decision (purge
@@ -292,8 +306,9 @@ func (l *Ledger) findPseudoGenesis() (*PseudoGenesisInfo, uint64, error) {
 }
 
 // seedFromSnapshot restores clue, state, and membership data covering
-// everything up to (and including) the pseudo genesis journal.
-func (l *Ledger) seedFromSnapshot(info *PseudoGenesisInfo, pseudoJSN uint64) error {
+// everything up to (and including) the pseudo genesis journal. redoErase
+// is replayOccult's.
+func (l *Ledger) seedFromSnapshot(info *PseudoGenesisInfo, pseudoJSN uint64, redoErase *[]uint64) error {
 	type clueSeed struct {
 		name string
 		jsns []uint64
@@ -330,7 +345,7 @@ func (l *Ledger) seedFromSnapshot(info *PseudoGenesisInfo, pseudoJSN uint64) err
 			return err
 		}
 		l.payloadRefs[rec.PayloadDigest]++
-		l.replayOccult(rec)
+		l.replayOccult(rec, redoErase)
 		return nil
 	})
 	if err == errStopIterate {
@@ -343,8 +358,8 @@ var errStopIterate = fmt.Errorf("ledger: stop iteration")
 
 // replayRecord applies one live journal during recovery. Journals at or
 // before the pseudo genesis are covered by the snapshot seed, so this is
-// called only for strictly later records.
-func (l *Ledger) replayRecord(rec *journal.Record) {
+// called only for strictly later records. redoErase is replayOccult's.
+func (l *Ledger) replayRecord(rec *journal.Record, redoErase *[]uint64) {
 	if len(rec.Clues) > 0 {
 		d := rec.TxHash()
 		for _, c := range rec.Clues {
@@ -367,12 +382,15 @@ func (l *Ledger) replayRecord(rec *journal.Record) {
 		l.firstSeen[rec.ClientPK] = rec.JSN
 	}
 	l.payloadRefs[rec.PayloadDigest]++
-	l.replayOccult(rec)
+	l.replayOccult(rec, redoErase)
 }
 
 // replayOccult re-applies an occult journal's bitmap effect (both the
-// single-journal and the clue-level variants).
-func (l *Ledger) replayOccult(rec *journal.Record) {
+// single-journal and the clue-level variants). Recovery passes redoErase
+// to collect the synchronously occulted journals, whose erasure it runs
+// again at its end; a follower replaying replicated records holds no
+// payloads and passes nil.
+func (l *Ledger) replayOccult(rec *journal.Record, redoErase *[]uint64) {
 	if rec.Type != journal.TypeOccult {
 		return
 	}
@@ -382,6 +400,8 @@ func (l *Ledger) replayOccult(rec *journal.Record) {
 		// the queue; re-erasing an already-deleted blob is a no-op.
 		if extra.Desc.Async {
 			l.eraseQueue = append(l.eraseQueue, extra.Desc.JSN)
+		} else if redoErase != nil {
+			*redoErase = append(*redoErase, extra.Desc.JSN)
 		}
 		return
 	}

@@ -366,14 +366,14 @@ func (l *Ledger) projectReplicatedLocked(rec *journal.Record) error {
 			return fmt.Errorf("ledger: replicated pseudo genesis %d: %w", rec.JSN, err)
 		}
 		//lint:ignore L1 seeding scans the survival stream to rebuild projections — recovery's own stop-the-world path, run here under the replica's apply lock
-		if err := l.seedFromSnapshot(info, rec.JSN); err != nil {
+		if err := l.seedFromSnapshot(info, rec.JSN, nil); err != nil {
 			return err
 		}
 		l.replica.seeding = false
 		l.clueSet.invalidate()
 		return l.syncCommitLocked()
 	}
-	l.replayRecord(rec)
+	l.replayRecord(rec, nil)
 	if rec.Type == journal.TypePseudoGenesis {
 		// The purge decision (purge journal + pseudo genesis) is now on
 		// the local prefix: make it durable, then roll the destructive

@@ -1,6 +1,7 @@
 package ledger
 
 import (
+	"errors"
 	"fmt"
 
 	"ledgerdb/internal/cmtree"
@@ -9,6 +10,7 @@ import (
 	"ledgerdb/internal/merkle/fam"
 	"ledgerdb/internal/mpt"
 	"ledgerdb/internal/sig"
+	"ledgerdb/internal/streamfs"
 	"ledgerdb/internal/wire"
 )
 
@@ -113,16 +115,32 @@ func (l *Ledger) proveExistence(jsn uint64, a *fam.Anchor, withPayload bool) (*E
 	}
 	p := &ExistenceProof{RecordBytes: raw, Fam: fp, State: st}
 	if withPayload && !occ {
-		rec, err := journal.DecodeRecord(raw)
-		if err != nil {
+		if p.Payload, err = l.proofPayload(raw); err != nil {
 			return nil, err
-		}
-		payload, err := l.cfg.Blobs.Get(rec.PayloadDigest)
-		if err == nil {
-			p.Payload = payload
 		}
 	}
 	return p, nil
+}
+
+// proofPayload fetches the payload a proof ships beside the record bytes
+// raw. It returns nil when there is none to ship — the blob was erased,
+// or this engine is a follower that holds no payloads — and the proof
+// goes out digest-only. Any other failure (a checksum mismatch or I/O
+// error in the payload log) is an error: a proof must not silently lose
+// its payload because the store could not be read.
+func (l *Ledger) proofPayload(raw []byte) ([]byte, error) {
+	rec, err := journal.DecodeRecord(raw)
+	if err != nil {
+		return nil, err
+	}
+	payload, err := l.cfg.Blobs.Get(rec.PayloadDigest)
+	if errors.Is(err, streamfs.ErrBlobNotFound) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("ledger: payload of jsn %d: %w", rec.JSN, err)
+	}
+	return payload, nil
 }
 
 // VerifyExistence is the client-side what (+who) verification: check the

@@ -3,6 +3,7 @@ package server_test
 import (
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 
@@ -281,5 +282,50 @@ func TestEndToEndTamperingServerDetected(t *testing.T) {
 	}
 	if _, _, err := evil.VerifyExistence(1, false); err == nil {
 		t.Fatal("proof verified under the wrong LSP key")
+	}
+}
+
+// unreadableBlobs fails every Get the way a damaged payload-log frame
+// does.
+type unreadableBlobs struct{ streamfs.BlobStore }
+
+func (unreadableBlobs) Get(hashutil.Digest) ([]byte, error) {
+	return nil, fmt.Errorf("%w: payload.seg.00000000 offset 16: checksum mismatch", streamfs.ErrCorrupt)
+}
+
+// TestProofWithUnreadablePayloadIs500: a payload the store holds but
+// cannot read back is a server error, not a proof that silently lost its
+// payload (only an erased payload, ErrBlobNotFound, may ship digest-only).
+func TestProofWithUnreadablePayloadIs500(t *testing.T) {
+	lsp := sig.GenerateDeterministic("e2e-lsp")
+	l, err := ledger.Open(ledger.Config{
+		URI:           "ledger://e2e",
+		FractalHeight: 4,
+		BlockSize:     8,
+		LSP:           lsp,
+		DBA:           sig.GenerateDeterministic("e2e-dba").Public(),
+		Store:         streamfs.NewMemory(),
+		Blobs:         unreadableBlobs{streamfs.NewMemoryBlobs()},
+		Clock:         logicalclock.New(100_000).Tick,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(server.New(l, nil))
+	defer srv.Close()
+	cli := &client.Client{BaseURL: srv.URL, Key: sig.GenerateDeterministic("e2e-client"), LSP: lsp.Public(), URI: "ledger://e2e"}
+	r, err := cli.Append([]byte("doc"), "trail")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for query, want := range map[string]int{"?payload=1": http.StatusInternalServerError, "": http.StatusOK} {
+		resp, err := http.Get(fmt.Sprintf("%s/v1/proof/%d%s", srv.URL, r.JSN, query))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("GET /v1/proof/%d%s = %d, want %d", r.JSN, query, resp.StatusCode, want)
+		}
 	}
 }

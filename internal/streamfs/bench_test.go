@@ -75,3 +75,59 @@ func BenchmarkBlobPutGet(b *testing.B) {
 		}
 	})
 }
+
+// The payload log at the benchmark's payload size (ledgerbench: 256 B).
+// Put is one framed append plus the digest check; Get is one positioned
+// read plus the digest check. Neither includes an fsync — the ledger
+// flushes the log once per commit group, not per payload.
+
+func benchPayloads(n int) ([][]byte, []hashutil.Digest) {
+	data := make([][]byte, n)
+	keys := make([]hashutil.Digest, n)
+	for i := range data {
+		data[i] = make([]byte, 256)
+		copy(data[i], fmt.Sprintf("payload-%d", i))
+		keys[i] = hashutil.Sum(data[i])
+	}
+	return data, keys
+}
+
+func BenchmarkDiskBlobsPut(b *testing.B) {
+	s, err := OpenDiskBlobs(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.(*payloadLog).Close()
+	data, keys := benchPayloads(b.N)
+	b.SetBytes(256)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Put(keys[i], data[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkDiskBlobsGet(b *testing.B) {
+	s, err := OpenDiskBlobs(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.(*payloadLog).Close()
+	const n = 4096
+	data, keys := benchPayloads(n)
+	for i := range data {
+		if err := s.Put(keys[i], data[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(256)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Get(keys[(i*31)%n]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

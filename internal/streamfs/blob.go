@@ -3,8 +3,6 @@ package streamfs
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 
 	"ledgerdb/internal/hashutil"
@@ -17,18 +15,35 @@ import (
 // without touching the append-only journal stream that carries the
 // tamper-evidence.
 type BlobStore interface {
-	// Put stores data under its digest key. Storing the same digest twice
-	// is a no-op (content addressing).
+	// Put stores data under key, which must be hashutil.Sum(data): the
+	// store is content addressed and the disk backend re-derives keys
+	// from the bytes when it reopens. Storing the same digest twice is a
+	// no-op. Payloads above MaxRecordSize fail with ErrTooLarge.
 	Put(key hashutil.Digest, data []byte) error
-	// Get returns the payload for key.
+	// Get returns the payload for key, or ErrBlobNotFound. Any other
+	// error means the bytes exist but could not be read back intact.
 	Get(key hashutil.Digest) ([]byte, error)
-	// Delete physically erases the payload. Deleting an absent key is a
-	// no-op: erasure must be idempotent for the async occult reorganizer.
-	Delete(key hashutil.Digest) error
+	// Delete physically erases the payloads: once it returns, no file of
+	// the store contains their bytes. Absent keys are skipped — erasure
+	// must be idempotent for the async occult reorganizer and for
+	// recovery's purge roll-forward. Batching matters on disk: every
+	// storage unit holding some of the keys is rewritten once per call,
+	// not once per key.
+	Delete(keys ...hashutil.Digest) error
+	// Sync forces every payload Put so far to stable storage. The ledger
+	// calls it first at each flush point, so a durable journal never
+	// names a payload a crash can still lose.
+	Sync() error
 }
 
-// ErrBlobNotFound is returned by Get for absent or erased payloads.
-var ErrBlobNotFound = errors.New("streamfs: blob not found (absent or erased)")
+// Errors returned by blob stores.
+var (
+	// ErrBlobNotFound is returned by Get for absent or erased payloads.
+	ErrBlobNotFound = errors.New("streamfs: blob not found (absent or erased)")
+	// ErrBlobKey is returned by the disk store's Put when key is not the
+	// digest of data.
+	ErrBlobKey = errors.New("streamfs: blob key is not the digest of its data")
+)
 
 // memBlobStore is the in-memory BlobStore.
 type memBlobStore struct {
@@ -42,6 +57,9 @@ func NewMemoryBlobs() BlobStore {
 }
 
 func (s *memBlobStore) Put(key hashutil.Digest, data []byte) error {
+	if len(data) > MaxRecordSize {
+		return ErrTooLarge
+	}
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	s.mu.Lock()
@@ -64,79 +82,13 @@ func (s *memBlobStore) Get(key hashutil.Digest) ([]byte, error) {
 	return out, nil
 }
 
-func (s *memBlobStore) Delete(key hashutil.Digest) error {
+func (s *memBlobStore) Delete(keys ...hashutil.Digest) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.blobs, key)
-	return nil
-}
-
-// diskBlobStore shards blobs into dir/<first-two-hex>/<digest>.
-type diskBlobStore struct {
-	dir string
-}
-
-// OpenDiskBlobs opens (creating if needed) a disk blob store.
-func OpenDiskBlobs(dir string) (BlobStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	return &diskBlobStore{dir: dir}, nil
-}
-
-func (s *diskBlobStore) path(key hashutil.Digest) string {
-	hex := key.String()
-	return filepath.Join(s.dir, hex[:2], hex)
-}
-
-func (s *diskBlobStore) Put(key hashutil.Digest, data []byte) error {
-	p := s.path(key)
-	if _, err := os.Stat(p); err == nil {
-		return nil // content-addressed: already present
-	}
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		return err
-	}
-	// Concurrent same-digest puts race here (the pipelined ledger admits
-	// appends in parallel), so each writer stages into its own unique
-	// temp file; the final renames are atomic and, being content
-	// addressed, all write identical bytes — last one wins harmlessly.
-	tmp, err := os.CreateTemp(filepath.Dir(p), "."+filepath.Base(p)+".tmp*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), p); err != nil {
-		os.Remove(tmp.Name())
-		return err
+	for _, key := range keys {
+		delete(s.blobs, key)
 	}
 	return nil
 }
 
-func (s *diskBlobStore) Get(key hashutil.Digest) ([]byte, error) {
-	b, err := os.ReadFile(s.path(key))
-	if os.IsNotExist(err) {
-		return nil, fmt.Errorf("%w: %s", ErrBlobNotFound, key.Short())
-	}
-	return b, err
-}
-
-func (s *diskBlobStore) Delete(key hashutil.Digest) error {
-	err := os.Remove(s.path(key))
-	if os.IsNotExist(err) {
-		return nil
-	}
-	return err
-}
+func (s *memBlobStore) Sync() error { return nil }

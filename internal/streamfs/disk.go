@@ -214,25 +214,9 @@ func openDiskStream(dir, name string, opts DiskOptions) (*diskStream, error) {
 	if err != nil {
 		return nil, err
 	}
-	sort.Strings(paths)
-	// A crash inside rollLocked's header write leaves a tail segment
-	// shorter than its fixed header. Such a segment holds no records —
-	// drop it (and repeat, defensively, should several empty tails have
-	// piled up) so the previous segment is scanned as the true tail
-	// instead of bricking the reopen with ErrCorrupt.
-	for len(paths) > 0 {
-		last := paths[len(paths)-1]
-		n, err := fileSize(opts.FS, last)
-		if err != nil {
-			return nil, err
-		}
-		if n >= segHeaderLen {
-			break
-		}
-		if err := opts.FS.Remove(last); err != nil {
-			return nil, err
-		}
-		paths = paths[:len(paths)-1]
+	paths, err = dropTornHeaderTails(opts.FS, paths)
+	if err != nil {
+		return nil, err
 	}
 	st := &diskStream{dir: dir, name: name, opts: opts}
 	for i, p := range paths {
@@ -241,7 +225,9 @@ func openDiskStream(dir, name string, opts DiskOptions) (*diskStream, error) {
 			return nil, fmt.Errorf("streamfs: stray segment file %s", p)
 		}
 		last := i == len(paths)-1
-		seg, err := scanSegment(opts.FS, p, idx, last)
+		seg, err := scanSegment(opts.FS, p, idx, last, func(seg *segment, off int64, _ []byte) {
+			seg.offsets = append(seg.offsets, off)
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -278,57 +264,145 @@ func fileSize(fsys FileSystem, path string) (int64, error) {
 	return f.Size()
 }
 
-// scanSegment validates a segment file and builds its record index. When
-// tail is true, a torn final frame is repaired by truncation; otherwise
-// any damage is corruption.
-func scanSegment(fsys FileSystem, path string, index int, tail bool) (*segment, error) {
-	f, err := fsys.OpenRead(path)
+// dropTornHeaderTails sorts a stream's segment paths and removes tail
+// segments shorter than the fixed header. A crash inside createSegment's
+// header write leaves such a segment; it holds no records — drop it (and
+// repeat, defensively, should several empty tails have piled up) so the
+// previous segment is scanned as the true tail instead of bricking the
+// reopen with ErrCorrupt.
+func dropTornHeaderTails(fsys FileSystem, paths []string) ([]string, error) {
+	sort.Strings(paths)
+	for len(paths) > 0 {
+		last := paths[len(paths)-1]
+		n, err := fileSize(fsys, last)
+		if err != nil {
+			return nil, err
+		}
+		if n >= segHeaderLen {
+			break
+		}
+		if err := fsys.Remove(last); err != nil {
+			return nil, err
+		}
+		paths = paths[:len(paths)-1]
+	}
+	return paths, nil
+}
+
+// scanChunk is the read-ahead of walkFrames: segments are scanned through
+// one buffer of this size (grown only for a single frame that exceeds
+// it), never loaded whole.
+const scanChunk = 256 << 10
+
+// walkFrames validates the frames of one segment file in order and hands
+// fn each intact frame (header included; the record is
+// frame[frameHdrLen:]) with its offset. The frame aliases the scan buffer
+// and is valid only during the call. It returns the offset just
+// past the last intact frame, and torn = true when the bytes from there
+// to total do not form a valid frame (short header, impossible length,
+// checksum mismatch). The caller decides whether that is a repairable
+// tail or corruption.
+func walkFrames(f File, total int64, fn func(off int64, frame []byte) error) (end int64, torn bool, err error) {
+	var (
+		buf    []byte
+		bufOff int64 // buf holds file bytes [bufOff, bufOff+len(buf))
+	)
+	// fill makes buf cover at least need bytes from pos (the caller has
+	// checked they exist), reading ahead up to scanChunk.
+	fill := func(pos, need int64) error {
+		if have := bufOff + int64(len(buf)) - pos; have >= need {
+			return nil
+		}
+		want := min(max(need, scanChunk), total-pos)
+		if int64(cap(buf)) < want {
+			buf = make([]byte, want)
+		}
+		buf = buf[:want]
+		bufOff = pos
+		_, err := f.ReadAt(buf, pos)
+		return err
+	}
+	pos := int64(segHeaderLen)
+	for pos < total {
+		if total-pos < frameHdrLen {
+			return pos, true, nil
+		}
+		if err := fill(pos, frameHdrLen); err != nil {
+			return pos, false, err
+		}
+		hdr := buf[pos-bufOff:]
+		n := int64(binary.BigEndian.Uint32(hdr[0:4]))
+		want := binary.BigEndian.Uint32(hdr[4:8])
+		if n > MaxRecordSize || pos+frameHdrLen+n > total {
+			return pos, true, nil
+		}
+		if err := fill(pos, frameHdrLen+n); err != nil {
+			return pos, false, err
+		}
+		frame := buf[pos-bufOff:][:frameHdrLen+n]
+		if crc32.Checksum(frame[frameHdrLen:], castagnoli) != want {
+			return pos, true, nil
+		}
+		if err := fn(pos, frame); err != nil {
+			return pos, false, err
+		}
+		pos += frameHdrLen + n
+	}
+	return pos, false, nil
+}
+
+// openSegment opens a segment file for scanning and checks its header,
+// returning the handle, the file's size and the header's firstSeq.
+func openSegment(fsys FileSystem, path string) (f File, total int64, firstSeq uint64, err error) {
+	f, err = fsys.OpenRead(path)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
+	if total, err = f.Size(); err != nil {
+		return nil, 0, 0, err
+	}
+	var hdr [segHeaderLen]byte
+	if total < segHeaderLen {
+		// Interior segments always have full headers (dropTornHeaderTails
+		// removed header-torn tails before scanning).
+		return nil, 0, 0, fmt.Errorf("%w: %s: short header", ErrCorrupt, path)
+	}
+	if _, err := f.ReadAt(hdr[:], 0); err != nil {
+		return nil, 0, 0, fmt.Errorf("%w: %s: short header", ErrCorrupt, path)
+	}
+	if binary.BigEndian.Uint32(hdr[0:4]) != segMagic || binary.BigEndian.Uint32(hdr[4:8]) != segVersion {
+		return nil, 0, 0, fmt.Errorf("%w: %s: bad magic/version", ErrCorrupt, path)
+	}
+	return f, total, binary.BigEndian.Uint64(hdr[8:16]), nil
+}
+
+// scanSegment validates a segment file, handing visit every intact frame
+// (see walkFrames) so the caller can build its index. When tail is true,
+// a torn final frame is repaired by truncation; otherwise any damage is
+// corruption.
+func scanSegment(fsys FileSystem, path string, index int, tail bool, visit func(seg *segment, off int64, frame []byte)) (*segment, error) {
+	f, total, firstSeq, err := openSegment(fsys, path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	var hdr [segHeaderLen]byte
-	total, err := f.Size()
+	seg := &segment{index: index, path: path, firstSeq: firstSeq}
+	end, torn, err := walkFrames(f, total, func(off int64, frame []byte) error {
+		visit(seg, off, frame)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	if total < segHeaderLen {
-		// Interior segments always have full headers (the openDiskStream
-		// pre-pass removed header-torn tails before scanning).
-		return nil, fmt.Errorf("%w: %s: short header", ErrCorrupt, path)
+	if torn {
+		return repairTail(fsys, path, seg, end, tail)
 	}
-	if _, err := f.ReadAt(hdr[:], 0); err != nil {
-		return nil, fmt.Errorf("%w: %s: short header", ErrCorrupt, path)
-	}
-	if binary.BigEndian.Uint32(hdr[0:4]) != segMagic || binary.BigEndian.Uint32(hdr[4:8]) != segVersion {
-		return nil, fmt.Errorf("%w: %s: bad magic/version", ErrCorrupt, path)
-	}
-	seg := &segment{index: index, path: path, firstSeq: binary.BigEndian.Uint64(hdr[8:16])}
-	off := int64(segHeaderLen)
-	buf := make([]byte, frameHdrLen)
-	for off < total {
-		if total-off < frameHdrLen {
-			return repairTail(fsys, path, seg, off, tail)
-		}
-		if _, err := f.ReadAt(buf, off); err != nil {
-			return nil, err
-		}
-		n := int64(binary.BigEndian.Uint32(buf[0:4]))
-		want := binary.BigEndian.Uint32(buf[4:8])
-		if n > MaxRecordSize || off+frameHdrLen+n > total {
-			return repairTail(fsys, path, seg, off, tail)
-		}
-		payload := make([]byte, n)
-		if _, err := f.ReadAt(payload, off+frameHdrLen); err != nil {
-			return nil, err
-		}
-		if crc32.Checksum(payload, castagnoli) != want {
-			return repairTail(fsys, path, seg, off, tail)
-		}
-		seg.offsets = append(seg.offsets, off)
-		off += frameHdrLen + n
-	}
-	seg.size = off
+	seg.size = end
 	return seg, nil
 }
 
@@ -360,25 +434,16 @@ func (st *diskStream) Append(record []byte) (uint64, error) {
 			return 0, err
 		}
 	}
-	need := frameHdrLen + len(record)
-	if cap(st.frameBuf) < need {
-		st.frameBuf = make([]byte, need)
-	}
-	frame := st.frameBuf[:need]
-	binary.BigEndian.PutUint32(frame[0:4], uint32(len(record)))
-	binary.BigEndian.PutUint32(frame[4:8], crc32.Checksum(record, castagnoli))
-	copy(frame[frameHdrLen:], record)
-	if n, err := st.active.Write(frame); err != nil || n != len(frame) {
-		if err == nil {
-			err = io.ErrShortWrite
-		}
-		// A partial frame is on disk. Roll the file back to the last
-		// intact record so seg.offsets/seg.size stay truthful and the
-		// next append starts on a clean boundary; if even the rollback
-		// fails, poison the stream — the in-memory index no longer
-		// matches the file and only a reopen (which re-scans and repairs
-		// the tail) can be trusted.
-		if terr := st.active.Truncate(seg.size); terr != nil {
+	frame := putFrame(st.frameBuf, record)
+	st.frameBuf = frame
+	if err, terr := writeFrame(st.active, frame, seg.size); err != nil {
+		// A partial frame was on disk and writeFrame rolled the file back
+		// to the last intact record, so seg.offsets/seg.size stay truthful
+		// and the next append starts on a clean boundary; if even the
+		// rollback failed, poison the stream — the in-memory index no
+		// longer matches the file and only a reopen (which re-scans and
+		// repairs the tail) can be trusted.
+		if terr != nil {
 			st.failed = fmt.Errorf("streamfs: append %s: %w (rollback failed: %v; stream needs reopen)", st.name, err, terr)
 			return 0, st.failed
 		}
@@ -407,11 +472,75 @@ func (st *diskStream) Append(record []byte) (uint64, error) {
 	return seq, nil
 }
 
+// writeFrame appends frame to f, whose intact length is size. A failed or
+// short write is returned as err after cutting the partial frame off
+// again; rollbackErr is non-nil when that truncation failed too and the
+// file can no longer be trusted to end on a frame boundary.
+func writeFrame(f File, frame []byte, size int64) (err, rollbackErr error) {
+	n, err := f.Write(frame)
+	if err == nil && n == len(frame) {
+		return nil, nil
+	}
+	if err == nil {
+		err = io.ErrShortWrite
+	}
+	return err, f.Truncate(size)
+}
+
+// putFrame encodes record as one [len][crc32c][payload] frame into buf,
+// growing it if needed, and returns the frame.
+func putFrame(buf, record []byte) []byte {
+	need := frameHdrLen + len(record)
+	if cap(buf) < need {
+		buf = make([]byte, need)
+	}
+	frame := buf[:need]
+	binary.BigEndian.PutUint32(frame[0:4], uint32(len(record)))
+	binary.BigEndian.PutUint32(frame[4:8], crc32.Checksum(record, castagnoli))
+	copy(frame[frameHdrLen:], record)
+	return frame
+}
+
+// checkFrame validates one whole frame as read back from disk; it
+// returns what is wrong with it, or "" when it is intact.
+func checkFrame(frame []byte) string {
+	if int(binary.BigEndian.Uint32(frame[0:4])) != len(frame)-frameHdrLen {
+		return "frame length mismatch"
+	}
+	if crc32.Checksum(frame[frameHdrLen:], castagnoli) != binary.BigEndian.Uint32(frame[4:8]) {
+		return "checksum mismatch"
+	}
+	return ""
+}
+
 func (st *diskStream) lastSeg() *segment {
 	if len(st.segs) == 0 {
 		return nil
 	}
 	return st.segs[len(st.segs)-1]
+}
+
+// createSegment creates the segment file at path and writes its header,
+// returning the append handle.
+func createSegment(fsys FileSystem, path string, firstSeq uint64) (File, error) {
+	f, err := fsys.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	hdr := segmentHeader(firstSeq)
+	if _, err := f.Write(hdr[:]); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
+}
+
+func segmentHeader(firstSeq uint64) [segHeaderLen]byte {
+	var hdr [segHeaderLen]byte
+	binary.BigEndian.PutUint32(hdr[0:4], segMagic)
+	binary.BigEndian.PutUint32(hdr[4:8], segVersion)
+	binary.BigEndian.PutUint64(hdr[8:16], firstSeq)
+	return hdr
 }
 
 func (st *diskStream) rollLocked() (*segment, error) {
@@ -420,16 +549,8 @@ func (st *diskStream) rollLocked() (*segment, error) {
 		idx = last.index + 1
 	}
 	path := segPath(st.dir, st.name, idx)
-	f, err := st.opts.FS.Create(path)
+	f, err := createSegment(st.opts.FS, path, st.next)
 	if err != nil {
-		return nil, err
-	}
-	var hdr [segHeaderLen]byte
-	binary.BigEndian.PutUint32(hdr[0:4], segMagic)
-	binary.BigEndian.PutUint32(hdr[4:8], segVersion)
-	binary.BigEndian.PutUint64(hdr[8:16], st.next)
-	if _, err := f.Write(hdr[:]); err != nil {
-		f.Close()
 		return nil, err
 	}
 	if st.active != nil {
@@ -490,15 +611,9 @@ func (st *diskStream) ReadBuf(seq uint64) (*RecBuf, error) {
 		rb.Release()
 		return nil, fmt.Errorf("%w: %s seq %d: %v", ErrCorrupt, seg.path, seq, err)
 	}
-	n := binary.BigEndian.Uint32(rb.b[0:4])
-	want := binary.BigEndian.Uint32(rb.b[4:8])
-	if int64(n) != end-off-frameHdrLen {
+	if what := checkFrame(rb.b); what != "" {
 		rb.Release()
-		return nil, fmt.Errorf("%w: %s seq %d: frame length mismatch", ErrCorrupt, seg.path, seq)
-	}
-	if crc32.Checksum(rb.b[frameHdrLen:], castagnoli) != want {
-		rb.Release()
-		return nil, fmt.Errorf("%w: %s seq %d: checksum mismatch", ErrCorrupt, seg.path, seq)
+		return nil, fmt.Errorf("%w: %s seq %d: %s", ErrCorrupt, seg.path, seq, what)
 	}
 	rb.off = frameHdrLen
 	return rb, nil

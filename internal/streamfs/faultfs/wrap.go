@@ -33,7 +33,8 @@ func (s *Script) FailNthAppend(n int) {
 	s.failAppend = s.appendN + int64(n)
 }
 
-// FailNthSync arms the nth upcoming Sync across every wrapped stream.
+// FailNthSync arms the nth upcoming Sync across every wrapped stream and
+// blob store.
 func (s *Script) FailNthSync(n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -219,9 +220,16 @@ func (b *blobs) Get(key hashutil.Digest) ([]byte, error) {
 	return b.inner.Get(key)
 }
 
-func (b *blobs) Delete(key hashutil.Digest) error {
+func (b *blobs) Delete(keys ...hashutil.Digest) error {
 	if err := b.script.gate(); err != nil {
 		return err
 	}
-	return b.inner.Delete(key)
+	return b.inner.Delete(keys...)
+}
+
+func (b *blobs) Sync() error {
+	if err := b.script.gateSync(); err != nil {
+		return err
+	}
+	return b.inner.Sync()
 }

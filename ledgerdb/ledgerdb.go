@@ -316,10 +316,10 @@ type shardWiring struct {
 	registry *ca.Registry
 }
 
-// openShardStorage opens shard i's stream and blob stores. Single-node
-// keeps the historical flat layout (Dir/streams, Dir/blobs) so existing
-// data directories reopen unchanged; sharded deployments nest each shard
-// under Dir/shard-<i>/.
+// openShardStorage opens shard i's stream store and payload log.
+// Single-node keeps the flat layout (Dir/streams, Dir/blobs); sharded
+// deployments nest each shard under Dir/shard-<i>/. (A Dir/blobs written
+// as one file per payload, before the payload log, is refused.)
 func (w shardWiring) openShardStorage(i, total int) (streamfs.Store, streamfs.BlobStore, error) {
 	if w.opts.Dir == "" {
 		return streamfs.NewMemory(), streamfs.NewMemoryBlobs(), nil

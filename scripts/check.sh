@@ -9,12 +9,12 @@
 #   scripts/check.sh lint     # build + vet + verlint only
 #   scripts/check.sh fuzz     # 10s native fuzz smoke per wire decoder
 #   scripts/check.sh race     # the -race suites only
-#   scripts/check.sh crash    # crash-recovery torture (1000 crash points)
+#   scripts/check.sh crash    # crash-recovery torture (1000 crash points) + payload-log byte sweeps
 #   scripts/check.sh chaos    # network-chaos torture (500 fault schedules, -race)
 #   scripts/check.sh shard    # multi-shard topology e2e incl. kill-one-shard chaos (-race)
 #   scripts/check.sh query    # rich-query layer: index + absence tests (-race), crash + fuzz smoke
 #   scripts/check.sh replica  # replication: puller/bundle tests (-race), partition chaos, follower crash torture
-#   scripts/check.sh perf     # hot-path bench smoke + allocs/op and ECDSA-count guards + the ledgerbench module's own vet/tests
+#   scripts/check.sh perf     # hot-path bench smoke + allocs/op, ECDSA-count and payload-log guards + the ledgerbench module's own vet/tests
 #   scripts/check.sh all      # everything
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -74,6 +74,10 @@ stage_crash() {
     echo "== crash-recovery regressions (durability failpoints) =="
     go test -run 'TestSerialCommitDurability|TestPurgeRollForwardAfterCrash|TestTornPurgeJournalStaysInert' -count 1 ./internal/integration/crashtest
     go test -run 'TestTornHeaderReopen|TestShortWrite|TestSyncFailureKeepsSeq|TestDropUnsynced' -count 1 ./internal/streamfs/...
+
+    echo "== payload-log crash torture (every byte of Put / group flush / erasure rewrite, both crash models) =="
+    go test -run 'TestPayloadLogCrash' -count 1 ./internal/streamfs/faultfs
+    PAYLOADCRASH_STRIDE=1 go test -run 'TestPayloadCrashSweep' -count 1 ./internal/integration/crashtest
 }
 
 stage_chaos() {
@@ -140,11 +144,15 @@ stage_perf() {
     go test -run xxx -bench 'BenchmarkHotPathEncodeDigest|BenchmarkAppendSerial$|BenchmarkAppendPipelined|BenchmarkAppendBatchVerify|BenchmarkGetJournalZeroCopy' \
         -benchtime 10x ./internal/ledger > /dev/null
     go test -run xxx -bench 'BenchmarkReadBuf|BenchmarkPooledWriter' -benchtime 10x ./internal/streamfs ./internal/wire > /dev/null 2>&1 || true
+    go test -run xxx -bench 'BenchmarkDiskBlobs' -benchtime 1000x ./internal/streamfs > /dev/null
 
     echo "== allocs/op regression guards (encode+digest must be 0; Append within checked-in budget) =="
     go test -run 'TestEncodeDigestZeroAlloc|TestAppendAllocBudget' -count 1 -v ./internal/ledger | grep -E 'allocs/op|PASS|FAIL|ok '
     go test -run 'TestDigestHelpersDoNotAllocate' -count 1 ./internal/hashutil
     go test -run 'TestReadBufSteadyStateAllocs' -count 1 ./internal/streamfs
+
+    echo "== payload-log guards (10 000 payloads = one file per segment, <= 16 B framing each; erased bytes in no file; one rewrite per touched segment; memory-store parity) =="
+    go test -run 'TestPayloadLogFileCount|TestPayloadLogEraseLeavesNoBytes|TestPayloadLogDeleteRewritesEachSegmentOnce|TestPayloadLogMatchesMemoryModel' -count 1 ./internal/streamfs
 
     echo "== verified-signature memo guard (repeat clue proof = 0 ECDSA; tampered replies still refused) =="
     go test -run 'TestMemoPerfGuard' -count 1 ./internal/client
@@ -180,7 +188,8 @@ stage_cli() {
 
 stage_experiments() {
     echo "== experiments (quick) =="
-    go run ./cmd/bench all > /dev/null
+    # BENCH_hotpath.json is checked in; a smoke run must not rewrite it.
+    go run ./cmd/bench -hotpath-json "$(mktemp)" all > /dev/null
 }
 
 stage_all() {
