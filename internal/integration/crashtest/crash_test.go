@@ -327,16 +327,14 @@ func (h *harness) verifyRecovered(mode faultfs.CrashMode) {
 		}
 	}
 	// (c) The recovered ledger passes a full Dasein audit, payloads
-	// included. One exception: a stream flushes on its own when it seals
-	// a segment (and on DiskOptions.SyncEvery), so a journal past the
-	// last flush point can reach the disk before its payload does
-	// (DESIGN.md §4.4); after a lost write cache the payload check
-	// therefore stops at the durable prefix verified above.
+	// included — also past the last flush point: whichever way a journal
+	// reached the disk (the group flush, or the stream's own segment-seal
+	// and DiskOptions.SyncEvery flushes), its payload got there first.
 	if _, err := audit.Audit(l2, nil, audit.Config{
 		LSP:            h.lsp.Public(),
 		DBA:            h.dba.Public(),
 		TrustedTSA:     []sig.PublicKey{h.stamp.Public()},
-		CheckPayloads:  mode == faultfs.TornWrite,
+		CheckPayloads:  true,
 		CheckClueRoots: true,
 	}); err != nil {
 		h.fatalf("mode %d: audit after recovery: %v", mode, err)

@@ -240,13 +240,9 @@ func (h *pipeHarness) verifyRecovered(mode faultfs.CrashMode) {
 		}
 	}
 	if _, err := audit.Audit(l2, nil, audit.Config{
-		LSP: h.lsp.Public(),
-		DBA: h.dba.Public(),
-		// Past the last flush point a journal can reach the disk before
-		// its payload (a stream flushes on its own when it seals a
-		// segment), so a lost write cache may leave such a journal
-		// digest-only; the durable receipts were checked above.
-		CheckPayloads: mode == faultfs.TornWrite,
+		LSP:           h.lsp.Public(),
+		DBA:           h.dba.Public(),
+		CheckPayloads: true,
 	}); err != nil {
 		h.fatalf("mode %d: audit after recovery: %v", mode, err)
 	}

@@ -12,6 +12,10 @@ package crashtest
 //   - TestTornPurgeJournalStaysInert: a purge journal without its pseudo
 //     genesis (crash mid-snapshot-write) must stay inert forever — no
 //     truncation, base unchanged, audits still pass.
+//   - TestSelfSyncedJournalKeepsItsPayload: a journal stream that flushes
+//     on its own between commit points must flush the payload log first.
+//     Before the fix a DropUnsynced crash kept such journals and dropped
+//     their payloads, and the payload audit failed from then on.
 
 import (
 	"fmt"
@@ -151,6 +155,44 @@ func TestSerialCommitDurability(t *testing.T) {
 	for jsn := uint64(0); jsn < 4; jsn++ {
 		if _, err := l2.GetJournal(jsn); err != nil {
 			t.Fatalf("journal %d lost across the commit point: %v", jsn, err)
+		}
+	}
+	if err := h.auditRecovered(l2); err != nil {
+		t.Fatalf("audit: %v", err)
+	}
+}
+
+// TestSelfSyncedJournalKeepsItsPayload: with DiskOptions.SyncEvery the
+// journal stream makes records durable between the ledger's flush
+// points. Every journal that survives a lost write cache that way must
+// still have its payload.
+func TestSelfSyncedJournalKeepsItsPayload(t *testing.T) {
+	h := detHarness(t)
+	h.blockSize = 100 // no commit point after genesis
+	h.diskSync = 2    // the streams flush themselves every other append
+	var err error
+	h.disk = faultfs.NewDisk()
+	if h.l, err = h.open(h.disk); err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	for i := 0; i < 5; i++ {
+		h.nonce++
+		if err := h.appendFixed(fmt.Sprintf("window-%d", i)); err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+	}
+	h.disk.CrashNow()
+
+	l2, err := h.open(h.disk.Image(faultfs.DropUnsynced))
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	if l2.Size() < 3 {
+		t.Fatalf("recovered size %d: the stream's own flushes should have kept window journals, or this test checks nothing", l2.Size())
+	}
+	for jsn := uint64(1); jsn < l2.Size(); jsn++ {
+		if _, err := l2.GetPayload(jsn); err != nil {
+			t.Fatalf("journal %d is durable but its payload is not: %v", jsn, err)
 		}
 	}
 	if err := h.auditRecovered(l2); err != nil {

@@ -25,7 +25,9 @@ import (
 // flush starts); survivor copies before the purge journal that retires
 // their originals; journal records before the digests that accumulate
 // them; and block headers last, so a durable header always covers
-// durable records. Recovery (recover.go) exploits the converse: any
+// durable records. A journal stream that flushes on its own (segment
+// seal, DiskOptions.SyncEvery) keeps the first rule through the barrier
+// Open registers on it. Recovery (recover.go) exploits the converse: any
 // stream suffix beyond the shortest of journals/digests is an
 // unacknowledged tail and is reconciled away.
 

@@ -265,6 +265,12 @@ func Open(cfg Config) (*Ledger, error) {
 		}
 		*open.dst = s
 	}
+	// The flush order starts with the payloads (durability.go). A journal
+	// stream that also flushes on its own must keep to it, or a crash could
+	// leave a journal on disk without the payload it names.
+	if s, ok := l.journals.(streamfs.SelfSyncer); ok {
+		s.BeforeSelfSync(cfg.Blobs.Sync)
+	}
 	if err := l.reconcileStreams(); err != nil {
 		return nil, fmt.Errorf("ledger: open %s: %w", cfg.URI, err)
 	}

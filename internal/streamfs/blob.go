@@ -31,8 +31,9 @@ type BlobStore interface {
 	// not once per key.
 	Delete(keys ...hashutil.Digest) error
 	// Sync forces every payload Put so far to stable storage. The ledger
-	// calls it first at each flush point, so a durable journal never
-	// names a payload a crash can still lose.
+	// calls it first at each flush point, and the journal stream calls
+	// it ahead of its own flushes (SelfSyncer), so a durable journal
+	// never names a payload a crash can still lose.
 	Sync() error
 }
 

@@ -191,6 +191,9 @@ type diskStream struct {
 	base     uint64 // first readable sequence (advanced by Truncate)
 	next     uint64 // next sequence to assign
 	unsynced int
+	// barrier, when set (SelfSyncer), runs ahead of every flush the
+	// stream issues on its own.
+	barrier func() error
 	// failed latches a write error whose on-disk damage could not be
 	// rolled back (a partial frame that would make in-memory offsets lie
 	// about the bytes that follow it). Every later Append refuses with
@@ -458,7 +461,7 @@ func (st *diskStream) Append(record []byte) (uint64, error) {
 	st.next++
 	st.unsynced++
 	if st.opts.SyncEvery > 0 && st.unsynced >= st.opts.SyncEvery {
-		if err := st.active.Sync(); err != nil {
+		if err := st.selfSyncLocked(); err != nil {
 			// The record IS appended and seq assigned — report both, and
 			// latch the stream: after a failed fsync the kernel may have
 			// dropped the dirty pages, so nothing further can be trusted
@@ -554,7 +557,7 @@ func (st *diskStream) rollLocked() (*segment, error) {
 		return nil, err
 	}
 	if st.active != nil {
-		if err := st.active.Sync(); err != nil {
+		if err := st.selfSyncLocked(); err != nil {
 			f.Close()
 			return nil, err
 		}
@@ -785,6 +788,24 @@ func (st *diskStream) SetBase(base uint64) error {
 	st.unsynced = 0
 	st.failed = nil
 	return writeBaseMeta(st.opts.FS, st.dir, st.name, base)
+}
+
+// BeforeSelfSync implements SelfSyncer.
+func (st *diskStream) BeforeSelfSync(barrier func() error) {
+	st.mu.Lock()
+	st.barrier = barrier
+	st.mu.Unlock()
+}
+
+// selfSyncLocked is a flush nobody asked for: the SyncEvery cadence, or
+// sealing a segment so that Sync only ever has the active one to cover.
+func (st *diskStream) selfSyncLocked() error {
+	if st.barrier != nil {
+		if err := st.barrier(); err != nil {
+			return err
+		}
+	}
+	return st.active.Sync()
 }
 
 func (st *diskStream) Sync() error {

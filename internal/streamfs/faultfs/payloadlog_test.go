@@ -308,3 +308,68 @@ func TestPayloadLogCrashDuringErasure(t *testing.T) {
 			checkLog(t, img, openBlobs(t, img), survivorsAndProbe, nil)
 		})
 }
+
+// A stream that flushes on its own (segment seal, DiskOptions.SyncEvery)
+// runs its SelfSyncer barrier first. With the payload log's Sync as the
+// barrier — what the ledger registers on its journal stream — a lost
+// write cache never leaves a record on disk whose payload is not.
+func TestSelfSyncBarrierKeepsPayloadsAheadOfRecords(t *testing.T) {
+	for _, opts := range []streamfs.DiskOptions{
+		{SyncEvery: 3},    // cadence flushes
+		{SegmentSize: 90}, // seal flushes only
+		{SyncEvery: 2, SegmentSize: 150},
+	} {
+		d := faultfs.NewDisk()
+		blobs := openBlobs(t, d)
+		st, err := openStore(t, d, opts).Stream("j")
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.(streamfs.SelfSyncer).BeforeSelfSync(blobs.Sync)
+		for i := 0; i < 40; i++ {
+			p := testPayload(i)
+			if err := blobs.Put(hashutil.Sum(p), p); err != nil {
+				t.Fatal(err)
+			}
+			mustAppend(t, st, p) // the record names its payload by content
+			img := d.Image(faultfs.DropUnsynced)
+			st2, err := openStore(t, img, opts).Stream("j")
+			if err != nil {
+				t.Fatal(err)
+			}
+			blobs2 := openBlobs(t, img)
+			for seq := uint64(0); seq < st2.Len(); seq++ {
+				rec, err := st2.Read(seq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ok, err := held(blobs2, rec); err != nil || !ok {
+					t.Fatalf("%+v: after append %d, record %d survived a lost write cache without its payload (%v)", opts, i, seq, err)
+				}
+			}
+		}
+	}
+}
+
+// A failing barrier fails the flush it guards: the append that hit the
+// cadence reports it, and nothing was flushed.
+func TestSelfSyncBarrierFailure(t *testing.T) {
+	d := faultfs.NewDisk()
+	st, err := openStore(t, d, streamfs.DiskOptions{SyncEvery: 2}).Stream("j")
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("payloads not durable")
+	st.(streamfs.SelfSyncer).BeforeSelfSync(func() error { return boom })
+	mustAppend(t, st, []byte("a"))
+	if _, err := st.Append([]byte("b")); !errors.Is(err, boom) {
+		t.Fatalf("append at the flush cadence = %v, want the barrier's error", err)
+	}
+	st2, err := openStore(t, d.Image(faultfs.DropUnsynced), streamfs.DiskOptions{}).Stream("j")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := st2.Len(); n != 0 {
+		t.Fatalf("%d records durable although the barrier refused the flush", n)
+	}
+}

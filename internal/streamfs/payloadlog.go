@@ -40,22 +40,8 @@ const (
 // the former file-per-payload store (dir/<2 hex>/<digest>).
 var ErrBlobLayout = errors.New("streamfs: unsupported blob directory layout")
 
-// payloadFP is the in-memory index key: the first 128 bits of the
-// payload digest. Indexing half the digest halves the index (the Go map
-// spends ~2x its slot size per entry, and the collector as much again),
-// and nothing trusts it: Get and Delete re-derive the full digest from
-// the bytes on disk, and Put refuses a payload whose fingerprint is held
-// by different content, so the worst a collision (2^64 work) can do is
-// get its author's own append rejected.
-type payloadFP [16]byte
-
-func fingerprint(key hashutil.Digest) payloadFP {
-	//lint:ignore L4 a hash-table key, not a commitment: every hit is confirmed against the full digest re-derived from the frame on disk
-	return payloadFP(key[:16])
-}
-
-// payloadLoc is one index entry's value: 12 bytes beside the 16-byte
-// fingerprint.
+// payloadLoc is one index entry's value: 12 bytes beside the 32-byte
+// digest that keys it.
 type payloadLoc struct {
 	seg uint32 // segment.index
 	off uint32 // frame offset in the segment; segments stay far below 4 GiB
@@ -71,7 +57,7 @@ type payloadLog struct {
 	// Get read-locks across its positioned read, so an erasure can never
 	// swap a segment out from under it.
 	mu       sync.RWMutex
-	index    map[payloadFP]payloadLoc
+	index    map[hashutil.Digest]payloadLoc
 	segs     []*segment // ascending index; only the last one takes appends
 	active   File       // append handle on the last segment, nil if none
 	written  uint64     // Puts that appended a frame
@@ -94,10 +80,14 @@ func OpenDiskBlobs(dir string) (BlobStore, error) {
 	return OpenDiskBlobsOn(OSFileSystem(), dir, payloadSegmentSize)
 }
 
-// OpenDiskBlobsOn is OpenDiskBlobs over an injected file system and
-// segment size: the seam crash tests use to run the real log over a
-// faultfs image with segments small enough to roll.
+// OpenDiskBlobsOn is the test seam behind OpenDiskBlobs, not a tuning
+// knob: crash tests use it to run the real log over a faultfs image with
+// segments small enough to roll and to be emptied. segmentSize may only
+// shrink the production constant (frame offsets are 32-bit).
 func OpenDiskBlobsOn(fsys FileSystem, dir string, segmentSize int64) (BlobStore, error) {
+	if segmentSize <= 0 || segmentSize > payloadSegmentSize {
+		return nil, fmt.Errorf("streamfs: payload segment size %d outside (0, %d]", segmentSize, payloadSegmentSize)
+	}
 	s, err := openPayloadLog(fsys, dir, segmentSize)
 	if err != nil {
 		return nil, err
@@ -130,7 +120,7 @@ func openPayloadLog(fsys FileSystem, dir string, segmentSize int64) (*payloadLog
 	if paths, err = dropTornHeaderTails(fsys, paths); err != nil {
 		return nil, err
 	}
-	s := &payloadLog{dir: dir, fsys: fsys, segSize: segmentSize, index: make(map[payloadFP]payloadLoc)}
+	s := &payloadLog{dir: dir, fsys: fsys, segSize: segmentSize, index: make(map[hashutil.Digest]payloadLoc)}
 	for i, p := range paths {
 		idx, err := strconv.Atoi(strings.TrimPrefix(pathBase(p), payloadStream+".seg."))
 		if err != nil {
@@ -153,9 +143,9 @@ func openPayloadLog(fsys FileSystem, dir string, segmentSize int64) (*payloadLog
 // indexFrame is scanSegment's visitor. Keys are derived, not read: each
 // frame is hashed as it passes through walkFrames' bounded buffer.
 func (s *payloadLog) indexFrame(seg *segment, off int64, frame []byte) {
-	fp := fingerprint(hashutil.Sum(frame[frameHdrLen:]))
-	if _, dup := s.index[fp]; !dup {
-		s.index[fp] = payloadLoc{seg: uint32(seg.index), off: uint32(off), n: uint32(len(frame) - frameHdrLen)}
+	key := hashutil.Sum(frame[frameHdrLen:])
+	if _, dup := s.index[key]; !dup {
+		s.index[key] = payloadLoc{seg: uint32(seg.index), off: uint32(off), n: uint32(len(frame) - frameHdrLen)}
 	}
 }
 
@@ -188,14 +178,7 @@ func (s *payloadLog) Put(key hashutil.Digest, data []byte) error {
 	if err := s.usableLocked(); err != nil {
 		return err
 	}
-	if loc, ok := s.index[fingerprint(key)]; ok {
-		stored, err := s.readLocked(loc)
-		if err != nil {
-			return err
-		}
-		if hashutil.Sum(stored) != key {
-			return fmt.Errorf("%w: %s shares its 128-bit fingerprint with a different stored payload", ErrBlobKey, key.Short())
-		}
+	if _, ok := s.index[key]; ok {
 		return nil // content-addressed: already present
 	}
 	seg := s.lastSeg()
@@ -219,7 +202,7 @@ func (s *payloadLog) Put(key hashutil.Digest, data []byte) error {
 		}
 		return fmt.Errorf("streamfs: put payload: %w", err)
 	}
-	s.index[fingerprint(key)] = payloadLoc{seg: uint32(seg.index), off: uint32(seg.size), n: uint32(len(data))}
+	s.index[key] = payloadLoc{seg: uint32(seg.index), off: uint32(seg.size), n: uint32(len(data))}
 	seg.size += int64(len(frame))
 	s.written++
 	return nil
@@ -267,20 +250,11 @@ func (s *payloadLog) Get(key hashutil.Digest) ([]byte, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
-	loc, ok := s.index[fingerprint(key)]
+	loc, ok := s.index[key]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrBlobNotFound, key.Short())
 	}
-	payload, err := s.readLocked(loc)
-	if err != nil {
-		return nil, err
-	}
-	if hashutil.Sum(payload) != key {
-		// Intact frame, other content: the fingerprint belongs to a
-		// different payload, so this one is not stored.
-		return nil, fmt.Errorf("%w: %s", ErrBlobNotFound, key.Short())
-	}
-	return payload, nil
+	return s.readLocked(loc)
 }
 
 // readLocked returns the payload at loc after checking its frame: one
@@ -316,7 +290,7 @@ func (s *payloadLog) Delete(keys ...hashutil.Digest) error {
 	}
 	drop := make(map[uint32]map[hashutil.Digest]bool) // by segment number
 	for _, key := range keys {
-		if loc, ok := s.index[fingerprint(key)]; ok {
+		if loc, ok := s.index[key]; ok {
 			if drop[loc.seg] == nil {
 				drop[loc.seg] = make(map[hashutil.Digest]bool)
 			}
@@ -334,11 +308,11 @@ func (s *payloadLog) Delete(keys ...hashutil.Digest) error {
 }
 
 // eraseLocked rewrites seg without the frames whose derived key is in
-// drop: survivors are staged in a flushed temp file that is renamed over
-// the segment, so a crash leaves either the old segment (erasure not
-// started; the caller's roll-forward repeats it) or the new one. A
-// segment left with no frame is removed. The in-memory state changes only
-// after the file system did.
+// drop (keys the index places in seg): survivors are staged in a flushed
+// temp file that is renamed over the segment, so a crash leaves either
+// the old segment (erasure not started; the caller's roll-forward repeats
+// it) or the new one. A segment left with no frame is removed. The
+// in-memory state changes only after the file system did.
 func (s *payloadLog) eraseLocked(seg *segment, drop map[hashutil.Digest]bool) error {
 	f, total, _, err := openSegment(s.fsys, seg.path)
 	if err != nil {
@@ -346,22 +320,20 @@ func (s *payloadLog) eraseLocked(seg *segment, drop map[hashutil.Digest]bool) er
 	}
 	defer f.Close()
 	type moved struct {
-		fp  payloadFP
+		key hashutil.Digest
 		loc payloadLoc
 	}
 	var (
 		kept []moved
-		gone []payloadFP
 		hdr  = segmentHeader(0)
 		out  = append(make([]byte, 0, seg.size), hdr[:]...)
 	)
 	end, torn, err := walkFrames(f, total, func(_ int64, frame []byte) error {
 		key := hashutil.Sum(frame[frameHdrLen:])
 		if drop[key] {
-			gone = append(gone, fingerprint(key))
 			return nil
 		}
-		kept = append(kept, moved{fingerprint(key), payloadLoc{seg: uint32(seg.index), off: uint32(len(out)), n: uint32(len(frame) - frameHdrLen)}})
+		kept = append(kept, moved{key, payloadLoc{seg: uint32(seg.index), off: uint32(len(out)), n: uint32(len(frame) - frameHdrLen)}})
 		out = append(out, frame...)
 		return nil
 	})
@@ -370,9 +342,6 @@ func (s *payloadLog) eraseLocked(seg *segment, drop map[hashutil.Digest]bool) er
 	}
 	if torn {
 		return fmt.Errorf("%w: %s at offset %d (erasure rewrite)", ErrCorrupt, seg.path, end)
-	}
-	if len(gone) == 0 {
-		return nil // the fingerprints matched other payloads: nothing here to erase
 	}
 
 	// From here the old file's handles must go: after the rename they
@@ -399,11 +368,11 @@ func (s *payloadLog) eraseLocked(seg *segment, drop map[hashutil.Digest]bool) er
 		seg.closeReader()
 		seg.size = int64(len(out))
 		for _, m := range kept {
-			s.index[m.fp] = m.loc
+			s.index[m.key] = m.loc
 		}
 	}
-	for _, fp := range gone {
-		delete(s.index, fp)
+	for key := range drop {
+		delete(s.index, key)
 	}
 	if last := s.lastSeg(); s.active == nil && last != nil && last.size < s.segSize {
 		// Keep appending to the (rewritten) tail rather than starting a

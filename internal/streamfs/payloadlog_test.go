@@ -325,7 +325,7 @@ func TestPayloadLogEraseLeavesNoBytes(t *testing.T) {
 	files := len(blobFiles(t, dir))
 	var inFirst []hashutil.Digest
 	for i := 1; i < n-1; i++ {
-		if s.index[fingerprint(keys[i])].seg == uint32(s.segs[0].index) {
+		if s.index[keys[i]].seg == uint32(s.segs[0].index) {
 			inFirst = append(inFirst, keys[i])
 		}
 	}
@@ -392,7 +392,7 @@ func TestPayloadLogDeleteRewritesEachSegmentOnce(t *testing.T) {
 	// Every payload of segment 0, every second payload of segments 1 and 2.
 	var doomed []hashutil.Digest
 	for i, k := range keys {
-		switch seg := s.index[fingerprint(k)].seg; {
+		switch seg := s.index[k].seg; {
 		case seg == 0, (seg == 1 || seg == 2) && i%2 == 0:
 			doomed = append(doomed, k)
 		}
@@ -427,6 +427,16 @@ func TestOpenDiskBlobsRefusesOldLayout(t *testing.T) {
 	}
 	if len(blobFiles(t, dir)) != 1 {
 		t.Fatal("a refused open must leave the directory untouched")
+	}
+}
+
+// The test seam may shrink segments, never grow them past what a 32-bit
+// frame offset addresses.
+func TestOpenDiskBlobsOnBoundsSegmentSize(t *testing.T) {
+	for _, size := range []int64{0, -1, payloadSegmentSize + 1, 1 << 32} {
+		if _, err := OpenDiskBlobsOn(OSFileSystem(), t.TempDir(), size); err == nil {
+			t.Fatalf("segment size %d accepted", size)
+		}
 	}
 }
 
@@ -471,7 +481,7 @@ func TestPayloadLogCorruptFrameIsAnError(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestLog(t, dir)
 	key := mustPut(t, s, []byte("intact payload"))
-	loc := s.index[fingerprint(key)]
+	loc := s.index[key]
 	f, err := os.OpenFile(s.lastSeg().path, os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -93,6 +93,17 @@ type Rebaser interface {
 	SetBase(base uint64) error
 }
 
+// SelfSyncer is an optional Stream capability for backends that flush a
+// stream on their own, between the caller's Sync calls — the disk stream
+// does when it seals a segment and on DiskOptions.SyncEvery. BeforeSelfSync
+// registers a barrier that runs ahead of every such flush; if it fails,
+// so does the flush. The ledger registers its payload store's Sync on
+// the journal stream, which keeps the flush order (payloads before the
+// journals that name them) true for flushes it did not ask for.
+type SelfSyncer interface {
+	BeforeSelfSync(barrier func() error)
+}
+
 func validName(name string) error {
 	if name == "" || name[0] == '.' {
 		return fmt.Errorf("%w: %q", ErrBadName, name)

@@ -18,6 +18,11 @@ import (
 //   - Create fails if the path already exists (O_EXCL), and the returned
 //     File appends at end-of-file on every Write (O_APPEND).
 //   - Rename atomically replaces the destination (base-meta updates).
+//   - Remove and Rename are durable when they return: a crash does not
+//     bring back a file that was removed or replaced (payload erasure
+//     rewrites a segment and renames it over the old one, whose bytes
+//     must stay gone). osFS flushes the parent directory; faultfs applies
+//     metadata operations to the image at once.
 //   - Absent files surface errors satisfying errors.Is(err, fs.ErrNotExist).
 type FileSystem interface {
 	// MkdirAll creates dir and any missing parents.
@@ -70,8 +75,33 @@ func OSFileSystem() FileSystem { return osFS{} }
 func (osFS) MkdirAll(dir string) error              { return os.MkdirAll(dir, 0o755) }
 func (osFS) Glob(pattern string) ([]string, error)  { return filepath.Glob(pattern) }
 func (osFS) Truncate(path string, size int64) error { return os.Truncate(path, size) }
-func (osFS) Remove(path string) error               { return os.Remove(path) }
-func (osFS) Rename(oldPath, newPath string) error   { return os.Rename(oldPath, newPath) }
+func (osFS) Remove(path string) error {
+	if err := os.Remove(path); err != nil {
+		return err
+	}
+	return syncDir(filepath.Dir(path))
+}
+func (osFS) Rename(oldPath, newPath string) error {
+	if err := os.Rename(oldPath, newPath); err != nil {
+		return err
+	}
+	return syncDir(filepath.Dir(newPath))
+}
+
+// syncDir flushes dir's entries: a file's own fsync does not cover the
+// name that leads to it.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
 func (osFS) WriteFile(path string, data []byte) error {
 	// Not os.WriteFile: the FileSystem contract requires the content to
 	// be durable before the caller renames it into place.

@@ -72,8 +72,8 @@ stage_crash() {
     PIPECRASH_ITERS=30 go test -run TestPipelineCoalescedSyncCrash -count 1 ./internal/integration/crashtest
 
     echo "== crash-recovery regressions (durability failpoints) =="
-    go test -run 'TestSerialCommitDurability|TestPurgeRollForwardAfterCrash|TestTornPurgeJournalStaysInert' -count 1 ./internal/integration/crashtest
-    go test -run 'TestTornHeaderReopen|TestShortWrite|TestSyncFailureKeepsSeq|TestDropUnsynced' -count 1 ./internal/streamfs/...
+    go test -run 'TestSerialCommitDurability|TestPurgeRollForwardAfterCrash|TestTornPurgeJournalStaysInert|TestSelfSyncedJournalKeepsItsPayload' -count 1 ./internal/integration/crashtest
+    go test -run 'TestTornHeaderReopen|TestShortWrite|TestSyncFailureKeepsSeq|TestDropUnsynced|TestSelfSyncBarrier' -count 1 ./internal/streamfs/...
 
     echo "== payload-log crash torture (every byte of Put / group flush / erasure rewrite, both crash models) =="
     go test -run 'TestPayloadLogCrash' -count 1 ./internal/streamfs/faultfs
