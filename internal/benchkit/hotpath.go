@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"ledgerdb/internal/cmtree"
 	"ledgerdb/internal/hashutil"
 	"ledgerdb/internal/journal"
 	"ledgerdb/internal/ledger"
@@ -30,6 +31,9 @@ type HotPathResult struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	OpsPerSec   float64 `json:"ops_per_sec"`
+	// WireBytes is the encoded size of what the op produces, on rows
+	// whose name ends in -bytes: a size the repository budgets, not a time.
+	WireBytes int64 `json:"wire_bytes,omitempty"`
 }
 
 // HotPathReport is the full BENCH_hotpath.json document. The file is
@@ -78,8 +82,10 @@ func resultOf(name string, r testing.BenchmarkResult) HotPathResult {
 // admission-batch-verify configurations, zero-copy journal serving from
 // the disk backend, and the rows that touch a disk on the write path —
 // the payload log's Put/Get and pipelined Append over disk streams plus
-// the payload log. It returns the printable table plus the
-// machine-readable results.
+// the payload log — then CM-Tree insertion at the benchmark's clue skew
+// and the 16-match batch proof (build + encoded size, decode + verify)
+// on the 40 000-journal proof-size fixture. It returns the printable
+// table plus the machine-readable results.
 func HotPath(full bool) (*Table, *HotPathReport) {
 	rep := &HotPathReport{
 		NProc:      runtime.NumCPU(),
@@ -116,20 +122,31 @@ func HotPath(full bool) (*Table, *HotPathReport) {
 	add("disk-blob-put", benchDiskBlobs(false))
 	add("disk-blob-get", benchDiskBlobs(true))
 	add("append-pipelined-disk", benchAppend(64, 0, true))
+	add("cmtree-insert", benchCMTreeInsert())
+	prove, verify := benchProofBatch16()
+	rep.Results = append(rep.Results, prove, verify)
 
 	t := &Table{
 		Title: "Hot paths: steady-state cost of the profiled append and serve paths",
-		Note:  "encode-digest is the zero-alloc core; append-* include one π_c ECDSA verify per op (the single-core floor); *-disk and disk-* rows run on the temp dir's file system",
-		Header: []string{"workload", "ns/op", "allocs/op", "B/op", "ops/s"},
+		Note:  "encode-digest is the zero-alloc core; append-* include one π_c ECDSA verify per op (the single-core floor); *-disk and disk-* rows run on the temp dir's file system; *-batch16 rows prove/verify the 16 oldest versions of the hottest clue on the 40 000-journal δ=15 fixture (verify is cold: 17 ECDSA checks)",
+		Header: []string{"workload", "ns/op", "allocs/op", "B/op", "ops/s", "wire B"},
 	}
 	for _, r := range rep.Results {
 		t.AddRow(r.Name,
 			fmt.Sprintf("%.0f", r.NsPerOp),
 			fmt.Sprintf("%d", r.AllocsPerOp),
 			fmt.Sprintf("%d", r.BytesPerOp),
-			Throughput(int(r.OpsPerSec), 1e9))
+			Throughput(int(r.OpsPerSec), 1e9),
+			wireBytes(r.WireBytes))
 	}
 	return t, rep
+}
+
+func wireBytes(n int64) string {
+	if n == 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%d", n)
 }
 
 // WriteJSON writes the report as indented JSON.
@@ -414,6 +431,33 @@ func benchDiskBlobs(get bool) testing.BenchmarkResult {
 			if err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+}
+
+// benchCMTreeInsert measures one clue insertion into a CM-Tree that
+// already holds the benchmark's clue population (1000 names, Zipf 1.1):
+// a CM-Tree2 append plus the copy-on-write CM-Tree1 path rewrite, whose
+// branch hashing dominates.
+func benchCMTreeInsert() testing.BenchmarkResult {
+	zipf := proofReadZipf()
+	names := make([]string, proofReadClues)
+	for i := range names {
+		names[i] = proofReadClue(i)
+	}
+	digests := Digests("cmtree-insert", 4096)
+	return testing.Benchmark(func(b *testing.B) {
+		t := cmtree.New()
+		jsn := uint64(0)
+		for _, name := range names {
+			t.Insert(name, jsn, digests[jsn%4096])
+			jsn++
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			t.Insert(names[zipf.Uint64()], jsn, digests[jsn%4096])
+			jsn++
 		}
 	})
 }

@@ -593,9 +593,9 @@ func (c *Client) VerifyExistence(jsn uint64, withPayload bool) (*journal.Record,
 }
 
 // VerifyExistenceBatch fetches one batched proof for jsns and runs the
-// client-side verification with the LSP state signature checked once:
-// each journal still folds through its own fam path to the shared
-// signed root. Returns the verified records (in jsns order) and their
+// client-side verification with the LSP state signature checked once
+// and all journals folded to the shared signed root through the one fam
+// proof the reply carries. Returns the verified records (in jsns order) and their
 // payloads (nil entries for digest-only or occulted journals).
 func (c *Client) VerifyExistenceBatch(jsns []uint64, withPayload bool) ([]*journal.Record, [][]byte, error) {
 	rep, err := c.call("POST", "/v1/proofs", map[string]any{

@@ -3,6 +3,7 @@ package cmtree
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -274,5 +275,40 @@ func TestManyCluesKeepTrieConsistent(t *testing.T) {
 		if err := VerifyClue(snap.RootHash(), p, lineage(c, int(n))); err != nil {
 			t.Fatalf("VerifyClue(%s): %v", c, err)
 		}
+	}
+}
+
+// TestInsertAllocBound pins the garbage of one steady-state insertion
+// into a tree holding the benchmark's 1000-clue population: the
+// CM-Tree1 path rewrite must hash its branches without growing a buffer
+// per node. Measured: 12 allocs and ~1.5 KB per insert (it was 34 and
+// ~7.7 KB when every branch hash grew a fresh writer digest by digest).
+// Lower the bounds when the path gets leaner; never raise them.
+func TestInsertAllocBound(t *testing.T) {
+	const maxAllocs, maxBytes = 14, 2048
+	tr := New()
+	names := make([]string, 1000)
+	jsn := uint64(0)
+	for i := range names {
+		names[i] = fmt.Sprintf("c%04d", i)
+		tr.Insert(names[i], jsn, hashutil.Leaf([]byte(names[i])))
+		jsn++
+	}
+	insert := func() {
+		tr.Insert(names[jsn%1000], jsn, hashutil.Leaf([]byte{byte(jsn), byte(jsn >> 8)}))
+		jsn++
+	}
+	for i := 0; i < 2000; i++ {
+		insert() // past the slice growth of the first few versions
+	}
+	const runs = 2000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, insert)
+	runtime.ReadMemStats(&after)
+	bytesPer := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+	t.Logf("cmtree.Insert: %.1f allocs/op, %.0f B/op (bounds %d, %d)", allocs, bytesPer, maxAllocs, maxBytes)
+	if allocs > maxAllocs || bytesPer > maxBytes {
+		t.Fatalf("cmtree.Insert: %.1f allocs/op, %.0f B/op exceed bounds %d allocs, %d B", allocs, bytesPer, maxAllocs, maxBytes)
 	}
 }

@@ -19,6 +19,7 @@
 package index
 
 import (
+	"container/heap"
 	"errors"
 	"fmt"
 	"sort"
@@ -300,20 +301,25 @@ func (ix *Index) pruneLog(base uint64) error {
 var errStopIterate = errors.New("index: stop iteration")
 
 // match runs the query predicate against the projections, returning
-// the matched jsns ascending plus whether the limit cut the set.
+// the matched jsns ascending plus whether the limit cut the set. Clue
+// and signer lists are ascending already, so a match reads only as far
+// into them as the limit reaches — a hot clue's thousands of versions
+// are neither copied nor sorted.
 func (ix *Index) match(q ledger.Query) (jsns []uint64, truncated bool) {
+	limit := q.EffectiveLimit()
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	switch q.Kind {
 	case ledger.QueryByPrefix:
+		var lists [][]uint64
 		at := sort.SearchStrings(ix.names, q.Prefix)
 		for _, c := range ix.names[at:] {
 			if !strings.HasPrefix(c, q.Prefix) {
 				break
 			}
-			jsns = append(jsns, ix.byClue[c]...)
+			lists = append(lists, ix.byClue[c])
 		}
-		jsns = sortDedup(jsns)
+		jsns = mergeAscending(lists, limit+1)
 	case ledger.QueryByTime:
 		from := sort.Search(len(ix.byTime), func(i int) bool { return ix.byTime[i].ts >= q.From })
 		for _, te := range ix.byTime[from:] {
@@ -322,25 +328,65 @@ func (ix *Index) match(q ledger.Query) (jsns []uint64, truncated bool) {
 			}
 			jsns = append(jsns, te.jsn)
 		}
-		jsns = sortDedup(jsns)
+		sort.Slice(jsns, func(i, j int) bool { return jsns[i] < jsns[j] })
 	case ledger.QueryBySigner:
-		jsns = append(jsns, ix.bySigner[q.Signer]...)
+		jsns = mergeAscending([][]uint64{ix.bySigner[q.Signer]}, limit+1)
 	}
-	if limit := q.EffectiveLimit(); uint64(len(jsns)) > limit {
+	if uint64(len(jsns)) > limit {
 		jsns, truncated = jsns[:limit], true
 	}
 	return jsns, truncated
 }
 
-func sortDedup(jsns []uint64) []uint64 {
-	sort.Slice(jsns, func(i, j int) bool { return jsns[i] < jsns[j] })
-	out := jsns[:0]
-	for i, j := range jsns {
-		if i == 0 || j != jsns[i-1] {
-			out = append(out, j)
+// mergeAscending returns the max smallest distinct values of the given
+// ascending lists, ascending, in fresh storage. One list is a bounded
+// copy; several are merged through a heap of cursors (a journal with two
+// matching clues sits in two lists, hence the dedupe).
+func mergeAscending(lists [][]uint64, max uint64) []uint64 {
+	h := make(cursorHeap, 0, len(lists))
+	for _, l := range lists {
+		if len(l) > 0 {
+			h = append(h, l)
+		}
+	}
+	if len(h) == 0 {
+		return nil
+	}
+	if len(h) == 1 {
+		l := h[0]
+		if uint64(len(l)) > max {
+			l = l[:max]
+		}
+		return append([]uint64(nil), l...)
+	}
+	heap.Init(&h)
+	var out []uint64
+	for len(h) > 0 && uint64(len(out)) < max {
+		v := h[0][0]
+		if n := len(out); n == 0 || out[n-1] != v {
+			out = append(out, v)
+		}
+		if h[0] = h[0][1:]; len(h[0]) == 0 {
+			heap.Pop(&h)
+		} else {
+			heap.Fix(&h, 0)
 		}
 	}
 	return out
+}
+
+// cursorHeap orders non-empty ascending lists by their next value.
+type cursorHeap [][]uint64
+
+func (h cursorHeap) Len() int           { return len(h) }
+func (h cursorHeap) Less(i, j int) bool { return h[i][0] < h[j][0] }
+func (h cursorHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *cursorHeap) Push(x any)        { *h = append(*h, x.([]uint64)) }
+func (h *cursorHeap) Pop() any {
+	old := *h
+	l := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return l
 }
 
 // Query answers a rich read with a verifiable result: proofs for every

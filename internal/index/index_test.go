@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"ledgerdb/internal/journal"
@@ -379,5 +381,109 @@ func TestEntryCodecRoundTrip(t *testing.T) {
 	}
 	if _, err := decodeEntry(w.Bytes()[:3]); err == nil {
 		t.Fatal("truncated entry must not decode")
+	}
+}
+
+// naiveMatch is the reference the bounded merge replaced: gather every
+// matching list whole, sort, dedupe, then cut.
+func naiveMatch(lists [][]uint64, limit uint64) ([]uint64, bool) {
+	var all []uint64
+	for _, l := range lists {
+		all = append(all, l...)
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+	out := all[:0]
+	for i, j := range all {
+		if i == 0 || j != all[i-1] {
+			out = append(out, j)
+		}
+	}
+	if uint64(len(out)) > limit {
+		return out[:limit], true
+	}
+	return out, false
+}
+
+// TestMergeAscendingMatchesNaive: on seeded random ascending lists with
+// shared values, every limit yields the naive result and the same
+// truncation verdict.
+func TestMergeAscendingMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 300; round++ {
+		lists := make([][]uint64, rng.Intn(6))
+		for i := range lists {
+			next := uint64(rng.Intn(4))
+			for n := rng.Intn(12); n > 0; n-- {
+				lists[i] = append(lists[i], next)
+				next += 1 + uint64(rng.Intn(3))
+			}
+		}
+		for limit := uint64(1); limit <= 40; limit += 3 {
+			want, wantCut := naiveMatch(lists, limit)
+			got := mergeAscending(lists, limit+1)
+			cut := uint64(len(got)) > limit
+			if cut {
+				got = got[:limit]
+			}
+			if cut != wantCut || fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("lists %v limit %d: got %v (truncated %v), want %v (%v)", lists, limit, got, cut, want, wantCut)
+			}
+		}
+	}
+}
+
+// TestHotClueQueryReadsOnlyTheLimit: a clue with far more versions than
+// the limit answers with its oldest Limit versions in order, flagged
+// truncated, in storage of its own; a prefix spanning the hot clue and
+// its neighbours merges them, counting a two-clue journal once.
+func TestHotClueQueryReadsOnlyTheLimit(t *testing.T) {
+	e := newEnv(t)
+	var both []uint64 // jsns carrying "hot", "hot/side" or both
+	for i := 0; i < 300; i++ {
+		clues := []string{"hot"}
+		switch {
+		case i%50 == 7:
+			clues = []string{"hot", "hot/side"}
+		case i%3 == 0:
+			clues = []string{"hot/side"}
+		}
+		both = append(both, e.append(t, fmt.Sprintf("d%d", i), clues...).JSN)
+	}
+	ix := mustOpen(t, e, streamfs.NewMemory())
+	for _, c := range []struct {
+		name   string
+		q      ledger.Query
+		want   []uint64
+		cutoff bool
+	}{
+		{"hot clue, limit 16", ledger.Query{Kind: ledger.QueryByPrefix, Prefix: "hot", Limit: 16}, both[:16], true},
+		{"signer, limit 16", ledger.Query{Kind: ledger.QueryBySigner, Signer: e.client.Public(), Limit: 16}, nil, true},
+		{"whole hot prefix", ledger.Query{Kind: ledger.QueryByPrefix, Prefix: "hot"}, both, false},
+	} {
+		jsns, truncated := ix.match(c.q)
+		if c.want != nil && fmt.Sprint(jsns) != fmt.Sprint(c.want) {
+			t.Fatalf("%s: matched %v, want %v", c.name, jsns, c.want)
+		}
+		if truncated != c.cutoff || uint64(len(jsns)) > c.q.EffectiveLimit() {
+			t.Fatalf("%s: %d matches, truncated %v", c.name, len(jsns), truncated)
+		}
+		if c.cutoff && cap(jsns) > 4*16 {
+			t.Fatalf("%s: a 16-match answer holds storage for %d jsns", c.name, cap(jsns))
+		}
+		res, err := ix.Query(c.q)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if _, err := ledger.VerifyQueryResult(e.lsp.Public(), c.q, res); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+	}
+	// A one-list answer must not alias the projection (a later purge
+	// compacts that list in place).
+	signer := ledger.Query{Kind: ledger.QueryBySigner, Signer: e.client.Public(), Limit: 4}
+	first, _ := ix.match(signer)
+	first[0] = 1 << 40
+	if again, _ := ix.match(signer); again[0] == 1<<40 {
+		t.Fatal("match returned the projection's own storage")
 	}
 }

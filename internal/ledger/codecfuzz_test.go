@@ -2,10 +2,14 @@ package ledger
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
+	"ledgerdb/internal/hashutil"
 	"ledgerdb/internal/journal"
+	"ledgerdb/internal/merkle/fam"
 	"ledgerdb/internal/sig"
 	"ledgerdb/internal/tsa"
 	"ledgerdb/internal/wire"
@@ -374,5 +378,188 @@ func TestProofCodecTrailingGarbage(t *testing.T) {
 				t.Fatal("decode accepted trailing garbage")
 			}
 		})
+	}
+}
+
+// buildBatchFixture proves jsns — one of them asked for twice — into one
+// batch with payloads, on a ledger of the given size (δ = 3: more than 8
+// journals seal fam epochs, fewer leave the first one open).
+func buildBatchFixture(tb testing.TB, journals int, jsns ...uint64) (*ExistenceProofBatch, sig.PublicKey) {
+	tb.Helper()
+	e := newEnv(tb, nil)
+	for i := 1; i < journals; i++ { // jsn 0 is genesis
+		e.append(tb, fmt.Sprintf("doc-%d", i), "K")
+	}
+	b, err := e.ledger.ProveExistenceBatch(append(jsns, jsns[0]), true)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b, e.lsp.Public()
+}
+
+// buildSealedBatchFixture spreads the batch over sealed epochs and the
+// open one.
+func buildSealedBatchFixture(tb testing.TB) (*ExistenceProofBatch, sig.PublicKey) {
+	tb.Helper()
+	b, lsp := buildBatchFixture(tb, 41, 2, 5, 9, 10, 30, 38)
+	if b.Fam.Height == 0 || len(b.Fam.Nodes) < 8 {
+		tb.Fatalf("fixture proof spans one epoch (height %d, %d nodes)", b.Fam.Height, len(b.Fam.Nodes))
+	}
+	return b, lsp
+}
+
+// occultFlagOffsets locates the last byte of every record inside an
+// encoded batch: the occult flag, the one byte of a proof no digest
+// covers (see recordClaims).
+func occultFlagOffsets(b *ExistenceProofBatch) map[int]bool {
+	w := newTestWriter()
+	w.Uvarint(uint64(len(b.Items)))
+	flags := make(map[int]bool, len(b.Items))
+	for i := range b.Items {
+		w.WriteBytes(b.Items[i].RecordBytes)
+		flags[w.Len()-1] = true
+		w.WriteBytes(b.Items[i].Payload)
+	}
+	return flags
+}
+
+// TestExistenceBatchMutationSoundness: the batch codec carries no byte a
+// verifier does not hold to account. Every single-byte change of a valid
+// encoding — one bit, the top bit, all bits — and every two-adjacent-byte
+// change is refused by the decoder
+// or the verifier, or decodes to the very object the untouched bytes
+// decode to; the records' occult flags are the only bytes that may
+// change and still verify, and then nothing else may have. On the
+// decoded object, every node dropped, repeated, swapped or appended, and
+// every other fam size, is refused.
+func TestExistenceBatchMutationSoundness(t *testing.T) {
+	b, lsp := buildSealedBatchFixture(t)
+	ver := Verifier{LSP: lsp}
+	open, openLSP := buildBatchFixture(t, 6, 1, 3, 4)
+	if open.Fam.Height != 0 {
+		t.Fatalf("one-epoch fixture states height %d", open.Fam.Height)
+	}
+	for _, fx := range []struct {
+		name  string
+		batch *ExistenceProofBatch
+		ver   Verifier
+	}{{"sealed epochs", b, ver}, {"first epoch open", open, Verifier{LSP: openLSP}}} {
+		enc := fx.batch.EncodeBytes()
+		if _, err := fx.ver.VerifyExistenceBatch(fx.batch); err != nil {
+			t.Fatalf("%s: %v", fx.name, err)
+		}
+		flags := occultFlagOffsets(fx.batch)
+		mut := make([]byte, len(enc))
+		// The last mode is the end-to-end benchmark's tamper gate: one bit
+		// in each of two adjacent bytes, so that an occult flag never
+		// takes the whole hit.
+		for _, mask := range [][2]byte{{0x01}, {0x80}, {0xFF}, {0x01, 0x01}} {
+			for i := range enc {
+				copy(mut, enc)
+				mut[i] ^= mask[0]
+				if i+1 < len(enc) {
+					mut[i+1] ^= mask[1]
+				}
+				got, err := DecodeExistenceProofBatch(mut)
+				if err != nil {
+					continue
+				}
+				if _, err := fx.ver.VerifyExistenceBatch(got); err != nil {
+					continue
+				}
+				again := got.EncodeBytes()
+				if bytes.Equal(again, enc) {
+					continue // a lenient read of the same object
+				}
+				if flags[i] && mask[1] == 0 {
+					again[i] = enc[i]
+					if bytes.Equal(again, enc) {
+						continue // only the unauthenticated occult flag moved
+					}
+				}
+				t.Fatalf("%s: byte %d ^ %#02x: mutant decoded to a different batch AND verified", fx.name, i, mask)
+			}
+		}
+		for i := 0; i < len(enc); i++ {
+			if _, err := DecodeExistenceProofBatch(enc[:i]); err == nil {
+				t.Fatalf("%s: %d/%d-byte prefix decoded", fx.name, i, len(enc))
+			}
+		}
+	}
+
+	refuse := func(name string, fp *fam.BatchProof) {
+		t.Helper()
+		m := &ExistenceProofBatch{Items: b.Items, Fam: fp, State: b.State}
+		// Through the wire, so the count prefix moves with the list.
+		got, err := DecodeExistenceProofBatch(m.EncodeBytes())
+		if err != nil {
+			return
+		}
+		if _, err := ver.VerifyExistenceBatch(got); !errors.Is(err, ErrVerify) {
+			t.Fatalf("%s: err = %v, want ErrVerify", name, err)
+		}
+	}
+	nodes := b.Fam.Nodes
+	with := func(n []hashutil.Digest) *fam.BatchProof {
+		return &fam.BatchProof{Height: b.Fam.Height, Size: b.Fam.Size, Nodes: n}
+	}
+	clone := func() []hashutil.Digest { return append([]hashutil.Digest(nil), nodes...) }
+	for i := range nodes {
+		refuse(fmt.Sprintf("node %d dropped", i), with(append(clone()[:i], nodes[i+1:]...)))
+		refuse(fmt.Sprintf("node %d repeated", i), with(append(clone()[:i+1], nodes[i:]...)))
+		for j := i + 1; j < len(nodes); j++ {
+			swapped := clone()
+			swapped[i], swapped[j] = swapped[j], swapped[i]
+			refuse(fmt.Sprintf("nodes %d and %d swapped", i, j), with(swapped))
+		}
+		refuse(fmt.Sprintf("node %d appended again", i), with(append(clone(), nodes[i])))
+	}
+	refuse("foreign node appended", with(append(clone(), hashutil.Sum([]byte("foreign")))))
+	for _, size := range []uint64{b.Fam.Size - 1, b.Fam.Size + 1, b.Fam.Size + 8} {
+		refuse(fmt.Sprintf("fam size %d under a state signing %d", size, b.State.JSN),
+			&fam.BatchProof{Height: b.Fam.Height, Size: size, Nodes: nodes})
+	}
+	refuse("height dropped", &fam.BatchProof{Size: b.Fam.Size, Nodes: nodes})
+
+	// A record moved to another item's slot keeps verifying (order is the
+	// request's, not the proof's); a record REPLACED by another proven
+	// one is a batch the proof does not cover.
+	dup := &ExistenceProofBatch{Items: append([]ExistenceItem(nil), b.Items...), Fam: b.Fam, State: b.State}
+	dup.Items[1] = dup.Items[2]
+	if _, err := ver.VerifyExistenceBatch(dup); !errors.Is(err, ErrVerify) {
+		t.Fatalf("batch with an uncovered leaf set: err = %v", err)
+	}
+}
+
+// TestDecodeExistenceProofBatchHostileCounts: neither the item count nor
+// the node count can size an allocation the input does not back (the
+// decodeBatchReceipt lesson).
+func TestDecodeExistenceProofBatchHostileCounts(t *testing.T) {
+	b, _ := buildSealedBatchFixture(t)
+	items := newTestWriter()
+	items.Uvarint(MaxProofBatch) // promised by three bytes of input
+	items.Uint8(0)
+
+	nodes := newTestWriter()
+	nodes.Uvarint(1)
+	nodes.WriteBytes(b.Items[0].RecordBytes)
+	nodes.WriteBytes(nil)
+	nodes.Uint8(b.Fam.Height)
+	nodes.Uvarint(b.Fam.Size)
+	nodes.Uvarint(1 << 40) // nodes promised
+	nodes.Digest(b.Fam.Nodes[0])
+	b.State.Encode(nodes)
+
+	for name, enc := range map[string][]byte{"item count": items.Bytes(), "node count": nodes.Bytes()} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeExistenceProofBatch(enc)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("hostile %s decoded", name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<10 {
+			t.Fatalf("hostile %s: decoder allocated %d bytes before refusing a %d-byte input", name, grew, len(enc))
+		}
 	}
 }

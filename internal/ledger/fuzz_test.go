@@ -9,12 +9,13 @@ import (
 	"testing"
 
 	"ledgerdb/internal/journal"
+	"ledgerdb/internal/merkle/fam"
 	"ledgerdb/internal/wire"
 )
 
-// Native go test -fuzz targets for the four wire formats that cross the
-// trust boundary most often: existence proofs, clue lineage bundles,
-// receipts, and absence proofs. The deterministic sweeps in
+// Native go test -fuzz targets for the wire formats that cross the
+// trust boundary most often: existence proofs (single and batched), clue
+// lineage bundles, receipts, and absence proofs. The deterministic sweeps in
 // codecfuzz_test.go enumerate
 // every 1-byte truncation and flip of a VALID encoding; the fuzzer
 // complements them by mutating far off the valid manifold, where
@@ -146,6 +147,38 @@ func FuzzDecodeAbsenceProof(f *testing.F) {
 	})
 }
 
+// FuzzDecodeExistenceProofBatch covers the shared-node batch proof. On
+// top of the fixpoint invariant it drives the fam walk itself — which
+// the state signature shields from hostile sizes in VerifyExistenceBatch
+// — with whatever height, size and node list the fuzzer decoded: it must
+// return, never panic or spin.
+func FuzzDecodeExistenceProofBatch(f *testing.F) {
+	seed, _ := buildSealedBatchFixture(f)
+	f.Add(seed.EncodeBytes())
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, err := DecodeExistenceProofBatch(data)
+		if err != nil {
+			return
+		}
+		enc := b.EncodeBytes()
+		b2, err := DecodeExistenceProofBatch(enc)
+		if err != nil {
+			t.Fatalf("re-decode of accepted batch failed: %v", err)
+		}
+		if !bytes.Equal(b2.EncodeBytes(), enc) {
+			t.Fatal("existence batch encoding is not a fixpoint")
+		}
+		leaves := make([]fam.Leaf, 0, len(b.Items))
+		for i := range b.Items {
+			if rec, err := journal.DecodeRecord(b.Items[i].RecordBytes); err == nil {
+				leaves = append(leaves, fam.Leaf{Index: rec.JSN, Digest: rec.TxHash()})
+			}
+		}
+		_ = fam.VerifyBatch(leaves, b.Fam, b.State.JournalRoot) // any verdict; it must come back
+	})
+}
+
 // TestRegenFuzzCorpus rewrites the valid-proof seed entries of the
 // checked-in corpus. Gated behind an env var because the ECDSA
 // signatures inside the encodings are randomized, so every run produces
@@ -156,12 +189,15 @@ func TestRegenFuzzCorpus(t *testing.T) {
 	}
 	existence, clueBundle, receipt, absence := buildFuzzSeeds(t)
 	bundle := buildBundleSeed(t)
+	batch, _ := buildSealedBatchFixture(t)
 	for name, data := range map[string][]byte{
 		"FuzzDecodeExistenceProof": existence,
 		"FuzzDecodeClueBundle":     clueBundle,
 		"FuzzDecodeReceipt":        receipt,
 		"FuzzDecodeAbsenceProof":   absence,
 		"FuzzDecodeProofBundle":    bundle,
+
+		"FuzzDecodeExistenceProofBatch": batch.EncodeBytes(),
 	} {
 		dir := filepath.Join("testdata", "fuzz", name)
 		if err := os.MkdirAll(dir, 0o755); err != nil {

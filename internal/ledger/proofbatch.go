@@ -11,34 +11,37 @@ import (
 )
 
 // This file implements batched existence proofs: N journals proven
-// against ONE shared SignedState. The LSP signature — the dominant cost
-// of a single proof — is paid once per batch (and, with the state
-// cache, once per commit generation), while each journal keeps its own
-// fam path. Client-side, VerifyExistenceBatch checks the state
-// signature once and then folds every record through its path.
+// against ONE shared SignedState by ONE shared fam proof. The LSP
+// signature — the dominant cost of a single proof — is paid once per
+// batch (and, with the state cache, once per commit generation), and the
+// fam nodes two journals' paths have in common — the merged-leaf hops,
+// the frontier, the upper siblings — are stated once (fam.BatchProof).
+// Client-side, VerifyExistenceBatch checks the state signature once and
+// folds all records to the signed root in one pass.
 
 // MaxProofBatch bounds the journals per batched proof request, both at
 // the prover (request validation) and the decoder (hostile input).
 const MaxProofBatch = 1024
 
 // ExistenceItem is one journal's share of a batched proof: the raw
-// record, its optional payload, and its fam path. The shared signed
-// state lives on the enclosing batch.
+// record and its optional payload. The fam proof and the signed state
+// are shared and live on the enclosing batch.
 type ExistenceItem struct {
 	RecordBytes []byte
 	Payload     []byte // nil for occulted journals or digest-only proofs
-	Fam         *fam.Proof
 }
 
 // ExistenceProofBatch carries N existence proofs anchored to one signed
-// state.
+// state. Fam proves every item's tx-hash at its record's jsn; it names
+// no positions of its own, so it cannot disagree with the records.
 type ExistenceProofBatch struct {
 	Items []ExistenceItem
+	Fam   *fam.BatchProof
 	State *SignedState
 }
 
 // ProveExistenceBatch builds existence proofs for every jsn in one
-// read-lock section, so all fam paths and the shared signed state
+// read-lock section, so the fam proof and the shared signed state
 // describe the same commit generation. Like ProveExistence, the lock
 // covers only in-memory snapshotting; journal-stream and blob reads run
 // after it is dropped.
@@ -63,7 +66,6 @@ func (l *Ledger) ProveExistenceBatch(jsns []uint64, withPayload bool) (*Existenc
 		}
 		size = st.JSN
 	}
-	fps := make([]*fam.Proof, len(jsns))
 	occ := make([]bool, len(jsns))
 	for i, jsn := range jsns {
 		if jsn >= size {
@@ -77,13 +79,12 @@ func (l *Ledger) ProveExistenceBatch(jsns []uint64, withPayload bool) (*Existenc
 			l.mu.RUnlock()
 			return nil, fmt.Errorf("%w: jsn %d", ErrPurged, jsn)
 		}
-		fp, err := l.fam.ProveAt(jsn, size)
-		if err != nil {
-			l.mu.RUnlock()
-			return nil, err
-		}
-		fps[i] = fp
 		occ[i] = l.occulted[jsn]
+	}
+	fp, err := l.fam.ProveBatchAt(jsns, size)
+	if err != nil {
+		l.mu.RUnlock()
+		return nil, err
 	}
 	if st == nil {
 		st, stErr = l.stateLocked()
@@ -92,13 +93,13 @@ func (l *Ledger) ProveExistenceBatch(jsns []uint64, withPayload bool) (*Existenc
 	if stErr != nil {
 		return nil, stErr
 	}
-	b := &ExistenceProofBatch{Items: make([]ExistenceItem, len(jsns)), State: st}
+	b := &ExistenceProofBatch{Items: make([]ExistenceItem, len(jsns)), Fam: fp, State: st}
 	for i, jsn := range jsns {
 		raw, err := l.readJournalBytes(jsn)
 		if err != nil {
 			return nil, err
 		}
-		b.Items[i] = ExistenceItem{RecordBytes: raw, Fam: fps[i]}
+		b.Items[i] = ExistenceItem{RecordBytes: raw}
 		if withPayload && !occ[i] {
 			if b.Items[i].Payload, err = l.proofPayload(raw); err != nil {
 				return nil, err
@@ -118,30 +119,45 @@ func VerifyExistenceBatch(b *ExistenceProofBatch, lsp sig.PublicKey) ([]*journal
 
 // VerifyExistenceBatch is the package-level VerifyExistenceBatch under v.
 func (v Verifier) VerifyExistenceBatch(b *ExistenceProofBatch) ([]*journal.Record, error) {
-	if b == nil || b.State == nil {
+	if b == nil || b.State == nil || b.Fam == nil || len(b.Items) == 0 {
 		return nil, fmt.Errorf("%w: incomplete proof batch", ErrVerify)
 	}
 	if err := v.VerifySignedState(b.State); err != nil {
 		return nil, err
 	}
-	recs := make([]*journal.Record, 0, len(b.Items))
+	// The fold binds Size only where it moves the walk; the signature
+	// binds it everywhere.
+	if b.Fam.Size != b.State.JSN {
+		return nil, fmt.Errorf("%w: fam proof at size %d, state signs %d journals", ErrVerify, b.Fam.Size, b.State.JSN)
+	}
+	recs := make([]*journal.Record, len(b.Items))
+	leaves := make([]fam.Leaf, len(b.Items))
 	for i := range b.Items {
-		it := &b.Items[i]
-		rec, err := v.verifyExistenceItem(it.RecordBytes, it.Payload, it.Fam, nil, b.State.JournalRoot)
+		rec, err := journal.DecodeRecord(b.Items[i].RecordBytes)
 		if err != nil {
 			return nil, fmt.Errorf("batch item %d: %w", i, err)
 		}
-		recs = append(recs, rec)
+		// Each tx-hash is folded in AT its record's jsn: the proof has no
+		// say in where a record sits.
+		recs[i], leaves[i] = rec, fam.Leaf{Index: rec.JSN, Digest: rec.TxHash()}
+	}
+	if err := fam.VerifyBatch(leaves, b.Fam, b.State.JournalRoot); err != nil {
+		return nil, fmt.Errorf("%w: what: %v", ErrVerify, err)
+	}
+	for i, rec := range recs {
+		if err := v.verifyRecordContent(rec, b.Items[i].Payload); err != nil {
+			return nil, fmt.Errorf("batch item %d: %w", i, err)
+		}
 	}
 	return recs, nil
 }
 
-// verifyExistenceItem runs the per-journal half of existence
-// verification (everything except the state signature, which the caller
-// has already checked): decode, fold the tx-hash through the fam path
-// to root, re-verify client signatures, and match any shipped payload
-// against the recorded digest. Only v.Memo is consulted; v.LSP has done
-// its work on the state (or is not the root's authority at all).
+// verifyExistenceItem runs the per-journal half of single-record
+// existence verification (everything except the state signature, which
+// the caller has already checked): decode, fold the tx-hash through the
+// fam path to root, then verifyRecordContent. Only v.Memo is consulted;
+// v.LSP has done its work on the state (or is not the root's authority
+// at all).
 func (v Verifier) verifyExistenceItem(recordBytes, payload []byte, fp *fam.Proof, a *fam.Anchor, root hashutil.Digest) (*journal.Record, error) {
 	if fp == nil {
 		return nil, fmt.Errorf("%w: incomplete proof", ErrVerify)
@@ -164,52 +180,63 @@ func (v Verifier) verifyExistenceItem(recordBytes, payload []byte, fp *fam.Proof
 	if err != nil {
 		return nil, fmt.Errorf("%w: what: %v", ErrVerify, err)
 	}
-	if err := journal.VerifyRecordSigsMemo(rec, v.Memo); err != nil {
-		return nil, fmt.Errorf("%w: who: %v", ErrVerify, err)
-	}
-	if payload != nil {
-		if hashutil.Sum(payload) != rec.PayloadDigest {
-			return nil, fmt.Errorf("%w: payload does not match recorded digest", ErrVerify)
-		}
+	if err := v.verifyRecordContent(rec, payload); err != nil {
+		return nil, err
 	}
 	return rec, nil
 }
 
-// EncodeBytes serializes a batched proof for transport.
+// verifyRecordContent is what remains once a record's tx-hash is proven
+// into a trusted root: re-verify its client signatures (who) and match
+// any shipped payload against the recorded digest.
+func (v Verifier) verifyRecordContent(rec *journal.Record, payload []byte) error {
+	if err := journal.VerifyRecordSigsMemo(rec, v.Memo); err != nil {
+		return fmt.Errorf("%w: who: %v", ErrVerify, err)
+	}
+	if payload != nil && hashutil.Sum(payload) != rec.PayloadDigest {
+		return fmt.Errorf("%w: payload does not match recorded digest", ErrVerify)
+	}
+	return nil
+}
+
+// EncodeBytes serializes a batched proof for transport: the items, the
+// one fam proof they share, the signed state.
 func (b *ExistenceProofBatch) EncodeBytes() []byte {
 	w := wire.NewWriter(4096)
 	w.Uvarint(uint64(len(b.Items)))
 	for i := range b.Items {
 		w.WriteBytes(b.Items[i].RecordBytes)
 		w.WriteBytes(b.Items[i].Payload)
-		b.Items[i].Fam.Encode(w)
 	}
+	b.Fam.Encode(w)
 	b.State.Encode(w)
 	return w.Bytes()
 }
 
-// DecodeExistenceProofBatch parses a transported batched proof.
+// DecodeExistenceProofBatch parses a transported batched proof. Counts
+// are checked against the bytes present before they size anything.
 func DecodeExistenceProofBatch(raw []byte) (*ExistenceProofBatch, error) {
 	r := wire.NewReader(raw)
 	n := r.Uvarint()
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
-	if n == 0 || n > MaxProofBatch {
+	// An item is at least its two length prefixes.
+	if n == 0 || n > MaxProofBatch || n > uint64(r.Remaining()/2) {
 		return nil, fmt.Errorf("%w: %d proof items", ErrVerify, n)
 	}
 	b := &ExistenceProofBatch{Items: make([]ExistenceItem, n)}
-	for i := uint64(0); i < n; i++ {
+	for i := range b.Items {
 		b.Items[i].RecordBytes = r.BytesCopy()
 		if payload := r.BytesCopy(); len(payload) > 0 {
 			b.Items[i].Payload = payload
 		}
-		fp, err := fam.DecodeProof(r)
-		if err != nil {
-			return nil, err
-		}
-		b.Items[i].Fam = fp
 	}
+	fp, err := fam.DecodeBatchProof(r)
+	if err != nil {
+		return nil, err
+	}
+	b.Fam = fp
 	st, err := DecodeSignedState(r)
 	if err != nil {
 		return nil, err

@@ -125,12 +125,19 @@ func (t *Tree) locate(index uint64) (epoch int, leaf uint64, err error) {
 	if index >= t.size {
 		return 0, 0, fmt.Errorf("%w: %d >= %d", ErrOutOfRange, index, t.size)
 	}
-	if index < t.epochCap {
-		return 0, index, nil
+	e, leaf := locateIn(t.epochCap, index)
+	return int(e), leaf, nil
+}
+
+// locateIn is locate for any tree of the given epoch capacity: the pure
+// arithmetic a verifier shares with the prover.
+func locateIn(epochCap, index uint64) (epoch, leaf uint64) {
+	if index < epochCap {
+		return 0, index
 	}
-	rest := index - t.epochCap
-	per := t.epochCap - 1
-	return int(1 + rest/per), 1 + rest%per, nil
+	rest := index - epochCap
+	per := epochCap - 1
+	return 1 + rest/per, 1 + rest%per
 }
 
 // JournalCapacity returns how many journal leaves fit in the first n

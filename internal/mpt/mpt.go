@@ -88,14 +88,21 @@ func newExt(prefix []byte, child node) node {
 
 func newBranch(children [16]node) *branchNode {
 	n := &branchNode{children: children}
-	n.dig = encodeDigest(n)
+	// A branch encoding has one size, so it is hashed out of a stack
+	// buffer: every Put rebuilds a branch per trie level.
+	enc := n.encoding()
+	n.dig = hashutil.Sum(enc[:])
 	return n
 }
 
+// encodeDigest hashes a leaf or extension through a pooled writer; the
+// digest copies nothing out of it.
 func encodeDigest(n node) hashutil.Digest {
-	w := wire.NewWriter(64)
+	w := wire.GetWriter()
 	n.encode(w)
-	return hashutil.Sum(w.Bytes())
+	d := hashutil.Sum(w.Bytes())
+	wire.PutWriter(w)
+	return d
 }
 
 func (n *leafNode) digest() hashutil.Digest   { return n.dig }
@@ -115,14 +122,21 @@ func (n *extNode) encode(w *wire.Writer) {
 }
 
 func (n *branchNode) encode(w *wire.Writer) {
-	w.Uint8(tagBranch)
-	for i := range n.children {
-		if n.children[i] == nil {
-			w.Digest(hashutil.Zero)
-		} else {
-			w.Digest(n.children[i].digest())
+	enc := n.encoding()
+	w.Raw(enc[:])
+}
+
+// encoding is the branch's wire form: the tag, then the 16 child digests
+// (zero for an empty slot).
+func (n *branchNode) encoding() (enc [1 + 16*hashutil.Size]byte) {
+	enc[0] = tagBranch
+	for i, c := range n.children {
+		if c != nil {
+			d := c.digest()
+			copy(enc[1+i*hashutil.Size:], d[:])
 		}
 	}
+	return enc
 }
 
 // Trie is an immutable trie snapshot. The zero value is an empty trie.

@@ -235,6 +235,9 @@ func (b *bufferedResponse) copyTo(w http.ResponseWriter) {
 	if status == 0 {
 		status = http.StatusOK
 	}
+	// The body is complete, so say how long it is: without this net/http
+	// sends every reply past its 2 KiB sniff buffer chunked.
+	w.Header().Set("Content-Length", strconv.Itoa(len(b.body)))
 	w.WriteHeader(status)
 	w.Write(b.body)
 }

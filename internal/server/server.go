@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 
 	"ledgerdb/internal/hashutil"
@@ -494,14 +495,37 @@ func (s *Server) handleProofAnchored(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleClueProof(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	q := r.URL.Query()
-	begin, _ := strconv.ParseUint(q.Get("begin"), 10, 64)
-	end, _ := strconv.ParseUint(q.Get("end"), 10, 64)
+	begin, err := versionParam(q, "begin")
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
+	end, err := versionParam(q, "end")
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
 	b, err := s.Ledger.ProveClue(name, begin, end)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, &Envelope{Proof: b64(b.EncodeBytes())})
+}
+
+// versionParam reads an optional clue-version bound. Absent means 0
+// (begin = end = 0 proves the whole clue); present but unparsable is the
+// caller's mistake, never a silent fallback to the whole clue.
+func versionParam(q url.Values, name string) (uint64, error) {
+	v := q.Get(name)
+	if v == "" {
+		return 0, nil
+	}
+	n, err := strconv.ParseUint(v, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("%w: %s %q", journal.ErrBadRequest, name, v)
+	}
+	return n, nil
 }
 
 func (s *Server) handleClueJSNs(w http.ResponseWriter, r *http.Request) {

@@ -1,11 +1,14 @@
 package server_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"ledgerdb/internal/client"
 	"ledgerdb/internal/hashutil"
@@ -326,6 +329,85 @@ func TestProofWithUnreadablePayloadIs500(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != want {
 			t.Errorf("GET /v1/proof/%d%s = %d, want %d", r.JSN, query, resp.StatusCode, want)
+		}
+	}
+}
+
+// TestClueProofRejectsUnparsableBounds: a begin/end that is present but
+// not a number is a 400, never a silent proof of the whole clue; absent
+// bounds keep meaning "everything".
+func TestClueProofRejectsUnparsableBounds(t *testing.T) {
+	s := newStack(t)
+	for i := 0; i < 5; i++ {
+		if _, err := s.cli.Append([]byte(fmt.Sprintf("v%d", i)), "lane"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for query, want := range map[string]int{
+		"":                            http.StatusOK,
+		"?begin=1&end=3":              http.StatusOK,
+		"?begin=abc":                  http.StatusBadRequest,
+		"?begin=1&end=x":              http.StatusBadRequest,
+		"?begin=-1":                   http.StatusBadRequest,
+		"?end=1e3":                    http.StatusBadRequest,
+		"?begin=99999999999999999999": http.StatusBadRequest,
+	} {
+		resp, err := http.Get(s.srv.URL + "/v1/clue/lane/proof" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("GET /v1/clue/lane/proof%s = %d, want %d", query, resp.StatusCode, want)
+		}
+	}
+}
+
+// TestBufferedReplyCarriesContentLength: under a request timeout every
+// reply is buffered whole before it is sent, so it must go out with its
+// length, not chunked — including proof replies past net/http's 2 KiB
+// sniff buffer.
+func TestBufferedReplyCarriesContentLength(t *testing.T) {
+	lsp := sig.GenerateDeterministic("e2e-lsp")
+	l, err := ledger.Open(ledger.Config{
+		URI:           "ledger://e2e",
+		FractalHeight: 4,
+		BlockSize:     8,
+		LSP:           lsp,
+		DBA:           sig.GenerateDeterministic("e2e-dba").Public(),
+		Store:         streamfs.NewMemory(),
+		Blobs:         streamfs.NewMemoryBlobs(),
+		Clock:         logicalclock.New(100_000).Tick,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(server.NewWithOptions(l, nil, server.Options{RequestTimeout: time.Minute}))
+	defer srv.Close()
+	cli := &client.Client{BaseURL: srv.URL, Key: sig.GenerateDeterministic("e2e-client"), LSP: lsp.Public(), URI: "ledger://e2e"}
+	for i := 0; i < 40; i++ {
+		if _, err := cli.Append(bytes.Repeat([]byte{byte(i)}, 1024), "lane"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, path := range []string{"/v1/proof/3?payload=1", "/v1/clue/lane/proof", "/v1/info"} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d, read err %v", path, resp.StatusCode, err)
+		}
+		if len(resp.TransferEncoding) != 0 {
+			t.Errorf("GET %s: Transfer-Encoding %v on a fully buffered reply", path, resp.TransferEncoding)
+		}
+		if resp.ContentLength != int64(len(body)) {
+			t.Errorf("GET %s: Content-Length %d for a %d-byte body", path, resp.ContentLength, len(body))
+		}
+		if path != "/v1/info" && len(body) <= 2048 {
+			t.Errorf("GET %s: %d-byte body does not exercise the chunking threshold", path, len(body))
 		}
 	}
 }

@@ -14,7 +14,7 @@
 #   scripts/check.sh shard    # multi-shard topology e2e incl. kill-one-shard chaos (-race)
 #   scripts/check.sh query    # rich-query layer: index + absence tests (-race), crash + fuzz smoke
 #   scripts/check.sh replica  # replication: puller/bundle tests (-race), partition chaos, follower crash torture
-#   scripts/check.sh perf     # hot-path bench smoke + allocs/op, ECDSA-count and payload-log guards + the ledgerbench module's own vet/tests
+#   scripts/check.sh perf     # hot-path bench smoke + allocs/op, proof-size, ECDSA-count and payload-log guards + the ledgerbench module's own vet/tests
 #   scripts/check.sh all      # everything
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -43,7 +43,8 @@ stage_tests() {
 
 stage_fuzz() {
     echo "== fuzz smoke (10s per wire decoder) =="
-    go test -run xxx -fuzz FuzzDecodeExistenceProof -fuzztime 10s ./internal/ledger > /dev/null
+    go test -run xxx -fuzz 'FuzzDecodeExistenceProof$' -fuzztime 10s ./internal/ledger > /dev/null
+    go test -run xxx -fuzz FuzzDecodeExistenceProofBatch -fuzztime 10s ./internal/ledger > /dev/null
     go test -run xxx -fuzz FuzzDecodeClueBundle -fuzztime 10s ./internal/ledger > /dev/null
     go test -run xxx -fuzz FuzzDecodeReceipt -fuzztime 10s ./internal/ledger > /dev/null
     go test -run xxx -fuzz FuzzDecodeSchedule -fuzztime 10s ./internal/netchaos > /dev/null
@@ -150,6 +151,12 @@ stage_perf() {
     go test -run 'TestEncodeDigestZeroAlloc|TestAppendAllocBudget' -count 1 -v ./internal/ledger | grep -E 'allocs/op|PASS|FAIL|ok '
     go test -run 'TestDigestHelpersDoNotAllocate' -count 1 ./internal/hashutil
     go test -run 'TestReadBufSteadyStateAllocs' -count 1 ./internal/streamfs
+    go test -run 'TestInsertAllocBound' -count 1 -v ./internal/cmtree | grep -E 'allocs/op|PASS|FAIL|ok '
+
+    echo "== proof-size budget (16-match batch on the 40 000-journal fixture within testdata/proof_batch16_bytes_budget; every shipped fam node consumed) =="
+    go test -run 'TestProofBatch16BytesBudget' -count 1 -v ./internal/ledger | grep -E 'bytes|PASS|FAIL|ok '
+    go test -run 'TestBatchProofMutations|TestFoldMultiNodeListMutations' -count 1 ./internal/merkle/fam ./internal/merkle/shrubs
+    go test -run 'TestExistenceBatchMutationSoundness' -count 1 ./internal/ledger
 
     echo "== payload-log guards (10 000 payloads = one file per segment, <= 16 B framing each; erased bytes in no file; one rewrite per touched segment; memory-store parity) =="
     go test -run 'TestPayloadLogFileCount|TestPayloadLogEraseLeavesNoBytes|TestPayloadLogDeleteRewritesEachSegmentOnce|TestPayloadLogMatchesMemoryModel' -count 1 ./internal/streamfs
