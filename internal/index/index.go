@@ -339,25 +339,16 @@ func (ix *Index) match(q ledger.Query) (jsns []uint64, truncated bool) {
 }
 
 // mergeAscending returns the max smallest distinct values of the given
-// ascending lists, ascending, in fresh storage. One list is a bounded
-// copy; several are merged through a heap of cursors (a journal with two
-// matching clues sits in two lists, hence the dedupe).
+// ascending lists, ascending, in fresh storage, merged through a heap of
+// cursors. A jsn can repeat across lists (a journal with two matching
+// clues) and within one (a request naming the same clue twice), hence
+// the dedupe on every path, a lone list included.
 func mergeAscending(lists [][]uint64, max uint64) []uint64 {
 	h := make(cursorHeap, 0, len(lists))
 	for _, l := range lists {
 		if len(l) > 0 {
 			h = append(h, l)
 		}
-	}
-	if len(h) == 0 {
-		return nil
-	}
-	if len(h) == 1 {
-		l := h[0]
-		if uint64(len(l)) > max {
-			l = l[:max]
-		}
-		return append([]uint64(nil), l...)
 	}
 	heap.Init(&h)
 	var out []uint64

@@ -404,20 +404,13 @@ func naiveMatch(lists [][]uint64, limit uint64) ([]uint64, bool) {
 	return out, false
 }
 
-// TestMergeAscendingMatchesNaive: on seeded random ascending lists with
-// shared values, every limit yields the naive result and the same
+// TestMergeAscendingMatchesNaive: on seeded random non-decreasing lists
+// with values shared across lists and repeated within one, and on a lone
+// list with repeats, every limit yields the naive result and the same
 // truncation verdict.
 func TestMergeAscendingMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for round := 0; round < 300; round++ {
-		lists := make([][]uint64, rng.Intn(6))
-		for i := range lists {
-			next := uint64(rng.Intn(4))
-			for n := rng.Intn(12); n > 0; n-- {
-				lists[i] = append(lists[i], next)
-				next += 1 + uint64(rng.Intn(3))
-			}
-		}
+	check := func(lists [][]uint64) {
+		t.Helper()
 		for limit := uint64(1); limit <= 40; limit += 3 {
 			want, wantCut := naiveMatch(lists, limit)
 			got := mergeAscending(lists, limit+1)
@@ -428,6 +421,48 @@ func TestMergeAscendingMatchesNaive(t *testing.T) {
 			if cut != wantCut || fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("lists %v limit %d: got %v (truncated %v), want %v (%v)", lists, limit, got, cut, want, wantCut)
 			}
+		}
+	}
+	check([][]uint64{{1, 1, 2, 5, 5, 5, 9}})
+	check([][]uint64{{3, 3}, nil})
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 300; round++ {
+		lists := make([][]uint64, rng.Intn(6))
+		for i := range lists {
+			next := uint64(rng.Intn(4))
+			for n := rng.Intn(12); n > 0; n-- {
+				lists[i] = append(lists[i], next)
+				next += uint64(rng.Intn(3))
+			}
+		}
+		check(lists)
+	}
+}
+
+// TestRepeatedClueQueryVerifies: a request may name one clue twice, which
+// puts its jsn in that clue's list twice; a query matching only that
+// clue still answers each journal once and verifies.
+func TestRepeatedClueQueryVerifies(t *testing.T) {
+	e := newEnv(t)
+	first := e.append(t, "twice", "dup", "dup").JSN
+	second := e.append(t, "once", "dup").JSN
+	ix := mustOpen(t, e, streamfs.NewMemory())
+	for _, limit := range []uint64{0, 1} {
+		q := ledger.Query{Kind: ledger.QueryByPrefix, Prefix: "dup", Limit: limit}
+		want, cut := []uint64{first, second}, false
+		if limit == 1 {
+			want, cut = want[:1], true
+		}
+		if jsns, truncated := ix.match(q); fmt.Sprint(jsns) != fmt.Sprint(want) || truncated != cut {
+			t.Fatalf("limit %d: matched %v (truncated %v), want %v (%v)", limit, jsns, truncated, want, cut)
+		}
+		res, err := ix.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := ledger.VerifyQueryResult(e.lsp.Public(), q, res)
+		if err != nil || len(recs) != len(want) {
+			t.Fatalf("limit %d: %d recs, err %v", limit, len(recs), err)
 		}
 	}
 }

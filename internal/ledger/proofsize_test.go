@@ -8,7 +8,6 @@ import (
 
 	"ledgerdb/internal/benchkit"
 	"ledgerdb/internal/ledger"
-	"ledgerdb/internal/wire"
 )
 
 // TestProofBatch16BytesBudget is the proof-size regression guard run by
@@ -39,23 +38,7 @@ func TestProofBatch16BytesBudget(t *testing.T) {
 	if _, err := ledger.VerifyExistenceBatch(batch, tl.LSP.Public()); err != nil {
 		t.Fatal(err)
 	}
-	// What the reply carried when every item shipped its own cold path:
-	// the same bytes with the shared proof swapped for 16 single ones.
-	shared := wire.NewWriter(4096)
-	batch.Fam.Encode(shared)
-	perItem, singles := len(enc)-shared.Len(), 0
-	for _, jsn := range jsns {
-		p, err := tl.L.ProveExistence(jsn, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := wire.NewWriter(2048)
-		p.Fam.Encode(w)
-		perItem += w.Len()
-		singles += p.Fam.PathLen()
-	}
-	t.Logf("16-match batch: %d bytes, %d fam digests (budget %d bytes); with one cold fam proof per item: %d bytes, %d digests",
-		len(enc), len(batch.Fam.Nodes), budget, perItem, singles)
+	t.Logf("16-match batch: %d bytes, %d fam digests (budget %d bytes)", len(enc), len(batch.Fam.Nodes), budget)
 	if len(enc) > budget {
 		t.Fatalf("16-match batch encodes to %d bytes, budget %d (testdata/proof_batch16_bytes_budget)", len(enc), budget)
 	}

@@ -22,6 +22,12 @@ import (
 // subtree contributes nothing (computable); a partially covered subtree
 // splits in half and recurses. VerifyRange replays the same recursion on
 // the client side.
+//
+// multi.go walks the same frontier subtrees for an arbitrary leaf set (a
+// range is the set {begin..end-1}) but ships bare digests in walk order.
+// This positioned variant stays because CellRef is the clue bundle's
+// wire format (ProofBundle is byte-stable) and a client folds it without
+// replaying the prover's walk.
 
 // CellRef is a positioned digest shipped in a range proof.
 type CellRef struct {
