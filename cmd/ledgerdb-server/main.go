@@ -11,11 +11,12 @@
 //	                [-shards 1] [-fold 1s]
 //
 // With -shards N > 1 the process runs the clue-sharded topology: N
-// engine instances each behind their own HTTP service on an ephemeral
-// loopback listener, a coordinator folding their fam roots into one
-// signed global state every -fold period, and the sharded router
-// serving -addr. Appends route by clue over the hardened client;
-// clients pin both the LSP key and the coordinator key.
+// engine instances each behind their own HTTP service, a coordinator
+// folding their fam roots into one signed global state every -fold
+// period, and the sharded router serving -addr. The router calls its
+// shards' services in-process; each also listens on an ephemeral
+// loopback port for shard-local reads and follower pulls. Clients pin
+// both the LSP key and the coordinator key.
 //
 // On startup it prints the LSP public key fingerprint clients must pin.
 // On SIGINT/SIGTERM it drains gracefully: /readyz flips to 503, new
@@ -37,7 +38,6 @@ import (
 	"syscall"
 	"time"
 
-	"ledgerdb/internal/client"
 	"ledgerdb/internal/index"
 	"ledgerdb/internal/ledger"
 	"ledgerdb/internal/server"
@@ -90,24 +90,35 @@ func main() {
 	if nShards < 1 {
 		nShards = 1
 	}
-	openEngine := func(i int) *ledger.Ledger {
-		store := streamfs.NewMemory()
-		blobs := streamfs.NewMemoryBlobs()
+	// shardDir is shard i's slice of the data directory; a single node
+	// uses -dir itself.
+	shardDir := func(i int, sub string) string {
+		if nShards > 1 {
+			return filepath.Join(*dir, fmt.Sprintf("shard-%d", i), sub)
+		}
+		return filepath.Join(*dir, sub)
+	}
+	diskOpts := streamfs.DiskOptions{SyncEvery: 256}
+	engines := make([]*ledger.Ledger, nShards)
+	shardSrvs := make([]*server.Server, nShards)
+	for i := range engines {
+		store, blobs := streamfs.NewMemory(), streamfs.NewMemoryBlobs()
+		// The sidecar query index has its own store (index = cache):
+		// deleting -dir[/shard-i]/index and restarting rebuilds the
+		// projections from the journal stream.
+		ixStore := streamfs.NewMemory()
 		if *dir != "" {
-			d := *dir
-			if nShards > 1 {
-				d = filepath.Join(d, fmt.Sprintf("shard-%d", i))
-			}
-			store, err = streamfs.OpenDisk(filepath.Join(d, "streams"), streamfs.DiskOptions{SyncEvery: 256})
-			if err != nil {
+			if store, err = streamfs.OpenDisk(shardDir(i, "streams"), diskOpts); err != nil {
 				log.Fatalf("open store %d: %v", i, err)
 			}
-			blobs, err = streamfs.OpenDiskBlobs(filepath.Join(d, "blobs"))
-			if err != nil {
+			if blobs, err = streamfs.OpenDiskBlobs(shardDir(i, "blobs")); err != nil {
 				log.Fatalf("open blobs %d: %v", i, err)
 			}
+			if ixStore, err = streamfs.OpenDisk(shardDir(i, "index"), diskOpts); err != nil {
+				log.Fatalf("open index store %d: %v", i, err)
+			}
 		}
-		l, err := ledger.Open(ledger.Config{
+		engines[i], err = ledger.Open(ledger.Config{
 			URI:           *uri,
 			FractalHeight: uint8(*height),
 			BlockSize:     *block,
@@ -121,34 +132,13 @@ func main() {
 		if err != nil {
 			log.Fatalf("open ledger %d: %v", i, err)
 		}
-		return l
-	}
-	engines := make([]*ledger.Ledger, nShards)
-	for i := range engines {
-		engines[i] = openEngine(i)
-	}
-
-	// Sidecar query indexes, one per shard. The store is separate from
-	// the ledger streams (index = cache): deleting Dir[/shard-i]/index
-	// and restarting rebuilds the projections from the journal stream.
-	openIndex := func(i int) *index.Index {
-		store := streamfs.NewMemory()
-		if *dir != "" {
-			d := *dir
-			if nShards > 1 {
-				d = filepath.Join(d, fmt.Sprintf("shard-%d", i))
-			}
-			var err error
-			store, err = streamfs.OpenDisk(filepath.Join(d, "index"), streamfs.DiskOptions{SyncEvery: 256})
-			if err != nil {
-				log.Fatalf("open index store %d: %v", i, err)
-			}
-		}
-		ix, err := index.Open(engines[i], store)
-		if err != nil {
+		shardSrvs[i] = server.NewWithOptions(engines[i], tl, server.Options{
+			MaxInFlight:    *maxInflight,
+			RequestTimeout: *reqTimeout,
+		})
+		if shardSrvs[i].Index, err = index.Open(engines[i], ixStore); err != nil {
 			log.Fatalf("open index %d: %v", i, err)
 		}
-		return ix
 	}
 
 	// Periodic time-notary finalization (Protocol 3 every Δτ).
@@ -162,21 +152,13 @@ func main() {
 		}
 	}()
 
-	srvOpts := server.Options{
-		MaxInFlight:    *maxInflight,
-		RequestTimeout: *reqTimeout,
-	}
-	shardSrvs := make([]*server.Server, nShards)
-	var front http.Handler
+	var front http.Handler = shardSrvs[0]
 	var coord *shard.Coordinator
-	if nShards == 1 {
-		shardSrvs[0] = server.NewWithOptions(engines[0], tl, srvOpts)
-		shardSrvs[0].Index = openIndex(0)
-		front = shardSrvs[0]
-	} else {
-		// Sharded topology: each engine behind its own hardened HTTP
-		// service on loopback; the router fans out over the hardened
-		// client and serves the coordinator's cross-shard artifacts.
+	if nShards > 1 {
+		// Sharded topology: the router calls each shard's service directly
+		// (same gate, dedup window and errors as over HTTP) and adds the
+		// coordinator's cross-shard artifacts; each service also listens on
+		// loopback for shard-local reads. -req-timeout guards the front door.
 		part, err := shard.NewPartitioner(nShards)
 		if err != nil {
 			log.Fatalf("partitioner: %v", err)
@@ -188,33 +170,24 @@ func main() {
 		coord = shard.NewCoordinator(*uri, engines, coordKey, clock)
 		coord.Start(*fold)
 		backends := make([]server.ShardBackend, nShards)
-		for i, l := range engines {
-			srv := server.NewWithOptions(l, tl, srvOpts)
-			srv.Index = openIndex(i)
-			shardSrvs[i] = srv
+		for i, srv := range shardSrvs {
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				log.Fatalf("shard %d listener: %v", i, err)
 			}
-			go func(i int) {
+			go func() {
 				if err := http.Serve(ln, srv); err != nil && !errors.Is(err, net.ErrClosed) {
 					log.Printf("shard %d serve: %v", i, err)
 				}
-			}(i)
-			backends[i] = &client.Client{
-				BaseURL: "http://" + ln.Addr().String(),
-				LSP:     lsp.Public(),
-				URI:     *uri,
-				Retries: 3,
-				Breaker: &client.Breaker{},
-			}
+			}()
+			backends[i] = srv
 			log.Printf("shard %d on %s", i, ln.Addr())
 		}
 		rt, err := server.NewRouter(coord, part, backends)
 		if err != nil {
 			log.Fatalf("router: %v", err)
 		}
-		front = rt
+		front = server.TimeoutHandler(rt, *reqTimeout)
 	}
 
 	httpSrv := &http.Server{

@@ -84,8 +84,10 @@ func resultOf(name string, r testing.BenchmarkResult) HotPathResult {
 // the payload log's Put/Get and pipelined Append over disk streams plus
 // the payload log — then CM-Tree insertion at the benchmark's clue skew
 // and the 16-match batch proof (build + encoded size, decode + verify)
-// on the 40 000-journal proof-size fixture. It returns the printable
-// table plus the machine-readable results.
+// on the 40 000-journal proof-size fixture, and last one verified member
+// call through the 2-shard router with in-process and with remote
+// (client-backed) shard backends. It returns the printable table plus
+// the machine-readable results.
 func HotPath(full bool) (*Table, *HotPathReport) {
 	rep := &HotPathReport{
 		NProc:      runtime.NumCPU(),
@@ -125,10 +127,14 @@ func HotPath(full bool) (*Table, *HotPathReport) {
 	add("cmtree-insert", benchCMTreeInsert())
 	prove, verify := benchProofBatch16()
 	rep.Results = append(rep.Results, prove, verify)
+	add("routed-append-local", benchRouted(true, false))
+	add("routed-append-remote", benchRouted(false, false))
+	add("routed-query-local", benchRouted(true, true))
+	add("routed-query-remote", benchRouted(false, true))
 
 	t := &Table{
 		Title: "Hot paths: steady-state cost of the profiled append and serve paths",
-		Note:  "encode-digest is the zero-alloc core; append-* include one π_c ECDSA verify per op (the single-core floor); *-disk and disk-* rows run on the temp dir's file system; *-batch16 rows prove/verify the 16 oldest versions of the hottest clue on the 40 000-journal δ=15 fixture (verify is cold: 17 ECDSA checks)",
+		Note:  "encode-digest is the zero-alloc core; append-* include one π_c ECDSA verify per op (the single-core floor); *-disk and disk-* rows run on the temp dir's file system; *-batch16 rows prove/verify the 16 oldest versions of the hottest clue on the 40 000-journal δ=15 fixture (verify is cold: 17 ECDSA checks); routed-* rows are one verified member call through a 2-shard router on memory stores, -local with the shards' *Server as backends (what ledgerdb-server -shards N runs), -remote with client.Client backends over loopback",
 		Header: []string{"workload", "ns/op", "allocs/op", "B/op", "ops/s", "wire B"},
 	}
 	for _, r := range rep.Results {

@@ -67,6 +67,10 @@ func (e *APIError) HTTPStatus() int { return e.Status }
 // response was lost.
 const IdempotencyKeyHeader = "Idempotency-Key"
 
+// idempotentReplayHeader marks a reply the server answered out of its
+// dedup window: the original receipt of an append that had committed.
+const idempotentReplayHeader = "Idempotent-Replay"
+
 // Client talks to one ledger service endpoint on behalf of one member.
 // A Client is safe for concurrent use once configured: the only mutable
 // state is the request nonce, drawn atomically from a counter, and the
@@ -247,6 +251,7 @@ type reply struct {
 	status     int
 	httpStatus string
 	retryAfter time.Duration
+	replay     bool // the server marked this a deduplicated Idempotent-Replay
 	method     string
 	path       string
 	reqBody    []byte
@@ -464,6 +469,7 @@ func (c *Client) doOnce(ctx context.Context, method, path string, payload []byte
 		reqBody:    payload,
 		rawBody:    rawBody,
 	}
+	rep.replay = resp.Header.Get(idempotentReplayHeader) == "true"
 	if ra := resp.Header.Get("Retry-After"); ra != "" {
 		if secs, perr := strconv.Atoi(ra); perr == nil && secs > 0 {
 			rep.retryAfter = time.Duration(secs) * time.Second

@@ -6,6 +6,7 @@
 package client
 
 import (
+	"context"
 	"encoding/base64"
 	"fmt"
 	"net/url"
@@ -25,6 +26,18 @@ import (
 func (c *Client) SubmitRequest(req *journal.Request) (*journal.Receipt, error) {
 	_, receipt, err := c.submitRequest(req)
 	return receipt, err
+}
+
+// SubmitRequestReplay is SubmitRequest under ctx that also reports
+// whether the service answered from its dedup window (a retry, here or
+// upstream, of an append that had already committed). The router
+// forwards under its own request's context and passes the marker on.
+func (c *Client) SubmitRequestReplay(ctx context.Context, req *journal.Request) (*journal.Receipt, bool, error) {
+	rep, receipt, err := c.WithContext(ctx).submitRequest(req)
+	if err != nil {
+		return nil, false, err
+	}
+	return receipt, rep.replay, nil
 }
 
 func (c *Client) submitRequest(req *journal.Request) (*reply, *journal.Receipt, error) {
@@ -55,6 +68,16 @@ func (c *Client) submitRequest(req *journal.Request) (*reply, *journal.Receipt, 
 // SubmitBatch forwards a pre-signed batch, verifying the batch receipt
 // and returning it with the committed tx-hashes.
 func (c *Client) SubmitBatch(reqs []*journal.Request) (*ledger.BatchReceipt, []hashutil.Digest, error) {
+	br, txHashes, _, err := c.submitBatch(reqs)
+	return br, txHashes, err
+}
+
+// SubmitBatchReplay is SubmitRequestReplay for a batch.
+func (c *Client) SubmitBatchReplay(ctx context.Context, reqs []*journal.Request) (*ledger.BatchReceipt, []hashutil.Digest, bool, error) {
+	return c.WithContext(ctx).submitBatch(reqs)
+}
+
+func (c *Client) submitBatch(reqs []*journal.Request) (*ledger.BatchReceipt, []hashutil.Digest, bool, error) {
 	encoded := make([]string, len(reqs))
 	reqHashes := make([]hashutil.Digest, len(reqs))
 	for i, req := range reqs {
@@ -63,13 +86,14 @@ func (c *Client) SubmitBatch(reqs []*journal.Request) (*ledger.BatchReceipt, []h
 	}
 	rep, err := c.callIdem("POST", "/v1/append-batch", map[string]any{"requests": encoded}, journal.BatchRequestKey(reqHashes))
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, false, err
 	}
 	raw, err := rep.blob(rep.env.Receipt, "batch receipt")
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, false, err
 	}
-	return c.decodeBatchReceipt(rep, raw)
+	br, txHashes, err := c.decodeBatchReceipt(rep, raw)
+	return br, txHashes, rep.replay, err
 }
 
 // decodeBatchReceipt parses and LSP-verifies one batch-receipt wire blob

@@ -32,6 +32,22 @@ func BenchmarkInsert(b *testing.B) {
 	})
 }
 
+// BenchmarkProveClue is the serving side of a clue proof against the
+// number of OTHER clues in the ledger: it must stay flat.
+func BenchmarkProveClue(b *testing.B) {
+	for _, names := range []int{1_000, 100_000} {
+		tr := clueProofTree(names)
+		b.Run(fmt.Sprintf("clues=%d", names), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := tr.SnapshotClue("t").ProveClue("t", 0, 64); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkVerifyByEntries is the Figure 9(b) per-op view.
 func BenchmarkVerifyByEntries(b *testing.B) {
 	for _, m := range []int{10, 100, 1000} {

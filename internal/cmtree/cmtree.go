@@ -88,6 +88,20 @@ func (t *Tree) Snapshot() *Snapshot {
 	return &Snapshot{trie: t.trie, sizes: sizes, tree: t}
 }
 
+// SnapshotClue is Snapshot for a caller that will prove one clue: it pins
+// the CM-Tree1 version and that clue's size only, so its cost does not
+// grow with the number of clues in the ledger (§IV: a clue proof is
+// unaffected by total ledger size). ProveClue on it knows no other clue.
+func (t *Tree) SnapshotClue(clue string) *Snapshot {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	sizes := make(map[string]uint64, 1)
+	if st, ok := t.clues[clue]; ok {
+		sizes[clue] = st.acc.Size()
+	}
+	return &Snapshot{trie: t.trie, sizes: sizes, tree: t}
+}
+
 // RootHash returns the snapshot's CM-Tree1 root.
 func (s *Snapshot) RootHash() hashutil.Digest { return s.trie.RootHash() }
 

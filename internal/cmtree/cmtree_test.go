@@ -312,3 +312,50 @@ func TestInsertAllocBound(t *testing.T) {
 		t.Fatalf("cmtree.Insert: %.1f allocs/op, %.0f B/op exceed bounds %d allocs, %d B", allocs, bytesPer, maxAllocs, maxBytes)
 	}
 }
+
+// clueProofTree holds `names` single-version clues plus the clue "t"
+// with 64 versions — the ledger a clue proof must not notice the size of.
+func clueProofTree(names int) *Tree {
+	tr := New()
+	jsn := uint64(0)
+	for i := 0; i < names; i++ {
+		c := fmt.Sprintf("c%06d", i)
+		tr.Insert(c, jsn, hashutil.Leaf([]byte(c)))
+		jsn++
+	}
+	for v := uint64(0); v < 64; v++ {
+		tr.Insert("t", jsn, digOf("t", v))
+		jsn++
+	}
+	return tr
+}
+
+// TestProveClueAllocsIgnoreClueCount pins §IV's "unaffected by total
+// ledger size" on the proving side: pinning a version for one clue's
+// proof and building it allocates the same at 1 K and at 100 K clue
+// names, plus only what the proof itself gains — the bigger trie's two
+// extra CM-Tree1 levels, about 1.3 KB and 4 allocations each. Pinning
+// every clue's size first (Snapshot, which fig. 9 still wants) cost a
+// 100 K-entry map, megabytes, per proof.
+func TestProveClueAllocsIgnoreClueCount(t *testing.T) {
+	measure := func(names int) (allocs, bytes float64) {
+		tr := clueProofTree(names)
+		prove := func() {
+			if _, err := tr.SnapshotClue("t").ProveClue("t", 0, 64); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const runs = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs = testing.AllocsPerRun(runs, prove)
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+	}
+	a1k, b1k := measure(1_000)
+	a100k, b100k := measure(100_000)
+	t.Logf("ProveClue: %.0f allocs/op, %.0f B/op at 1K clue names; %.0f allocs/op, %.0f B/op at 100K", a1k, b1k, a100k, b100k)
+	if a100k > a1k+12 || b100k > b1k+4096 {
+		t.Fatalf("ProveClue grows with the clue count: %.0f allocs/%.0f B at 1K names, %.0f allocs/%.0f B at 100K", a1k, b1k, a100k, b100k)
+	}
+}

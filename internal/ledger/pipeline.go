@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"ledgerdb/internal/ca"
 	"ledgerdb/internal/hashutil"
@@ -67,7 +68,7 @@ type committer struct {
 	queue   chan *commitUnit
 	wg      sync.WaitGroup // in-flight units; Add under seqMu, Done after apply
 	stopped chan struct{}  // closed when the committer goroutine exits
-	closed  bool           // guarded by Ledger.seqMu
+	closed  atomic.Bool    // set under Ledger.seqMu; Closed reads it lock-free
 }
 
 // maxGroupRecords bounds how many records one apply-lock acquisition
@@ -189,7 +190,7 @@ func (l *Ledger) sequence(adms []admitted, batch bool) (*commitUnit, error) {
 		done:     make(chan struct{}),
 	}
 	l.seqMu.Lock()
-	if l.comm.closed {
+	if l.comm.closed.Load() {
 		l.seqMu.Unlock()
 		return nil, ErrClosed
 	}
@@ -419,8 +420,7 @@ func (l *Ledger) unlockExclusive() {
 func (l *Ledger) Close() error {
 	if l.comm != nil {
 		l.seqMu.Lock()
-		already := l.comm.closed
-		l.comm.closed = true
+		already := l.comm.closed.Swap(true)
 		l.seqMu.Unlock()
 		if !already {
 			close(l.comm.queue)
@@ -442,6 +442,14 @@ func (l *Ledger) Close() error {
 		}
 	}
 	return nil
+}
+
+// Closed reports whether Close has shut the pipelined write path: every
+// further Append fails with ErrClosed, so a service in front of this
+// ledger should be taken out of rotation. A synchronous ledger
+// (PipelineDepth 0) has no such state and always reports false.
+func (l *Ledger) Closed() bool {
+	return l.comm != nil && l.comm.closed.Load()
 }
 
 // forEachChunk fans f out over contiguous chunks of reqs, one worker

@@ -226,7 +226,7 @@ func (l *Ledger) ProveClue(clue string, begin, end uint64) (*ClueProofBundle, er
 		l.mu.RUnlock()
 		return nil, fmt.Errorf("%w: range [%d,%d) of %d", cmtree.ErrBadRange, begin, end, len(jsns))
 	}
-	snap := l.clues.Snapshot()
+	snap := l.clues.SnapshotClue(clue)
 	st, stErr := l.stateLocked()
 	l.mu.RUnlock()
 	if stErr != nil {

@@ -10,6 +10,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"ledgerdb/internal/ledger"
 )
 
 // Options tunes the hardened HTTP surface. The zero value keeps every
@@ -33,15 +35,7 @@ type Options struct {
 }
 
 func (o Options) retryAfterSecs() string {
-	ra := o.RetryAfter
-	if ra <= 0 {
-		ra = time.Second
-	}
-	secs := int(ra / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
+	return strconv.Itoa(max(1, int(o.RetryAfter/time.Second)))
 }
 
 // gate is the admission controller: a bounded in-flight counter plus a
@@ -49,32 +43,31 @@ func (o Options) retryAfterSecs() string {
 // races); the waiter channel is re-armed under the same mutex that
 // counts admissions.
 type gate struct {
-	mu       sync.Mutex
-	max      int // 0 = unlimited
-	inflight int
-	draining bool
-	waiter   chan struct{} // closed when inflight reaches 0 while draining
+	mu         sync.Mutex
+	max        int    // 0 = unlimited
+	retryAfter string // hint on refusals, seconds
+	inflight   int
+	draining   bool
+	waiter     chan struct{} // closed when inflight reaches 0 while draining
 }
 
-type admitResult int
-
-const (
-	admitOK admitResult = iota
-	admitShed
-	admitDraining
-)
-
-func (g *gate) enter() admitResult {
+// enter takes an admission slot or says why not: 503 once draining,
+// 429 at capacity. On nil the caller owes a leave.
+func (g *gate) enter() error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.draining {
-		return admitDraining
+		return g.refusal(http.StatusServiceUnavailable, "server: draining")
 	}
 	if g.max > 0 && g.inflight >= g.max {
-		return admitShed
+		return g.refusal(http.StatusTooManyRequests, "server: over capacity")
 	}
 	g.inflight++
-	return admitOK
+	return nil
+}
+
+func (g *gate) refusal(status int, msg string) error {
+	return &statusError{status, msg, g.retryAfter}
 }
 
 func (g *gate) leave() {
@@ -129,68 +122,86 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return s.gate.drain(ctx)
 }
 
+// statusError is a refusal the service issues itself rather than a
+// ledger outcome: the gate shedding or draining, a timeout, a missing
+// index. Like a forwarded client.APIError it carries its HTTP status
+// (writeErr probes for HTTPStatus), so it reads the same written at this
+// service's front door or returned to a Router calling in-process.
+type statusError struct {
+	status     int
+	msg        string
+	retryAfter string // Retry-After seconds; "" for none
+}
+
+func (e *statusError) Error() string   { return e.msg }
+func (e *statusError) HTTPStatus() int { return e.status }
+
 // ServeHTTP implements http.Handler: health endpoints bypass admission,
 // everything else passes the gate and (when configured) the per-request
 // timeout wrapper.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	switch r.URL.Path {
-	case "/healthz":
-		s.handleHealthz(w, r)
-		return
-	case "/readyz":
-		s.handleReadyz(w, r)
+	if r.URL.Path == "/healthz" || r.URL.Path == "/readyz" {
+		s.mux.ServeHTTP(w, r)
 		return
 	}
-	switch s.gate.enter() {
-	case admitShed:
-		w.Header().Set("Retry-After", s.opts.retryAfterSecs())
-		writeJSON(w, http.StatusTooManyRequests, &Envelope{Error: "server: over capacity"})
-		return
-	case admitDraining:
-		w.Header().Set("Retry-After", s.opts.retryAfterSecs())
-		writeJSON(w, http.StatusServiceUnavailable, &Envelope{Error: "server: draining"})
+	if err := s.gate.enter(); err != nil {
+		writeErr(w, err, nil)
 		return
 	}
 	if s.opts.RequestTimeout <= 0 {
-		defer s.gate.leave()
 		s.serveAdmitted(w, r)
 		return
 	}
-	s.serveWithTimeout(w, r)
+	serveTimed(w, r, s.opts.RequestTimeout, s.gate.retryAfter, s.serveAdmitted)
 }
 
 // serveAdmitted runs the mux (plus the test-only stall hook) for an
-// admitted request.
+// admitted request and gives its slot back — when the handler actually
+// finishes, which under a timeout can be after its 503 went out, so a
+// timeout cannot be used to multiply server load.
 func (s *Server) serveAdmitted(w http.ResponseWriter, r *http.Request) {
+	defer s.gate.leave()
 	if s.testStall != nil {
 		s.testStall(r)
 	}
 	s.mux.ServeHTTP(w, r)
 }
 
-// serveWithTimeout is an http.TimeoutHandler-style wrapper that answers
-// a JSON 503 + Retry-After when the handler overruns, instead of the
-// stock plain-text 503. The handler keeps running (and keeps its
-// admission slot) until it actually finishes, so a timeout cannot be
-// used to multiply server load; its buffered response is discarded.
-func (s *Server) serveWithTimeout(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
+// TimeoutHandler bounds h's handling of each request by d the way a
+// Server bounds its own by Options.RequestTimeout. A sharded process
+// wraps its Router in it: the router reaches its shards by function
+// call, past their HTTP surface, so the timeout sits at the front door.
+// d <= 0 returns h unchanged.
+func TimeoutHandler(h http.Handler, d time.Duration) http.Handler {
+	if d <= 0 {
+		return h
+	}
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		serveTimed(w, r, d, Options{}.retryAfterSecs(), h.ServeHTTP)
+	})
+}
+
+// serveTimed is an http.TimeoutHandler-style wrapper that answers a
+// JSON 503 + Retry-After when h overruns d, instead of the stock
+// plain-text 503. h keeps running until it finishes; its buffered
+// response is then discarded.
+func serveTimed(w http.ResponseWriter, r *http.Request, d time.Duration, retryAfter string, h http.HandlerFunc) {
+	ctx, cancel := context.WithTimeout(r.Context(), d)
 	defer cancel()
 	rec := &bufferedResponse{header: make(http.Header)}
-	done := make(chan struct{})
+	finished := make(chan struct{})
 	panicked := make(chan any, 1)
 	go func() {
-		defer s.gate.leave()
-		defer close(done)
+		defer close(finished)
 		defer func() {
 			if p := recover(); p != nil {
 				panicked <- p
 			}
 		}()
-		s.serveAdmitted(rec, r.WithContext(ctx))
+		h(rec, r.WithContext(ctx))
 	}()
 	select {
-	case <-done:
+	case <-finished:
 		select {
 		case p := <-panicked:
 			panic(p)
@@ -198,8 +209,7 @@ func (s *Server) serveWithTimeout(w http.ResponseWriter, r *http.Request) {
 		}
 		rec.copyTo(w)
 	case <-ctx.Done():
-		w.Header().Set("Retry-After", s.opts.retryAfterSecs())
-		writeJSON(w, http.StatusServiceUnavailable, &Envelope{Error: "server: request timed out"})
+		writeErr(w, &statusError{http.StatusServiceUnavailable, "server: request timed out", retryAfter}, nil)
 	}
 }
 
@@ -245,8 +255,8 @@ func (b *bufferedResponse) copyTo(w http.ResponseWriter) {
 // handleHealthz is liveness: the process is up and serving. The reply
 // carries the replication watermark fields (see Envelope) so operators
 // see staleness without a separate endpoint.
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.health(&Envelope{}))
+func (s *Server) handleHealthz(http.ResponseWriter, *http.Request) (*Envelope, error) {
+	return s.health(&Envelope{}), nil
 }
 
 // handleReadyz is readiness: false once the server starts draining (or
@@ -254,11 +264,18 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // while in-flight requests finish. A partitioned follower stays ready —
 // serving checkpoint-anchored reads while degraded is the point — and
 // reports its honest staleness via Jsn/Watermark.
-func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) handleReadyz(http.ResponseWriter, *http.Request) (*Envelope, error) {
+	return s.health(&Envelope{}), s.ready()
+}
+
+// ready says why this service should be sent no new work: its gate is
+// draining or its engine's write path is shut. Both are 503s.
+func (s *Server) ready() error {
 	if s.gate.isDraining() {
-		w.Header().Set("Retry-After", s.opts.retryAfterSecs())
-		writeJSON(w, http.StatusServiceUnavailable, s.health(&Envelope{Error: "server: draining"}))
-		return
+		return s.gate.refusal(http.StatusServiceUnavailable, "server: draining")
 	}
-	writeJSON(w, http.StatusOK, s.health(&Envelope{}))
+	if s.Ledger != nil && s.Ledger.Closed() {
+		return ledger.ErrClosed
+	}
+	return nil
 }

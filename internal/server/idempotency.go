@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"sync"
 
+	"ledgerdb/internal/hashutil"
 	"ledgerdb/internal/journal"
+	"ledgerdb/internal/ledger"
 )
 
 // idemTable dedups append submissions by idempotency key. The client
@@ -18,9 +20,9 @@ import (
 // The table holds three kinds of entries:
 //   - in-flight: a leader is executing the append; concurrent duplicates
 //     wait on done and replay the leader's outcome;
-//   - completed: the append committed; the encoded receipt blob and the
-//     committed jsn are cached for replay, cross-checked against the
-//     journal before being served;
+//   - completed: the append committed; its outcome (every reply encodes
+//     it afresh, deterministically) and the committed jsn are cached for
+//     replay, cross-checked against the journal before being served;
 //   - aborted: removed on failure, so the next retry executes afresh.
 //
 // Capacity is bounded FIFO over completed entries (in-flight entries
@@ -47,9 +49,25 @@ type idemSlot struct {
 
 type idemEntry struct {
 	done    chan struct{} // closed when the leader finishes
-	ok      bool          // true: receipt is valid for replay
-	jsn     uint64        // first committed jsn (cross-checked on replay)
-	receipt []byte        // encoded receipt blob as originally returned
+	ok      bool          // true: outcome is valid for replay
+	outcome appendOutcome // what the leader's append returned
+}
+
+// appendOutcome is what a committed submission is answered with: the
+// receipt of a single append, or a batch's receipt and tx-hashes.
+type appendOutcome struct {
+	receipt  *journal.Receipt
+	batch    *ledger.BatchReceipt
+	txHashes []hashutil.Digest
+}
+
+// firstJSN is the first journal the submission committed — what a replay
+// is cross-checked against.
+func (o appendOutcome) firstJSN() uint64 {
+	if o.batch != nil {
+		return o.batch.FirstJSN
+	}
+	return o.receipt.JSN
 }
 
 func newIdemTable(capacity int) *idemTable {
@@ -74,12 +92,11 @@ func (t *idemTable) begin(key string) (*idemEntry, bool) {
 }
 
 // finish publishes a committed append's outcome and closes the entry.
-func (t *idemTable) finish(key string, jsn uint64, receipt []byte) {
+func (t *idemTable) finish(key string, outcome appendOutcome) {
 	t.mu.Lock()
 	e := t.entries[key]
 	e.ok = true
-	e.jsn = jsn
-	e.receipt = receipt
+	e.outcome = outcome
 	t.order = append(t.order, idemSlot{key, e})
 	for len(t.order) > t.cap {
 		s := t.order[0]
@@ -107,34 +124,34 @@ func (t *idemTable) abort(key string) {
 var errIdemKeyMismatch = errors.New("idempotency key does not match request")
 
 // dedup wraps an append execution with key-based deduplication. exec
-// runs at most once per live key; replayed receipts are validated by
-// check (which cross-checks the cached jsn against the journal) before
+// runs at most once per live key; replayed outcomes are validated by
+// check (which cross-checks the committed jsn against the journal) before
 // being served. The bool result reports whether the response is a
 // replay.
-func (t *idemTable) dedup(ctx context.Context, key string, exec func() (uint64, []byte, error), check func(jsn uint64) error) ([]byte, bool, error) {
+func (t *idemTable) dedup(ctx context.Context, key string, exec func() (appendOutcome, error), check func(jsn uint64) error) (appendOutcome, bool, error) {
 	for {
 		e, leader := t.begin(key)
 		if leader {
-			jsn, receipt, err := exec()
+			outcome, err := exec()
 			if err != nil {
 				t.abort(key)
-				return nil, false, err
+				return appendOutcome{}, false, err
 			}
-			t.finish(key, jsn, receipt)
-			return receipt, false, nil
+			t.finish(key, outcome)
+			return outcome, false, nil
 		}
 		select {
 		case <-e.done:
 		case <-ctx.Done():
-			return nil, false, fmt.Errorf("%w: %v", journal.ErrBadRequest, ctx.Err())
+			return appendOutcome{}, false, fmt.Errorf("%w: %v", journal.ErrBadRequest, ctx.Err())
 		}
 		if !e.ok {
 			// The leader failed; race to become the new leader.
 			continue
 		}
-		if err := check(e.jsn); err != nil {
-			return nil, false, err
+		if err := check(e.outcome.firstJSN()); err != nil {
+			return appendOutcome{}, false, err
 		}
-		return e.receipt, true, nil
+		return e.outcome, true, nil
 	}
 }

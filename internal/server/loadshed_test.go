@@ -23,6 +23,7 @@ import (
 	"ledgerdb/internal/journal"
 	"ledgerdb/internal/ledger"
 	"ledgerdb/internal/logicalclock"
+	"ledgerdb/internal/shard"
 	"ledgerdb/internal/sig"
 	"ledgerdb/internal/streamfs"
 )
@@ -322,8 +323,10 @@ func TestIdempotentAppendReplay(t *testing.T) {
 
 func TestIdemTableEvictionPinsGenerations(t *testing.T) {
 	tb := newIdemTable(2)
-	exec := func(jsn uint64) func() (uint64, []byte, error) {
-		return func() (uint64, []byte, error) { return jsn, []byte(fmt.Sprintf("r%d", jsn)), nil }
+	exec := func(jsn uint64) func() (appendOutcome, error) {
+		return func() (appendOutcome, error) {
+			return appendOutcome{receipt: &journal.Receipt{JSN: jsn}}, nil
+		}
 	}
 	noCheck := func(uint64) error { return nil }
 	ctx := context.Background()
@@ -336,16 +339,93 @@ func TestIdemTableEvictionPinsGenerations(t *testing.T) {
 	if _, replay, _ := tb.dedup(ctx, "k4", exec(99), noCheck); !replay {
 		t.Fatal("k4 not replayed")
 	}
-	if blob, replay, _ := tb.dedup(ctx, "k1", exec(50), noCheck); replay || string(blob) != "r50" {
-		t.Fatalf("evicted k1 should re-execute: replay=%v blob=%s", replay, blob)
+	if out, replay, _ := tb.dedup(ctx, "k1", exec(50), noCheck); replay || out.receipt.JSN != 50 {
+		t.Fatalf("evicted k1 should re-execute: replay=%v jsn=%d", replay, out.receipt.JSN)
 	}
 	// A failing leader aborts; the next attempt executes afresh.
-	if _, _, err := tb.dedup(ctx, "kf", func() (uint64, []byte, error) {
-		return 0, nil, fmt.Errorf("boom")
+	if _, _, err := tb.dedup(ctx, "kf", func() (appendOutcome, error) {
+		return appendOutcome{}, fmt.Errorf("boom")
 	}, noCheck); err == nil {
 		t.Fatal("leader failure not surfaced")
 	}
 	if _, replay, err := tb.dedup(ctx, "kf", exec(7), noCheck); err != nil || replay {
 		t.Fatalf("post-abort: replay=%v err=%v", replay, err)
+	}
+}
+
+// TestRouterReadyzFlipsWhenAShardDrains: a sharded process is one unit
+// to a load balancer. The router's /readyz answers 200 while every
+// shard it serves in-process takes work, and 503 + Retry-After as soon
+// as one of them drains or has its engine closed — while /healthz stays
+// green and the other shard keeps answering.
+func TestRouterReadyzFlipsWhenAShardDrains(t *testing.T) {
+	probe := func(rt *Router, path string) (int, string) {
+		rec := httptest.NewRecorder()
+		rt.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		return rec.Code, rec.Header().Get("Retry-After")
+	}
+	newRouter := func() (*Router, []*Server, []*ledger.Ledger) {
+		srvs := make([]*Server, 2)
+		engines := make([]*ledger.Ledger, 2)
+		backends := make([]ShardBackend, 2)
+		for i := range srvs {
+			clock := logicalclock.New(100_000)
+			l, err := ledger.Open(ledger.Config{
+				URI:           "ledger://shed",
+				FractalHeight: 4,
+				BlockSize:     8,
+				LSP:           sig.GenerateDeterministic("shed-lsp"),
+				DBA:           sig.GenerateDeterministic("shed-dba").Public(),
+				Store:         streamfs.NewMemory(),
+				Blobs:         streamfs.NewMemoryBlobs(),
+				Clock:         clock.Tick,
+				PipelineDepth: 4,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { l.Close() })
+			engines[i], srvs[i] = l, NewWithOptions(l, nil, Options{RetryAfter: 3 * time.Second})
+			backends[i] = srvs[i]
+		}
+		part, err := shard.NewPartitioner(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coord := shard.NewCoordinator("ledger://shed", engines, sig.GenerateDeterministic("shed-coord"), func() int64 { return 1 })
+		rt, err := NewRouter(coord, part, backends)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rt, srvs, engines
+	}
+
+	rt, srvs, _ := newRouter()
+	if code, _ := probe(rt, "/readyz"); code != http.StatusOK {
+		t.Fatalf("readyz before drain = %d", code)
+	}
+	if err := srvs[1].Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if code, ra := probe(rt, "/readyz"); code != http.StatusServiceUnavailable || ra != "3" {
+		t.Fatalf("readyz with shard 1 draining = %d, Retry-After %q; want 503, 3", code, ra)
+	}
+	if code, _ := probe(rt, "/healthz"); code != http.StatusOK {
+		t.Fatalf("healthz during drain = %d", code)
+	}
+	// The shard that is not draining still serves through the router.
+	if _, err := srvs[0].ProveAbsence("nobody", false); err != nil {
+		t.Fatalf("undrained shard refused work: %v", err)
+	}
+	if _, err := srvs[1].ProveAbsence("nobody", false); err == nil {
+		t.Fatal("draining shard admitted work")
+	}
+
+	rt, _, engines := newRouter()
+	if err := engines[0].Close(); err != nil {
+		t.Fatal(err)
+	}
+	if code, ra := probe(rt, "/readyz"); code != http.StatusServiceUnavailable || ra == "" {
+		t.Fatalf("readyz with shard 0's engine closed = %d, Retry-After %q; want 503 with a hint", code, ra)
 	}
 }

@@ -71,34 +71,26 @@ func absenceFromURL(v url.Values) (name string, prefix bool, err error) {
 	return name, prefix, nil
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if s.Index == nil {
-		writeJSON(w, http.StatusNotImplemented, &Envelope{Error: "server: query index not enabled"})
-		return
-	}
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) (*Envelope, error) {
 	q, err := queryFromURL(r.URL.Query())
 	if err != nil {
-		writeErr(w, err)
-		return
+		return nil, err
 	}
-	res, err := s.Index.Query(q)
+	res, err := s.query(q)
 	if err != nil {
-		writeErr(w, err)
-		return
+		return nil, err
 	}
-	writeJSON(w, http.StatusOK, &Envelope{Result: b64(res.EncodeBytes())})
+	return &Envelope{Result: b64(res.EncodeBytes())}, nil
 }
 
-func (s *Server) handleAbsence(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleAbsence(w http.ResponseWriter, r *http.Request) (*Envelope, error) {
 	name, prefix, err := absenceFromURL(r.URL.Query())
 	if err != nil {
-		writeErr(w, err)
-		return
+		return nil, err
 	}
 	ap, err := s.Ledger.ProveAbsence(name, prefix)
 	if err != nil {
-		writeErr(w, err)
-		return
+		return nil, err
 	}
-	writeJSON(w, http.StatusOK, &Envelope{Result: b64(ap.EncodeBytes())})
+	return &Envelope{Result: b64(ap.EncodeBytes())}, nil
 }

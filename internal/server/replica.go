@@ -27,26 +27,23 @@ const (
 // with one sealed SegmentFrame. An out-of-range from is not an error:
 // the frame comes back empty with the stream's Base/Len, which is
 // exactly how a follower discovers purge gaps and its own lag.
-func (s *Server) handleReplicaPull(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleReplicaPull(w http.ResponseWriter, r *http.Request) (*Envelope, error) {
 	q := r.URL.Query()
 	stream := q.Get("stream")
 	switch stream {
 	case ledger.StreamJournals, ledger.StreamDigests, ledger.StreamBlocks, ledger.StreamSurvival:
 	default:
-		writeErr(w, fmt.Errorf("%w: unknown stream %q", journal.ErrBadRequest, stream))
-		return
+		return nil, fmt.Errorf("%w: unknown stream %q", journal.ErrBadRequest, stream)
 	}
 	from, err := strconv.ParseUint(q.Get("from"), 10, 64)
 	if err != nil {
-		writeErr(w, fmt.Errorf("%w: bad from %q", journal.ErrBadRequest, q.Get("from")))
-		return
+		return nil, fmt.Errorf("%w: bad from %q", journal.ErrBadRequest, q.Get("from"))
 	}
 	max := maxPullRecords
 	if v := q.Get("max"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
-			writeErr(w, fmt.Errorf("%w: bad max %q", journal.ErrBadRequest, v))
-			return
+			return nil, fmt.Errorf("%w: bad max %q", journal.ErrBadRequest, v)
 		}
 		if n > 0 && n < max {
 			max = n
@@ -54,30 +51,23 @@ func (s *Server) handleReplicaPull(w http.ResponseWriter, r *http.Request) {
 	}
 	recs, base, size, err := s.Ledger.ReadStreamRange(stream, from, max, maxPullBytes)
 	if err != nil {
-		writeErr(w, err)
-		return
+		return nil, err
 	}
 	f := &replica.SegmentFrame{Stream: stream, Base: base, Len: size, Offset: from, Records: recs}
 	f.Seal()
-	writeJSON(w, http.StatusOK, &Envelope{Frame: b64(f.EncodeBytes())})
+	return &Envelope{Frame: b64(f.EncodeBytes())}, nil
 }
 
 // handleBundle answers GET /v1/bundle/{jsn}?payload=1 with a
 // self-contained ProofBundle: record, fam path, anchored checkpoint,
 // and (when the ledger holds a later time anchor) the TSA when-chain —
 // everything VerifyBundle needs with zero network access.
-func (s *Server) handleBundle(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleBundle(w http.ResponseWriter, r *http.Request) (*Envelope, error) {
 	jsn, err := pathJSN(r)
 	if err != nil {
-		writeErr(w, err)
-		return
+		return nil, err
 	}
-	b, err := s.Ledger.ExportBundle(jsn, r.URL.Query().Get("payload") == "1")
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, &Envelope{Proof: b64(b.EncodeBytes())})
+	return proofReply(s.Ledger.ExportBundle(jsn, r.URL.Query().Get("payload") == "1"))
 }
 
 // health populates the replication fields every /healthz and /readyz

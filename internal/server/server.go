@@ -54,28 +54,30 @@ func New(l *ledger.Ledger, tl *tledger.TLedger) *Server {
 // settings.
 func NewWithOptions(l *ledger.Ledger, tl *tledger.TLedger, opts Options) *Server {
 	s := &Server{Ledger: l, TLedger: tl, mux: http.NewServeMux(), opts: opts}
-	s.gate.max = opts.MaxInFlight
+	s.gate.max, s.gate.retryAfter = opts.MaxInFlight, opts.retryAfterSecs()
 	s.idem = newIdemTable(opts.IdempotencyCapacity)
-	s.mux.HandleFunc("POST /v1/append", s.handleAppend)
-	s.mux.HandleFunc("POST /v1/append-batch", s.handleAppendBatch)
-	s.mux.HandleFunc("GET /v1/state", s.handleState)
-	s.mux.HandleFunc("GET /v1/journal/{jsn}", s.handleJournal)
-	s.mux.HandleFunc("GET /v1/payload/{jsn}", s.handlePayload)
-	s.mux.HandleFunc("GET /v1/proof/{jsn}", s.handleProof)
-	s.mux.HandleFunc("POST /v1/proofs", s.handleProofBatch)
-	s.mux.HandleFunc("GET /v1/anchor", s.handleAnchor)
-	s.mux.HandleFunc("POST /v1/proof-anchored/{jsn}", s.handleProofAnchored)
-	s.mux.HandleFunc("GET /v1/clue/{name}/proof", s.handleClueProof)
-	s.mux.HandleFunc("GET /v1/clue/{name}/jsns", s.handleClueJSNs)
-	s.mux.HandleFunc("POST /v1/anchor-time", s.handleAnchorTime)
-	s.mux.HandleFunc("GET /v1/info", s.handleInfo)
-	s.mux.HandleFunc("GET /v1/stateproof", s.handleStateProof)
-	s.mux.HandleFunc("GET /v1/query", s.handleQuery)
-	s.mux.HandleFunc("GET /v1/absence", s.handleAbsence)
-	s.mux.HandleFunc("POST /v1/admin/purge", s.handlePurge)
-	s.mux.HandleFunc("POST /v1/admin/occult", s.handleOccult)
-	s.mux.HandleFunc("GET /v1/replica/pull", s.handleReplicaPull)
-	s.mux.HandleFunc("GET /v1/bundle/{jsn}", s.handleBundle)
+	route(s.mux, "POST /v1/append", s.handleAppend)
+	route(s.mux, "POST /v1/append-batch", s.handleAppendBatch)
+	route(s.mux, "GET /v1/state", s.handleState)
+	route(s.mux, "GET /v1/journal/{jsn}", s.handleJournal)
+	route(s.mux, "GET /v1/payload/{jsn}", s.handlePayload)
+	route(s.mux, "GET /v1/proof/{jsn}", s.handleProof)
+	route(s.mux, "POST /v1/proofs", s.handleProofBatch)
+	route(s.mux, "GET /v1/anchor", s.handleAnchor)
+	route(s.mux, "POST /v1/proof-anchored/{jsn}", s.handleProofAnchored)
+	route(s.mux, "GET /v1/clue/{name}/proof", s.handleClueProof)
+	route(s.mux, "GET /v1/clue/{name}/jsns", s.handleClueJSNs)
+	route(s.mux, "POST /v1/anchor-time", s.handleAnchorTime)
+	route(s.mux, "GET /v1/info", s.handleInfo)
+	route(s.mux, "GET /v1/stateproof", s.handleStateProof)
+	route(s.mux, "GET /v1/query", s.handleQuery)
+	route(s.mux, "GET /v1/absence", s.handleAbsence)
+	route(s.mux, "POST /v1/admin/purge", s.handlePurge)
+	route(s.mux, "POST /v1/admin/occult", s.handleOccult)
+	route(s.mux, "GET /v1/replica/pull", s.handleReplicaPull)
+	route(s.mux, "GET /v1/bundle/{jsn}", s.handleBundle)
+	route(s.mux, "/healthz", s.handleHealthz)
+	route(s.mux, "/readyz", s.handleReadyz)
 	return s
 }
 
@@ -118,32 +120,54 @@ type Envelope struct {
 	CoordKey string            `json:"coord_key,omitempty"`
 }
 
+// endpoint is a handler reduced to what differs between routes: decode
+// the request, do the work, name the reply. A nil error answers 200 with
+// the envelope; an error answers its mapped status (writeErr), into the
+// envelope when one came back with it.
+type endpoint func(w http.ResponseWriter, r *http.Request) (*Envelope, error)
+
+func route(mux *http.ServeMux, pattern string, h endpoint) {
+	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+		if env, err := h(w, r); err != nil {
+			writeErr(w, err, env)
+		} else {
+			writeJSON(w, http.StatusOK, env)
+		}
+	})
+}
+
 func writeJSON(w http.ResponseWriter, status int, env *Envelope) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(env); err != nil {
-		// The response is already committed; nothing sensible to do.
-		_ = err
-	}
+	_ = json.NewEncoder(w).Encode(env) // the response is already committed; nothing sensible to do
 }
 
 // writeErr maps ledger errors to statuses with distinct retry
 // semantics: permanent outcomes (404 missing, 410 purged, 451 occulted,
 // 4xx request errors) must never be retried, while 503 marks conditions
 // a replacement instance could serve (and carries Retry-After so
-// well-behaved clients pace themselves).
-func writeErr(w http.ResponseWriter, err error) {
-	status := http.StatusInternalServerError
+// well-behaved clients pace themselves). env, when not nil, already
+// carries fields the reply keeps (the health watermarks of a failing
+// /readyz, the receipts of a half-committed sharded batch).
+func writeErr(w http.ResponseWriter, err error, env *Envelope) {
+	if env == nil {
+		env = &Envelope{}
+	}
+	status, retryAfter := http.StatusInternalServerError, ""
 	var coded interface{ HTTPStatus() int }
 	switch {
 	case errors.As(err, &coded):
-		// A forwarded backend error (the router fanning out through the
-		// hardened client) already carries its mapped status — 410
-		// purged, 451 occulted, 403 forbidden — and must not be
-		// flattened back to 500.
+		// An error that already carries its mapped status — a backend's
+		// 410 purged / 451 occulted / 403 forbidden forwarded by the
+		// router through the hardened client, or this package's own
+		// refusals — must not be flattened back to 500.
 		status = coded.HTTPStatus()
-		if status == http.StatusServiceUnavailable {
-			w.Header().Set("Retry-After", "1")
+		if status == http.StatusServiceUnavailable || status == http.StatusTooManyRequests {
+			retryAfter = "1"
+		}
+		var own *statusError
+		if errors.As(err, &own) {
+			retryAfter = own.retryAfter
 		}
 	case errors.Is(err, ledger.ErrNotFound):
 		status = http.StatusNotFound
@@ -167,19 +191,18 @@ func writeErr(w http.ResponseWriter, err error) {
 		// Absence was requested for a clue that is live: a definitive
 		// conflict — the right call is an existence query.
 		status = http.StatusConflict
-	case errors.Is(err, ledger.ErrClosed):
-		// The commit pipeline is draining (shutdown); clients may retry
-		// against a replacement instance.
-		status = http.StatusServiceUnavailable
-		w.Header().Set("Retry-After", "1")
-	case errors.Is(err, ledger.ErrStaleCheckpoint):
-		// A follower asked to prove past its verified checkpoint: the
-		// journal may exist but cannot be served yet. Retryable here
-		// (replication is catching up) or against the primary.
-		status = http.StatusServiceUnavailable
-		w.Header().Set("Retry-After", "1")
+	case errors.Is(err, ledger.ErrClosed), errors.Is(err, ledger.ErrStaleCheckpoint):
+		// The commit pipeline is draining (shutdown), or a follower was
+		// asked to prove past its verified checkpoint (the journal may
+		// exist but cannot be served yet): retryable, here once
+		// replication catches up or against another instance.
+		status, retryAfter = http.StatusServiceUnavailable, "1"
 	}
-	writeJSON(w, status, &Envelope{Error: err.Error()})
+	if retryAfter != "" {
+		w.Header().Set("Retry-After", retryAfter)
+	}
+	env.Error = err.Error()
+	writeJSON(w, status, env)
 }
 
 // Request-body ceilings. Payloads travel base64 inside JSON, so the
@@ -219,57 +242,70 @@ func pathJSN(r *http.Request) (uint64, error) {
 	return jsn, nil
 }
 
-func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
+// decodeAppend reads a POST /v1/append: the signed request plus, when
+// the client sent one, an Idempotency-Key that must be the key derived
+// from that request. Server and Router admit appends through it, so a
+// mismatched key is a 400 at either front door.
+func decodeAppend(w http.ResponseWriter, r *http.Request) (*journal.Request, error) {
 	var body struct {
 		Request string `json:"request"`
 	}
 	if err := decodeJSONBody(w, r, maxAppendBody, &body); err != nil {
-		writeErr(w, err)
-		return
+		return nil, err
 	}
-	raw, err := base64.StdEncoding.DecodeString(body.Request)
+	req, err := decodeRequest(body.Request)
 	if err != nil {
-		writeErr(w, fmt.Errorf("%w: %v", journal.ErrBadRequest, err))
-		return
+		return nil, err
 	}
-	req, err := journal.DecodeRequest(raw)
+	return req, checkIdemKey(r, journal.RequestKey(req.Hash()))
+}
+
+func decodeRequest(enc string) (*journal.Request, error) {
+	raw, err := base64.StdEncoding.DecodeString(enc)
 	if err != nil {
-		writeErr(w, err)
-		return
+		return nil, fmt.Errorf("%w: %v", journal.ErrBadRequest, err)
 	}
-	exec := func() (uint64, []byte, error) {
-		receipt, err := s.Ledger.Append(req)
-		if err != nil {
-			return 0, nil, err
-		}
-		wr := newWriter()
-		receipt.Encode(wr)
-		return receipt.JSN, wr.Bytes(), nil
+	return journal.DecodeRequest(raw)
+}
+
+// decodeAppendBatch is decodeAppend for POST /v1/append-batch; the key
+// covers the ordered request hashes.
+func decodeAppendBatch(w http.ResponseWriter, r *http.Request) ([]*journal.Request, error) {
+	var body struct {
+		Requests []string `json:"requests"`
 	}
-	if key := r.Header.Get(idempotencyKeyHeader); key != "" {
-		if key != journal.RequestKey(req.Hash()) {
-			writeErr(w, fmt.Errorf("%w: %v", journal.ErrBadRequest, errIdemKeyMismatch))
-			return
-		}
-		blob, replay, err := s.idem.dedup(r.Context(), key, exec, func(jsn uint64) error {
-			return s.checkIdemReplay(jsn, req.Hash())
-		})
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		if replay {
-			w.Header().Set(idempotentReplayHeader, "true")
-		}
-		writeJSON(w, http.StatusOK, &Envelope{Receipt: b64(blob)})
-		return
+	if err := decodeJSONBody(w, r, maxBatchBody, &body); err != nil {
+		return nil, err
 	}
-	_, blob, err := exec()
-	if err != nil {
-		writeErr(w, err)
-		return
+	if len(body.Requests) == 0 {
+		return nil, fmt.Errorf("%w: empty batch", journal.ErrBadRequest)
 	}
-	writeJSON(w, http.StatusOK, &Envelope{Receipt: b64(blob)})
+	reqs := make([]*journal.Request, len(body.Requests))
+	for i, enc := range body.Requests {
+		var err error
+		if reqs[i], err = decodeRequest(enc); err != nil {
+			return nil, fmt.Errorf("request %d: %w", i, err)
+		}
+	}
+	return reqs, checkIdemKey(r, journal.BatchRequestKey(requestHashes(reqs)))
+}
+
+func requestHashes(reqs []*journal.Request) []hashutil.Digest {
+	hashes := make([]hashutil.Digest, len(reqs))
+	for i, req := range reqs {
+		hashes[i] = req.Hash()
+	}
+	return hashes
+}
+
+// checkIdemKey refuses a submission whose advertised key is not the one
+// its signed content derives. An absent header is fine: the service
+// derives the key itself.
+func checkIdemKey(r *http.Request, want string) error {
+	if key := r.Header.Get(idempotencyKeyHeader); key != "" && key != want {
+		return fmt.Errorf("%w: %v", journal.ErrBadRequest, errIdemKeyMismatch)
+	}
+	return nil
 }
 
 // Idempotency headers. The request header carries the client-derived
@@ -280,237 +316,179 @@ const (
 	idempotentReplayHeader = "Idempotent-Replay"
 )
 
-// checkIdemReplay cross-checks a cached dedup entry against the journal
-// before its receipt is replayed: the committed record at that jsn must
-// acknowledge the same signed request. A purged or occulted journal
-// still replays — the commit happened; only the payload is gone.
-func (s *Server) checkIdemReplay(jsn uint64, want hashutil.Digest) error {
-	rec, err := s.Ledger.GetJournal(jsn)
-	if errors.Is(err, ledger.ErrPurged) || errors.Is(err, ledger.ErrOcculted) {
-		return nil
+// receiptReply answers an append: the encoded receipt (with the routed
+// shard index when a router asks), marked when it is a replay.
+func receiptReply(w http.ResponseWriter, blob string, replay bool, shard *int) (*Envelope, error) {
+	if replay {
+		w.Header().Set(idempotentReplayHeader, "true")
 	}
+	return &Envelope{Receipt: blob, Shard: shard}, nil
+}
+
+// encoder is a proof object with a deterministic wire form.
+type encoder interface{ EncodeBytes() []byte }
+
+// proofReply names p as the reply's proof, or passes its error on.
+func proofReply[P encoder](p P, err error) (*Envelope, error) {
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if rec.RequestHash != want {
-		return fmt.Errorf("%w: idempotency entry for jsn %d acknowledges a different request", journal.ErrBadRequest, jsn)
+	return &Envelope{Proof: b64(p.EncodeBytes())}, nil
+}
+
+// enc is the base64 of v's deterministic wire encoding.
+func enc(v interface{ Encode(*wire.Writer) }) string {
+	wr := wire.NewWriter(256)
+	v.Encode(wr)
+	return b64(wr.Bytes())
+}
+
+// encBatchReceipt is the one batch-receipt blob layout: the signed
+// receipt followed by the committed tx-hashes, so the submitter can
+// bind each journal to it. Sharded and single-node receipts decode
+// identically client-side.
+func encBatchReceipt(br *ledger.BatchReceipt, txHashes []hashutil.Digest) string {
+	wr := wire.NewWriter(256)
+	wr.Uvarint(br.FirstJSN)
+	wr.Uvarint(br.Count)
+	wr.Digest(br.BatchHash)
+	wr.Int64(br.Timestamp)
+	sig.EncodePublicKey(wr, br.LSPPK)
+	sig.EncodeSignature(wr, br.LSPSig)
+	for _, d := range txHashes {
+		wr.Digest(d)
 	}
-	return nil
+	return b64(wr.Bytes())
+}
+
+func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) (*Envelope, error) {
+	req, err := decodeAppend(w, r)
+	if err != nil {
+		return nil, err
+	}
+	receipt, replay, err := s.appendOne(r.Context(), req)
+	if err != nil {
+		return nil, err
+	}
+	return receiptReply(w, enc(receipt), replay, nil)
 }
 
 // handleAppendBatch ingests a batch of signed requests (the amortized
-// write path). The response carries the batch receipt and the committed
-// tx-hashes so the submitter can bind each journal to the receipt.
-func (s *Server) handleAppendBatch(w http.ResponseWriter, r *http.Request) {
-	var body struct {
-		Requests []string `json:"requests"`
-	}
-	if err := decodeJSONBody(w, r, maxBatchBody, &body); err != nil {
-		writeErr(w, err)
-		return
-	}
-	reqs := make([]*journal.Request, 0, len(body.Requests))
-	for i, enc := range body.Requests {
-		raw, err := base64.StdEncoding.DecodeString(enc)
-		if err != nil {
-			writeErr(w, fmt.Errorf("%w: request %d: %v", journal.ErrBadRequest, i, err))
-			return
-		}
-		req, err := journal.DecodeRequest(raw)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		reqs = append(reqs, req)
-	}
-	exec := func() (uint64, []byte, error) {
-		br, txHashes, err := s.Ledger.AppendBatch(reqs)
-		if err != nil {
-			return 0, nil, err
-		}
-		wr := newWriter()
-		wr.Uvarint(br.FirstJSN)
-		wr.Uvarint(br.Count)
-		wr.Digest(br.BatchHash)
-		wr.Int64(br.Timestamp)
-		sig.EncodePublicKey(wr, br.LSPPK)
-		sig.EncodeSignature(wr, br.LSPSig)
-		for _, d := range txHashes {
-			wr.Digest(d)
-		}
-		return br.FirstJSN, wr.Bytes(), nil
-	}
-	if key := r.Header.Get(idempotencyKeyHeader); key != "" && len(reqs) > 0 {
-		hashes := make([]hashutil.Digest, len(reqs))
-		for i, req := range reqs {
-			hashes[i] = req.Hash()
-		}
-		if key != journal.BatchRequestKey(hashes) {
-			writeErr(w, fmt.Errorf("%w: %v", journal.ErrBadRequest, errIdemKeyMismatch))
-			return
-		}
-		blob, replay, err := s.idem.dedup(r.Context(), key, exec, func(jsn uint64) error {
-			return s.checkIdemReplay(jsn, hashes[0])
-		})
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		if replay {
-			w.Header().Set(idempotentReplayHeader, "true")
-		}
-		writeJSON(w, http.StatusOK, &Envelope{Receipt: b64(blob)})
-		return
-	}
-	_, blob, err := exec()
+// write path).
+func (s *Server) handleAppendBatch(w http.ResponseWriter, r *http.Request) (*Envelope, error) {
+	reqs, err := decodeAppendBatch(w, r)
 	if err != nil {
-		writeErr(w, err)
-		return
+		return nil, err
 	}
-	writeJSON(w, http.StatusOK, &Envelope{Receipt: b64(blob)})
+	br, txHashes, replay, err := s.appendBatch(r.Context(), reqs)
+	if err != nil {
+		return nil, err
+	}
+	return receiptReply(w, encBatchReceipt(br, txHashes), replay, nil)
 }
 
-func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleState(w http.ResponseWriter, r *http.Request) (*Envelope, error) {
 	st, err := s.Ledger.State()
 	if err != nil {
-		writeErr(w, err)
-		return
+		return nil, err
 	}
-	wr := newWriter()
-	st.Encode(wr)
-	writeJSON(w, http.StatusOK, &Envelope{State: b64(wr.Bytes())})
+	return &Envelope{State: enc(st)}, nil
 }
 
-func (s *Server) handleJournal(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleJournal(w http.ResponseWriter, r *http.Request) (*Envelope, error) {
 	jsn, err := pathJSN(r)
 	if err != nil {
-		writeErr(w, err)
-		return
+		return nil, err
 	}
 	rec, err := s.Ledger.GetJournal(jsn)
 	if err != nil {
-		writeErr(w, err)
-		return
+		return nil, err
 	}
-	writeJSON(w, http.StatusOK, &Envelope{Record: b64(rec.EncodeBytes())})
+	return &Envelope{Record: b64(rec.EncodeBytes())}, nil
 }
 
-func (s *Server) handlePayload(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handlePayload(w http.ResponseWriter, r *http.Request) (*Envelope, error) {
 	jsn, err := pathJSN(r)
 	if err != nil {
-		writeErr(w, err)
-		return
+		return nil, err
 	}
 	payload, err := s.Ledger.GetPayload(jsn)
 	if err != nil {
-		writeErr(w, err)
-		return
+		return nil, err
 	}
-	writeJSON(w, http.StatusOK, &Envelope{Payload: b64(payload)})
+	return &Envelope{Payload: b64(payload)}, nil
 }
 
-func (s *Server) handleProof(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleProof(w http.ResponseWriter, r *http.Request) (*Envelope, error) {
 	jsn, err := pathJSN(r)
 	if err != nil {
-		writeErr(w, err)
-		return
+		return nil, err
 	}
 	withPayload := r.URL.Query().Get("payload") == "1"
-	p, err := s.Ledger.ProveExistence(jsn, withPayload)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, &Envelope{Proof: b64(p.EncodeBytes())})
+	return proofReply(s.Ledger.ProveExistence(jsn, withPayload))
 }
 
 // handleProofBatch serves N existence proofs sharing one SignedState
 // (the amortized read path mirroring append-batch on the write side).
 // The ledger enforces the per-batch item ceiling.
-func (s *Server) handleProofBatch(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleProofBatch(w http.ResponseWriter, r *http.Request) (*Envelope, error) {
 	var body struct {
 		JSNs    []uint64 `json:"jsns"`
 		Payload bool     `json:"payload"`
 	}
 	if err := decodeJSONBody(w, r, maxAdminBody, &body); err != nil {
-		writeErr(w, err)
-		return
+		return nil, err
 	}
-	b, err := s.Ledger.ProveExistenceBatch(body.JSNs, body.Payload)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, &Envelope{Proof: b64(b.EncodeBytes())})
+	return proofReply(s.Ledger.ProveExistenceBatch(body.JSNs, body.Payload))
 }
 
 // handleAnchor hands out the current fam-aoa trusted anchor. A verifier
 // adopts it only AFTER auditing the ledger up to the anchor's size; from
 // then on anchored proofs are near-constant size (Figure 4).
-func (s *Server) handleAnchor(w http.ResponseWriter, r *http.Request) {
-	anchor := s.Ledger.Anchor()
-	wr := newWriter()
-	anchor.Encode(wr)
-	writeJSON(w, http.StatusOK, &Envelope{Proof: b64(wr.Bytes())})
+func (s *Server) handleAnchor(w http.ResponseWriter, r *http.Request) (*Envelope, error) {
+	return &Envelope{Proof: enc(s.Ledger.Anchor())}, nil
 }
 
 // handleProofAnchored builds an existence proof against the anchor the
 // client ships in the request body (the fam-aoa regime).
-func (s *Server) handleProofAnchored(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleProofAnchored(w http.ResponseWriter, r *http.Request) (*Envelope, error) {
 	jsn, err := pathJSN(r)
 	if err != nil {
-		writeErr(w, err)
-		return
+		return nil, err
 	}
 	var body struct {
 		Anchor string `json:"anchor"`
 	}
 	if err := decodeJSONBody(w, r, maxAdminBody, &body); err != nil {
-		writeErr(w, err)
-		return
+		return nil, err
 	}
 	raw, err := base64.StdEncoding.DecodeString(body.Anchor)
 	if err != nil {
-		writeErr(w, fmt.Errorf("%w: %v", journal.ErrBadRequest, err))
-		return
+		return nil, fmt.Errorf("%w: %v", journal.ErrBadRequest, err)
 	}
 	anchor, err := fam.DecodeAnchor(wire.NewReader(raw))
 	if err != nil {
-		writeErr(w, fmt.Errorf("%w: %v", journal.ErrBadRequest, err))
-		return
+		return nil, fmt.Errorf("%w: %v", journal.ErrBadRequest, err)
 	}
 	withPayload := r.URL.Query().Get("payload") == "1"
-	p, err := s.Ledger.ProveExistenceAnchored(jsn, anchor, withPayload)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, &Envelope{Proof: b64(p.EncodeBytes())})
+	return proofReply(s.Ledger.ProveExistenceAnchored(jsn, anchor, withPayload))
 }
 
 // The clue handlers take the path segment verbatim (PathValue has
 // already unescaped it): admission accepts any non-empty clue but "."
 // and ".." (which no URL path can carry), spaces and slashes included,
 // so lookup must not normalise what append did not.
-func (s *Server) handleClueProof(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
+func (s *Server) handleClueProof(w http.ResponseWriter, r *http.Request) (*Envelope, error) {
 	q := r.URL.Query()
 	begin, err := versionParam(q, "begin")
 	if err != nil {
-		writeErr(w, err)
-		return
+		return nil, err
 	}
 	end, err := versionParam(q, "end")
 	if err != nil {
-		writeErr(w, err)
-		return
+		return nil, err
 	}
-	b, err := s.Ledger.ProveClue(name, begin, end)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, &Envelope{Proof: b64(b.EncodeBytes())})
+	return proofReply(s.Ledger.ProveClue(r.PathValue("name"), begin, end))
 }
 
 // versionParam reads an optional clue-version bound. Absent means 0
@@ -528,130 +506,88 @@ func versionParam(q url.Values, name string) (uint64, error) {
 	return n, nil
 }
 
-func (s *Server) handleClueJSNs(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleClueJSNs(w http.ResponseWriter, r *http.Request) (*Envelope, error) {
 	recs, err := s.Ledger.ListClue(r.PathValue("name"))
 	if err != nil {
-		writeErr(w, err)
-		return
+		return nil, err
 	}
 	jsns := make([]uint64, len(recs))
 	for i, rec := range recs {
 		jsns[i] = rec.JSN
 	}
-	writeJSON(w, http.StatusOK, &Envelope{JSNs: jsns})
+	return &Envelope{JSNs: jsns}, nil
 }
 
-func (s *Server) handleAnchorTime(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleAnchorTime(w http.ResponseWriter, r *http.Request) (*Envelope, error) {
 	if s.TLedger == nil {
-		writeErr(w, fmt.Errorf("%w: no time notary configured", ledger.ErrNotPermitted))
-		return
+		return nil, fmt.Errorf("%w: no time notary configured", ledger.ErrNotPermitted)
 	}
 	receipt, err := s.Ledger.AnchorTimeWith(
 		s.TLedger.StampFunc(s.Ledger.URI(), s.Ledger.Clock()))
 	if err != nil {
-		writeErr(w, err)
-		return
+		return nil, err
 	}
-	wr := newWriter()
-	receipt.Encode(wr)
-	writeJSON(w, http.StatusOK, &Envelope{Receipt: b64(wr.Bytes())})
+	return &Envelope{Receipt: enc(receipt)}, nil
 }
 
 // handleStateProof serves a verifiable world-state read for ?key=<hex or
 // plain>. Keys are passed base64 to be binary-safe.
-func (s *Server) handleStateProof(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleStateProof(w http.ResponseWriter, r *http.Request) (*Envelope, error) {
 	key, err := base64.StdEncoding.DecodeString(r.URL.Query().Get("key"))
 	if err != nil {
-		writeErr(w, fmt.Errorf("%w: key: %v", journal.ErrBadRequest, err))
-		return
+		return nil, fmt.Errorf("%w: key: %v", journal.ErrBadRequest, err)
 	}
-	p, err := s.Ledger.ProveState(key)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, &Envelope{Proof: b64(p.EncodeBytes())})
+	return proofReply(s.Ledger.ProveState(key))
 }
 
-// mutationBody is the admin request shape: a descriptor plus the
-// gathered multi-signatures, both as wire blobs. The server re-checks
-// the prerequisites; signatures cannot be forged by the transport.
-type mutationBody struct {
-	Descriptor string `json:"descriptor"`
-	Sigs       string `json:"sigs"`
-}
-
-func decodeMutation(w http.ResponseWriter, r *http.Request) ([]byte, *sig.MultiSig, error) {
-	var body mutationBody
+// mutate serves an admin mutation: a descriptor plus the gathered
+// multi-signatures, both as wire blobs. The ledger re-checks the
+// prerequisites; signatures cannot be forged by the transport.
+func mutate[D any](w http.ResponseWriter, r *http.Request, decode func([]byte) (D, error), apply func(D, *sig.MultiSig) (*journal.Receipt, error)) (*Envelope, error) {
+	var body struct {
+		Descriptor string `json:"descriptor"`
+		Sigs       string `json:"sigs"`
+	}
 	if err := decodeJSONBody(w, r, maxAdminBody, &body); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	desc, err := base64.StdEncoding.DecodeString(body.Descriptor)
+	rawDesc, err := base64.StdEncoding.DecodeString(body.Descriptor)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: descriptor: %v", journal.ErrBadRequest, err)
+		return nil, fmt.Errorf("%w: descriptor: %v", journal.ErrBadRequest, err)
 	}
 	rawSigs, err := base64.StdEncoding.DecodeString(body.Sigs)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: sigs: %v", journal.ErrBadRequest, err)
+		return nil, fmt.Errorf("%w: sigs: %v", journal.ErrBadRequest, err)
 	}
 	ms, err := sig.DecodeMultiSig(wire.NewReader(rawSigs))
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: sigs: %v", journal.ErrBadRequest, err)
+		return nil, fmt.Errorf("%w: sigs: %v", journal.ErrBadRequest, err)
 	}
-	return desc, ms, nil
+	desc, err := decode(rawDesc)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", journal.ErrBadRequest, err)
+	}
+	receipt, err := apply(desc, ms)
+	if err != nil {
+		return nil, err
+	}
+	return &Envelope{Receipt: enc(receipt)}, nil
 }
 
-func (s *Server) handlePurge(w http.ResponseWriter, r *http.Request) {
-	rawDesc, ms, err := decodeMutation(w, r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	desc, err := ledger.DecodePurgeDescriptor(rawDesc)
-	if err != nil {
-		writeErr(w, fmt.Errorf("%w: %v", journal.ErrBadRequest, err))
-		return
-	}
-	receipt, err := s.Ledger.Purge(desc, ms)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	wr := newWriter()
-	receipt.Encode(wr)
-	writeJSON(w, http.StatusOK, &Envelope{Receipt: b64(wr.Bytes())})
+func (s *Server) handlePurge(w http.ResponseWriter, r *http.Request) (*Envelope, error) {
+	return mutate(w, r, ledger.DecodePurgeDescriptor, s.Ledger.Purge)
 }
 
-func (s *Server) handleOccult(w http.ResponseWriter, r *http.Request) {
-	rawDesc, ms, err := decodeMutation(w, r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	desc, err := ledger.DecodeOccultDescriptor(rawDesc)
-	if err != nil {
-		writeErr(w, fmt.Errorf("%w: %v", journal.ErrBadRequest, err))
-		return
-	}
-	receipt, err := s.Ledger.Occult(desc, ms)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	wr := newWriter()
-	receipt.Encode(wr)
-	writeJSON(w, http.StatusOK, &Envelope{Receipt: b64(wr.Bytes())})
+func (s *Server) handleOccult(w http.ResponseWriter, r *http.Request) (*Envelope, error) {
+	return mutate(w, r, ledger.DecodeOccultDescriptor, s.Ledger.Occult)
 }
 
-func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, &Envelope{
+func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) (*Envelope, error) {
+	return &Envelope{
 		URI:    s.Ledger.URI(),
 		Size:   s.Ledger.Size(),
 		Base:   s.Ledger.Base(),
 		Height: s.Ledger.Height(),
 		LSPKey: s.Ledger.LSPPublic().Hex(),
-	})
+	}, nil
 }
-
-// newWriter is a tiny indirection so handlers read naturally.
-func newWriter() *wire.Writer { return wire.NewWriter(256) }

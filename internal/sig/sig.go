@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"sync/atomic"
 
 	"ledgerdb/internal/hashutil"
 	"ledgerdb/internal/wire"
@@ -131,8 +132,20 @@ func generateFrom(r io.Reader) (*KeyPair, error) {
 // Public returns the compact public key.
 func (kp *KeyPair) Public() PublicKey { return kp.pub }
 
+// signs and verifies count the ECDSA operations this process has run.
+// A P-256 operation is the unit every latency in this system is made of
+// (a cold verify is the measured floor of each reply), so "how many did
+// that request cost" is the count tests and the bench harness pin.
+var signs, verifies atomic.Uint64
+
+// OpCounts returns how many ECDSA signatures this process has made and
+// how many it has checked (memo hits run no ECDSA and do not count).
+// Callers compare two readings.
+func OpCounts() (signed, verified uint64) { return signs.Load(), verifies.Load() }
+
 // Sign produces a detached signature over a 32-byte digest.
 func (kp *KeyPair) Sign(digest hashutil.Digest) (Signature, error) {
+	signs.Add(1)
 	r, s, err := ecdsa.Sign(rand.Reader, kp.priv, digest[:])
 	if err != nil {
 		return Signature{}, fmt.Errorf("sig: sign: %w", err)
@@ -157,6 +170,7 @@ func (kp *KeyPair) MustSign(digest hashutil.Digest) Signature {
 // It returns nil on success and ErrBadSignature (possibly wrapped) on any
 // failure, including a malformed key.
 func Verify(pk PublicKey, digest hashutil.Digest, sg Signature) error {
+	verifies.Add(1)
 	pub, err := pk.toECDSA()
 	if err != nil {
 		return err

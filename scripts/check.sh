@@ -11,10 +11,10 @@
 #   scripts/check.sh race     # the -race suites only
 #   scripts/check.sh crash    # crash-recovery torture (1000 crash points) + payload-log byte sweeps
 #   scripts/check.sh chaos    # network-chaos torture (500 fault schedules, -race)
-#   scripts/check.sh shard    # multi-shard topology e2e incl. kill-one-shard chaos (-race)
+#   scripts/check.sh shard    # multi-shard topology e2e incl. kill-one-shard chaos + local/remote backend parity (-race)
 #   scripts/check.sh query    # rich-query layer: index + absence tests (-race), crash + fuzz smoke
 #   scripts/check.sh replica  # replication: puller/bundle tests (-race), partition chaos, follower crash torture
-#   scripts/check.sh perf     # hot-path bench smoke + allocs/op, proof-size, ECDSA-count and payload-log guards + the ledgerbench module's own vet/tests
+#   scripts/check.sh perf     # hot-path bench smoke + allocs/op, proof-size, ECDSA-count, payload-log and routed-append guards + the ledgerbench module's own vet/tests
 #   scripts/check.sh all      # everything
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -94,6 +94,9 @@ stage_shard() {
     echo "== sharded topology e2e (global proof path, kill-one-shard chaos, cross-shard audit, -race) =="
     go test -race -timeout 600s -count 1 ./internal/shard ./internal/integration/shardtest
 
+    echo "== local and remote shard backends are the same service (one session against both; drain under load; ECDSA and loopback counts, -race) =="
+    go test -race -timeout 600s -count 1 -run 'TestBackendParity|TestLocalRoutedAppendCosts|TestRouterReadyzFlipsWhenAShardDrains' ./internal/server
+
     echo "== shard partitioner fuzz seeds =="
     go test -run xxx -fuzz FuzzRoute -fuzztime 10s ./internal/shard > /dev/null
 }
@@ -151,7 +154,7 @@ stage_perf() {
     go test -run 'TestEncodeDigestZeroAlloc|TestAppendAllocBudget' -count 1 -v ./internal/ledger | grep -E 'allocs/op|PASS|FAIL|ok '
     go test -run 'TestDigestHelpersDoNotAllocate' -count 1 ./internal/hashutil
     go test -run 'TestReadBufSteadyStateAllocs' -count 1 ./internal/streamfs
-    go test -run 'TestInsertAllocBound' -count 1 -v ./internal/cmtree | grep -E 'allocs/op|PASS|FAIL|ok '
+    go test -run 'TestInsertAllocBound|TestProveClueAllocsIgnoreClueCount' -count 1 -v ./internal/cmtree | grep -E 'allocs/op|PASS|FAIL|ok '
 
     echo "== proof-size budget (16-match batch on the 40 000-journal fixture within testdata/proof_batch16_bytes_budget; every shipped fam node consumed) =="
     go test -run 'TestProofBatch16BytesBudget' -count 1 -v ./internal/ledger | grep -E 'bytes|PASS|FAIL|ok '
@@ -163,6 +166,9 @@ stage_perf() {
 
     echo "== verified-signature memo guard (repeat clue proof = 0 ECDSA; tampered replies still refused) =="
     go test -run 'TestMemoPerfGuard' -count 1 ./internal/client
+
+    echo "== routed-append guard (in-process shard backends >= 1.2x faster than client backends: one loopback round trip + one cold P-256 verify must not come back) =="
+    ROUTED_PERF_GUARD=1 go test -run 'TestRoutedAppendLocalBeatsRemote' -count 1 -v ./internal/benchkit | grep -E 'routed append|PASS|FAIL|ok '
 
     echo "== ledgerbench (its own module: tier-1 does not reach it; TestServerDefaultsMatchMain pins the traced stack to main.go) =="
     (cd ledgerbench && go vet ./... && go test ./...)
