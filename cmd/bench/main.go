@@ -8,7 +8,7 @@
 //	bench [-full] [-cpuprofile f] [-memprofile f] [-mutexprofile f] [experiment]
 //
 // Experiments: table1 table2 storage fig5 fig7 fig8a fig8b fig8p fig9a
-// fig9b fig10 paraudit proofqps shards hotpath profile all.
+// fig9b fig10 paraudit shards hotpath profile all.
 //
 // -full extends the size sweeps toward the paper's upper ends (slower).
 //
@@ -37,7 +37,7 @@ func main() {
 	mutexProfile := flag.String("mutexprofile", "", "write a mutex-contention profile to `file`")
 	hotpathJSON := flag.String("hotpath-json", "BENCH_hotpath.json", "output `file` for the hotpath experiment's machine-readable results")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: bench [-full] [-cpuprofile f] [-memprofile f] [-mutexprofile f] [experiment]\nexperiments: table1 table2 storage fig5 fig7 fig8a fig8b fig8p fig9a fig9b fig10 paraudit proofqps shards hotpath profile all (default all)\n")
+		fmt.Fprintf(os.Stderr, "usage: bench [-full] [-cpuprofile f] [-memprofile f] [-mutexprofile f] [experiment]\nexperiments: table1 table2 storage fig5 fig7 fig8a fig8b fig8p fig9a fig9b fig10 paraudit shards hotpath profile all (default all)\n")
 	}
 	flag.Parse()
 
@@ -85,18 +85,17 @@ func main() {
 	}
 
 	experiments := map[string]func() []*benchkit.Table{
-		"table1": func() []*benchkit.Table { return []*benchkit.Table{benchkit.Table1()} },
-		"table2": func() []*benchkit.Table { return []*benchkit.Table{benchkit.Table2()} },
-		"fig5":   func() []*benchkit.Table { return []*benchkit.Table{benchkit.Fig5()} },
-		"fig7":   func() []*benchkit.Table { return []*benchkit.Table{benchkit.Fig7()} },
-		"fig8a":  func() []*benchkit.Table { return []*benchkit.Table{benchkit.Fig8a(*full)} },
-		"fig8b":  func() []*benchkit.Table { return []*benchkit.Table{benchkit.Fig8b(*full)} },
-		"fig8p":  func() []*benchkit.Table { return []*benchkit.Table{benchkit.Fig8PathLens(*full)} },
-		"fig9a":  func() []*benchkit.Table { return []*benchkit.Table{benchkit.Fig9a(*full)} },
-		"fig9b":   func() []*benchkit.Table { return []*benchkit.Table{benchkit.Fig9b(*full)} },
+		"table1":   func() []*benchkit.Table { return []*benchkit.Table{benchkit.Table1()} },
+		"table2":   func() []*benchkit.Table { return []*benchkit.Table{benchkit.Table2()} },
+		"fig5":     func() []*benchkit.Table { return []*benchkit.Table{benchkit.Fig5()} },
+		"fig7":     func() []*benchkit.Table { return []*benchkit.Table{benchkit.Fig7()} },
+		"fig8a":    func() []*benchkit.Table { return []*benchkit.Table{benchkit.Fig8a(*full)} },
+		"fig8b":    func() []*benchkit.Table { return []*benchkit.Table{benchkit.Fig8b(*full)} },
+		"fig8p":    func() []*benchkit.Table { return []*benchkit.Table{benchkit.Fig8PathLens(*full)} },
+		"fig9a":    func() []*benchkit.Table { return []*benchkit.Table{benchkit.Fig9a(*full)} },
+		"fig9b":    func() []*benchkit.Table { return []*benchkit.Table{benchkit.Fig9b(*full)} },
 		"storage":  func() []*benchkit.Table { return []*benchkit.Table{benchkit.StorageTable()} },
 		"paraudit": func() []*benchkit.Table { return []*benchkit.Table{benchkit.ParAudit(*full)} },
-		"proofqps": func() []*benchkit.Table { return []*benchkit.Table{benchkit.ProofQPS(*full)} },
 		"shards":   func() []*benchkit.Table { return []*benchkit.Table{benchkit.ShardScaling(*full)} },
 		"fig10": func() []*benchkit.Table {
 			return []*benchkit.Table{
@@ -122,7 +121,7 @@ func main() {
 		},
 	}
 
-	order := []string{"table1", "storage", "fig5", "fig7", "fig8a", "fig8b", "fig8p", "fig9a", "fig9b", "fig10", "paraudit", "proofqps", "shards", "hotpath", "table2"}
+	order := []string{"table1", "storage", "fig5", "fig7", "fig8a", "fig8b", "fig8p", "fig9a", "fig9b", "fig10", "paraudit", "shards", "hotpath", "table2"}
 
 	run := func(name string) {
 		gen, ok := experiments[name]

@@ -120,6 +120,7 @@ func HotPath(full bool) (*Table, *HotPathReport) {
 	for _, batch := range batches {
 		add(fmt.Sprintf("append-batchverify-%d", batch), benchAppend(64, batch, false))
 	}
+	add("prove-after-append", benchProveAfterAppend())
 	add("proof-getjournal-zerocopy", benchGetJournal())
 	add("disk-blob-put", benchDiskBlobs(false))
 	add("disk-blob-get", benchDiskBlobs(true))
@@ -133,8 +134,8 @@ func HotPath(full bool) (*Table, *HotPathReport) {
 	add("routed-query-remote", benchRouted(false, true))
 
 	t := &Table{
-		Title: "Hot paths: steady-state cost of the profiled append and serve paths",
-		Note:  "encode-digest is the zero-alloc core; append-* include one π_c ECDSA verify per op (the single-core floor); *-disk and disk-* rows run on the temp dir's file system; *-batch16 rows prove/verify the 16 oldest versions of the hottest clue on the 40 000-journal δ=15 fixture (verify is cold: 17 ECDSA checks); routed-* rows are one verified member call through a 2-shard router on memory stores, -local with the shards' *Server as backends (what ledgerdb-server -shards N runs), -remote with client.Client backends over loopback",
+		Title:  "Hot paths: steady-state cost of the profiled append and serve paths",
+		Note:   "encode-digest is the zero-alloc core; append-* include one π_c ECDSA verify per op (the single-core floor); prove-after-append is append-serial plus an existence proof of an earlier journal; *-disk and disk-* rows run on the temp dir's file system; *-batch16 rows prove/verify the 16 oldest versions of the hottest clue on the 40 000-journal δ=15 fixture (verify is cold: 17 ECDSA checks); routed-* rows are one verified member call through a 2-shard router on memory stores, -local with the shards' *Server as backends (what ledgerdb-server -shards N runs), -remote with client.Client backends over loopback",
 		Header: []string{"workload", "ns/op", "allocs/op", "B/op", "ops/s", "wire B"},
 	}
 	for _, r := range rep.Results {
@@ -226,6 +227,44 @@ func benchAppend(depth, verifyBatch int, onDisk bool) testing.BenchmarkResult {
 	})
 }
 
+// benchProveAfterAppend is the read that follows a commit: one serial
+// append, then an existence proof of a journal committed a little more
+// than a block earlier (so its fam path stays two epochs long however
+// far the run goes). Less append-serial, it is what the proof costs the
+// server; a read that signs a state of its own for every commit before
+// it pays one P-256 sign more.
+func benchProveAfterAppend() testing.BenchmarkResult {
+	return testing.Benchmark(func(b *testing.B) {
+		const preload, behind = 128, 70 // BlockSize is 64
+		tl, err := newHotLedger(0, 0, "")
+		if err != nil {
+			b.Fatal(err)
+		}
+		reqs := make([]*journal.Request, preload+b.N)
+		for i := range reqs {
+			if reqs[i], err = tl.Request(Payload("hot-prove", i, 128), nil, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, req := range reqs[:preload] {
+			if _, err := tl.L.Append(req); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for _, req := range reqs[preload:] {
+			rc, err := tl.L.Append(req)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := tl.L.ProveExistence(rc.JSN-behind, false); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // newHotLedger opens the append-bench ledger, in memory or — with a dir —
 // on disk streams (SyncEvery 256, the server's setting) and the payload
 // log.
@@ -277,8 +316,8 @@ func ProfileWorkloads(full bool) *Table {
 		appends, proofs = 10000, 100000
 	}
 	t := &Table{
-		Title: "Profile workloads: sustained append + proof serving",
-		Note:  "run under -cpuprofile/-memprofile/-mutexprofile; rates are incidental, the profile is the product",
+		Title:  "Profile workloads: sustained append + proof serving",
+		Note:   "run under -cpuprofile/-memprofile/-mutexprofile; rates are incidental, the profile is the product",
 		Header: []string{"workload", "ops", "elapsed", "rate"},
 	}
 

@@ -3,14 +3,9 @@ package benchkit
 import (
 	"fmt"
 	"reflect"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"ledgerdb/internal/audit"
-	"ledgerdb/internal/ledger"
-	"ledgerdb/internal/sig"
-	"ledgerdb/internal/streamfs"
 )
 
 // ParAudit measures the Dasein-complete audit (§V) with the worker-pool
@@ -35,8 +30,8 @@ func ParAudit(full bool) *Table {
 	}
 
 	t := &Table{
-		Title: fmt.Sprintf("Parallel audit: Dasein-complete replay of %d journals, worker sweep", tl.L.Size()),
-		Note:  "reports are asserted byte-identical across worker counts; speedup is vs workers=1 on THIS host",
+		Title:  fmt.Sprintf("Parallel audit: Dasein-complete replay of %d journals, worker sweep", tl.L.Size()),
+		Note:   "reports are asserted byte-identical across worker counts; speedup is vs workers=1 on THIS host",
 		Header: []string{"workers", "elapsed", "journals/s", "speedup"},
 	}
 	cfg := audit.Config{LSP: tl.LSP.Public(), DBA: tl.DBA.Public()}
@@ -59,86 +54,6 @@ func ParAudit(full bool) *Table {
 			fmt.Sprintf("%.1fms", elapsed.Seconds()*1000),
 			Throughput(int(rep.JournalsReplayed), elapsed),
 			fmt.Sprintf("%.2fx", serial.Seconds()/elapsed.Seconds()))
-	}
-	return t
-}
-
-// ProofQPS measures server-side existence-proof throughput under
-// concurrent provers, with the commit-generation state cache on and
-// off. Without the cache every proof signs a fresh SignedState inside
-// the read path; with it, all proofs in one commit generation share a
-// single signature and the read lock covers only in-memory
-// snapshotting.
-func ProofQPS(full bool) *Table {
-	journals := 512
-	opsPer := 2000
-	if full {
-		journals = 4096
-		opsPer = 10000
-	}
-
-	build := func(disableCache bool) *ledger.Ledger {
-		var clock int64
-		l, err := ledger.Open(ledger.Config{
-			URI:               "ledger://proofqps",
-			FractalHeight:     10,
-			BlockSize:         64,
-			LSP:               sig.GenerateDeterministic("proofqps/lsp"),
-			DBA:               sig.GenerateDeterministic("proofqps/dba").Public(),
-			Store:             streamfs.NewMemory(),
-			Blobs:             streamfs.NewMemoryBlobs(),
-			Clock:             func() int64 { return atomic.AddInt64(&clock, 1) },
-			DisableStateCache: disableCache,
-		})
-		if err != nil {
-			panic(err)
-		}
-		requester := &TestLedger{URI: "ledger://proofqps", Client: sig.GenerateDeterministic("proofqps/client")}
-		for i := 0; i < journals; i++ {
-			req, err := requester.Request(Payload("proofqps", i, 128), nil, nil)
-			if err != nil {
-				panic(err)
-			}
-			if _, err := l.Append(req); err != nil {
-				panic(err)
-			}
-		}
-		return l
-	}
-
-	t := &Table{
-		Title: fmt.Sprintf("Proof throughput: ProveExistence QPS over %d journals, goroutine sweep", journals),
-		Note:  "cached = one state signature per commit generation; nocache = one per proof (the pre-cache read path)",
-		Header: []string{"mode", "goroutines", "total ops", "elapsed", "QPS"},
-	}
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"cached", false}, {"nocache", true}} {
-		l := build(mode.disable)
-		size := l.Size()
-		for _, par := range []int{1, 2, 4, 8} {
-			ops := opsPer * par
-			var next atomic.Uint64
-			var wg sync.WaitGroup
-			start := time.Now()
-			for g := 0; g < par; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < opsPer; i++ {
-						jsn := next.Add(1) % size
-						if _, err := l.ProveExistence(jsn, false); err != nil {
-							panic(err)
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			elapsed := time.Since(start)
-			t.AddRow(mode.name, fmt.Sprintf("%d", par), fmt.Sprintf("%d", ops),
-				fmt.Sprintf("%.1fms", elapsed.Seconds()*1000), Throughput(ops, elapsed))
-		}
 	}
 	return t
 }

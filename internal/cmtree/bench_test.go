@@ -40,7 +40,7 @@ func BenchmarkProveClue(b *testing.B) {
 		b.Run(fmt.Sprintf("clues=%d", names), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := tr.SnapshotClue("t").ProveClue("t", 0, 64); err != nil {
+				if _, err := snapshotClueNow(tr, "t").ProveClue("t", 0, 64); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -88,18 +88,32 @@ func (t *Tree) Snapshot() *Snapshot {
 	return &Snapshot{trie: t.trie, sizes: sizes, tree: t}
 }
 
-// SnapshotClue is Snapshot for a caller that will prove one clue: it pins
-// the CM-Tree1 version and that clue's size only, so its cost does not
-// grow with the number of clues in the ledger (§IV: a clue proof is
-// unaffected by total ledger size). ProveClue on it knows no other clue.
-func (t *Tree) SnapshotClue(clue string) *Snapshot {
+// Trie returns the current CM-Tree1 version. The trie is persistent, so
+// the pointer stays a valid snapshot of this moment forever; a caller
+// that remembers the ledger size alongside it can prove clues as of then
+// (SnapshotClueAt).
+func (t *Tree) Trie() *mpt.Trie {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.trie
+}
+
+// SnapshotClueAt is Snapshot for a caller that will prove one clue, as
+// of now or of an earlier moment: trie is the CM-Tree1 version Trie
+// returned when the ledger held exactly the journals below jsn before.
+// It pins that version and that clue's size then — the number of its
+// versions below before, a binary search since jsns ascend — so its cost
+// does not grow with the number of clues in the ledger (§IV: a clue
+// proof is unaffected by total ledger size). ProveClue on it knows no
+// other clue.
+func (t *Tree) SnapshotClueAt(clue string, trie *mpt.Trie, before uint64) *Snapshot {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	sizes := make(map[string]uint64, 1)
 	if st, ok := t.clues[clue]; ok {
-		sizes[clue] = st.acc.Size()
+		sizes[clue] = uint64(sort.Search(len(st.jsns), func(i int) bool { return st.jsns[i] >= before }))
 	}
-	return &Snapshot{trie: t.trie, sizes: sizes, tree: t}
+	return &Snapshot{trie: trie, sizes: sizes, tree: t}
 }
 
 // RootHash returns the snapshot's CM-Tree1 root.
@@ -144,15 +158,26 @@ func (t *Tree) Count(clue string) uint64 {
 // JSNs returns the journal sequence numbers recorded under a clue, in
 // version order. It is the retrieval index behind ListTx.
 func (t *Tree) JSNs(clue string) ([]uint64, error) {
+	return t.JSNRange(clue, 0, 0)
+}
+
+// JSNRange is JSNs for versions [begin, end) only (end 0 = through the
+// newest): a 64-version proof of a clue with thousands of versions copies
+// 64 jsns, not the lineage.
+func (t *Tree) JSNRange(clue string, begin, end uint64) ([]uint64, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	st, ok := t.clues[clue]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownClue, clue)
 	}
-	out := make([]uint64, len(st.jsns))
-	copy(out, st.jsns)
-	return out, nil
+	if end == 0 {
+		end = uint64(len(st.jsns))
+	}
+	if begin >= end || end > uint64(len(st.jsns)) {
+		return nil, fmt.Errorf("%w: range [%d,%d) of %d", ErrBadRange, begin, end, len(st.jsns))
+	}
+	return append([]uint64(nil), st.jsns[begin:end]...), nil
 }
 
 // Names returns all clue names in sorted order.

@@ -3,11 +3,13 @@ package cmtree
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 	"testing/quick"
 
 	"ledgerdb/internal/hashutil"
+	"ledgerdb/internal/mpt"
 	"ledgerdb/internal/wire"
 )
 
@@ -25,6 +27,11 @@ func seed(t *Tree, clues []string, count int) {
 			jsn++
 		}
 	}
+}
+
+// snapshotClueNow pins one clue at the tree's current version.
+func snapshotClueNow(t *Tree, clue string) *Snapshot {
+	return t.SnapshotClueAt(clue, t.Trie(), math.MaxUint64)
 }
 
 func lineage(clue string, n int) []hashutil.Digest {
@@ -341,7 +348,7 @@ func TestProveClueAllocsIgnoreClueCount(t *testing.T) {
 	measure := func(names int) (allocs, bytes float64) {
 		tr := clueProofTree(names)
 		prove := func() {
-			if _, err := tr.SnapshotClue("t").ProveClue("t", 0, 64); err != nil {
+			if _, err := snapshotClueNow(tr, "t").ProveClue("t", 0, 64); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -357,5 +364,88 @@ func TestProveClueAllocsIgnoreClueCount(t *testing.T) {
 	t.Logf("ProveClue: %.0f allocs/op, %.0f B/op at 1K clue names; %.0f allocs/op, %.0f B/op at 100K", a1k, b1k, a100k, b100k)
 	if a100k > a1k+12 || b100k > b1k+4096 {
 		t.Fatalf("ProveClue grows with the clue count: %.0f allocs/%.0f B at 1K names, %.0f allocs/%.0f B at 100K", a1k, b1k, a100k, b100k)
+	}
+}
+
+// TestJSNRange: the bounded copy agrees with slicing the full list, end
+// 0 means "through the newest", and bad bounds are ErrBadRange.
+func TestJSNRange(t *testing.T) {
+	tr := New()
+	seed(tr, []string{"a", "b"}, 9)
+	all, _ := tr.JSNs("b")
+	for _, r := range [][2]uint64{{0, 9}, {2, 5}, {8, 9}, {3, 0}, {0, 0}} {
+		got, err := tr.JSNRange("b", r[0], r[1])
+		if err != nil {
+			t.Fatalf("JSNRange%v: %v", r, err)
+		}
+		end := r[1]
+		if end == 0 {
+			end = 9
+		}
+		if fmt.Sprint(got) != fmt.Sprint(all[r[0]:end]) {
+			t.Fatalf("JSNRange%v = %v, want %v", r, got, all[r[0]:end])
+		}
+	}
+	for _, r := range [][2]uint64{{4, 4}, {5, 3}, {0, 10}, {9, 0}} {
+		if _, err := tr.JSNRange("b", r[0], r[1]); !errors.Is(err, ErrBadRange) {
+			t.Fatalf("JSNRange%v: %v, want ErrBadRange", r, err)
+		}
+	}
+	if _, err := tr.JSNRange("absent", 0, 0); !errors.Is(err, ErrUnknownClue) {
+		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestSnapshotClueAtMatchesThen: a remembered (CM-Tree1 version, ledger
+// size) pair keeps proving a clue exactly as a snapshot taken at that
+// moment, however many versions and clues arrive afterwards — the pinned
+// size is recovered from the jsn bound alone.
+func TestSnapshotClueAtMatchesThen(t *testing.T) {
+	tr := New()
+	clues := []string{"a", "b", "c"}
+	seed(tr, clues, 7)
+	jsn := uint64(7 * len(clues))
+	encode := func(p *ClueProof) []byte {
+		w := wire.NewWriter(512)
+		p.Encode(w)
+		return w.Bytes()
+	}
+	type given struct {
+		trie       *mpt.Trie // CM-Tree1 and ledger size at the moment
+		before     uint64
+		clue       string
+		begin, end uint64
+		enc        []byte
+	}
+	var proofs []given
+	for round := 0; round < 6; round++ {
+		trie := tr.Trie()
+		for _, c := range clues {
+			n := tr.Count(c)
+			for _, r := range [][2]uint64{{0, n}, {1, n - 2}, {n - 1, n}} {
+				p, err := snapshotClueNow(tr, c).ProveClue(c, r[0], r[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				proofs = append(proofs, given{trie, jsn, c, r[0], r[1], encode(p)})
+			}
+		}
+		// Uneven growth: "a" most rounds, "b" every round, a new clue each.
+		for _, c := range []string{"a", "b", fmt.Sprintf("new-%d", round)}[round%2:] {
+			tr.Insert(c, jsn, digOf(c, tr.Count(c)))
+			jsn++
+		}
+	}
+	for _, g := range proofs {
+		p, err := tr.SnapshotClueAt(g.clue, g.trie, g.before).ProveClue(g.clue, g.begin, g.end)
+		if err != nil {
+			t.Fatalf("%s [%d,%d) as of jsn %d: %v", g.clue, g.begin, g.end, g.before, err)
+		}
+		if string(encode(p)) != string(g.enc) {
+			t.Fatalf("%s [%d,%d) as of jsn %d: differs from the proof given then", g.clue, g.begin, g.end, g.before)
+		}
+		if err := VerifyClue(g.trie.RootHash(), p, lineage(g.clue, int(p.Size))[g.begin:g.end]); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

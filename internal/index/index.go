@@ -121,6 +121,12 @@ type Index struct {
 // (skipping rows the ledger has since purged), then tail the journal
 // stream to the current size. An empty or deleted store degrades to a
 // full rebuild — slower, never wrong.
+//
+// The log may also be AHEAD of the ledger: it flushes on its own
+// schedule, so after a power cut it can hold rows for jsns the journal
+// stream lost and will issue again to different requests. Rows at or
+// past the ledger's size are cut off the log here, before the watermark
+// can skip over them.
 func Open(led *ledger.Ledger, store streamfs.Store) (*Index, error) {
 	log, err := store.Stream(streamEntries)
 	if err != nil {
@@ -134,21 +140,26 @@ func Open(led *ledger.Ledger, store streamfs.Store) (*Index, error) {
 		byClue:   make(map[string][]uint64),
 		bySigner: make(map[sig.PublicKey][]uint64),
 	}
+	size, ahead := led.Size(), log.Len()
 	err = log.Iterate(log.Base(), func(seq uint64, record []byte) error {
 		e, err := decodeEntry(record)
 		if err != nil {
 			return fmt.Errorf("index: entries log seq %d: %w", seq, err)
 		}
-		if e.jsn >= ix.watermark {
-			ix.watermark = e.jsn + 1
+		if e.jsn >= size {
+			ahead = seq // rows ascend by jsn: the rest is ahead too
+			return errStopIterate
 		}
-		if e.jsn < ix.base {
-			return nil // purged while the index was closed
+		ix.watermark = e.jsn + 1
+		if e.jsn >= ix.base {
+			ix.applyLocked(e) // else purged while the index was closed
 		}
-		ix.applyLocked(e)
 		return nil
 	})
-	if err != nil {
+	if err != nil && !errors.Is(err, errStopIterate) {
+		return nil, err
+	}
+	if err := log.TruncateTail(ahead); err != nil {
 		return nil, err
 	}
 	if ix.watermark < ix.base {
@@ -199,10 +210,12 @@ func (ix *Index) Sync() error {
 // syncTail is the body of a sync pass. Caller holds the sync slot, so
 // watermark/base are stable and the entries log is ours alone; ix.mu is
 // taken only around the in-memory projection updates, never across the
-// journal reads or log appends.
+// journal reads or log appends. The appended rows are NOT fsynced: the
+// log is a replay accelerator whose loss costs a re-tail, so a query
+// never waits on the disk for it. It reaches the disk when the stream
+// flushes on its own (DiskOptions.SyncEvery, segment seals) and on Close.
 func (ix *Index) syncTail() error {
 	size := ix.led.Size()
-	appended := false
 	for jsn := ix.watermark; jsn < size; jsn++ {
 		rec, err := ix.led.GetJournal(jsn)
 		if errors.Is(err, ledger.ErrPurged) {
@@ -220,16 +233,10 @@ func (ix *Index) syncTail() error {
 		if _, err := ix.log.Append(w.Bytes()); err != nil {
 			return err
 		}
-		appended = true
 		ix.mu.Lock()
 		ix.applyLocked(e)
 		ix.watermark = jsn + 1
 		ix.mu.Unlock()
-	}
-	if appended {
-		if err := ix.log.Sync(); err != nil {
-			return err
-		}
 	}
 	if base := ix.led.Base(); base > ix.base {
 		if err := ix.pruneLog(base); err != nil {
@@ -420,7 +427,7 @@ func (ix *Index) queryOnce(q ledger.Query) (*ledger.QueryResult, error) {
 		}
 		return res, nil
 	}
-	batch, err := ix.led.ProveExistenceBatch(jsns, q.WithPayload)
+	batch, err := ix.led.ProveQueryBatch(jsns, q.WithPayload)
 	if err != nil {
 		return nil, err
 	}

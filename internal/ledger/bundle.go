@@ -61,16 +61,7 @@ func (l *Ledger) ExportBundle(jsn uint64, withPayload bool) (*ProofBundle, error
 		l.mu.RUnlock()
 		return nil, fmt.Errorf("%w: jsn %d", ErrPurged, jsn)
 	}
-	var st *SignedState
-	var err error
-	if l.cfg.ApplyOnly {
-		st, err = l.replicaAnyStateLocked()
-		if err == nil && jsn >= st.JSN {
-			err = fmt.Errorf("%w: jsn %d not covered by checkpoint at %d", ErrStaleCheckpoint, jsn, st.JSN)
-		}
-	} else {
-		st, err = l.stateLocked()
-	}
+	st, err := l.frontierStateLocked(jsn)
 	if err != nil {
 		l.mu.RUnlock()
 		return nil, err

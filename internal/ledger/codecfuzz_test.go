@@ -106,17 +106,6 @@ func buildProofCodecs(t *testing.T) ([]proofCodec, sig.PublicKey) {
 		t.Fatal("fixture bundle has no when-chain")
 	}
 
-	existenceClaims := func(v any) []byte {
-		p := v.(*ExistenceProof)
-		return claimBytes(recordClaims(t, p.RecordBytes), p.Payload, stateBytes(p.State))
-	}
-	batchClaims := func(b *ExistenceProofBatch) []byte {
-		parts := [][]byte{stateBytes(b.State)}
-		for i := range b.Items {
-			parts = append(parts, recordClaims(t, b.Items[i].RecordBytes), b.Items[i].Payload)
-		}
-		return claimBytes(parts...)
-	}
 	// Name/Prefix are the question echo, not a claim: the client binds
 	// them to the question it asked (decodeVerifiedAbsence), and any
 	// echo the proof still verifies under is itself a true absence
@@ -156,7 +145,7 @@ func buildProofCodecs(t *testing.T) ([]proofCodec, sig.PublicKey) {
 			claims: func(v any) []byte {
 				r := v.(*QueryResult)
 				if r.Batch != nil {
-					return batchClaims(r.Batch)
+					return batchClaims(t, r.Batch)
 				}
 				return absenceClaims(r.Absence)
 			},
@@ -164,46 +153,9 @@ func buildProofCodecs(t *testing.T) ([]proofCodec, sig.PublicKey) {
 	}
 
 	return []proofCodec{
-		{
-			name:     "existence",
-			enc:      ep.EncodeBytes(),
-			decode:   func(b []byte) (any, error) { return DecodeExistenceProof(b) },
-			reencode: func(v any) []byte { return v.(*ExistenceProof).EncodeBytes() },
-			verify: func(v any, ver Verifier) error {
-				_, err := ver.VerifyExistenceAnchored(v.(*ExistenceProof), nil)
-				return err
-			},
-			claims: existenceClaims,
-		},
-		{
-			name:     "existence-anchored",
-			enc:      ea.EncodeBytes(),
-			decode:   func(b []byte) (any, error) { return DecodeExistenceProof(b) },
-			reencode: func(v any) []byte { return v.(*ExistenceProof).EncodeBytes() },
-			verify: func(v any, ver Verifier) error {
-				_, err := ver.VerifyExistenceAnchored(v.(*ExistenceProof), anchor)
-				return err
-			},
-			claims: existenceClaims,
-		},
-		{
-			name:     "clue-bundle",
-			enc:      cb.EncodeBytes(),
-			decode:   func(b []byte) (any, error) { return DecodeClueProofBundle(b) },
-			reencode: func(v any) []byte { return v.(*ClueProofBundle).EncodeBytes() },
-			verify: func(v any, ver Verifier) error {
-				_, err := ver.VerifyClue(v.(*ClueProofBundle))
-				return err
-			},
-			claims: func(v any) []byte {
-				b := v.(*ClueProofBundle)
-				parts := [][]byte{[]byte(b.Clue), stateBytes(b.State)}
-				for _, raw := range b.Records {
-					parts = append(parts, recordClaims(t, raw))
-				}
-				return claimBytes(parts...)
-			},
-		},
+		existenceCodec(t, "existence", ep, nil),
+		existenceCodec(t, "existence-anchored", ea, anchor),
+		clueCodec(t, "clue-bundle", cb),
 		{
 			name:     "state",
 			enc:      sp.EncodeBytes(),
@@ -218,17 +170,7 @@ func buildProofCodecs(t *testing.T) ([]proofCodec, sig.PublicKey) {
 				return claimBytes(p.Key, p.Value, stateBytes(p.State))
 			},
 		},
-		{
-			name:     "existence-batch",
-			enc:      batch.EncodeBytes(),
-			decode:   func(b []byte) (any, error) { return DecodeExistenceProofBatch(b) },
-			reencode: func(v any) []byte { return v.(*ExistenceProofBatch).EncodeBytes() },
-			verify: func(v any, ver Verifier) error {
-				_, err := ver.VerifyExistenceBatch(v.(*ExistenceProofBatch))
-				return err
-			},
-			claims: func(v any) []byte { return batchClaims(v.(*ExistenceProofBatch)) },
-		},
+		batchCodec(t, "existence-batch", batch),
 		{
 			name:     "absence",
 			enc:      ap.EncodeBytes(),
@@ -258,6 +200,68 @@ func buildProofCodecs(t *testing.T) ([]proofCodec, sig.PublicKey) {
 			},
 		},
 	}, e.lsp.Public()
+}
+
+// existenceCodec, clueCodec and batchCodec wrap one captured proof of
+// their shape for the sweeps (a nil anchor = plain existence).
+func existenceCodec(t *testing.T, name string, p *ExistenceProof, a *fam.Anchor) proofCodec {
+	return proofCodec{
+		name:     name,
+		enc:      p.EncodeBytes(),
+		decode:   func(b []byte) (any, error) { return DecodeExistenceProof(b) },
+		reencode: func(v any) []byte { return v.(*ExistenceProof).EncodeBytes() },
+		verify: func(v any, ver Verifier) error {
+			_, err := ver.VerifyExistenceAnchored(v.(*ExistenceProof), a)
+			return err
+		},
+		claims: func(v any) []byte {
+			p := v.(*ExistenceProof)
+			return claimBytes(recordClaims(t, p.RecordBytes), p.Payload, stateBytes(p.State))
+		},
+	}
+}
+
+func clueCodec(t *testing.T, name string, b *ClueProofBundle) proofCodec {
+	return proofCodec{
+		name:     name,
+		enc:      b.EncodeBytes(),
+		decode:   func(b []byte) (any, error) { return DecodeClueProofBundle(b) },
+		reencode: func(v any) []byte { return v.(*ClueProofBundle).EncodeBytes() },
+		verify: func(v any, ver Verifier) error {
+			_, err := ver.VerifyClue(v.(*ClueProofBundle))
+			return err
+		},
+		claims: func(v any) []byte {
+			b := v.(*ClueProofBundle)
+			parts := [][]byte{[]byte(b.Clue), stateBytes(b.State)}
+			for _, raw := range b.Records {
+				parts = append(parts, recordClaims(t, raw))
+			}
+			return claimBytes(parts...)
+		},
+	}
+}
+
+func batchCodec(t *testing.T, name string, b *ExistenceProofBatch) proofCodec {
+	return proofCodec{
+		name:     name,
+		enc:      b.EncodeBytes(),
+		decode:   func(b []byte) (any, error) { return DecodeExistenceProofBatch(b) },
+		reencode: func(v any) []byte { return v.(*ExistenceProofBatch).EncodeBytes() },
+		verify: func(v any, ver Verifier) error {
+			_, err := ver.VerifyExistenceBatch(v.(*ExistenceProofBatch))
+			return err
+		},
+		claims: func(v any) []byte { return batchClaims(t, v.(*ExistenceProofBatch)) },
+	}
+}
+
+func batchClaims(t *testing.T, b *ExistenceProofBatch) []byte {
+	parts := [][]byte{stateBytes(b.State)}
+	for i := range b.Items {
+		parts = append(parts, recordClaims(t, b.Items[i].RecordBytes), b.Items[i].Payload)
+	}
+	return claimBytes(parts...)
 }
 
 // recordClaims reduces a transported record to its authenticated
@@ -349,23 +353,26 @@ func (c *proofCodec) forEachByteFlip(mask byte, fn func(i int, v any)) {
 func TestProofCodecCorruption(t *testing.T) {
 	codecs, lsp := buildProofCodecs(t)
 	for _, c := range codecs {
-		t.Run(c.name, func(t *testing.T) {
-			orig, err := c.decode(c.enc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.forEachByteFlip(0xFF, func(i int, v any) {
-				if err := c.verify(v, Verifier{LSP: lsp}); err == nil {
-					// Surviving both is only acceptable when the
-					// corruption left every authenticated claim intact
-					// (it hit re-derived path metadata).
-					if !bytes.Equal(c.claims(v), c.claims(orig)) {
-						t.Fatalf("byte %d: corrupted proof decoded AND verified with altered claims", i)
-					}
-				}
-			})
-		})
+		t.Run(c.name, func(t *testing.T) { c.checkCorruption(t, lsp) })
 	}
+}
+
+func (c *proofCodec) checkCorruption(t *testing.T, lsp sig.PublicKey) {
+	t.Helper()
+	orig, err := c.decode(c.enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.forEachByteFlip(0xFF, func(i int, v any) {
+		if err := c.verify(v, Verifier{LSP: lsp}); err == nil {
+			// Surviving both is only acceptable when the
+			// corruption left every authenticated claim intact
+			// (it hit re-derived path metadata).
+			if !bytes.Equal(c.claims(v), c.claims(orig)) {
+				t.Fatalf("%s byte %d: corrupted proof decoded AND verified with altered claims", c.name, i)
+			}
+		}
+	})
 }
 
 // TestProofCodecTrailingGarbage: appended bytes must be rejected (the

@@ -221,7 +221,7 @@ func (l *Ledger) completePurgeLocked(desc *PurgeDescriptor) error {
 	if desc.EraseFamNodes {
 		l.fam.PruneBelow(desc.Point)
 	}
-	l.stateGen++ // the truncated prefix changes what proofs may reflect
+	l.invalidateProofsLocked() // the truncated prefix changes what proofs may reflect
 	return nil
 }
 

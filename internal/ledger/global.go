@@ -69,17 +69,11 @@ func (l *Ledger) ProveExistenceAt(jsn, size uint64, withPayload bool) (*RecordPr
 	}
 	occ := l.occulted[jsn]
 	l.mu.RUnlock()
-	raw, err := l.readJournalBytes(jsn)
+	raw, payload, err := l.recordBytes(jsn, withPayload && !occ)
 	if err != nil {
 		return nil, err
 	}
-	p := &RecordProof{RecordBytes: raw, Fam: fp}
-	if withPayload && !occ {
-		if p.Payload, err = l.proofPayload(raw); err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
+	return &RecordProof{RecordBytes: raw, Payload: payload, Fam: fp}, nil
 }
 
 // RecordProof is the stateless core of an existence proof: record bytes

@@ -91,12 +91,6 @@ type Config struct {
 	// staged commit pipeline (pipeline.go) with that many units of
 	// committer-queue backpressure; Close must be called to drain it.
 	PipelineDepth int
-	// DisableStateCache forces every proof and State call to sign a
-	// fresh SignedState (the historical per-call behaviour). The default
-	// caches one signature per commit generation so concurrent reads
-	// amortize signing; this switch exists for benchmarks comparing the
-	// two and as an escape hatch.
-	DisableStateCache bool
 	// VerifyBatch enables admission-stage batch verification of client
 	// signatures in pipelined mode: up to VerifyBatch pending admissions
 	// are collected per window and their π_c/co-signer checks fanned out
@@ -218,8 +212,9 @@ type Ledger struct {
 
 	// stateGen counts commit generations: it is bumped under mu by every
 	// mutation that could change what a SignedState or proof reflects
-	// (record apply, block cut, purge, occult, reorganize). stateSigs
-	// caches one signed state per generation (statecache.go).
+	// (record apply, block cut, purge, occult, reorganize); health
+	// endpoints expose it. stateSigs holds the newest signed state, which
+	// proofs reuse while it covers them (statecache.go).
 	stateGen  uint64
 	stateSigs stateCache
 
@@ -241,10 +236,10 @@ func Open(cfg Config) (*Ledger, error) {
 		return nil, err
 	}
 	l := &Ledger{
-		cfg:       cfg,
-		fam:       fam.MustNew(cfg.FractalHeight),
-		clues:     cmtree.New(),
-		state:     mpt.New(),
+		cfg:         cfg,
+		fam:         fam.MustNew(cfg.FractalHeight),
+		clues:       cmtree.New(),
+		state:       mpt.New(),
 		occulted:    make(map[uint64]bool),
 		payloadRefs: make(map[hashutil.Digest]int),
 		stateIndex:  make(map[string]stateIndexEntry),
@@ -608,48 +603,91 @@ func (l *Ledger) State() (*SignedState, error) {
 	return l.stateLocked()
 }
 
-// stateLocked returns the LSP-signed state for the current commit
-// generation. Callers hold l.mu (read or write). Unless the cache is
-// disabled, one signature is produced per generation and shared by
-// every concurrent reader; a hit costs two mutex operations and no
-// crypto, no clock read.
+// stateLocked returns the signed state AT the frontier: the held one
+// when nothing was committed since it was signed (two mutex operations,
+// no crypto, no clock read), else a fresh signature. Callers hold l.mu
+// (read or write). On a follower it is the primary's checkpoint, and
+// only while the applied prefix matches it exactly.
 func (l *Ledger) stateLocked() (*SignedState, error) {
+	st, _, err := l.provingStateLocked(l.nextJSN - 1)
+	return st, err
+}
+
+// provingStateLocked is the one proving rule primary and follower share:
+// a proof is built at the newest already-signed state that covers it —
+// one whose prefix includes jsn last, the highest the proof names. fam
+// folds any covered record to that state's root (ProveAt), and the
+// returned trie is CM-Tree1 as of it, so nothing needs signing. The
+// primary reuses its last signed state while that trails the frontier by
+// less than one block, and signs the frontier when nothing covers the
+// request. A follower cannot sign: it offers the primary's newest
+// checkpoint, however far the applied prefix has run past it — what
+// keeps a partitioned follower serving the checkpointed prefix — and
+// honestly refuses the uncovered tail (ErrStaleCheckpoint, 503 at the
+// server). It holds no historical trie, so clues is nil there unless
+// the checkpoint sits exactly at the applied frontier. Callers hold
+// l.mu (read or write).
+func (l *Ledger) provingStateLocked(last uint64) (st *SignedState, clues *mpt.Trie, err error) {
 	if l.cfg.ApplyOnly {
-		// A follower cannot sign: it serves the primary's checkpoint, and
-		// only when the applied prefix matches it exactly — otherwise the
-		// local accumulator roots would not be the ones the primary
-		// signed, and every proof built against them would fail at the
-		// client (replicate.go).
-		return l.replicaExactStateLocked()
-	}
-	gen := l.stateGen
-	if !l.cfg.DisableStateCache {
-		if st := l.stateSigs.get(gen); st != nil {
-			return st, nil
+		st = l.replica.current
+		if st == nil || l.replica.seeding || last >= st.JSN {
+			return nil, nil, fmt.Errorf("%w: applied %d, no checkpoint past jsn %d", ErrStaleCheckpoint, l.nextJSN, last)
 		}
+		if st.JSN == l.nextJSN {
+			clues = l.clues.Trie()
+		}
+		return st, clues, nil
+	}
+	if st, clues = l.stateSigs.covering(last, l.nextJSN, uint64(l.cfg.BlockSize)); st != nil {
+		return st, clues, nil
 	}
 	jroot, err := l.fam.Root()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	cset := l.clueSet.get(l.clues, l.base)
+	clues = l.clues.Trie()
 	skel := SignedState{
 		URI:         l.cfg.URI,
 		JSN:         l.nextJSN,
 		JournalRoot: jroot,
-		ClueRoot:    l.clues.RootHash(),
+		ClueRoot:    clues.RootHash(),
 		StateRoot:   l.state.RootHash(),
 		ClueCount:   cset.Count(),
 		ClueSetRoot: cset.Root(),
 		Timestamp:   l.cfg.Clock(),
 	}
-	if l.cfg.DisableStateCache {
-		if err := skel.sign(l.cfg.LSP); err != nil {
-			return nil, err
-		}
-		return &skel, nil
+	st, err = l.stateSigs.signAndStore(skel, clues, l.cfg.LSP)
+	return st, clues, err
+}
+
+// invalidateProofsLocked marks a mutation that changes what a proof may
+// say WITHOUT moving the frontier (purge completion, occult, reorganize):
+// a new generation, and the held signed state — which still covers
+// everything — must answer for nothing. Callers hold l.mu (write).
+func (l *Ledger) invalidateProofsLocked() {
+	l.stateGen++
+	l.stateSigs.drop()
+}
+
+// frontierStateLocked is the state for replies that describe the ledger
+// as it stands (queries, offline bundles): the frontier on a primary; on
+// a follower, which cannot move its checkpoint, the same covering rule
+// as every other proof.
+func (l *Ledger) frontierStateLocked(last uint64) (*SignedState, error) {
+	if !l.cfg.ApplyOnly {
+		last = l.nextJSN - 1
 	}
-	return l.stateSigs.signAndStore(gen, skel, l.cfg.LSP)
+	st, _, err := l.provingStateLocked(last)
+	return st, err
+}
+
+// StateSigStats reports how many states the LSP has signed and how many
+// proofs and state reads were served under an already-signed one.
+func (l *Ledger) StateSigStats() (signed, reused uint64) {
+	l.stateSigs.mu.Lock()
+	defer l.stateSigs.mu.Unlock()
+	return l.stateSigs.signed, l.stateSigs.reused
 }
 
 // GetJournal returns the committed record at jsn. Occulted journals come

@@ -346,7 +346,7 @@ func (l *Ledger) Occult(desc *OccultDescriptor, ms *sig.MultiSig) (*journal.Rece
 		return nil, err
 	}
 	l.occulted[desc.JSN] = true
-	l.stateGen++ // the occult bitmap changes what served records carry
+	l.invalidateProofsLocked() // the occult bitmap changes what served records carry
 	if desc.Async {
 		l.eraseQueue = append(l.eraseQueue, desc.JSN)
 	} else if err := l.erasePayloadLocked(desc.JSN); err != nil {
@@ -475,7 +475,7 @@ func (l *Ledger) OccultClue(clue string, ms *sig.MultiSig) ([]uint64, error) {
 		l.occulted[jsn] = true
 		l.eraseQueue = append(l.eraseQueue, jsn)
 	}
-	l.stateGen++
+	l.invalidateProofsLocked()
 	return hidden, nil
 }
 
@@ -556,7 +556,7 @@ func (l *Ledger) Reorganize() (int, error) {
 	}
 	n := len(l.eraseQueue)
 	l.eraseQueue = l.eraseQueue[:0]
-	l.stateGen++
+	l.invalidateProofsLocked()
 	return n, nil
 }
 

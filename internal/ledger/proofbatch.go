@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"fmt"
+	"slices"
 
 	"ledgerdb/internal/hashutil"
 	"ledgerdb/internal/journal"
@@ -41,11 +42,23 @@ type ExistenceProofBatch struct {
 }
 
 // ProveExistenceBatch builds existence proofs for every jsn in one
-// read-lock section, so the fam proof and the shared signed state
-// describe the same commit generation. Like ProveExistence, the lock
-// covers only in-memory snapshotting; journal-stream and blob reads run
-// after it is dropped.
+// read-lock section, at the newest signed state that covers them all
+// (provingStateLocked). Like ProveExistence, the lock covers only
+// in-memory snapshotting; journal-stream and blob reads run after it is
+// dropped.
 func (l *Ledger) ProveExistenceBatch(jsns []uint64, withPayload bool) (*ExistenceProofBatch, error) {
+	return l.proveExistenceBatch(jsns, withPayload, false)
+}
+
+// ProveQueryBatch is ProveExistenceBatch for the sidecar index: a query
+// reply anchors to the ledger the index just caught up with — the
+// frontier state (frontierStateLocked) — not to an earlier one that
+// happens to cover the matches.
+func (l *Ledger) ProveQueryBatch(jsns []uint64, withPayload bool) (*ExistenceProofBatch, error) {
+	return l.proveExistenceBatch(jsns, withPayload, true)
+}
+
+func (l *Ledger) proveExistenceBatch(jsns []uint64, withPayload, frontier bool) (*ExistenceProofBatch, error) {
 	if len(jsns) == 0 {
 		return nil, fmt.Errorf("%w: empty proof batch", journal.ErrBadRequest)
 	}
@@ -53,27 +66,11 @@ func (l *Ledger) ProveExistenceBatch(jsns []uint64, withPayload bool) (*Existenc
 		return nil, fmt.Errorf("%w: proof batch of %d exceeds %d", journal.ErrBadRequest, len(jsns), MaxProofBatch)
 	}
 	l.mu.RLock()
-	// Followers prove against the newest primary-signed checkpoint (the
-	// same historical-proof path as proveExistence); primaries prove
-	// against the live frontier and sign it.
-	var st *SignedState
-	var stErr error
-	size := l.nextJSN
-	if l.cfg.ApplyOnly {
-		if st, stErr = l.replicaAnyStateLocked(); stErr != nil {
-			l.mu.RUnlock()
-			return nil, stErr
-		}
-		size = st.JSN
-	}
 	occ := make([]bool, len(jsns))
 	for i, jsn := range jsns {
-		if jsn >= size {
+		if jsn >= l.nextJSN {
 			l.mu.RUnlock()
-			if jsn < l.nextJSN {
-				return nil, fmt.Errorf("%w: jsn %d not covered by checkpoint at %d", ErrStaleCheckpoint, jsn, size)
-			}
-			return nil, fmt.Errorf("%w: jsn %d of %d", ErrNotFound, jsn, size)
+			return nil, fmt.Errorf("%w: jsn %d of %d", ErrNotFound, jsn, l.nextJSN)
 		}
 		if jsn < l.base {
 			l.mu.RUnlock()
@@ -81,29 +78,25 @@ func (l *Ledger) ProveExistenceBatch(jsns []uint64, withPayload bool) (*Existenc
 		}
 		occ[i] = l.occulted[jsn]
 	}
-	fp, err := l.fam.ProveBatchAt(jsns, size)
-	if err != nil {
-		l.mu.RUnlock()
-		return nil, err
+	var st *SignedState
+	var err error
+	if last := slices.Max(jsns); frontier {
+		st, err = l.frontierStateLocked(last)
+	} else {
+		st, _, err = l.provingStateLocked(last)
 	}
-	if st == nil {
-		st, stErr = l.stateLocked()
+	var fp *fam.BatchProof
+	if err == nil {
+		fp, err = l.fam.ProveBatchAt(jsns, st.JSN)
 	}
 	l.mu.RUnlock()
-	if stErr != nil {
-		return nil, stErr
+	if err != nil {
+		return nil, err
 	}
 	b := &ExistenceProofBatch{Items: make([]ExistenceItem, len(jsns)), Fam: fp, State: st}
 	for i, jsn := range jsns {
-		raw, err := l.readJournalBytes(jsn)
-		if err != nil {
+		if b.Items[i].RecordBytes, b.Items[i].Payload, err = l.recordBytes(jsn, withPayload && !occ[i]); err != nil {
 			return nil, err
-		}
-		b.Items[i] = ExistenceItem{RecordBytes: raw}
-		if withPayload && !occ[i] {
-			if b.Items[i].Payload, err = l.proofPayload(raw); err != nil {
-				return nil, err
-			}
 		}
 	}
 	return b, nil

@@ -7,13 +7,12 @@ import (
 )
 
 // benchProofLedger builds a ledger with enough journals that proof
-// requests exercise real fam paths, with the state cache on or off.
-func benchProofLedger(b *testing.B, disableCache bool) *testEnv {
+// requests exercise real fam paths.
+func benchProofLedger(b *testing.B) *testEnv {
 	b.Helper()
 	e := newEnv(b, func(c *Config) {
 		c.FractalHeight = 6
 		c.BlockSize = 64
-		c.DisableStateCache = disableCache
 	})
 	for i := 0; i < 256; i++ {
 		e.append(b, fmt.Sprintf("bench-doc-%04d", i))
@@ -21,36 +20,26 @@ func benchProofLedger(b *testing.B, disableCache bool) *testEnv {
 	return e
 }
 
-// BenchmarkProveExistence sweeps prover-side concurrency, cached vs
-// per-call state signing. With the cache, concurrent provers under one
-// commit generation share a single ECDSA signature and the RLock
-// section contains no signing at all, so throughput scales with
-// readers; without it every proof pays a fresh sign.
+// BenchmarkProveExistence sweeps prover-side concurrency: concurrent
+// provers share the one held signed state and the RLock section contains
+// no signing at all, so throughput scales with readers.
 func BenchmarkProveExistence(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{
-		{"cached", false},
-		{"nocache", true},
-	} {
-		e := benchProofLedger(b, mode.disable)
-		size := e.ledger.Size()
-		for _, par := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/goroutines=%d", mode.name, par), func(b *testing.B) {
-				var next atomic.Uint64
-				b.SetParallelism(par)
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					for pb.Next() {
-						jsn := next.Add(1) % size
-						if _, err := e.ledger.ProveExistence(jsn, false); err != nil {
-							b.Fatal(err)
-						}
+	e := benchProofLedger(b)
+	size := e.ledger.Size()
+	for _, par := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("goroutines=%d", par), func(b *testing.B) {
+			var next atomic.Uint64
+			b.SetParallelism(par)
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					jsn := next.Add(1) % size
+					if _, err := e.ledger.ProveExistence(jsn, false); err != nil {
+						b.Fatal(err)
 					}
-				})
+				}
 			})
-		}
+		})
 	}
 }
 
@@ -60,7 +49,7 @@ func BenchmarkProveExistence(b *testing.B) {
 // verifier, which checks the shared state signature once instead of 64
 // times, and the wire, which carries one SignedState.
 func BenchmarkExistenceBatch(b *testing.B) {
-	e := benchProofLedger(b, false)
+	e := benchProofLedger(b)
 	lsp := e.lsp.Public()
 	jsns := make([]uint64, 64)
 	for i := range jsns {

@@ -70,28 +70,6 @@ func (l *Ledger) writable() error {
 	return nil
 }
 
-// replicaExactStateLocked returns the checkpoint proofs may anchor to
-// unanchored: it must cover the applied prefix exactly, or the local
-// fam would fold to a root the primary never signed.
-func (l *Ledger) replicaExactStateLocked() (*SignedState, error) {
-	st := l.replica.current
-	if st == nil || st.JSN != l.nextJSN || l.replica.seeding {
-		return nil, fmt.Errorf("%w: applied %d", ErrStaleCheckpoint, l.nextJSN)
-	}
-	return st, nil
-}
-
-// replicaAnyStateLocked returns the newest verified checkpoint
-// regardless of how far the applied prefix has run past it. Historical
-// proofs (fam.ProveAt against the checkpoint size) remain valid under
-// it — this is what keeps a partitioned follower serving.
-func (l *Ledger) replicaAnyStateLocked() (*SignedState, error) {
-	if st := l.replica.current; st != nil && !l.replica.seeding {
-		return st, nil
-	}
-	return nil, fmt.Errorf("%w: applied %d", ErrStaleCheckpoint, l.nextJSN)
-}
-
 // promoteReplicaStateLocked moves pending to current once the applied
 // prefix covers it, cross-checking the primary-signed roots against the
 // locally derived accumulators. The fam check runs on every promotion;

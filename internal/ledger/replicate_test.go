@@ -1,6 +1,7 @@
 package ledger
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -276,6 +277,72 @@ func TestReplicaPartitionedReads(t *testing.T) {
 	pump(t, e.ledger, f)
 	if _, err := f.ProveExistence(ckpt.JSN+1, false); err != nil {
 		t.Fatalf("after heal: %v", err)
+	}
+}
+
+// TestFollowerAndPrimaryProveAlike: the two run one proving rule over
+// two sources of signed state. Given the same checkpoint — the primary
+// holds it as its last signed state, the follower as its newest verified
+// one — and a frontier that has moved past it, both fold a covered
+// record through fam.ProveAt to that checkpoint and answer with
+// byte-identical proofs, single and batched.
+func TestFollowerAndPrimaryProveAlike(t *testing.T) {
+	e := newEnv(t, func(c *Config) { c.BlockSize = 16 })
+	for i := 0; i < 20; i++ {
+		e.append(t, fmt.Sprintf("doc-%d", i), "K")
+	}
+	f := newFollower(t, e)
+	pump(t, e.ledger, f) // ends on SetReplicaState(primary.State())
+	ckpt, _ := f.State()
+	for i := 0; i < 5; i++ {
+		e.append(t, fmt.Sprintf("past-checkpoint-%d", i))
+	}
+	_, fjLen, _ := f.StreamFrontier(StreamJournals)
+	recs, _, _, err := e.ledger.ReadStreamRange(StreamJournals, fjLen, 64, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := f.ApplyReplicatedJournals(fjLen, recs, false); err != nil {
+		t.Fatal(err)
+	}
+	for _, jsn := range []uint64{1, 7, 9, ckpt.JSN - 1} {
+		pp, err := e.ledger.ProveExistence(jsn, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp, err := f.ProveExistence(jsn, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pp.State.JSN != ckpt.JSN || fp.State.JSN != ckpt.JSN {
+			t.Fatalf("jsn %d proven at %d (primary) and %d (follower), checkpoint is %d", jsn, pp.State.JSN, fp.State.JSN, ckpt.JSN)
+		}
+		pp.Payload = nil // followers hold no payloads
+		if !bytes.Equal(pp.EncodeBytes(), fp.EncodeBytes()) {
+			t.Fatalf("jsn %d: primary and follower proofs differ under one checkpoint", jsn)
+		}
+	}
+	pb, err := e.ledger.ProveExistenceBatch([]uint64{12, 3, 8}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb, err := f.ProveExistenceBatch([]uint64{12, 3, 8}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(pb.EncodeBytes(), fb.EncodeBytes()) {
+		t.Fatal("primary and follower batch proofs differ under one checkpoint")
+	}
+	// Where the rule's two sources part: past the checkpoint the primary
+	// signs, the follower says it is stale.
+	if p, err := e.ledger.ProveExistence(ckpt.JSN+1, false); err != nil || p.State.JSN != e.ledger.Size() {
+		t.Fatalf("primary past its held state: %v", err)
+	}
+	if _, err := f.ProveExistence(ckpt.JSN+1, false); !errors.Is(err, ErrStaleCheckpoint) {
+		t.Fatalf("follower past its checkpoint: %v, want ErrStaleCheckpoint", err)
+	}
+	if _, err := f.ProveClue("K", 0, 4); !errors.Is(err, ErrStaleCheckpoint) {
+		t.Fatalf("follower clue proof off the frontier: %v, want ErrStaleCheckpoint", err)
 	}
 }
 

@@ -4,33 +4,63 @@ import (
 	"sync"
 
 	"ledgerdb/internal/cmtree"
+	"ledgerdb/internal/mpt"
 	"ledgerdb/internal/sig"
 )
 
-// stateCache amortizes SignedState signatures across concurrent proof
-// requests. The engine bumps a commit generation counter on every
-// mutation applied under the write lock (append, block cut, purge,
-// occult, time anchor); a cached state signed at generation g stays
-// valid for every read at generation g, so a burst of proof requests
-// between two commits shares ONE signature instead of paying one sign
-// per call. The cache has its own mutex (acquired after l.mu in lock
-// order, never the reverse), which doubles as a single-flight gate:
-// concurrent misses at the same generation serialize on it, the first
-// signs, the rest return the freshly cached state.
+// stateCache holds the newest SignedState the LSP has signed, next to
+// CM-Tree1 as it stood at that state. It is what lets a read skip the
+// signature: fam proves any record below st.JSN against st's root
+// (ProveAt), and the remembered trie proves clue versions below it, so a
+// proof is built at st whenever st covers the request (provingStateLocked)
+// and a burst of reads between — or shortly after — commits shares ONE
+// signature. Purge, occult and reorganize change what a proof may say
+// without moving the frontier, so they drop the state. The cache has its
+// own mutex (acquired after l.mu in lock order, never the reverse),
+// which doubles as a single-flight gate: concurrent misses serialize on
+// it, the first signs, the rest take the freshly stored state.
 type stateCache struct {
-	mu  sync.Mutex
-	gen uint64       // generation st was signed at
-	st  *SignedState // nil until the first sign
+	mu             sync.Mutex
+	st             *SignedState // nil until the first sign and after a drop
+	clues          *mpt.Trie    // CM-Tree1 as of st
+	signed, reused uint64
 }
 
-// get returns the cached state when it was signed at exactly gen.
-func (c *stateCache) get(gen uint64) *SignedState {
+// covering returns the held state when it covers jsn last and trails
+// frontier (the ledger size) by less than bound journals.
+func (c *stateCache) covering(last, frontier, bound uint64) (*SignedState, *mpt.Trie) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.st != nil && c.gen == gen {
-		return c.st
+	if c.st == nil || last >= c.st.JSN || frontier-c.st.JSN >= bound {
+		return nil, nil
 	}
-	return nil
+	c.reused++
+	return c.st, c.clues
+}
+
+// drop forgets the held state. Called under l.mu (write).
+func (c *stateCache) drop() {
+	c.mu.Lock()
+	c.st, c.clues = nil, nil
+	c.mu.Unlock()
+}
+
+// signAndStore signs skel — a frontier state, clues its CM-Tree1 —
+// unless a racing caller already stored a state at that frontier. skel
+// is taken by value: the held state is immutable once published.
+func (c *stateCache) signAndStore(skel SignedState, clues *mpt.Trie, lsp *sig.KeyPair) (*SignedState, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.st != nil && c.st.JSN == skel.JSN {
+		c.reused++
+		return c.st, nil
+	}
+	if err := skel.sign(lsp); err != nil {
+		return nil, err
+	}
+	c.signed++
+	c.st, c.clues = &skel, clues
+	return c.st, nil
 }
 
 // clueSetCache memoizes the sorted clue-set (absence) commitment. Key
@@ -74,23 +104,4 @@ func (c *clueSetCache) get(t *cmtree.Tree, base uint64) *cmtree.AbsenceTree {
 	tree := cmtree.BuildAbsenceTree(t.LiveNames(base))
 	c.version, c.base, c.tree = version, base, tree
 	return tree
-}
-
-// signAndStore signs skel for generation gen, unless a racing caller
-// already cached that generation, and retains the newest generation
-// seen. skel is taken by value: the cached state is immutable from the
-// moment it is published.
-func (c *stateCache) signAndStore(gen uint64, skel SignedState, lsp *sig.KeyPair) (*SignedState, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.st != nil && c.gen == gen {
-		return c.st, nil
-	}
-	if err := skel.sign(lsp); err != nil {
-		return nil, err
-	}
-	if c.st == nil || gen >= c.gen {
-		c.gen, c.st = gen, &skel
-	}
-	return &skel, nil
 }

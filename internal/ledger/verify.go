@@ -45,11 +45,12 @@ type ExistenceProof struct {
 	State       *SignedState
 }
 
-// ProveExistence builds an existence proof for jsn against the live
-// state. withPayload controls whether the raw payload ships along.
+// ProveExistence builds an existence proof for jsn at the newest signed
+// state that covers it (provingStateLocked). withPayload controls
+// whether the raw payload ships along.
 //
 // The ledger lock covers only the in-memory snapshot: bounds, the fam
-// path (copied out by Prove), the occult bit, and the signed state.
+// path (copied out by ProveAt), the occult bit, and the signed state.
 // The journal-stream and blob reads happen after the lock is dropped —
 // committed records and content-addressed payloads are immutable, and
 // both stores carry their own locks.
@@ -59,9 +60,9 @@ func (l *Ledger) ProveExistence(jsn uint64, withPayload bool) (*ExistenceProof, 
 
 // ProveExistenceAnchored is ProveExistence using a verifier-held fam-aoa
 // trusted anchor, producing the short proof of Figure 4(a). The anchored
-// fam path and the signed state are taken under one read-lock section,
-// so the hop chain ends at exactly the signed JournalRoot even while
-// concurrent appends land.
+// fam path ends at the live root, so it is paired with the frontier
+// state, both taken under one read-lock section: the hop chain ends at
+// exactly the signed JournalRoot even while concurrent appends land.
 func (l *Ledger) ProveExistenceAnchored(jsn uint64, a *fam.Anchor, withPayload bool) (*ExistenceProof, error) {
 	return l.proveExistence(jsn, a, withPayload)
 }
@@ -79,47 +80,33 @@ func (l *Ledger) proveExistence(jsn uint64, a *fam.Anchor, withPayload bool) (*E
 	var fp *fam.Proof
 	var st *SignedState
 	var err error
-	if l.cfg.ApplyOnly && a == nil {
-		// Follower path: prove against the newest primary-signed
-		// checkpoint, not the live frontier — the follower cannot sign a
-		// frontier state, but fam's historical proofs (ProveAt) fold any
-		// covered record to exactly the root the primary signed. This is
-		// what keeps a partitioned follower serving verifiable proofs
-		// for the entire checkpointed prefix while honestly refusing the
-		// uncovered tail (ErrStaleCheckpoint → 503 at the server).
-		st, err = l.replicaAnyStateLocked()
-		if err == nil && jsn >= st.JSN {
-			err = fmt.Errorf("%w: jsn %d not covered by checkpoint at %d", ErrStaleCheckpoint, jsn, st.JSN)
-		}
-		if err == nil {
-			fp, err = l.fam.ProveAt(jsn, st.JSN)
-		}
-	} else {
-		if a != nil {
-			fp, err = l.fam.ProveAnchored(jsn, a)
-		} else {
-			fp, err = l.fam.Prove(jsn)
-		}
-		if err == nil {
+	if a != nil {
+		if fp, err = l.fam.ProveAnchored(jsn, a); err == nil {
 			st, err = l.stateLocked()
 		}
+	} else if st, _, err = l.provingStateLocked(jsn); err == nil {
+		fp, err = l.fam.ProveAt(jsn, st.JSN)
 	}
 	occ := l.occulted[jsn]
 	l.mu.RUnlock()
 	if err != nil {
 		return nil, err
 	}
-	raw, err := l.readJournalBytes(jsn)
+	raw, payload, err := l.recordBytes(jsn, withPayload && !occ)
 	if err != nil {
 		return nil, err
 	}
-	p := &ExistenceProof{RecordBytes: raw, Fam: fp, State: st}
-	if withPayload && !occ {
-		if p.Payload, err = l.proofPayload(raw); err != nil {
-			return nil, err
-		}
+	return &ExistenceProof{RecordBytes: raw, Payload: payload, Fam: fp, State: st}, nil
+}
+
+// recordBytes completes a proof whose in-memory half was taken under
+// the ledger lock: the immutable journal-stream and (when asked for)
+// blob reads, run after the lock is dropped.
+func (l *Ledger) recordBytes(jsn uint64, withPayload bool) (raw, payload []byte, err error) {
+	if raw, err = l.readJournalBytes(jsn); err == nil && withPayload {
+		payload, err = l.proofPayload(raw)
 	}
-	return p, nil
+	return raw, payload, err
 }
 
 // proofPayload fetches the payload a proof ships beside the record bytes
@@ -207,42 +194,41 @@ type ClueProofBundle struct {
 }
 
 // ProveClue builds the bundle for versions [begin, end) of a clue
-// (steps 1–5 of the client-side algorithm, executed at the server).
-// Pass end = 0 for "the entire clue so far".
-// The read lock covers the clue's jsn list, the CM-Tree snapshot, and
-// the signed state; the proof walk over the snapshot (a copy) and the
+// (steps 1–5 of the client-side algorithm, executed at the server), at
+// the newest signed state that already holds version end-1. Pass end = 0
+// for "the entire clue so far".
+// The read lock covers the range's jsns, the CM-Tree snapshot as of the
+// signed state, and that state; the proof walk over the snapshot and the
 // journal-stream reads run after the lock is dropped.
 func (l *Ledger) ProveClue(clue string, begin, end uint64) (*ClueProofBundle, error) {
 	l.mu.RLock()
-	jsns, err := l.clues.JSNs(clue)
+	jsns, err := l.clues.JSNRange(clue, begin, end)
+	if errors.Is(err, cmtree.ErrUnknownClue) {
+		err = fmt.Errorf("%w: clue %q", ErrNotFound, clue)
+	}
 	if err != nil {
 		l.mu.RUnlock()
-		return nil, fmt.Errorf("%w: clue %q", ErrNotFound, clue)
+		return nil, err
 	}
-	if end == 0 {
-		end = uint64(len(jsns))
+	st, trie, err := l.provingStateLocked(jsns[len(jsns)-1])
+	if err == nil && trie == nil {
+		err = fmt.Errorf("%w: clue proofs need the checkpoint at the applied frontier %d", ErrStaleCheckpoint, l.nextJSN)
 	}
-	if begin >= end || end > uint64(len(jsns)) {
+	if err != nil {
 		l.mu.RUnlock()
-		return nil, fmt.Errorf("%w: range [%d,%d) of %d", cmtree.ErrBadRange, begin, end, len(jsns))
+		return nil, err
 	}
-	snap := l.clues.SnapshotClue(clue)
-	st, stErr := l.stateLocked()
+	snap := l.clues.SnapshotClueAt(clue, trie, st.JSN)
 	l.mu.RUnlock()
-	if stErr != nil {
-		return nil, stErr
-	}
-	cp, err := snap.ProveClue(clue, begin, end)
+	cp, err := snap.ProveClue(clue, begin, begin+uint64(len(jsns)))
 	if err != nil {
 		return nil, err
 	}
-	b := &ClueProofBundle{Clue: clue, CM: cp, State: st}
-	for _, jsn := range jsns[begin:end] {
-		raw, err := l.readJournalBytes(jsn)
-		if err != nil {
+	b := &ClueProofBundle{Clue: clue, CM: cp, State: st, Records: make([][]byte, len(jsns))}
+	for i, jsn := range jsns {
+		if b.Records[i], err = l.readJournalBytes(jsn); err != nil {
 			return nil, fmt.Errorf("ledger: clue %q journal %d: %w", clue, jsn, err)
 		}
-		b.Records = append(b.Records, raw)
 	}
 	return b, nil
 }

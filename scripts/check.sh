@@ -14,7 +14,7 @@
 #   scripts/check.sh shard    # multi-shard topology e2e incl. kill-one-shard chaos + local/remote backend parity (-race)
 #   scripts/check.sh query    # rich-query layer: index + absence tests (-race), crash + fuzz smoke
 #   scripts/check.sh replica  # replication: puller/bundle tests (-race), partition chaos, follower crash torture
-#   scripts/check.sh perf     # hot-path bench smoke + allocs/op, proof-size, ECDSA-count, payload-log and routed-append guards + the ledgerbench module's own vet/tests
+#   scripts/check.sh perf     # hot-path bench smoke + allocs/op, proof-size, ECDSA-count, read-cost, payload-log and routed-append guards + the ledgerbench module's own vet/tests
 #   scripts/check.sh all      # everything
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -110,7 +110,7 @@ stage_query() {
     go test -race -timeout 600s -run 'TestEndToEndQuery|TestEndToEndPurgeThenQuery|TestQueryWithoutIndex' -count 1 ./internal/server
     go test -race -timeout 600s -run 'TestShardedQueryAndAbsence|TestRouterPurgeStatusCodes|TestRouterOccultStatusCode' -count 1 ./internal/integration/shardtest
 
-    echo "== index crash convergence (mid-rebuild, mid-tail) =="
+    echo "== index crash convergence (mid-rebuild, mid-tail, ledger and sidecar cut together) =="
     go test -run 'TestIndexCrash' -count 1 ./internal/integration/crashtest
 
     echo "== absence proof fuzz smoke =="
@@ -166,6 +166,9 @@ stage_perf() {
 
     echo "== verified-signature memo guard (repeat clue proof = 0 ECDSA; tampered replies still refused) =="
     go test -run 'TestMemoPerfGuard' -count 1 ./internal/client
+
+    echo "== read-cost guard (mixed_verify cycle through Server: <= 2 state signatures per cycle where every read used to sign, 0 fsyncs of the index store on the query path) =="
+    go test -run 'TestReadsDoNotPayForTheCommitBefore' -count 1 -v ./internal/server | grep -E 'state signatures|PASS|FAIL|ok '
 
     echo "== routed-append guard (in-process shard backends >= 1.2x faster than client backends: one loopback round trip + one cold P-256 verify must not come back) =="
     ROUTED_PERF_GUARD=1 go test -run 'TestRoutedAppendLocalBeatsRemote' -count 1 -v ./internal/benchkit | grep -E 'routed append|PASS|FAIL|ok '
