@@ -514,21 +514,11 @@ func BenchmarkAppendSingleVsBatch(b *testing.B) {
 // ------------------------------------------- staged commit pipeline
 
 // benchParallelAppend drives par goroutines of pre-signed appends at
-// one engine. depth 0 is the serial path (every append fully under the
-// global lock); depth > 0 enables the staged commit pipeline, where
-// admission (π_c verification, hashing, blob writes) and receipt
-// signing run concurrently and index updates group-commit.
-func benchParallelAppend(b *testing.B, depth, par int) {
+// one engine: admission (π_c verification, hashing, blob writes) and
+// receipt signing run concurrently, and index updates group-commit.
+func benchParallelAppend(b *testing.B, par int) {
 	b.Helper()
-	var (
-		tl  *benchkit.TestLedger
-		err error
-	)
-	if depth > 0 {
-		tl, err = benchkit.NewTestLedgerPipelined("ledger://pipe-bench", 15, 1024, depth)
-	} else {
-		tl, err = benchkit.NewTestLedger("ledger://pipe-bench", 15, 1024)
-	}
+	tl, err := benchkit.NewTestLedger("ledger://pipe-bench", 15, 1024)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -566,16 +556,13 @@ func benchParallelAppend(b *testing.B, depth, par int) {
 	}
 }
 
-// BenchmarkAppendSerialVsPipelined compares the serial write path
-// against the staged commit pipeline at client parallelism 1/4/16
-// (EXPERIMENTS.md records the measured ratios next to Fig. 7).
-func BenchmarkAppendSerialVsPipelined(b *testing.B) {
+// BenchmarkAppendParallelism sweeps client parallelism 1/4/16 over the
+// one write path (EXPERIMENTS.md records the measured ratios next to
+// Fig. 7).
+func BenchmarkAppendParallelism(b *testing.B) {
 	for _, par := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("serial/par=%d", par), func(b *testing.B) {
-			benchParallelAppend(b, 0, par)
-		})
-		b.Run(fmt.Sprintf("pipelined/par=%d", par), func(b *testing.B) {
-			benchParallelAppend(b, 256, par)
+		b.Run(fmt.Sprintf("par=%d", par), func(b *testing.B) {
+			benchParallelAppend(b, par)
 		})
 	}
 }

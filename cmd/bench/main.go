@@ -104,7 +104,7 @@ func main() {
 			}
 		},
 		"hotpath": func() []*benchkit.Table {
-			t, rep := benchkit.HotPath(*full)
+			t, rep := benchkit.HotPath()
 			f, err := os.Create(*hotpathJSON)
 			if err != nil {
 				fatalf("hotpath: %v", err)

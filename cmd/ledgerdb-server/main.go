@@ -55,7 +55,7 @@ func main() {
 	height := flag.Uint("height", 15, "fam fractal height δ")
 	block := flag.Int("block", 128, "journals per block")
 	dtau := flag.Duration("dtau", time.Second, "T-Ledger finalization period Δτ")
-	pipeline := flag.Int("pipeline", 256, "staged commit pipeline depth (0 = synchronous commits)")
+	pipeline := flag.Int("pipeline", 256, "committer queue bound of the staged write path (0 = 256)")
 	maxInflight := flag.Int("max-inflight", 1024, "concurrent requests admitted before shedding 429 (0 = unlimited)")
 	reqTimeout := flag.Duration("req-timeout", 30*time.Second, "per-request handling timeout (0 = none)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget for in-flight requests")

@@ -145,20 +145,9 @@ type TestLedger struct {
 	clock  int64
 }
 
-// NewTestLedger opens a bench engine (fractal height δ, block size b)
-// with synchronous commits.
+// NewTestLedger opens a bench engine (fractal height δ, block size b).
+// Callers that want every commit flushed must Close the ledger.
 func NewTestLedger(uri string, height uint8, blockSize int) (*TestLedger, error) {
-	return newTestLedger(uri, height, blockSize, 0)
-}
-
-// NewTestLedgerPipelined opens a bench engine with the staged commit
-// pipeline enabled at the given queue depth. Callers must Close the
-// ledger to drain the pipeline.
-func NewTestLedgerPipelined(uri string, height uint8, blockSize, depth int) (*TestLedger, error) {
-	return newTestLedger(uri, height, blockSize, depth)
-}
-
-func newTestLedger(uri string, height uint8, blockSize, depth int) (*TestLedger, error) {
 	tl := &TestLedger{
 		LSP:    sig.GenerateDeterministic("bench/lsp"),
 		DBA:    sig.GenerateDeterministic("bench/dba"),
@@ -174,12 +163,10 @@ func newTestLedger(uri string, height uint8, blockSize, depth int) (*TestLedger,
 		DBA:           tl.DBA.Public(),
 		Store:         streamfs.NewMemory(),
 		Blobs:         streamfs.NewMemoryBlobs(),
-		// The pipelined sequencer calls Clock concurrently; the serial
-		// path inherits the same atomic counter.
+		// The sequencer and the committer both call Clock.
 		Clock: func() int64 {
 			return atomic.AddInt64(&tl.clock, 1)
 		},
-		PipelineDepth: depth,
 	})
 	if err != nil {
 		return nil, err

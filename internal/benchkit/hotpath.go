@@ -78,8 +78,8 @@ func resultOf(name string, r testing.BenchmarkResult) HotPathResult {
 }
 
 // HotPath measures the profile-driven hot paths: the zero-alloc
-// encode+digest core, full Append under the serial / pipelined /
-// admission-batch-verify configurations, zero-copy journal serving from
+// encode+digest core, full Append from one goroutine and from many,
+// zero-copy journal serving from
 // the disk backend, and the rows that touch a disk on the write path —
 // the payload log's Put/Get and pipelined Append over disk streams plus
 // the payload log — then CM-Tree insertion at the benchmark's clue skew
@@ -90,7 +90,7 @@ func resultOf(name string, r testing.BenchmarkResult) HotPathResult {
 // member call through the 2-shard router with in-process and with
 // remote (client-backed) shard backends. It returns the printable table
 // plus the machine-readable results.
-func HotPath(full bool) (*Table, *HotPathReport) {
+func HotPath() (*Table, *HotPathReport) {
 	rep := &HotPathReport{
 		NProc:      runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
@@ -113,20 +113,13 @@ func HotPath(full bool) (*Table, *HotPathReport) {
 		}
 	}))
 
-	add("append-serial", benchAppend(0, 0, false))
-	add("append-pipelined", benchAppend(64, 0, false))
-	batches := []int{16}
-	if full {
-		batches = []int{16, 64, 256}
-	}
-	for _, batch := range batches {
-		add(fmt.Sprintf("append-batchverify-%d", batch), benchAppend(64, batch, false))
-	}
+	add("append-sequential", benchAppend(false, false))
+	add("append-pipelined", benchAppend(true, false))
 	add("prove-after-append", benchProveAfterAppend())
 	add("proof-getjournal-zerocopy", benchGetJournal())
 	add("disk-blob-put", benchDiskBlobs(false))
 	add("disk-blob-get", benchDiskBlobs(true))
-	add("append-pipelined-disk", benchAppend(64, 0, true))
+	add("append-pipelined-disk", benchAppend(true, true))
 	add("cmtree-insert", benchCMTreeInsert())
 	tl, jsns, err := ProofReadLedger()
 	if err != nil {
@@ -142,7 +135,7 @@ func HotPath(full bool) (*Table, *HotPathReport) {
 
 	t := &Table{
 		Title:  "Hot paths: steady-state cost of the profiled append and serve paths",
-		Note:   "encode-digest is the zero-alloc core; append-* include one π_c ECDSA verify per op (the single-core floor); prove-after-append is append-serial plus an existence proof of an earlier journal; *-disk and disk-* rows run on the temp dir's file system; *-batch16 rows prove/verify the 16 oldest versions of the hottest clue on the 40 000-journal δ=15 fixture (verify is cold: 17 ECDSA checks); *-warm64 rows prove/verify its newest 64 versions for a client holding all 64 records (every record a placeholder; verify fills them back in under a warm memo: 0 ECDSA checks); routed-* rows are one verified member call through a 2-shard router on memory stores, -local with the shards' *Server as backends (what ledgerdb-server -shards N runs), -remote with client.Client backends over loopback",
+		Note:   "encode-digest is the zero-alloc core; append-* include one π_c ECDSA verify per op (the single-core floor): append-sequential is one goroutine calling Append, append-pipelined 32 submitters per core; prove-after-append is append-sequential plus an existence proof of an earlier journal; *-disk and disk-* rows run on the temp dir's file system; *-batch16 rows prove/verify the 16 oldest versions of the hottest clue on the 40 000-journal δ=15 fixture (verify is cold: 17 ECDSA checks); *-warm64 rows prove/verify its newest 64 versions for a client holding all 64 records (every record a placeholder; verify fills them back in under a warm memo: 0 ECDSA checks); routed-* rows are one verified member call through a 2-shard router on memory stores, -local with the shards' *Server as backends (what ledgerdb-server -shards N runs), -remote with client.Client backends over loopback",
 		Header: []string{"workload", "ns/op", "allocs/op", "B/op", "ops/s", "wire B"},
 	}
 	for _, r := range rep.Results {
@@ -186,18 +179,18 @@ func hotPathRecord() *journal.Record {
 	return rec
 }
 
-// benchAppend measures Append throughput: depth 0 is the synchronous
-// baseline; with a pipeline, 32 concurrent submitters per core keep
-// groups forming; verifyBatch additionally routes π_c checks through
-// the admission worker pool; onDisk swaps the memory stores for disk
-// streams and the payload log as cmd/ledgerdb-server opens them.
-func benchAppend(depth, verifyBatch int, onDisk bool) testing.BenchmarkResult {
+// benchAppend measures Append throughput: one goroutine calling Append
+// (what a library caller pays per journal), or with concurrent set 32
+// submitters per core that keep groups forming; onDisk swaps the memory
+// stores for disk streams and the payload log as cmd/ledgerdb-server
+// opens them.
+func benchAppend(concurrent, onDisk bool) testing.BenchmarkResult {
 	return testing.Benchmark(func(b *testing.B) {
 		dir := ""
 		if onDisk {
 			dir = b.TempDir()
 		}
-		tl, err := newHotLedger(depth, verifyBatch, dir)
+		tl, err := newHotLedger(dir)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -209,7 +202,7 @@ func benchAppend(depth, verifyBatch int, onDisk bool) testing.BenchmarkResult {
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
-		if depth == 0 {
+		if !concurrent {
 			for i := 0; i < b.N; i++ {
 				if _, err := tl.L.Append(reqs[i]); err != nil {
 					b.Fatal(err)
@@ -234,16 +227,16 @@ func benchAppend(depth, verifyBatch int, onDisk bool) testing.BenchmarkResult {
 	})
 }
 
-// benchProveAfterAppend is the read that follows a commit: one serial
-// append, then an existence proof of a journal committed a little more
+// benchProveAfterAppend is the read that follows a commit: one
+// sequential append, then an existence proof of a journal committed a little more
 // than a block earlier (so its fam path stays two epochs long however
-// far the run goes). Less append-serial, it is what the proof costs the
+// far the run goes). Less append-sequential, it is what the proof costs the
 // server; a read that signs a state of its own for every commit before
 // it pays one P-256 sign more.
 func benchProveAfterAppend() testing.BenchmarkResult {
 	return testing.Benchmark(func(b *testing.B) {
 		const preload, behind = 128, 70 // BlockSize is 64
-		tl, err := newHotLedger(0, 0, "")
+		tl, err := newHotLedger("")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -272,10 +265,10 @@ func benchProveAfterAppend() testing.BenchmarkResult {
 	})
 }
 
-// newHotLedger opens the append-bench ledger, in memory or — with a dir —
-// on disk streams (SyncEvery 256, the server's setting) and the payload
-// log.
-func newHotLedger(depth, verifyBatch int, dir string) (*TestLedger, error) {
+// newHotLedger opens the append-bench ledger (committer queue of 64), in
+// memory or — with a dir — on disk streams (SyncEvery 256, the server's
+// setting) and the payload log.
+func newHotLedger(dir string) (*TestLedger, error) {
 	tl := &TestLedger{
 		LSP:    sig.GenerateDeterministic("bench/lsp"),
 		DBA:    sig.GenerateDeterministic("bench/dba"),
@@ -302,8 +295,7 @@ func newHotLedger(depth, verifyBatch int, dir string) (*TestLedger, error) {
 		Store:         store,
 		Blobs:         blobs,
 		Clock:         func() int64 { return atomic.AddInt64(&tl.clock, 1) },
-		PipelineDepth: depth,
-		VerifyBatch:   verifyBatch,
+		PipelineDepth: 64,
 	})
 	if err != nil {
 		return nil, err
@@ -312,8 +304,8 @@ func newHotLedger(depth, verifyBatch int, dir string) (*TestLedger, error) {
 	return tl, nil
 }
 
-// ProfileWorkloads drives the two hottest production paths — pipelined
-// batch-verified append and proof serving — with fixed op counts, sized
+// ProfileWorkloads drives the two hottest production paths — concurrent
+// append and proof serving — with fixed op counts, sized
 // to give pprof enough samples for a useful flame graph. It is the
 // target of cmd/bench's -cpuprofile/-memprofile/-mutexprofile flags
 // (`bench -cpuprofile cpu.out profile`).
@@ -328,7 +320,7 @@ func ProfileWorkloads(full bool) *Table {
 		Header: []string{"workload", "ops", "elapsed", "rate"},
 	}
 
-	tl, err := newHotLedger(64, 16, "")
+	tl, err := newHotLedger("")
 	if err != nil {
 		panic(err)
 	}
@@ -359,7 +351,7 @@ func ProfileWorkloads(full bool) *Table {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	t.AddRow("append (pipelined, batch-verify)", fmt.Sprintf("%d", appends),
+	t.AddRow("append (pipelined)", fmt.Sprintf("%d", appends),
 		fmt.Sprintf("%.1fms", elapsed.Seconds()*1000), Throughput(appends, elapsed))
 
 	size := tl.L.Size()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"ledgerdb/internal/journal"
@@ -21,7 +22,7 @@ type env struct {
 	lsp    *sig.KeyPair
 	dba    *sig.KeyPair
 	client *sig.KeyPair
-	clock  int64
+	clock  atomic.Int64
 	nonce  uint64
 }
 
@@ -31,8 +32,8 @@ func newEnv(t testing.TB) *env {
 		lsp:    sig.GenerateDeterministic("ix-lsp"),
 		dba:    sig.GenerateDeterministic("ix-dba"),
 		client: sig.GenerateDeterministic("ix-client"),
-		clock:  1000,
 	}
+	e.clock.Store(1000)
 	l, err := ledger.Open(ledger.Config{
 		URI:           "ledger://ix",
 		FractalHeight: 3,
@@ -42,8 +43,7 @@ func newEnv(t testing.TB) *env {
 		Store:         streamfs.NewMemory(),
 		Blobs:         streamfs.NewMemoryBlobs(),
 		Clock: func() int64 {
-			e.clock++
-			return e.clock
+			return e.clock.Add(1)
 		},
 	})
 	if err != nil {

@@ -119,9 +119,9 @@ func TestPayloadCrashSweepPipelinedAppend(t *testing.T) {
 	}
 }
 
-// erasureHarness is a deterministic serial ledger over the payload log:
-// genesis plus ten journals whose 40-byte payloads spread over several
-// 160-byte payload segments, all flushed.
+// erasureHarness is a deterministic, sequentially written ledger over
+// the payload log: genesis plus ten journals whose 40-byte payloads
+// spread over several 160-byte payload segments, all flushed.
 func erasureHarness(t *testing.T) (*harness, [][]byte) {
 	h := detHarness(t)
 	h.blockSize = 100

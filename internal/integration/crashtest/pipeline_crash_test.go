@@ -1,8 +1,7 @@
 package crashtest
 
-// Crash coverage for the coalesced group-fsync schedule: with
-// Config.PipelineDepth set, a pipelined group spanning several block
-// cuts issues ONE commit-order sync pass at the group end instead of
+// Crash coverage for the coalesced group-fsync schedule: a pipelined
+// group spanning several block cuts issues ONE commit-order sync pass at the group end instead of
 // one per cut. These tests crash the disk between those coalesced
 // syncs — at byte-exact offsets, under both crash models — and prove
 // the commit-point contract is unchanged: no receipt accepted before a
@@ -47,11 +46,10 @@ type pipeHarness struct {
 	disk   *faultfs.Disk
 	l      *ledger.Ledger
 
-	segSize     int64
-	blobSeg     int64
-	blockSize   int
-	cfgSync     int
-	verifyBatch int
+	segSize   int64
+	blobSeg   int64
+	blockSize int
+	cfgSync   int
 
 	nonce uint64
 
@@ -83,11 +81,10 @@ func newPipeHarness(t *testing.T, rng *rand.Rand, repro string) *pipeHarness {
 		// streams and of the payload log, which shares the image: the cut
 		// hits admission's Puts and the payload flush that now leads every
 		// group sync as readily as the stream writes.
-		segSize:     int64(96 + 96*rng.Intn(4)),
-		blobSeg:     int64(64 + 64*rng.Intn(4)),
-		blockSize:   3 + rng.Intn(4),
-		cfgSync:     rng.Intn(4),
-		verifyBatch: []int{0, 8}[rng.Intn(2)],
+		segSize:   int64(96 + 96*rng.Intn(4)),
+		blobSeg:   int64(64 + 64*rng.Intn(4)),
+		blockSize: 3 + rng.Intn(4),
+		cfgSync:   rng.Intn(4),
 	}
 	var err error
 	h.l, err = h.open(h.disk)
@@ -119,8 +116,6 @@ func (h *pipeHarness) open(d *faultfs.Disk) (*ledger.Ledger, error) {
 		Blobs:         blobs,
 		SyncEvery:     h.cfgSync,
 		PipelineDepth: 4,
-		VerifyBatch:   h.verifyBatch,
-		VerifyWorkers: 2,
 	})
 }
 

@@ -210,7 +210,9 @@ func (l *Ledger) completePurgeLocked(desc *PurgeDescriptor) error {
 				erase = append(erase, rec.PayloadDigest)
 			}
 		}
-		if err := l.cfg.Blobs.Delete(erase...); err != nil {
+		err := l.cfg.Blobs.Delete(erase...)
+		l.erasures.Add(1) // after the delete, even a failed one: see sequence
+		if err != nil {
 			return err
 		}
 	}

@@ -16,8 +16,8 @@ import (
 
 // Hot-path benchmarks behind scripts/check.sh perf and the cmd/bench
 // hotpath experiment: the steady-state encode+digest cost of committing
-// a journal, full Append under the serial / pipelined / batch-verify
-// configurations, and zero-copy journal serving.
+// a journal, full Append from one goroutine and from many, and
+// zero-copy journal serving.
 
 // benchRecord builds a representative committed record.
 func benchRecord(tb testing.TB) *journal.Record {
@@ -97,9 +97,9 @@ func benchAppendEnv(b *testing.B, mutate func(*Config)) *testEnv {
 	})
 }
 
-// BenchmarkAppendSerial is the synchronous baseline: one π_c verify, one
-// commit, one receipt per call.
-func BenchmarkAppendSerial(b *testing.B) {
+// BenchmarkAppendSequential is one goroutine calling Append: one π_c
+// verify, one commit, one receipt per call — what a library caller pays.
+func BenchmarkAppendSequential(b *testing.B) {
 	e := benchAppendEnv(b, nil)
 	reqs := benchSignedRequests(b, e, b.N)
 	b.ReportAllocs()
@@ -111,29 +111,10 @@ func BenchmarkAppendSerial(b *testing.B) {
 	}
 }
 
-// BenchmarkAppendPipelined drives concurrent appenders through the
-// staged pipeline with admission-stage verification inline (VerifyBatch
-// 0) — the baseline the batch-verify variant must beat.
+// BenchmarkAppendPipelined drives many concurrent appenders through the
+// staged pipeline, so commit groups form.
 func BenchmarkAppendPipelined(b *testing.B) {
-	benchAppendPipelined(b, 0)
-}
-
-// BenchmarkAppendBatchVerify sweeps the admission batch size: π_c
-// signatures are verified by the shared worker pool in group-sized
-// batches before sequencing.
-func BenchmarkAppendBatchVerify(b *testing.B) {
-	for _, batch := range []int{16, 64, 256} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			benchAppendPipelined(b, batch)
-		})
-	}
-}
-
-func benchAppendPipelined(b *testing.B, verifyBatch int) {
-	e := benchAppendEnv(b, func(c *Config) {
-		c.PipelineDepth = 64
-		c.VerifyBatch = verifyBatch
-	})
+	e := benchAppendEnv(b, func(c *Config) { c.PipelineDepth = 64 })
 	defer func() {
 		if err := e.ledger.Close(); err != nil {
 			b.Fatal(err)
@@ -158,7 +139,7 @@ func benchAppendPipelined(b *testing.B, verifyBatch int) {
 }
 
 // TestAppendAllocBudget is the allocs/op regression guard run by
-// `scripts/check.sh perf`: steady-state serial Append (pre-signed
+// `scripts/check.sh perf`: steady-state sequential Append (pre-signed
 // requests, warm pools) must stay within the checked-in budget in
 // testdata/append_alloc_budget. The budget has headroom over the
 // measured value, so a failure means a real regression — a hot-path

@@ -16,8 +16,8 @@ package ledger
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ledgerdb/internal/ca"
@@ -59,6 +59,10 @@ var (
 	ErrClosed       = errors.New("ledger: closed")
 )
 
+// DefaultPipelineDepth is the committer queue bound a zero
+// Config.PipelineDepth selects; ledgerdb-server's -pipeline default.
+const DefaultPipelineDepth = 256
+
 // Config configures a Ledger.
 type Config struct {
 	// URI identifies the ledger (the lgid of the Verify API).
@@ -69,7 +73,9 @@ type Config struct {
 	// BlockSize is the number of journals per block. Zero means 128.
 	BlockSize int
 	// Clock supplies commit timestamps; nil means time.Now().UnixNano().
-	// Tests and the time-attack simulations inject logical clocks.
+	// Tests and the time-attack simulations inject logical clocks. The
+	// sequencer, the committer and provers call it concurrently, so it
+	// must be safe for concurrent use.
 	Clock func() int64
 	// LSP signs receipts and states. Required.
 	LSP *sig.KeyPair
@@ -84,24 +90,11 @@ type Config struct {
 	Store streamfs.Store
 	// Blobs holds raw payloads. Required.
 	Blobs streamfs.BlobStore
-	// PipelineDepth selects the write-path mode. Zero (the default) is
-	// the synchronous path: each Append admits, sequences, and commits
-	// inline under the ledger lock — fully deterministic, what tests,
-	// recovery, and audit flows rely on. A positive value enables the
-	// staged commit pipeline (pipeline.go) with that many units of
-	// committer-queue backpressure; Close must be called to drain it.
+	// PipelineDepth bounds the committer queue of the staged write path
+	// (pipeline.go): how many sequenced units may wait for the committer
+	// before sequencing blocks. Zero or less means DefaultPipelineDepth.
+	// Close must be called to drain the queue.
 	PipelineDepth int
-	// VerifyBatch enables admission-stage batch verification of client
-	// signatures in pipelined mode: up to VerifyBatch pending admissions
-	// are collected per window and their π_c/co-signer checks fanned out
-	// over a small worker pool (admitverify.go), amortizing ECDSA
-	// scheduling the way group commit amortizes π_s signing. Zero (the
-	// default) verifies inline on the submitting goroutine. Ignored when
-	// PipelineDepth is zero.
-	VerifyBatch int
-	// VerifyWorkers sizes the batch-verification worker pool. Zero means
-	// min(4, GOMAXPROCS). Ignored unless VerifyBatch is set.
-	VerifyWorkers int
 	// SyncEvery mirrors streamfs.DiskOptions.SyncEvery at the engine
 	// level: in addition to the commit points that always flush (genesis,
 	// block cuts, purge/occult decisions, time anchors — DESIGN.md §4.4),
@@ -133,10 +126,6 @@ func (c Config) withDefaults() (Config, error) {
 		if c.PrimaryLSP == (sig.PublicKey{}) {
 			return c, fmt.Errorf("%w: apply-only mode requires a pinned PrimaryLSP key", ErrBadConfig)
 		}
-		// A follower takes no client writes, so the staged pipeline has
-		// nothing to do; force the synchronous (recovery-shaped) path.
-		c.PipelineDepth = 0
-		c.VerifyBatch = 0
 	}
 	if c.Store == nil || c.Blobs == nil {
 		return c, fmt.Errorf("%w: nil store or blob store", ErrBadConfig)
@@ -146,6 +135,9 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.BlockSize <= 0 {
 		c.BlockSize = 128
+	}
+	if c.PipelineDepth <= 0 {
+		c.PipelineDepth = DefaultPipelineDepth
 	}
 	if c.Clock == nil {
 		//lint:ignore L3 the Config.Clock default IS the injection point — replay and audit override it
@@ -183,19 +175,17 @@ type Ledger struct {
 	// Staged commit pipeline (pipeline.go). seqMu orders stage 2: jsn
 	// and timestamp assignment plus queue submission. seqNext is the
 	// next jsn to assign; it runs ahead of nextJSN by however many
-	// records sit in the committer queue. comm is nil in synchronous
-	// mode. failed (guarded by mu) latches a half-applied commit: the
-	// engine then refuses further writes rather than let the dense jsn
-	// space grow a hole.
-	seqMu   sync.Mutex
-	seqNext uint64
-	comm    *committer
-	failed  error
-
-	// verif is the admission-stage batch signature verification pool
-	// (admitverify.go); nil unless Config.VerifyBatch is set in
-	// pipelined mode.
-	verif *verifier
+	// records sit in the committer queue. failed (guarded by mu) latches
+	// a half-applied commit: the engine then refuses further writes
+	// rather than let the dense jsn space grow a hole. erasures counts
+	// payload erasures; it only moves under lockExclusive (or inside
+	// Open), after the blob delete returns, and sequencing compares it
+	// against what admission read before storing its payloads.
+	seqMu    sync.Mutex
+	seqNext  uint64
+	comm     *committer
+	failed   error
+	erasures atomic.Uint64
 
 	// unsyncedApplied counts records applied since the last stream flush,
 	// driving Config.SyncEvery. Guarded by mu.
@@ -287,23 +277,11 @@ func Open(cfg Config) (*Ledger, error) {
 		l.replica.seeding = true
 	}
 	l.seqNext = l.nextJSN
-	if cfg.PipelineDepth > 0 {
-		l.comm = &committer{
-			queue:   make(chan *commitUnit, cfg.PipelineDepth),
-			stopped: make(chan struct{}),
-		}
-		go l.runCommitter()
-		if cfg.VerifyBatch > 0 {
-			workers := cfg.VerifyWorkers
-			if workers <= 0 {
-				workers = runtime.GOMAXPROCS(0)
-				if workers > 4 {
-					workers = 4
-				}
-			}
-			l.verif = newVerifier(cfg.VerifyBatch, workers)
-		}
+	l.comm = &committer{
+		queue:   make(chan *commitUnit, cfg.PipelineDepth),
+		stopped: make(chan struct{}),
 	}
+	go l.runCommitter()
 	return l, nil
 }
 
@@ -361,51 +339,24 @@ func (l *Ledger) Base() uint64 {
 
 // Append validates a signed client request (π_c and any co-signatures,
 // plus member certification when a registry is configured — the threat-A
-// check) and commits it, returning the LSP-signed receipt π_s. In
-// pipelined mode all of that admission work runs lock-free on the
-// caller's goroutine (stage 1), and the commit rides the staged
-// pipeline.
+// check) and commits it, returning the LSP-signed receipt π_s. All of
+// that admission work runs lock-free on the caller's goroutine (stage 1),
+// and the commit rides the staged pipeline.
 func (l *Ledger) Append(req *journal.Request) (*journal.Receipt, error) {
 	if err := l.writable(); err != nil {
 		return nil, err
 	}
-	if l.comm != nil {
-		adm, err := l.admitOne(req, false)
-		if err != nil {
-			return nil, err
-		}
-		return l.appendPipelined(adm)
-	}
-	// Synchronous mode: the historical write path.
-	if err := req.ValidateShape(); err != nil {
+	adm, err := l.admitOne(req, false)
+	if err != nil {
 		return nil, err
 	}
-	if err := req.VerifyAllSigsAt(req.Hash()); err != nil {
-		return nil, err
-	}
-	if req.LedgerURI != l.cfg.URI {
-		return nil, fmt.Errorf("%w: request for %q on ledger %q", journal.ErrBadRequest, req.LedgerURI, l.cfg.URI)
-	}
-	switch req.Type {
-	case journal.TypeNormal:
-	default:
-		return nil, fmt.Errorf("%w: clients may only append normal journals (got %s)", ErrNotPermitted, req.Type)
-	}
-	if l.cfg.Registry != nil {
-		if err := l.cfg.Registry.Check(req.ClientPK, ca.RoleUser); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrNotPermitted, err)
-		}
-	}
-	l.lockExclusive()
-	defer l.unlockExclusive()
-	return l.appendLocked(req, nil)
+	return l.appendPipelined(adm)
 }
 
 // appendLocked commits a request as the next journal, synchronously
-// under the apply lock (the serial path, and every privileged write —
-// genesis, mutations, time anchoring — which runs under lockExclusive).
-// extra carries type-specific payloads (mutation descriptors, time
-// attestations).
+// under lockExclusive: the privileged writes only (genesis, purge,
+// occult, time anchoring). extra carries type-specific payloads
+// (mutation descriptors, time attestations).
 func (l *Ledger) appendLocked(req *journal.Request, extra []byte) (*journal.Receipt, error) {
 	adm, err := l.admitChecked(req, extra, req.Hash())
 	if err != nil {
@@ -531,10 +482,9 @@ func decodeStateValue(b []byte) (uint64, hashutil.Digest, error) {
 // CutBlock seals any pending journals into a block immediately (normally
 // blocks cut automatically every BlockSize journals).
 func (l *Ledger) CutBlock() (*BlockHeader, error) {
-	if err := l.writable(); err != nil {
+	if err := l.lockWrite(); err != nil {
 		return nil, err
 	}
-	l.lockExclusive()
 	defer l.unlockExclusive()
 	if l.pendingCount == 0 {
 		if n := len(l.headers); n > 0 {
@@ -852,7 +802,9 @@ func (l *Ledger) AnchorTime(ta *journal.TimeAttestation) (*journal.Receipt, erro
 	if err := req.Sign(l.cfg.LSP); err != nil {
 		return nil, err
 	}
-	l.lockExclusive()
+	if err := l.lockWrite(); err != nil {
+		return nil, err
+	}
 	defer l.unlockExclusive()
 	receipt, err := l.appendLocked(req, ta.EncodeBytes())
 	if err != nil {
@@ -874,10 +826,9 @@ func (l *Ledger) AnchorTime(ta *journal.TimeAttestation) (*journal.Receipt, erro
 // precede the time journal — which is what lets an auditor re-derive and
 // check it (§V step 2).
 func (l *Ledger) AnchorTimeWith(stamp func(hashutil.Digest) (*journal.TimeAttestation, error)) (*journal.Receipt, error) {
-	if err := l.writable(); err != nil {
+	if err := l.lockWrite(); err != nil {
 		return nil, err
 	}
-	l.lockExclusive()
 	defer l.unlockExclusive()
 	root, err := l.fam.Root()
 	if err != nil {

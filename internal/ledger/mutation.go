@@ -245,7 +245,9 @@ func (l *Ledger) Purge(desc *PurgeDescriptor, ms *sig.MultiSig) (*journal.Receip
 	if desc.URI != l.cfg.URI {
 		return nil, fmt.Errorf("%w: descriptor for %q", ErrNotPermitted, desc.URI)
 	}
-	l.lockExclusive()
+	if err := l.lockWrite(); err != nil {
+		return nil, err
+	}
 	defer l.unlockExclusive()
 	if desc.Point <= l.base {
 		return nil, fmt.Errorf("%w: purge point %d at or below base %d", ErrNotPermitted, desc.Point, l.base)
@@ -316,7 +318,9 @@ func (l *Ledger) Occult(desc *OccultDescriptor, ms *sig.MultiSig) (*journal.Rece
 	if desc.URI != l.cfg.URI {
 		return nil, fmt.Errorf("%w: descriptor for %q", ErrNotPermitted, desc.URI)
 	}
-	l.lockExclusive()
+	if err := l.lockWrite(); err != nil {
+		return nil, err
+	}
 	defer l.unlockExclusive()
 	rec, err := l.getJournalLocked(desc.JSN)
 	if err != nil {
@@ -376,7 +380,9 @@ func (l *Ledger) checkOccultSigners(desc *OccultDescriptor, ms *sig.MultiSig) er
 // respecting content-address sharing, in one batched Delete (the payload
 // log rewrites each touched segment once per call). On failure nothing
 // is settled: the reference counts are restored, so a repeat run decides
-// the same erasures.
+// the same erasures. Callers hold lockExclusive, or are still opening
+// the ledger: every erasure is counted there, so sequencing can catch an
+// admission whose payload put deduped against an erased blob.
 func (l *Ledger) erasePayloadLocked(jsns ...uint64) (err error) {
 	var released, erase []hashutil.Digest
 	defer func() {
@@ -403,7 +409,9 @@ func (l *Ledger) erasePayloadLocked(jsns ...uint64) (err error) {
 			erase = append(erase, rec.PayloadDigest)
 		}
 	}
-	return l.cfg.Blobs.Delete(erase...)
+	err = l.cfg.Blobs.Delete(erase...)
+	l.erasures.Add(1) // after the delete, even a failed one: see sequence
+	return err
 }
 
 // OccultClue occults every normal journal recorded under a clue — the
@@ -413,10 +421,9 @@ func (l *Ledger) erasePayloadLocked(jsns ...uint64) (err error) {
 // other operators may still hold references) and performed by
 // Reorganize. It returns the jsns occulted.
 func (l *Ledger) OccultClue(clue string, ms *sig.MultiSig) ([]uint64, error) {
-	if err := l.writable(); err != nil {
+	if err := l.lockWrite(); err != nil {
 		return nil, err
 	}
-	l.lockExclusive()
 	defer l.unlockExclusive()
 	jsns, err := l.clues.JSNs(clue)
 	if err != nil {
@@ -542,11 +549,10 @@ func DecodeOccultClueExtra(b []byte) (*OccultClueExtra, error) {
 // batch": it physically erases the payloads of asynchronously occulted
 // journals. It returns the number of payloads erased.
 func (l *Ledger) Reorganize() (int, error) {
-	if err := l.writable(); err != nil {
+	if err := l.lockWrite(); err != nil {
 		return 0, err
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	defer l.unlockExclusive()
 	// A purge may have truncated the journal out from under its queued
 	// erasure; the purge path already settled that payload's fate (erased
 	// or retained with the rest of the purged prefix).

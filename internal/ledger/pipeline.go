@@ -1,11 +1,11 @@
 package ledger
 
 // This file implements the staged commit pipeline (DESIGN.md §"Staged
-// commit pipeline"). The serial write path does everything — π_c
-// verification, payload hashing, blob I/O, fam/CM-Tree/MPT updates,
-// receipt signing — under one global lock, so added cores buy nothing
-// (the anti-pattern Fig. 7 of the paper measures against). With
-// Config.PipelineDepth > 0 the write path splits into three stages:
+// commit pipeline"), the one write path every Append and AppendBatch
+// takes. Doing everything — π_c verification, payload hashing, blob
+// I/O, fam/CM-Tree/MPT updates, receipt signing — under one global lock
+// would leave added cores idle (the anti-pattern Fig. 7 of the paper
+// measures against), so the write path splits into three stages:
 //
 //	Stage 1 — admission (lock-free, concurrent): structural checks,
 //	  signature verification, role checks, request/payload digesting,
@@ -20,9 +20,11 @@ package ledger
 //	  the group's jsn-dense tx-hash run — receipt signing amortizes
 //	  across the group instead of costing one ECDSA sign per journal.
 //
-// The bounded queue provides backpressure: when the committer falls
-// behind, sequencing blocks, stalling admission rather than growing
-// memory. Close drains every sequenced unit and flushes the streams.
+// The bounded queue (Config.PipelineDepth) provides backpressure: when
+// the committer falls behind, sequencing blocks, stalling admission
+// rather than growing memory. Close drains every sequenced unit and
+// flushes the streams. Privileged writes (genesis, purge, occult, time
+// anchors, manual block cuts) bypass the stages under lockExclusive.
 
 import (
 	"fmt"
@@ -39,12 +41,14 @@ import (
 // admitted is the output of stage 1: a fully validated request with
 // every digest the commit needs already computed and its payload
 // already in blob storage. Nothing in it depends on ledger state, so
-// admission runs lock-free and concurrently.
+// admission runs lock-free and concurrently. erasures is the erasure
+// count read before the payload was stored.
 type admitted struct {
 	req           *journal.Request
 	reqHash       hashutil.Digest
 	payloadDigest hashutil.Digest
 	extra         []byte
+	erasures      uint64
 }
 
 // commitUnit is one sequenced submission flowing from stage 2 to stage
@@ -94,8 +98,8 @@ func buildRecord(adm *admitted, jsn uint64, ts int64) *journal.Record {
 	}
 }
 
-// admitChecked is the tail of stage 1, shared with the serial path:
-// digest the payload and store the payload blob. reqHash is the
+// admitChecked is the tail of stage 1, shared with the privileged
+// writes: digest the payload and store the payload blob. reqHash is the
 // request-hash the caller already computed for signature verification —
 // the hot path hashes each request exactly once. The request must
 // already have passed validation.
@@ -120,10 +124,23 @@ func (l *Ledger) admitChecked(req *journal.Request, extra []byte, reqHash hashut
 		payloadDigest: hashutil.Sum(req.Payload),
 		extra:         extra,
 	}
-	if err := l.cfg.Blobs.Put(adm.payloadDigest, req.Payload); err != nil {
-		return admitted{}, fmt.Errorf("ledger: store payload: %w", err)
+	if err := l.storePayload(&adm, l.erasures.Load()); err != nil {
+		return admitted{}, err
 	}
 	return adm, nil
+}
+
+// storePayload puts adm's payload into blob storage, recording the
+// erasure count n read before the put. The put may dedupe against a
+// blob that an occult or purge is about to erase, because no applied
+// journal references it yet; sequence stores again any payload an
+// erasure may have overtaken.
+func (l *Ledger) storePayload(adm *admitted, n uint64) error {
+	adm.erasures = n
+	if err := l.cfg.Blobs.Put(adm.payloadDigest, adm.req.Payload); err != nil {
+		return fmt.Errorf("ledger: store payload: %w", err)
+	}
+	return nil
 }
 
 // admitOne is stage 1 for one client request: every structural,
@@ -134,7 +151,7 @@ func (l *Ledger) admitOne(req *journal.Request, batch bool) (admitted, error) {
 		return admitted{}, err
 	}
 	h := req.Hash()
-	if err := l.verifyAdmission(req, h); err != nil {
+	if err := req.VerifyAllSigsAt(h); err != nil {
 		return admitted{}, err
 	}
 	if req.LedgerURI != l.cfg.URI {
@@ -182,6 +199,12 @@ func (l *Ledger) admitBatch(reqs []*journal.Request) ([]admitted, error) {
 // unit. The send happens while seqMu is held so queue order equals jsn
 // order; when the bounded queue is full the send blocks, which is the
 // backpressure stalling admission rather than the apply path.
+//
+// Erasures run under lockExclusive, which holds seqMu and waits for
+// every sequenced unit to apply, so once a unit is queued its payloads
+// are referenced before any later erasure counts references. One that
+// ran after admission stored a payload is caught here: the payload is
+// stored again, outside the lock, and the check repeats.
 func (l *Ledger) sequence(adms []admitted, batch bool) (*commitUnit, error) {
 	unit := &commitUnit{
 		recs:     make([]*journal.Record, len(adms)),
@@ -190,13 +213,23 @@ func (l *Ledger) sequence(adms []admitted, batch bool) (*commitUnit, error) {
 		done:     make(chan struct{}),
 	}
 	l.seqMu.Lock()
+	for i := 0; i < len(adms); i++ {
+		if n := l.erasures.Load(); adms[i].erasures != n {
+			l.seqMu.Unlock()
+			if err := l.storePayload(&adms[i], n); err != nil {
+				return nil, err
+			}
+			l.seqMu.Lock()
+			i = -1 // another erasure may have run meanwhile: check them all again
+		}
+	}
 	if l.comm.closed.Load() {
 		l.seqMu.Unlock()
 		return nil, ErrClosed
 	}
 	var ts int64
 	if batch {
-		ts = l.cfg.Clock() // one commit timestamp per batch, as in the serial path
+		ts = l.cfg.Clock() // one commit timestamp per batch
 	}
 	for i := range adms {
 		t := ts
@@ -396,12 +429,26 @@ func (l *Ledger) appendPipelined(adm admitted) (*journal.Receipt, error) {
 // dense jsn space.
 func (l *Ledger) lockExclusive() {
 	l.seqMu.Lock()
-	if l.comm != nil {
-		// No new units can be sequenced while seqMu is held, so this
-		// waits on a fixed set.
-		l.comm.wg.Wait()
-	}
+	// No new units can be sequenced while seqMu is held, so this waits on
+	// a fixed set.
+	l.comm.wg.Wait()
 	l.mu.Lock()
+}
+
+// lockWrite takes the write path for a privileged write. It refuses a
+// follower or a closed ledger, checking for Close again once the lock is
+// held: Close marks the ledger closed under seqMu, so a write that waited
+// on the lock while Close ran must not commit after it.
+func (l *Ledger) lockWrite() error {
+	if err := l.writable(); err != nil {
+		return err
+	}
+	l.lockExclusive()
+	if l.Closed() {
+		l.unlockExclusive()
+		return ErrClosed
+	}
+	return nil
 }
 
 // unlockExclusive releases the write path, first re-synchronizing the
@@ -412,27 +459,18 @@ func (l *Ledger) unlockExclusive() {
 	l.seqMu.Unlock()
 }
 
-// Close shuts the write path down. In pipelined mode it stops admitting
-// new writes (further Append/AppendBatch calls fail with ErrClosed),
-// drains every sequenced unit through the committer, and stops the
-// committer goroutine. In both modes it then flushes the ledger
-// streams. Reads and proofs keep working after Close.
+// Close shuts the write path down: it stops admitting new writes (every
+// further write fails with ErrClosed), drains every sequenced unit
+// through the committer, stops the committer goroutine, and flushes the
+// ledger streams. Reads and proofs keep working after Close.
 func (l *Ledger) Close() error {
-	if l.comm != nil {
-		l.seqMu.Lock()
-		already := l.comm.closed.Swap(true)
-		l.seqMu.Unlock()
-		if !already {
-			close(l.comm.queue)
-		}
-		<-l.comm.stopped
+	l.seqMu.Lock()
+	already := l.comm.closed.Swap(true)
+	l.seqMu.Unlock()
+	if !already {
+		close(l.comm.queue)
 	}
-	if l.verif != nil {
-		// After the committer: in-flight admissions either finished
-		// verification already or fall back to inline verify and then
-		// fail at sequencing with ErrClosed.
-		l.verif.close()
-	}
+	<-l.comm.stopped
 	if err := l.cfg.Blobs.Sync(); err != nil {
 		return err
 	}
@@ -444,12 +482,11 @@ func (l *Ledger) Close() error {
 	return nil
 }
 
-// Closed reports whether Close has shut the pipelined write path: every
-// further Append fails with ErrClosed, so a service in front of this
-// ledger should be taken out of rotation. A synchronous ledger
-// (PipelineDepth 0) has no such state and always reports false.
+// Closed reports whether Close has shut the write path: every further
+// write fails with ErrClosed, so a service in front of this ledger
+// should be taken out of rotation.
 func (l *Ledger) Closed() bool {
-	return l.comm != nil && l.comm.closed.Load()
+	return l.comm.closed.Load()
 }
 
 // forEachChunk fans f out over contiguous chunks of reqs, one worker

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ledgerdb/internal/hashutil"
@@ -57,10 +58,11 @@ func signedReq(t *testing.T, key *sig.KeyPair, g int, nonce uint64, stateKey []b
 }
 
 // TestPipelineStress drives mixed Append/AppendBatch traffic (plus
-// concurrent manual block cuts) through the staged pipeline and then
+// concurrent manual block cuts and tampered requests that must be
+// refused one by one) through the staged pipeline and then
 // checks the full set of ISSUE invariants: dense jsn assignment, every
-// receipt verifying, the fam root matching a serial replay of the same
-// requests, and recovery from the raw streams agreeing with the live
+// receipt verifying, the fam root matching a sequential replay of the
+// same requests, and recovery from the raw streams agreeing with the live
 // engine.
 func TestPipelineStress(t *testing.T) {
 	const (
@@ -110,6 +112,15 @@ func TestPipelineStress(t *testing.T) {
 						record(br.FirstJSN+uint64(k), req)
 					}
 					continue
+				}
+				if i%batchEvery == 3 {
+					// A tampered request between good ones is refused on
+					// its own; neighbours admitted alongside it commit.
+					bad := signedReq(t, key, g, nonce+1_000_000, nil)
+					bad.Payload = []byte("tampered after signing")
+					if _, err := l.Append(bad); !errors.Is(err, journal.ErrBadSignature) {
+						t.Errorf("g%d tampered append: %v, want ErrBadSignature", g, err)
+					}
 				}
 				nonce++
 				var stateKey []byte
@@ -198,36 +209,37 @@ func TestPipelineStress(t *testing.T) {
 		t.Fatalf("state: %v", err)
 	}
 	if st.JournalRoot != shadowRoot {
-		t.Fatalf("fam root %s diverges from serial replay %s", st.JournalRoot.Short(), shadowRoot.Short())
+		t.Fatalf("fam root %s diverges from the shadow tree %s", st.JournalRoot.Short(), shadowRoot.Short())
 	}
 
-	// Serial replay through a fresh synchronous engine: the same
-	// requests in jsn order must land on the same jsns with the same
+	// Sequential replay from one goroutine through a fresh engine: the
+	// same requests in jsn order must land on the same jsns with the same
 	// tx-hashes (its genesis differs only by the LSP signature).
-	serial, err := Open(Config{
+	replay, err := Open(Config{
 		URI:           "ledger://pipe",
 		FractalHeight: 8,
 		BlockSize:     16,
 		Clock:         func() int64 { return 42 },
-		LSP:           sig.GenerateDeterministic("pipe/lsp-serial"),
+		LSP:           sig.GenerateDeterministic("pipe/lsp-replay"),
 		DBA:           sig.GenerateDeterministic("pipe/dba").Public(),
 		Store:         streamfs.NewMemory(),
 		Blobs:         streamfs.NewMemoryBlobs(),
 	})
 	if err != nil {
-		t.Fatalf("open serial ledger: %v", err)
+		t.Fatalf("open replay ledger: %v", err)
 	}
+	defer replay.Close()
 	for jsn := uint64(1); jsn < total; jsn++ {
-		receipt, err := serial.Append(byJS[jsn])
+		receipt, err := replay.Append(byJS[jsn])
 		if err != nil {
-			t.Fatalf("serial replay %d: %v", jsn, err)
+			t.Fatalf("sequential replay %d: %v", jsn, err)
 		}
 		if receipt.JSN != jsn {
-			t.Fatalf("serial replay assigned jsn %d, want %d", receipt.JSN, jsn)
+			t.Fatalf("sequential replay assigned jsn %d, want %d", receipt.JSN, jsn)
 		}
 		want, _ := l.TxHash(jsn)
 		if receipt.TxHash != want {
-			t.Fatalf("serial replay tx-hash diverges at jsn %d", jsn)
+			t.Fatalf("sequential replay tx-hash diverges at jsn %d", jsn)
 		}
 	}
 
@@ -266,6 +278,56 @@ func TestPipelineStress(t *testing.T) {
 	}
 	if rst.JournalRoot != st.JournalRoot || rst.ClueRoot != st.ClueRoot || rst.StateRoot != st.StateRoot {
 		t.Fatalf("recovered roots diverge from live engine")
+	}
+}
+
+// TestCloseDuringInflightAppends races Close against appends mid-
+// admission: every submitter must get a definitive answer (a verifying
+// receipt or ErrClosed), never a hang, and a second Close after the
+// drain is a no-op.
+func TestCloseDuringInflightAppends(t *testing.T) {
+	for iter := 0; iter < 5; iter++ {
+		var clk atomic.Int64
+		clk.Store(1000)
+		e := newEnv(t, func(c *Config) {
+			c.PipelineDepth = 4
+			c.Clock = func() int64 { return clk.Add(1) }
+		})
+		var wg sync.WaitGroup
+		var nonce atomic.Uint64
+		for g := 0; g < 6; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 10; i++ {
+					req := &journal.Request{
+						LedgerURI: "ledger://test",
+						Type:      journal.TypeNormal,
+						Payload:   []byte(fmt.Sprintf("close-race-%d-%d-%d", iter, g, i)),
+						Nonce:     nonce.Add(1),
+					}
+					if err := req.Sign(e.client); err != nil {
+						t.Error(err)
+						return
+					}
+					rc, err := e.ledger.Append(req)
+					if err == nil {
+						if verr := rc.Verify(e.lsp.Public()); verr != nil {
+							t.Errorf("receipt does not verify: %v", verr)
+						}
+					} else if !errors.Is(err, ErrClosed) {
+						t.Errorf("append err = %v, want nil or ErrClosed", err)
+					}
+				}
+			}(g)
+		}
+		if err := e.ledger.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		if err := e.ledger.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

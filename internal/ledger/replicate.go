@@ -62,10 +62,14 @@ type replicaState struct {
 }
 
 // writable gates every originating mutation. A follower refuses them
-// all: records reach it only as replicated bytes.
+// all: records reach it only as replicated bytes. A closed ledger
+// refuses them too.
 func (l *Ledger) writable() error {
 	if l.cfg.ApplyOnly {
 		return fmt.Errorf("%w: apply-only replica", ErrNotPermitted)
+	}
+	if l.Closed() {
+		return ErrClosed
 	}
 	return nil
 }

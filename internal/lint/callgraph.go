@@ -84,9 +84,10 @@ var l1Allowlist = map[string]string{
 	"internal/ledger.applyRecordLocked": "stream appends are the commit section",
 	// Block cutting seals the streams the same way (§III-A1).
 	"internal/ledger.cutBlockLocked": "block stream append is part of the cut",
-	// Receipt signing on the serial path runs under the exclusive lock
-	// by design; the pipelined path moves it off-lock (DESIGN.md §4.1).
-	"internal/ledger.appendLocked": "serial-path receipt signing",
+	// Privileged writes (genesis, purge, occult, time anchors) commit
+	// and sign their receipt under the exclusive lock by design; client
+	// appends sign off-lock in the committer (DESIGN.md §4.1).
+	"internal/ledger.appendLocked": "privileged-write receipt signing",
 	// One signature per commit generation, cached; the sign happens at
 	// most once per generation under mu (DESIGN.md §4.2).
 	"internal/ledger.stateLocked": "generation-cached state signing",
@@ -104,9 +105,6 @@ var l1Allowlist = map[string]string{
 	// under the caller's read lock so the clue/fam indexes and the stream
 	// prefix stay consistent; the hot proof paths read outside mu (PR 2).
 	"internal/ledger.getJournalLocked": "locked readers need a stream prefix consistent with the indexes",
-	// The serial batch path admits, applies, and signs the whole batch in
-	// one exclusive section — that section is the batch commit (PR 1).
-	"internal/ledger.AppendBatch": "serial batch commit section",
 	// Commit-point durability (DESIGN.md §4.4): the fsyncs that make a
 	// commit point durable must run under the same lock section that
 	// created it, or a concurrent append could slip between commit and

@@ -15,7 +15,7 @@ import (
 // ECDSA signing reachable while a mutex is held re-serializes the whole
 // engine (§III-C signing is the expensive step the staged pipeline and
 // the state cache exist to amortize). L1 finds lock regions — between a
-// sync.Mutex/RWMutex Lock/RLock (or lockExclusive) and the first
+// sync.Mutex/RWMutex Lock/RLock (or lockExclusive/lockWrite) and the first
 // non-deferred matching unlock — plus the bodies of functions named
 // *Locked (called with the lock held, by convention), and reports every
 // call that can reach a sink through the module call graph.
@@ -104,7 +104,8 @@ func checkL1Func(ctx *Context, pkg *Package, fd *ast.FuncDecl) {
 }
 
 // lockOpKind classifies a call as a lock acquire/release on a
-// sync.Mutex/RWMutex field, or on the ledger's lockExclusive pair.
+// sync.Mutex/RWMutex field, or on the ledger's lockExclusive pair
+// (lockWrite acquires the same lock).
 // It returns the lock's display name and whether the op acquires.
 func lockOpKind(info *types.Info, call *ast.CallExpr) (lock string, acquire, ok bool) {
 	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
@@ -123,8 +124,8 @@ func lockOpKind(info *types.Info, call *ast.CallExpr) (lock string, acquire, ok 
 			return "", false, false
 		}
 		return types.ExprString(sel.X) + rwTag(name), name == "Lock" || name == "RLock", true
-	case "lockExclusive", "unlockExclusive":
-		return types.ExprString(sel.X) + " (exclusive)", name == "lockExclusive", true
+	case "lockExclusive", "lockWrite", "unlockExclusive":
+		return types.ExprString(sel.X) + " (exclusive)", name != "unlockExclusive", true
 	}
 	return "", false, false
 }

@@ -49,6 +49,23 @@ func (e *engine) signUnderExclusive(d hashutil.Digest) {
 	e.lastSig = e.key.MustSign(d) // want "L1: ECDSA signing"
 }
 
+// lockWrite takes the same exclusive lock, refusing the write when it
+// cannot run.
+func (e *engine) lockWrite() error {
+	e.lockExclusive()
+	return nil
+}
+
+// Signing after lockWrite is signing under the exclusive lock.
+func (e *engine) signUnderWriteLock(d hashutil.Digest) error {
+	if err := e.lockWrite(); err != nil {
+		return err
+	}
+	defer e.unlockExclusive()
+	e.lastSig = e.key.MustSign(d) // want "L1: ECDSA signing"
+	return nil
+}
+
 // The sink is not called here directly — it is reachable through spill.
 func (e *engine) flushUnderLock(p []byte) {
 	e.mu.Lock()

@@ -176,11 +176,12 @@ type StackOptions struct {
 	BlockSize int
 	// DeltaTau is the T-Ledger finalization period (0 = 1s).
 	DeltaTau time.Duration
-	// Clock overrides wall time (tests, deterministic demos).
+	// Clock overrides wall time (tests, deterministic demos). It is called
+	// concurrently and must be safe for concurrent use.
 	Clock func() int64
-	// PipelineDepth enables the staged commit pipeline with that many
-	// units of committer-queue backpressure (0 = synchronous commits).
-	// Pipelined stacks must call Close to drain the pipeline.
+	// PipelineDepth bounds the committer queue of the staged write path
+	// (ledger.Config.PipelineDepth; 0 = ledger.DefaultPipelineDepth).
+	// Stacks must call Close to drain it.
 	PipelineDepth int
 	// Disk tunes the on-disk stream store when Dir is set (segment
 	// capacity, per-stream fsync cadence, injected file systems for

@@ -135,8 +135,8 @@ stage_replica() {
 }
 
 stage_bench() {
-    echo "== pipeline bench smoke =="
-    go test -run xxx -bench BenchmarkAppendSerialVsPipelined -benchtime 1x . > /dev/null
+    echo "== write-path parallelism bench smoke =="
+    go test -run xxx -bench BenchmarkAppendParallelism -benchtime 1x . > /dev/null
 
     echo "== audit/proof bench smoke =="
     go test -run xxx -bench BenchmarkAudit -benchtime 1x ./internal/audit > /dev/null
@@ -145,7 +145,7 @@ stage_bench() {
 
 stage_perf() {
     echo "== hot-path bench smoke =="
-    go test -run xxx -bench 'BenchmarkHotPathEncodeDigest|BenchmarkAppendSerial$|BenchmarkAppendPipelined|BenchmarkAppendBatchVerify|BenchmarkGetJournalZeroCopy' \
+    go test -run xxx -bench 'BenchmarkHotPathEncodeDigest|BenchmarkAppendSequential|BenchmarkAppendPipelined|BenchmarkGetJournalZeroCopy' \
         -benchtime 10x ./internal/ledger > /dev/null
     go test -run xxx -bench 'BenchmarkReadBuf|BenchmarkPooledWriter' -benchtime 10x ./internal/streamfs ./internal/wire > /dev/null 2>&1 || true
     go test -run xxx -bench 'BenchmarkDiskBlobs' -benchtime 1000x ./internal/streamfs > /dev/null
