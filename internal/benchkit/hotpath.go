@@ -84,9 +84,10 @@ func resultOf(name string, r testing.BenchmarkResult) HotPathResult {
 // the payload log's Put/Get and pipelined Append over disk streams plus
 // the payload log — then CM-Tree insertion at the benchmark's clue skew
 // and, on the 40 000-journal proof-size fixture, the 16-match batch
-// proof (build + encoded size, decode + verify) and the repeat
-// 64-version clue read of a client holding every record (build +
-// encoded size, decode + fill + warm verify), and last one verified
+// proof (build + encoded size, decode + verify), the repeat 64-version
+// clue read of a client holding every record (build + encoded size,
+// decode + fill + warm verify) and its cold twin (decode + verify with
+// no memo), and last one verified
 // member call through the 2-shard router with in-process and with
 // remote (client-backed) shard backends. It returns the printable table
 // plus the machine-readable results.
@@ -126,8 +127,8 @@ func HotPath() (*Table, *HotPathReport) {
 		panic(err)
 	}
 	prove, verify := benchProofBatch16(tl, jsns)
-	clueProve, clueVerify := benchClueWarm64(tl, jsns)
-	rep.Results = append(rep.Results, prove, verify, clueProve, clueVerify)
+	clueProve, clueWarm, clueCold := benchClue64(tl, jsns)
+	rep.Results = append(rep.Results, prove, verify, clueProve, clueWarm, clueCold)
 	add("routed-append-local", benchRouted(true, false))
 	add("routed-append-remote", benchRouted(false, false))
 	add("routed-query-local", benchRouted(true, true))
@@ -135,7 +136,7 @@ func HotPath() (*Table, *HotPathReport) {
 
 	t := &Table{
 		Title:  "Hot paths: steady-state cost of the profiled append and serve paths",
-		Note:   "encode-digest is the zero-alloc core; append-* include one π_c ECDSA verify per op (the single-core floor): append-sequential is one goroutine calling Append, append-pipelined 32 submitters per core; prove-after-append is append-sequential plus an existence proof of an earlier journal; *-disk and disk-* rows run on the temp dir's file system; *-batch16 rows prove/verify the 16 oldest versions of the hottest clue on the 40 000-journal δ=15 fixture (verify is cold: 17 ECDSA checks); *-warm64 rows prove/verify its newest 64 versions for a client holding all 64 records (every record a placeholder; verify fills them back in under a warm memo: 0 ECDSA checks); routed-* rows are one verified member call through a 2-shard router on memory stores, -local with the shards' *Server as backends (what ledgerdb-server -shards N runs), -remote with client.Client backends over loopback",
+		Note:   "encode-digest is the zero-alloc core; append-* include one π_c ECDSA verify per op (the single-core floor): append-sequential is one goroutine calling Append, append-pipelined 32 submitters per core; prove-after-append is append-sequential plus an existence proof of an earlier journal; *-disk and disk-* rows run on the temp dir's file system; *-batch16 rows prove/verify the 16 oldest versions of the hottest clue on the 40 000-journal δ=15 fixture (verify is cold: 17 ECDSA checks); *-warm64 rows prove/verify its newest 64 versions for a client holding all 64 records (every record a placeholder; verify fills them back in under a warm memo: 0 ECDSA checks), verify-clue-cold64 the same versions sent in full to a client with no memo (65 ECDSA checks, fanned out over GOMAXPROCS); routed-* rows are one verified member call through a 2-shard router on memory stores, -local with the shards' *Server as backends (what ledgerdb-server -shards N runs), -remote with client.Client backends over loopback",
 		Header: []string{"workload", "ns/op", "allocs/op", "B/op", "ops/s", "wire B"},
 	}
 	for _, r := range rep.Results {

@@ -111,41 +111,82 @@ func benchProofBatch16(tl *TestLedger, jsns []uint64) (prove, verify HotPathResu
 	return prove, verify
 }
 
-// benchClueWarm64 measures the reply a repeated clue read gets on the
-// proof-size fixture: the newest 64 versions of the hottest clue (the
-// clue jsns[0] belongs to) for a client that holds every one of them.
-// The server builds and encodes it with all 64 records as placeholders
-// (WireBytes is what it puts on the wire); the client decodes it, puts
-// its held bytes back and verifies with the memo it carries from the
-// read that filed them.
-func benchClueWarm64(tl *TestLedger, jsns []uint64) (prove, verify HotPathResult) {
+// ClueRead is the fixture's repeat clue read: the newest 64 versions of
+// the hottest clue (the clue jsns[0] belongs to), proven for a client
+// that holds none of them (Cold) and, by ProveHeld, for one that holds
+// all 64 (every record a placeholder), with that client's held bytes
+// (Get).
+type ClueRead struct {
+	Cold       *ledger.ClueProofBundle
+	Get        func(jsn uint64) ([]byte, bool)
+	l          *ledger.Ledger
+	clue       string
+	begin, end uint64
+	held       ledger.Held
+}
+
+// NewClueRead sets the read up on the fixture ProofReadLedger returns.
+func NewClueRead(tl *TestLedger, jsns []uint64) (*ClueRead, error) {
 	rec, err := tl.L.GetJournal(jsns[0])
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
-	clue := rec.Clues[0]
-	lineage, err := tl.L.ListClue(clue)
+	cr := &ClueRead{l: tl.L, clue: rec.Clues[0]}
+	lineage, err := tl.L.ListClue(cr.clue)
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
-	n := uint64(len(lineage))
-	cold, err := tl.L.ProveClue(clue, n-min(n, 64), n)
-	if err != nil {
-		panic(err)
+	cr.end = uint64(len(lineage))
+	cr.begin = cr.end - min(cr.end, 64)
+	if cr.Cold, err = tl.L.ProveClue(cr.clue, cr.begin, cr.end); err != nil {
+		return nil, err
 	}
-	store := make(map[uint64][]byte, len(cold.Records))
+	store := make(map[uint64][]byte, len(cr.Cold.Records))
 	var named []uint64
-	for i, r := range lineage[n-min(n, 64):] {
+	for i, r := range lineage[cr.begin:] {
 		named = append(named, r.JSN)
-		store[r.JSN] = cold.Records[i]
+		store[r.JSN] = cr.Cold.Records[i]
 	}
-	held := ledger.NewHeld(named)
-	get := func(jsn uint64) ([]byte, bool) { raw, ok := store[jsn]; return raw, ok }
+	cr.held = ledger.NewHeld(named)
+	cr.Get = func(jsn uint64) ([]byte, bool) { raw, ok := store[jsn]; return raw, ok }
+	return cr, nil
+}
+
+// ProveHeld builds the reply for the client that holds all 64 records.
+func (cr *ClueRead) ProveHeld() (*ledger.ClueProofBundle, error) {
+	return cr.l.ProveClueHeld(cr.clue, cr.begin, cr.end, cr.held)
+}
+
+// Verify is what the client pays per reply: decode enc, fill its
+// placeholders from the held bytes and verify it under v.
+func (cr *ClueRead) Verify(enc []byte, v ledger.Verifier) error {
+	bundle, err := ledger.DecodeClueProofBundle(enc)
+	if err != nil {
+		return err
+	}
+	if _, err := bundle.Fill(cr.Get); err != nil {
+		return err
+	}
+	_, err = v.VerifyClue(bundle)
+	return err
+}
+
+// benchClue64 measures the fixture's repeat clue read. The server
+// builds and encodes the reply with all 64 records as placeholders
+// (WireBytes is what it puts on the wire); the client decodes it, puts
+// its held bytes back and verifies with the memo it carries from the
+// read that filed them (warm). Cold is the same 64 versions sent in
+// full to a client that holds and remembers nothing: 65 ECDSA checks.
+func benchClue64(tl *TestLedger, jsns []uint64) (prove, warm, cold HotPathResult) {
+	cr, err := NewClueRead(tl, jsns)
+	if err != nil {
+		panic(err)
+	}
 	var enc []byte
 	prove = resultOf("clue-warm64-bytes", testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			bundle, err := tl.L.ProveClueHeld(clue, n-min(n, 64), n, held)
+			bundle, err := cr.ProveHeld()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -153,24 +194,21 @@ func benchClueWarm64(tl *TestLedger, jsns []uint64) (prove, verify HotPathResult
 		}
 	}))
 	prove.WireBytes = int64(len(enc))
+	verify := func(name string, enc []byte, v ledger.Verifier) HotPathResult {
+		return resultOf(name, testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := cr.Verify(enc, v); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}))
+	}
 	ver := ledger.Verifier{LSP: tl.LSP.Public(), Memo: new(sig.Memo)}
-	if _, err := ver.VerifyClue(cold); err != nil {
+	if _, err := ver.VerifyClue(cr.Cold); err != nil {
 		panic(err)
 	}
-	verify = resultOf("verify-clue-warm64", testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			bundle, err := ledger.DecodeClueProofBundle(enc)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := bundle.Fill(get); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := ver.VerifyClue(bundle); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
-	return prove, verify
+	warm = verify("verify-clue-warm64", enc, ver)
+	cold = verify("verify-clue-cold64", cr.Cold.EncodeBytes(), ledger.Verifier{LSP: tl.LSP.Public()})
+	return prove, warm, cold
 }

@@ -31,6 +31,7 @@ import (
 	"ledgerdb/internal/journal"
 	"ledgerdb/internal/ledger"
 	"ledgerdb/internal/merkle/fam"
+	"ledgerdb/internal/par"
 	"ledgerdb/internal/sig"
 	"ledgerdb/internal/wire"
 )
@@ -513,26 +514,43 @@ func (c *Client) Append(payload []byte, clues ...string) (*journal.Receipt, erro
 // all request hashes, so a retry after a lost response cannot
 // double-append the batch.
 func (c *Client) AppendBatch(payloads [][]byte, clues [][]string) (*ledger.BatchReceipt, []hashutil.Digest, error) {
+	reqs, hashes, err := c.signBatch(payloads, clues)
+	if err != nil {
+		return nil, nil, err
+	}
+	br, txHashes, _, err := c.submitBatch(reqs, hashes)
+	return br, txHashes, err
+}
+
+// signBatch builds one normal request per payload and signs them all:
+// the nonces are drawn in payload order, the signatures made on every
+// core (par.Each). It returns the requests with the request-hash each
+// was signed over.
+func (c *Client) signBatch(payloads [][]byte, clues [][]string) ([]*journal.Request, []hashutil.Digest, error) {
 	if clues != nil && len(clues) != len(payloads) {
 		return nil, nil, fmt.Errorf("%w: %d clue sets for %d payloads", journal.ErrBadRequest, len(clues), len(payloads))
 	}
 	reqs := make([]*journal.Request, len(payloads))
 	for i, p := range payloads {
-		req := &journal.Request{
+		reqs[i] = &journal.Request{
 			LedgerURI: c.URI,
 			Type:      journal.TypeNormal,
 			Payload:   p,
 			Nonce:     c.nextNonce(),
 		}
 		if clues != nil {
-			req.Clues = clues[i]
+			reqs[i].Clues = clues[i]
 		}
-		if err := req.Sign(c.Key); err != nil {
-			return nil, nil, err
-		}
-		reqs[i] = req
 	}
-	return c.SubmitBatch(reqs)
+	hashes := make([]hashutil.Digest, len(reqs))
+	err := par.Each(len(reqs), func(i int) (err error) {
+		hashes[i], err = reqs[i].SignHash(c.Key)
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return reqs, hashes, nil
 }
 
 // State fetches and verifies the live signed state.

@@ -68,23 +68,27 @@ func (c *Client) submitRequest(req *journal.Request) (*reply, *journal.Receipt, 
 // SubmitBatch forwards a pre-signed batch, verifying the batch receipt
 // and returning it with the committed tx-hashes.
 func (c *Client) SubmitBatch(reqs []*journal.Request) (*ledger.BatchReceipt, []hashutil.Digest, error) {
-	br, txHashes, _, err := c.submitBatch(reqs)
+	br, txHashes, _, err := c.submitBatch(reqs, requestHashes(reqs))
 	return br, txHashes, err
 }
 
 // SubmitBatchReplay is SubmitRequestReplay for a batch.
 func (c *Client) SubmitBatchReplay(ctx context.Context, reqs []*journal.Request) (*ledger.BatchReceipt, []hashutil.Digest, bool, error) {
-	return c.WithContext(ctx).submitBatch(reqs)
+	return c.WithContext(ctx).submitBatch(reqs, requestHashes(reqs))
 }
 
-func (c *Client) submitBatch(reqs []*journal.Request) (*ledger.BatchReceipt, []hashutil.Digest, bool, error) {
-	encoded := make([]string, len(reqs))
-	reqHashes := make([]hashutil.Digest, len(reqs))
+func requestHashes(reqs []*journal.Request) []hashutil.Digest {
+	hashes := make([]hashutil.Digest, len(reqs))
 	for i, req := range reqs {
-		encoded[i] = base64.StdEncoding.EncodeToString(req.EncodeBytes())
-		reqHashes[i] = req.Hash()
+		hashes[i] = req.Hash()
 	}
-	rep, err := c.callIdem("POST", "/v1/append-batch", map[string]any{"requests": encoded}, journal.BatchRequestKey(reqHashes))
+	return hashes
+}
+
+// submitBatch sends signed requests whose request-hashes are hashes and
+// verifies the batch receipt of a single-node service.
+func (c *Client) submitBatch(reqs []*journal.Request, hashes []hashutil.Digest) (*ledger.BatchReceipt, []hashutil.Digest, bool, error) {
+	rep, err := c.postBatch(reqs, hashes)
 	if err != nil {
 		return nil, nil, false, err
 	}
@@ -94,6 +98,16 @@ func (c *Client) submitBatch(reqs []*journal.Request) (*ledger.BatchReceipt, []h
 	}
 	br, txHashes, err := c.decodeBatchReceipt(rep, raw)
 	return br, txHashes, rep.replay, err
+}
+
+// postBatch sends signed requests to /v1/append-batch under the
+// idempotency key their request-hashes derive.
+func (c *Client) postBatch(reqs []*journal.Request, hashes []hashutil.Digest) (*reply, error) {
+	encoded := make([]string, len(reqs))
+	for i, req := range reqs {
+		encoded[i] = base64.StdEncoding.EncodeToString(req.EncodeBytes())
+	}
+	return c.callIdem("POST", "/v1/append-batch", map[string]any{"requests": encoded}, journal.BatchRequestKey(hashes))
 }
 
 // decodeBatchReceipt parses and LSP-verifies one batch-receipt wire blob
@@ -162,28 +176,11 @@ func (c *Client) AppendRouted(payload []byte, clues ...string) (int, *journal.Re
 // cover exactly the submitted count — a router cannot silently drop a
 // sub-batch.
 func (c *Client) AppendBatchSharded(payloads [][]byte, clues [][]string) (map[int]*ledger.BatchReceipt, map[int][]hashutil.Digest, error) {
-	if clues != nil && len(clues) != len(payloads) {
-		return nil, nil, fmt.Errorf("%w: %d clue sets for %d payloads", journal.ErrBadRequest, len(clues), len(payloads))
+	reqs, reqHashes, err := c.signBatch(payloads, clues)
+	if err != nil {
+		return nil, nil, err
 	}
-	encoded := make([]string, len(payloads))
-	reqHashes := make([]hashutil.Digest, len(payloads))
-	for i, p := range payloads {
-		req := &journal.Request{
-			LedgerURI: c.URI,
-			Type:      journal.TypeNormal,
-			Payload:   p,
-			Nonce:     c.nextNonce(),
-		}
-		if clues != nil {
-			req.Clues = clues[i]
-		}
-		if err := req.Sign(c.Key); err != nil {
-			return nil, nil, err
-		}
-		encoded[i] = base64.StdEncoding.EncodeToString(req.EncodeBytes())
-		reqHashes[i] = req.Hash()
-	}
-	rep, err := c.callIdem("POST", "/v1/append-batch", map[string]any{"requests": encoded}, journal.BatchRequestKey(reqHashes))
+	rep, err := c.postBatch(reqs, reqHashes)
 	if err != nil {
 		return nil, nil, err
 	}

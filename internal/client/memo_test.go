@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -340,6 +341,39 @@ func TestMemoHitShare(t *testing.T) {
 		ops, journals, h+m, h, m, share)
 	if share <= 0.5 {
 		t.Fatalf("read-mix hit share %.3f, want well above one half", share)
+	}
+}
+
+// TestColdClueFanOutRace: eight clones of one client verify
+// overlapping, never-seen clue ranges at once, so each reply's memo
+// misses fan out over the cores while the other clones read and fill
+// the same memo; run under -race (scripts/check.sh race). Every reply
+// verifies, every record of the union is ECDSA-checked at least once,
+// and no clone checks more than its own range.
+func TestColdClueFanOutRace(t *testing.T) {
+	const clones, versions, width = 8, 64, 32
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0))))
+	c := memoClient(t)
+	appendVersions(t, c, "hot", versions)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < clones; g++ {
+		wg.Add(1)
+		cl := c.Clone()
+		go func(begin uint64) {
+			defer wg.Done()
+			<-start
+			recs, err := cl.VerifyClue("hot", begin, begin+width)
+			if err != nil || len(recs) != width {
+				t.Errorf("clone reading [%d,%d): %d records, %v", begin, begin+width, len(recs), err)
+			}
+		}(uint64(g * 4))
+	}
+	close(start)
+	wg.Wait()
+	union := uint64((clones-1)*4 + width)
+	if m := misses(c); m < union+1 || m > clones*(width+1) {
+		t.Fatalf("%d ECDSA checks for %d clones over %d distinct records: want %d..%d", m, clones, union, union+1, clones*(width+1))
 	}
 }
 

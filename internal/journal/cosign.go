@@ -50,27 +50,60 @@ func (r *Request) VerifyAllSigsAt(h hashutil.Digest) error {
 
 // VerifyRecordSigs re-checks a committed record's client signature and
 // co-signatures against its request-hash — the who leg of a Dasein audit.
-func VerifyRecordSigs(rec *Record) error { return VerifyRecordSigsMemo(rec, nil) }
+func VerifyRecordSigs(rec *Record) error {
+	_, err := VerifyRecordsSigs([]*Record{rec}, nil)
+	return err
+}
 
-// VerifyRecordSigsMemo is VerifyRecordSigs for a verifier that keeps a
-// memo of signatures it has already checked (nil = none). A committed
-// record is immutable, so a reader that proves the same record again
-// presents the same triples.
-func VerifyRecordSigsMemo(rec *Record, m *sig.Memo) error {
-	if rec.Type == TypeTime {
-		// Time journals carry the TSA attestation instead; the audit
-		// verifies π_t separately.
-		return nil
+// VerifyRecordsSigs is VerifyRecordSigs for every record of a reply,
+// through a memo of signatures the verifier has already checked (nil =
+// none; a committed record is immutable, so a reader that proves the
+// same record again presents the same triples). The signatures are
+// flattened into checks in record order, π_c before co-signers, and run
+// by m.VerifyAll — memo hits first, then the misses on every core — so
+// the verdict is the record-by-record loop's: the index of the first
+// record with a bad signature and that signature's error, or
+// (len(recs), nil).
+func VerifyRecordsSigs(recs []*Record, m *sig.Memo) (int, error) {
+	n := 0
+	for _, rec := range recs {
+		n += rec.sigCount()
 	}
-	if err := m.Verify(rec.ClientPK, rec.RequestHash, rec.ClientSig); err != nil {
-		return fmt.Errorf("%w: record %d π_c: %v", ErrBadSignature, rec.JSN, err)
-	}
-	for i, cs := range rec.CoSigners {
-		if err := m.Verify(cs.PK, rec.RequestHash, cs.Sig); err != nil {
-			return fmt.Errorf("%w: record %d co-signer %d: %v", ErrBadSignature, rec.JSN, i, err)
+	cs := make([]sig.Check, 0, n)
+	for _, rec := range recs {
+		if rec.sigCount() == 0 {
+			continue
+		}
+		cs = append(cs, sig.Check{PK: rec.ClientPK, Digest: rec.RequestHash, Sig: rec.ClientSig})
+		for _, co := range rec.CoSigners {
+			cs = append(cs, sig.Check{PK: co.PK, Digest: rec.RequestHash, Sig: co.Sig})
 		}
 	}
-	return nil
+	bad, err := m.VerifyAll(cs)
+	if err == nil {
+		return len(recs), nil
+	}
+	for i, rec := range recs { // walk the failed check back to its record
+		switch k := rec.sigCount(); {
+		case bad >= k:
+			bad -= k
+		case bad == 0:
+			return i, fmt.Errorf("%w: record %d π_c: %v", ErrBadSignature, rec.JSN, err)
+		default:
+			return i, fmt.Errorf("%w: record %d co-signer %d: %v", ErrBadSignature, rec.JSN, bad-1, err)
+		}
+	}
+	return len(recs), err // unreachable: bad indexes cs
+}
+
+// sigCount is how many signatures who-verification checks on rec: π_c
+// and each co-signature, or none on a time journal, which carries the
+// TSA attestation instead (the audit verifies π_t separately).
+func (rec *Record) sigCount() int {
+	if rec.Type == TypeTime {
+		return 0
+	}
+	return 1 + len(rec.CoSigners)
 }
 
 func encodeCoSigners(w *wire.Writer, cs []CoSignature) {

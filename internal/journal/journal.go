@@ -101,13 +101,22 @@ func (r *Request) Hash() hashutil.Digest {
 
 // Sign computes π_c with the client's key pair and stamps the request.
 func (r *Request) Sign(kp *sig.KeyPair) error {
+	_, err := r.SignHash(kp)
+	return err
+}
+
+// SignHash is Sign that also returns the request-hash it signed, for a
+// caller that needs the hash next (a batch's idempotency key) and should
+// not hash the request a second time.
+func (r *Request) SignHash(kp *sig.KeyPair) (hashutil.Digest, error) {
 	r.ClientPK = kp.Public()
-	s, err := kp.Sign(r.Hash())
+	h := r.Hash()
+	s, err := kp.Sign(h)
 	if err != nil {
-		return err
+		return h, err
 	}
 	r.ClientSig = s
-	return nil
+	return h, nil
 }
 
 // VerifySig checks π_c. It does not check certification; the ledger's

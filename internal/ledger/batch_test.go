@@ -3,6 +3,8 @@ package ledger
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
 	"ledgerdb/internal/ca"
@@ -65,6 +67,30 @@ func TestAppendBatchAllOrNothing(t *testing.T) {
 	}
 	if e.ledger.Size() != 1 {
 		t.Fatalf("partial batch committed: size = %d", e.ledger.Size())
+	}
+}
+
+// TestBatchRejectNamesFirstBadRequest: with bad requests at indices 3
+// and 20 — a broken π_c, and a time journal a client may not append —
+// admission names request 3 on every one of 50 runs, however its
+// workers race.
+func TestBatchRejectNamesFirstBadRequest(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0))))
+	e := newEnv(t, nil)
+	reqs := batchOf(t, e, 32)
+	reqs[3].Payload = []byte("tampered-3")
+	reqs[20].Type = journal.TypeTime
+	if err := reqs[20].Sign(e.client); err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 50; run++ {
+		_, _, err := e.ledger.AppendBatch(reqs)
+		if !errors.Is(err, journal.ErrBadSignature) || !strings.HasPrefix(err.Error(), "batch request 3: ") {
+			t.Fatalf("run %d: %v; want request 3's bad signature", run, err)
+		}
+	}
+	if e.ledger.Size() != 1 {
+		t.Fatalf("a refused batch committed: size = %d", e.ledger.Size())
 	}
 }
 

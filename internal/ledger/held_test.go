@@ -227,34 +227,38 @@ func TestHeldMutationSoundness(t *testing.T) {
 	for _, s := range f.shapes() {
 		mut := make([]byte, len(s.enc))
 		accepted := 0
-		for _, mask := range [][2]byte{{0x01}, {0x80}, {0xFF}, {0x01, 0x01}} {
-			for i := range s.enc {
-				copy(mut, s.enc)
-				mut[i] ^= mask[0]
-				if i+1 < len(s.enc) {
-					mut[i+1] ^= mask[1]
-				}
-				again, werr := s.check(mut, f.get, warm)
-				_, cerr := s.check(mut, f.get, cold)
-				if (werr == nil) != (cerr == nil) {
-					t.Fatalf("%s: byte %d ^ %#02x: warm verdict %v, cold verdict %v", s.name, i, mask, werr, cerr)
-				}
-				if werr != nil {
-					continue
-				}
-				accepted++
-				if bytes.Equal(again, s.enc) {
-					continue // a lenient read of the same object
-				}
-				if s.loose[i] && mask[1] == 0 {
-					again[i] = s.enc[i]
-					if bytes.Equal(again, s.enc) {
-						continue // only an unauthenticated byte moved
+		atProcs(t, func(note func(string)) {
+			accepted = 0
+			for _, mask := range [][2]byte{{0x01}, {0x80}, {0xFF}, {0x01, 0x01}} {
+				for i := range s.enc {
+					copy(mut, s.enc)
+					mut[i] ^= mask[0]
+					if i+1 < len(s.enc) {
+						mut[i+1] ^= mask[1]
 					}
+					again, werr := s.check(mut, f.get, warm)
+					_, cerr := s.check(mut, f.get, cold)
+					note(verdict(werr) + " | " + verdict(cerr))
+					if (werr == nil) != (cerr == nil) {
+						t.Fatalf("%s: byte %d ^ %#02x: warm verdict %v, cold verdict %v", s.name, i, mask, werr, cerr)
+					}
+					if werr != nil {
+						continue
+					}
+					accepted++
+					if bytes.Equal(again, s.enc) {
+						continue // a lenient read of the same object
+					}
+					if s.loose[i] && mask[1] == 0 {
+						again[i] = s.enc[i]
+						if bytes.Equal(again, s.enc) {
+							continue // only an unauthenticated byte moved
+						}
+					}
+					t.Fatalf("%s: byte %d ^ %#02x: mutant decoded to a different reply AND verified", s.name, i, mask)
 				}
-				t.Fatalf("%s: byte %d ^ %#02x: mutant decoded to a different reply AND verified", s.name, i, mask)
 			}
-		}
+		})
 		t.Logf("%s: %d bytes, %d of %d mutants accepted", s.name, len(s.enc), accepted, 4*len(s.enc))
 	}
 }

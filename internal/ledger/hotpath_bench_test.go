@@ -53,7 +53,7 @@ func BenchmarkHotPathEncodeDigest(b *testing.B) {
 // path": once the writer pool is warm, encoding a record and digesting
 // its frame must not touch the heap.
 func TestEncodeDigestZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if RaceEnabled {
 		t.Skip("race instrumentation perturbs pool allocation; the 0-alloc bound is checked in the non-race run")
 	}
 	rec := benchRecord(t)

@@ -35,6 +35,7 @@ import (
 	"ledgerdb/internal/ca"
 	"ledgerdb/internal/hashutil"
 	"ledgerdb/internal/journal"
+	"ledgerdb/internal/par"
 	"ledgerdb/internal/streamfs"
 )
 
@@ -171,20 +172,17 @@ func (l *Ledger) admitOne(req *journal.Request, batch bool) (admitted, error) {
 	return l.admitChecked(req, nil, h)
 }
 
-// admitBatch is stage 1 for a batch, fanned out across CPUs (π_c
-// verification dominates, but payload digesting and blob writes
+// admitBatch is stage 1 for a batch, fanned out across CPUs by par.Each
+// (π_c verification dominates, but payload digesting and blob writes
 // parallelize too). All-or-nothing: any invalid request rejects the
-// batch; blobs already written for its siblings are harmless (idempotent
-// content-addressed puts, unreferenced until commit).
+// batch, and the error names the lowest-index one, however the workers
+// raced; blobs already written for its siblings are harmless
+// (idempotent content-addressed puts, unreferenced until commit).
 func (l *Ledger) admitBatch(reqs []*journal.Request) ([]admitted, error) {
 	adms := make([]admitted, len(reqs))
-	err := forEachChunk(reqs, func(lo int, part []*journal.Request) error {
-		for j, req := range part {
-			adm, err := l.admitOne(req, true)
-			if err != nil {
-				return err
-			}
-			adms[lo+j] = adm
+	err := par.Each(len(reqs), func(i int) (err error) {
+		if adms[i], err = l.admitOne(reqs[i], true); err != nil {
+			return fmt.Errorf("batch request %d: %w", i, err)
 		}
 		return nil
 	})
@@ -487,43 +485,4 @@ func (l *Ledger) Close() error {
 // should be taken out of rotation.
 func (l *Ledger) Closed() bool {
 	return l.comm.closed.Load()
-}
-
-// forEachChunk fans f out over contiguous chunks of reqs, one worker
-// per CPU, and returns the first error any worker hit.
-func forEachChunk(reqs []*journal.Request, f func(lo int, part []*journal.Request) error) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(reqs) {
-		workers = len(reqs)
-	}
-	var wg sync.WaitGroup
-	errCh := make(chan error, workers)
-	chunk := (len(reqs) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(reqs) {
-			hi = len(reqs)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo int, part []*journal.Request) {
-			defer wg.Done()
-			if err := f(lo, part); err != nil {
-				select {
-				case errCh <- err:
-				default:
-				}
-			}
-		}(lo, reqs[lo:hi])
-	}
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		return err
-	default:
-		return nil
-	}
 }

@@ -140,6 +140,7 @@ func (v Verifier) VerifyExistenceBatch(b *ExistenceProofBatch) ([]*journal.Recor
 	}
 	recs := make([]*journal.Record, len(b.Items))
 	leaves := make([]fam.Leaf, len(b.Items))
+	payloads := make([][]byte, len(b.Items))
 	for i := range b.Items {
 		rec, err := journal.DecodeRecord(b.Items[i].RecordBytes)
 		if err != nil {
@@ -148,14 +149,13 @@ func (v Verifier) VerifyExistenceBatch(b *ExistenceProofBatch) ([]*journal.Recor
 		// Each tx-hash is folded in AT its record's jsn: the proof has no
 		// say in where a record sits.
 		recs[i], leaves[i] = rec, fam.Leaf{Index: rec.JSN, Digest: rec.TxHash()}
+		payloads[i] = b.Items[i].Payload
 	}
 	if err := fam.VerifyBatch(leaves, b.Fam, b.State.JournalRoot); err != nil {
 		return nil, fmt.Errorf("%w: what: %v", ErrVerify, err)
 	}
-	for i, rec := range recs {
-		if err := v.verifyRecordContent(rec, b.Items[i].Payload); err != nil {
-			return nil, fmt.Errorf("batch item %d: %w", i, err)
-		}
+	if i, err := v.verifyRecordContent(recs, payloads); err != nil {
+		return nil, fmt.Errorf("batch item %d: %w", i, err)
 	}
 	return recs, nil
 }
@@ -188,23 +188,29 @@ func (v Verifier) verifyExistenceItem(recordBytes, payload []byte, fp *fam.Proof
 	if err != nil {
 		return nil, fmt.Errorf("%w: what: %v", ErrVerify, err)
 	}
-	if err := v.verifyRecordContent(rec, payload); err != nil {
+	if _, err := v.verifyRecordContent([]*journal.Record{rec}, [][]byte{payload}); err != nil {
 		return nil, err
 	}
 	return rec, nil
 }
 
-// verifyRecordContent is what remains once a record's tx-hash is proven
-// into a trusted root: re-verify its client signatures (who) and match
-// any shipped payload against the recorded digest.
-func (v Verifier) verifyRecordContent(rec *journal.Record, payload []byte) error {
-	if err := journal.VerifyRecordSigsMemo(rec, v.Memo); err != nil {
-		return fmt.Errorf("%w: who: %v", ErrVerify, err)
+// verifyRecordContent is what remains once records' tx-hashes are
+// proven into a trusted root: re-verify their client signatures (who),
+// on every core, and match each shipped payload (payloads[i], nil when
+// none) against its recorded digest. It returns the first record that
+// fails — within one record a bad signature before a bad payload — and
+// its error, or (len(recs), nil).
+func (v Verifier) verifyRecordContent(recs []*journal.Record, payloads [][]byte) (int, error) {
+	bad, err := journal.VerifyRecordsSigs(recs, v.Memo)
+	if err != nil {
+		err = fmt.Errorf("%w: who: %v", ErrVerify, err)
 	}
-	if payload != nil && hashutil.Sum(payload) != rec.PayloadDigest {
-		return fmt.Errorf("%w: payload does not match recorded digest", ErrVerify)
+	for i := range bad {
+		if payloads[i] != nil && hashutil.Sum(payloads[i]) != recs[i].PayloadDigest {
+			return i, fmt.Errorf("%w: payload does not match recorded digest", ErrVerify)
+		}
 	}
-	return nil
+	return bad, err
 }
 
 // EncodeBytes serializes a batched proof for transport: the items, the

@@ -3,4 +3,4 @@
 package ledger
 
 // See race_on_test.go.
-const raceEnabled = false
+const RaceEnabled = false

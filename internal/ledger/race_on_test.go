@@ -2,8 +2,9 @@
 
 package ledger
 
-// raceEnabled reports whether the race detector is active. Race
+// RaceEnabled reports whether the race detector is active. Race
 // instrumentation changes allocation behavior (sync.Pool intentionally
-// drops items to widen the race window), so strict allocs/op == 0
-// assertions are meaningless under -race and skip themselves.
-const raceEnabled = true
+// drops items to widen the race window), so strict allocs/op
+// assertions are meaningless under -race and skip themselves. It is
+// exported for the external test package (proofsize_test.go).
+const RaceEnabled = true

@@ -319,24 +319,26 @@ func (v Verifier) VerifyClue(b *ClueProofBundle) ([]*journal.Record, error) {
 	if b.Clue != b.CM.Clue {
 		return nil, fmt.Errorf("%w: bundle labeled %q but proves clue %q", ErrVerify, b.Clue, b.CM.Clue)
 	}
-	if err := v.VerifySignedState(b.State); err != nil {
-		return nil, err
-	}
-	recs := make([]*journal.Record, 0, len(b.Records))
-	digests := make([]hashutil.Digest, 0, len(b.Records))
+	// Cheap checks first: every record decodes and the lineage folds to
+	// the claimed clue root before any signature is checked, so a
+	// forged lineage costs no ECDSA.
+	recs := make([]*journal.Record, len(b.Records))
+	digests := make([]hashutil.Digest, len(b.Records))
 	for i, raw := range b.Records {
 		rec, err := journal.DecodeRecord(raw)
 		if err != nil {
 			return nil, fmt.Errorf("%w: record %d: %v", ErrVerify, i, err)
 		}
-		if err := journal.VerifyRecordSigsMemo(rec, v.Memo); err != nil {
-			return nil, fmt.Errorf("%w: who: %v", ErrVerify, err)
-		}
-		recs = append(recs, rec)
-		digests = append(digests, rec.TxHash())
+		recs[i], digests[i] = rec, rec.TxHash()
 	}
 	if err := cmtree.VerifyClue(b.State.ClueRoot, b.CM, digests); err != nil {
 		return nil, fmt.Errorf("%w: lineage: %v", ErrVerify, err)
+	}
+	if err := v.VerifySignedState(b.State); err != nil {
+		return nil, err
+	}
+	if _, err := journal.VerifyRecordsSigs(recs, v.Memo); err != nil {
+		return nil, fmt.Errorf("%w: who: %v", ErrVerify, err)
 	}
 	return recs, nil
 }
@@ -399,6 +401,7 @@ func DecodeClueProofBundle(raw []byte) (*ClueProofBundle, error) {
 	if n > 1<<20 || n > uint64(r.Remaining()) {
 		return nil, fmt.Errorf("%w: %d records", ErrVerify, n)
 	}
+	b.Records = make([][]byte, 0, n)
 	for i := uint64(0); i < n; i++ {
 		raw, p := readSlot(r)
 		if p != nil {

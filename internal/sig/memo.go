@@ -2,8 +2,10 @@ package sig
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"ledgerdb/internal/hashutil"
+	"ledgerdb/internal/par"
 )
 
 // memoGen is the entry bound of one Memo generation. A memo holds at
@@ -57,20 +59,119 @@ func (m *Memo) Verify(pk PublicKey, digest hashutil.Digest, sg Signature) error 
 	if m.seen(k) {
 		return nil
 	}
-	if err := Verify(pk, digest, sg); err != nil {
-		return err
-	}
+	err := Verify(pk, digest, sg)
 	m.mu.Lock()
-	m.insertLocked(k)
+	m.misses++
+	if err == nil {
+		m.insertLocked(k)
+	}
 	m.mu.Unlock()
-	return nil
+	return err
 }
 
-// seen reports whether k is memoised, counting the lookup and
-// promoting an old-generation hit.
+// Check is one signature check: Sig must be PK's signature over Digest.
+type Check struct {
+	PK     PublicKey
+	Digest hashutil.Digest
+	Sig    Signature
+}
+
+// VerifyAll runs every check of cs and returns the index and error of
+// the lowest one that fails, or (len(cs), nil): what a loop of Verify
+// calls stopping at its first failure returns, at any GOMAXPROCS. The
+// memo answers its hits first, all under one lock acquisition, so a
+// batch it has fully seen runs no ECDSA and starts no goroutine; only
+// the misses reach sig.Verify, fanned out over every core (par.Each),
+// and each that verified below the first failure is remembered. A
+// triple repeated within cs is checked once, at its first occurrence,
+// and its repeats count as hits, as they would in the loop. A nil memo
+// checks every entry.
+func (m *Memo) VerifyAll(cs []Check) (int, error) {
+	var miss []int // indices of cs to ECDSA-check, ascending
+	if m == nil {
+		miss = make([]int, len(cs))
+		for i := range miss {
+			miss[i] = i
+		}
+		bad, _, err := verifyEach(cs, miss)
+		return bad, err
+	}
+	keys := make([]hashutil.Digest, len(cs))
+	for i := range cs {
+		keys[i] = memoKey(cs[i].PK, cs[i].Digest, cs[i].Sig)
+	}
+	var pending map[hashutil.Digest]struct{} // keys of miss; made on the first
+	m.mu.Lock()
+	for i, k := range keys {
+		if _, repeat := pending[k]; repeat {
+			// Same triple, same verdict: a failure here is reported at
+			// the first occurrence, a lower index.
+			m.hits++
+			continue
+		}
+		if !m.seenLocked(k) {
+			if pending == nil {
+				pending = make(map[hashutil.Digest]struct{})
+			}
+			pending[k] = struct{}{}
+			miss = append(miss, i)
+		}
+	}
+	m.mu.Unlock()
+	if len(miss) == 0 {
+		return len(cs), nil
+	}
+	bad, ran, err := verifyEach(cs, miss)
+	m.mu.Lock()
+	m.misses += ran
+	for _, i := range miss {
+		if i >= bad {
+			break
+		}
+		m.insertLocked(keys[i])
+	}
+	m.mu.Unlock()
+	return bad, err
+}
+
+// failedCheck carries the index of a failed check through par.Each.
+type failedCheck struct {
+	at  int
+	err error
+}
+
+func (f *failedCheck) Error() string { return f.err.Error() }
+
+// verifyEach ECDSA-checks the entries of cs that idx names, on every
+// core, and returns the lowest failing one's index and error, or
+// (len(cs), nil), with how many checks ran: all up to the failure, and
+// perhaps some above it that a worker had already claimed.
+func verifyEach(cs []Check, idx []int) (int, uint64, error) {
+	var ran atomic.Uint64
+	err := par.Each(len(idx), func(j int) error {
+		ran.Add(1)
+		c := &cs[idx[j]]
+		if err := Verify(c.PK, c.Digest, c.Sig); err != nil {
+			return &failedCheck{at: idx[j], err: err}
+		}
+		return nil
+	})
+	if err != nil {
+		f := err.(*failedCheck)
+		return f.at, ran.Load(), f.err
+	}
+	return len(cs), ran.Load(), nil
+}
+
+// seen reports whether k is memoised, counting a hit and promoting an
+// old-generation hit. A miss is counted where its ECDSA check runs.
 func (m *Memo) seen(k hashutil.Digest) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.seenLocked(k)
+}
+
+func (m *Memo) seenLocked(k hashutil.Digest) bool {
 	_, ok := m.cur[k]
 	if !ok {
 		if _, ok = m.old[k]; ok {
@@ -79,8 +180,6 @@ func (m *Memo) seen(k hashutil.Digest) bool {
 	}
 	if ok {
 		m.hits++
-	} else {
-		m.misses++
 	}
 	return ok
 }
@@ -95,8 +194,9 @@ func (m *Memo) insertLocked(k hashutil.Digest) {
 	m.cur[k] = struct{}{}
 }
 
-// Stats returns how many Verify calls were answered from the memo
-// (hits) and how many ran ECDSA (misses). A nil memo reports zeros.
+// Stats returns how many checks (a Verify call, or one entry of a
+// VerifyAll) were answered from the memo (hits) and how many ECDSA
+// checks ran (misses). A nil memo reports zeros.
 func (m *Memo) Stats() (hits, misses uint64) {
 	if m == nil {
 		return 0, 0

@@ -3,6 +3,7 @@ package sig
 import (
 	"encoding/binary"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -183,5 +184,41 @@ func TestMemoConcurrent(t *testing.T) {
 	wg.Wait()
 	if h, ms := m.Stats(); h+ms != goroutines*rounds {
 		t.Fatalf("hits %d + misses %d != %d lookups", h, ms, goroutines*rounds)
+	}
+}
+
+// TestVerifyAllCounts: VerifyAll answers what a loop of Verify calls
+// stopping at its first failure answers, and its misses are exactly
+// the ECDSA checks it ran: a triple repeated within one call is checked
+// once and its repeat is a hit, and a memoised triple is not checked.
+func TestVerifyAllCounts(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	a, b, c := signedTriple("all", "a"), signedTriple("all", "b"), signedTriple("all", "c")
+	bad := c
+	bad.sg[3] ^= 1
+	check := func(tr triple) Check { return Check{PK: tr.pk, Digest: tr.d, Sig: tr.sg} }
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		m := new(Memo)
+		if err := a.verify(m); err != nil {
+			t.Fatal(err)
+		}
+		_, v0 := OpCounts()
+		i, err := m.VerifyAll([]Check{check(a), check(b), check(b), check(c)})
+		_, v1 := OpCounts()
+		if i != 4 || err != nil {
+			t.Fatalf("GOMAXPROCS %d: valid checks = (%d, %v)", procs, i, err)
+		}
+		if h, ms := m.Stats(); h != 2 || ms != 3 || v1-v0 != 2 {
+			t.Fatalf("GOMAXPROCS %d: hits %d misses %d, %d ECDSA verifies; want 2/3, 2", procs, h, ms, v1-v0)
+		}
+		i, err = m.VerifyAll([]Check{check(c), check(bad), check(a), check(bad)})
+		want := bad.verify(nil)
+		if i != 1 || err == nil || err.Error() != want.Error() {
+			t.Fatalf("GOMAXPROCS %d: bad at 1 = (%d, %v), want (1, %v)", procs, i, err, want)
+		}
+		if h, ms := m.Stats(); h != 5 || ms != 4 {
+			t.Fatalf("GOMAXPROCS %d: after a failure hits %d misses %d, want 5/4", procs, h, ms)
+		}
 	}
 }

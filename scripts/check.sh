@@ -14,7 +14,7 @@
 #   scripts/check.sh shard    # multi-shard topology e2e incl. kill-one-shard chaos + local/remote backend parity (-race)
 #   scripts/check.sh query    # rich-query layer: index + absence tests (-race), crash + fuzz smoke
 #   scripts/check.sh replica  # replication: puller/bundle tests (-race), partition chaos, follower crash torture
-#   scripts/check.sh perf     # hot-path bench smoke + allocs/op, proof-size, ECDSA-count, held-record, read-cost, payload-log and routed-append guards + the ledgerbench module's own vet/tests
+#   scripts/check.sh perf     # hot-path bench smoke + allocs/op, proof-size, ECDSA-count, signature fan-out, held-record, read-cost, payload-log and routed-append guards + the ledgerbench module's own vet/tests
 #   scripts/check.sh all      # everything
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -57,6 +57,11 @@ stage_race() {
 
     echo "== tests (race: service e2e, shared-client SDK) =="
     go test -race -timeout 600s ./internal/server ./internal/client
+
+    echo "== tests (race: signature fan-out — par.Each, 8 clones verifying overlapping cold clue ranges, batch admission) =="
+    go test -race -timeout 600s -count 3 ./internal/par
+    go test -race -timeout 600s -count 3 -run 'TestColdClueFanOutRace|TestMemoSharedByClonesRace' ./internal/client
+    go test -race -timeout 600s -count 3 -run 'TestBatchRejectNamesFirstBadRequest|TestAppendBatch' ./internal/ledger
 
     echo "== tests (race: depth-16 staged pipeline read stress) =="
     go test -race -timeout 600s -run 'TestPipelineDepth16ReadStress|TestPipelineStress' -count 2 ./internal/ledger
@@ -166,6 +171,10 @@ stage_perf() {
 
     echo "== verified-signature memo guard (repeat clue proof = 0 ECDSA; tampered replies still refused) =="
     go test -run 'TestMemoPerfGuard' -count 1 ./internal/client
+
+    echo "== signature fan-out guards (warm 64-record clue verify within testdata/verify_clue_warm64_allocs_budget: no goroutine; cold one = one ECDSA verify per signature; forged lineage = 0 ECDSA; sweeps identical at GOMAXPROCS 1 and 4) =="
+    go test -run 'TestVerifyClue64Costs' -count 1 -v ./internal/ledger | grep -E 'clue verify|PASS|FAIL|ok '
+    go test -run 'TestVerifyClueFoldsBeforeSignatures|TestVerifierMemoDifferential' -count 1 ./internal/ledger
 
     echo "== held-record guard (repeat 64-version clue read and Limit-16 query read 0 journals; warm clue reply within testdata/clue_warm64_bytes_budget; placeholder mutation sweeps, warm and cold) =="
     go test -run 'TestHeldReadsSendNoRecordBytes' -count 1 -v ./internal/server | grep -E 'version clue|PASS|FAIL|ok '
