@@ -103,19 +103,12 @@ func main() {
 	shardSrvs := make([]*server.Server, nShards)
 	for i := range engines {
 		store, blobs := streamfs.NewMemory(), streamfs.NewMemoryBlobs()
-		// The sidecar query index has its own store (index = cache):
-		// deleting -dir[/shard-i]/index and restarting rebuilds the
-		// projections from the journal stream.
-		ixStore := streamfs.NewMemory()
 		if *dir != "" {
 			if store, err = streamfs.OpenDisk(shardDir(i, "streams"), diskOpts); err != nil {
 				log.Fatalf("open store %d: %v", i, err)
 			}
 			if blobs, err = streamfs.OpenDiskBlobs(shardDir(i, "blobs")); err != nil {
 				log.Fatalf("open blobs %d: %v", i, err)
-			}
-			if ixStore, err = streamfs.OpenDisk(shardDir(i, "index"), diskOpts); err != nil {
-				log.Fatalf("open index store %d: %v", i, err)
 			}
 		}
 		engines[i], err = ledger.Open(ledger.Config{
@@ -136,7 +129,9 @@ func main() {
 			MaxInFlight:    *maxInflight,
 			RequestTimeout: *reqTimeout,
 		})
-		if shardSrvs[i].Index, err = index.Open(engines[i], ixStore); err != nil {
+		// The query index is memory-only (index = cache): every start
+		// rebuilds it with one scan of the journal stream.
+		if shardSrvs[i].Index, err = index.Open(engines[i], nil); err != nil {
 			log.Fatalf("open index %d: %v", i, err)
 		}
 	}

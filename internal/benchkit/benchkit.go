@@ -148,6 +148,11 @@ type TestLedger struct {
 // NewTestLedger opens a bench engine (fractal height δ, block size b).
 // Callers that want every commit flushed must Close the ledger.
 func NewTestLedger(uri string, height uint8, blockSize int) (*TestLedger, error) {
+	return newTestLedgerOn(uri, height, blockSize, streamfs.NewMemory(), streamfs.NewMemoryBlobs())
+}
+
+// newTestLedgerOn is NewTestLedger over the given stores.
+func newTestLedgerOn(uri string, height uint8, blockSize int, store streamfs.Store, blobs streamfs.BlobStore) (*TestLedger, error) {
 	tl := &TestLedger{
 		LSP:    sig.GenerateDeterministic("bench/lsp"),
 		DBA:    sig.GenerateDeterministic("bench/dba"),
@@ -161,8 +166,8 @@ func NewTestLedger(uri string, height uint8, blockSize int) (*TestLedger, error)
 		BlockSize:     blockSize,
 		LSP:           tl.LSP,
 		DBA:           tl.DBA.Public(),
-		Store:         streamfs.NewMemory(),
-		Blobs:         streamfs.NewMemoryBlobs(),
+		Store:         store,
+		Blobs:         blobs,
 		// The sequencer and the committer both call Clock.
 		Clock: func() int64 {
 			return atomic.AddInt64(&tl.clock, 1)

@@ -34,6 +34,8 @@ type HotPathResult struct {
 	// WireBytes is the encoded size of what the op produces, on rows
 	// whose name ends in -bytes: a size the repository budgets, not a time.
 	WireBytes int64 `json:"wire_bytes,omitempty"`
+	// ReadAts is the positioned reads one op issues, on reopen rows.
+	ReadAts int64 `json:"read_ats,omitempty"`
 }
 
 // HotPathReport is the full BENCH_hotpath.json document. The file is
@@ -89,8 +91,9 @@ func resultOf(name string, r testing.BenchmarkResult) HotPathResult {
 // decode + fill + warm verify) and its cold twin (decode + verify with
 // no memo), and last one verified
 // member call through the 2-shard router with in-process and with
-// remote (client-backed) shard backends. It returns the printable table
-// plus the machine-readable results.
+// remote (client-backed) shard backends, and the restart of the
+// proof-size fixture from disk, ledger and query index. It returns the
+// printable table plus the machine-readable results.
 func HotPath() (*Table, *HotPathReport) {
 	rep := &HotPathReport{
 		NProc:      runtime.NumCPU(),
@@ -133,11 +136,12 @@ func HotPath() (*Table, *HotPathReport) {
 	add("routed-append-remote", benchRouted(false, false))
 	add("routed-query-local", benchRouted(true, true))
 	add("routed-query-remote", benchRouted(false, true))
+	rep.Results = append(rep.Results, benchReopen40k())
 
 	t := &Table{
 		Title:  "Hot paths: steady-state cost of the profiled append and serve paths",
-		Note:   "encode-digest is the zero-alloc core; append-* include one π_c ECDSA verify per op (the single-core floor): append-sequential is one goroutine calling Append, append-pipelined 32 submitters per core; prove-after-append is append-sequential plus an existence proof of an earlier journal; *-disk and disk-* rows run on the temp dir's file system; *-batch16 rows prove/verify the 16 oldest versions of the hottest clue on the 40 000-journal δ=15 fixture (verify is cold: 17 ECDSA checks); *-warm64 rows prove/verify its newest 64 versions for a client holding all 64 records (every record a placeholder; verify fills them back in under a warm memo: 0 ECDSA checks), verify-clue-cold64 the same versions sent in full to a client with no memo (65 ECDSA checks, fanned out over GOMAXPROCS); routed-* rows are one verified member call through a 2-shard router on memory stores, -local with the shards' *Server as backends (what ledgerdb-server -shards N runs), -remote with client.Client backends over loopback",
-		Header: []string{"workload", "ns/op", "allocs/op", "B/op", "ops/s", "wire B"},
+		Note:   "encode-digest is the zero-alloc core; append-* include one π_c ECDSA verify per op (the single-core floor): append-sequential is one goroutine calling Append, append-pipelined 32 submitters per core; prove-after-append is append-sequential plus an existence proof of an earlier journal; *-disk and disk-* rows run on the temp dir's file system; *-batch16 rows prove/verify the 16 oldest versions of the hottest clue on the 40 000-journal δ=15 fixture (verify is cold: 17 ECDSA checks); *-warm64 rows prove/verify its newest 64 versions for a client holding all 64 records (every record a placeholder; verify fills them back in under a warm memo: 0 ECDSA checks), verify-clue-cold64 the same versions sent in full to a client with no memo (65 ECDSA checks, fanned out over GOMAXPROCS); routed-* rows are one verified member call through a 2-shard router on memory stores, -local with the shards' *Server as backends (what ledgerdb-server -shards N runs), -remote with client.Client backends over loopback; reopen-40k is ledger.Open + index.Open of the 40 000-journal fixture written to disk (page-cached), with its ReadAt count",
+		Header: []string{"workload", "ns/op", "allocs/op", "B/op", "ops/s", "wire B", "ReadAt"},
 	}
 	for _, r := range rep.Results {
 		t.AddRow(r.Name,
@@ -145,12 +149,13 @@ func HotPath() (*Table, *HotPathReport) {
 			fmt.Sprintf("%d", r.AllocsPerOp),
 			fmt.Sprintf("%d", r.BytesPerOp),
 			Throughput(int(r.OpsPerSec), 1e9),
-			wireBytes(r.WireBytes))
+			orDash(r.WireBytes),
+			orDash(r.ReadAts))
 	}
 	return t, rep
 }
 
-func wireBytes(n int64) string {
+func orDash(n int64) string {
 	if n == 0 {
 		return "-"
 	}

@@ -8,6 +8,7 @@ import (
 	"ledgerdb/internal/journal"
 	"ledgerdb/internal/ledger"
 	"ledgerdb/internal/sig"
+	"ledgerdb/internal/streamfs"
 )
 
 // The constants below size the proof-size fixture
@@ -40,7 +41,12 @@ func proofReadZipf() *rand.Zipf {
 // therefore every encoded proof size — repeat exactly; only signature
 // bytes differ between builds.
 func ProofReadLedger() (*TestLedger, []uint64, error) {
-	tl, err := NewTestLedger("ledger://proof-read", proofReadHeight, proofReadBlock)
+	return proofReadLedgerOn(streamfs.NewMemory(), streamfs.NewMemoryBlobs())
+}
+
+// proofReadLedgerOn builds the fixture over the given stores.
+func proofReadLedgerOn(store streamfs.Store, blobs streamfs.BlobStore) (*TestLedger, []uint64, error) {
+	tl, err := newTestLedgerOn("ledger://proof-read", proofReadHeight, proofReadBlock, store, blobs)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,18 +1,18 @@
-// Package index is the streamfs-backed secondary index behind the
-// verified rich-query layer: it tails the ledger's journal stream and
-// materializes by-clue-prefix, by-time-range, and by-signer
-// projections.
+// Package index is the secondary index behind the verified rich-query
+// layer: it tails the ledger's journal stream and materializes
+// by-clue-prefix, by-time-range, and by-signer projections.
 //
-// The hard invariant is **index = cache, ledger = truth**. The sidecar
-// store holds nothing the ledger does not; deleting it and reopening
-// rebuilds byte-identical projections from the journal stream alone.
+// The hard invariant is **index = cache, ledger = truth**. The
+// projections live in memory only: Open builds them with one chunked
+// scan of the journal stream, and Sync extends them the same way, so
+// the index stores nothing and nothing of it can go stale on disk.
 // Query answers never ask for trust either: the server wraps every
 // match set in an existence proof batch and every empty prefix reply
 // in an absence proof, both anchored to the LSP-signed state — a
 // tampered or stale index entry fails client-side verification, it is
 // never silently served (internal/ledger/query.go).
 //
-// Determinism: the index reads no clock at all — entry timestamps are
+// Determinism: the index reads no clock at all — projection timestamps are
 // the ledger's committed record timestamps (which come from
 // ledger.Config.Clock), so a rebuild is a pure function of the journal
 // stream. Verlint L3 enforces this package-wide.
@@ -37,75 +37,24 @@ import (
 // with a fresh replay of the journal stream.
 var ErrMismatch = errors.New("index: projection does not match journal replay")
 
-// streamEntries is the sidecar log: one record per indexed jsn, in jsn
-// order. It is a pure replay accelerator — rm -rf and reopen retails
-// the whole journal stream instead.
-const streamEntries = "entries"
-
-// maxEntryClues mirrors the journal decoder's clue-list cap.
-const maxEntryClues = 1024
-
-// entry is the indexed slice of one journal record.
-type entry struct {
-	jsn    uint64
-	ts     int64
-	signer sig.PublicKey
-	clues  []string
-}
-
-func (e *entry) encode(w *wire.Writer) {
-	w.Uvarint(e.jsn)
-	w.Int64(e.ts)
-	sig.EncodePublicKey(w, e.signer)
-	w.Uvarint(uint64(len(e.clues)))
-	for _, c := range e.clues {
-		w.String(c)
-	}
-}
-
-func decodeEntry(b []byte) (*entry, error) {
-	r := wire.NewReader(b)
-	e := &entry{jsn: r.Uvarint(), ts: r.Int64(), signer: sig.DecodePublicKey(r)}
-	n := r.Uvarint()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if n > maxEntryClues {
-		return nil, fmt.Errorf("index: entry with %d clues (max %d)", n, maxEntryClues)
-	}
-	for i := uint64(0); i < n; i++ {
-		e.clues = append(e.clues, r.String())
-	}
-	if err := r.Finish(); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
-func entryOf(rec *journal.Record) *entry {
-	return &entry{jsn: rec.JSN, ts: rec.Timestamp, signer: rec.ClientPK, clues: rec.Clues}
-}
-
 // timeEntry is one by-time projection row.
 type timeEntry struct {
 	ts  int64
 	jsn uint64
 }
 
-// Index is the sidecar. Safe for concurrent use, with the engine's lock
-// discipline (verlint L1): all sidecar I/O — journal reads, entries-log
-// appends, truncation — runs inside the single-flight sync slot (syncCh)
-// with no mutex held, and ix.mu is only ever taken for the in-memory
-// projection mutations and reads.
+// Index is the query index. Safe for concurrent use, with the engine's
+// lock discipline (verlint L1): the journal scans run inside the
+// single-flight sync slot (syncCh) with no mutex held, and ix.mu is only
+// ever taken for the in-memory projection mutations and reads.
 type Index struct {
 	mu  sync.RWMutex
 	led *ledger.Ledger
-	log streamfs.Stream
 
 	// syncCh is the tailer slot: a one-deep channel acquired for the
-	// whole of a Sync or CrossCheck pass. It serializes the sidecar I/O
+	// whole of a Sync or CrossCheck pass. It serializes the journal scans
 	// and freezes watermark/base (which only move inside the slot)
-	// without holding ix.mu across stream reads or appends.
+	// without holding ix.mu across stream reads.
 	syncCh chan struct{}
 
 	watermark uint64 // next jsn to ingest; moves only inside syncCh
@@ -117,53 +66,19 @@ type Index struct {
 	bySigner map[sig.PublicKey][]uint64
 }
 
-// Open builds the index over its sidecar store: replay the entries log
-// (skipping rows the ledger has since purged), then tail the journal
-// stream to the current size. An empty or deleted store degrades to a
-// full rebuild — slower, never wrong.
-//
-// The log may also be AHEAD of the ledger: it flushes on its own
-// schedule, so after a power cut it can hold rows for jsns the journal
-// stream lost and will issue again to different requests. Rows at or
-// past the ledger's size are cut off the log here, before the watermark
-// can skip over them.
+// Open builds the index over led with one scan of its journal stream.
+// The projections are memory-only, so store is never touched — nothing
+// is read from it or written to it; the parameter remains for callers
+// that still hand one.
 func Open(led *ledger.Ledger, store streamfs.Store) (*Index, error) {
-	log, err := store.Stream(streamEntries)
-	if err != nil {
-		return nil, err
-	}
+	base := led.Base()
 	ix := &Index{
-		led:      led,
-		log:      log,
-		syncCh:   make(chan struct{}, 1),
-		base:     led.Base(),
-		byClue:   make(map[string][]uint64),
-		bySigner: make(map[sig.PublicKey][]uint64),
-	}
-	size, ahead := led.Size(), log.Len()
-	err = log.Iterate(log.Base(), func(seq uint64, record []byte) error {
-		e, err := decodeEntry(record)
-		if err != nil {
-			return fmt.Errorf("index: entries log seq %d: %w", seq, err)
-		}
-		if e.jsn >= size {
-			ahead = seq // rows ascend by jsn: the rest is ahead too
-			return errStopIterate
-		}
-		ix.watermark = e.jsn + 1
-		if e.jsn >= ix.base {
-			ix.applyLocked(e) // else purged while the index was closed
-		}
-		return nil
-	})
-	if err != nil && !errors.Is(err, errStopIterate) {
-		return nil, err
-	}
-	if err := log.TruncateTail(ahead); err != nil {
-		return nil, err
-	}
-	if ix.watermark < ix.base {
-		ix.watermark = ix.base
+		led:       led,
+		syncCh:    make(chan struct{}, 1),
+		watermark: base,
+		base:      base,
+		byClue:    make(map[string][]uint64),
+		bySigner:  make(map[sig.PublicKey][]uint64),
 	}
 	if err := ix.Sync(); err != nil {
 		return nil, err
@@ -171,14 +86,14 @@ func Open(led *ledger.Ledger, store streamfs.Store) (*Index, error) {
 	return ix, nil
 }
 
-// applyLocked folds one entry into every projection. Entries arrive in
-// strictly increasing jsn order, so per-clue and per-signer lists stay
+// applyLocked folds one journal into every projection. Journals arrive
+// in strictly increasing jsn order, so per-clue and per-signer lists stay
 // ascending by construction; only the time projection needs a sorted
 // insert (the injected clock may step backwards).
-func (ix *Index) applyLocked(e *entry) {
-	for _, c := range e.clues {
+func (ix *Index) applyLocked(rec *journal.Record) {
+	for _, c := range rec.Clues {
 		jsns, known := ix.byClue[c]
-		ix.byClue[c] = append(jsns, e.jsn)
+		ix.byClue[c] = append(jsns, rec.JSN)
 		if !known {
 			at := sort.SearchStrings(ix.names, c)
 			ix.names = append(ix.names, "")
@@ -186,7 +101,7 @@ func (ix *Index) applyLocked(e *entry) {
 			ix.names[at] = c
 		}
 	}
-	te := timeEntry{ts: e.ts, jsn: e.jsn}
+	te := timeEntry{ts: rec.Timestamp, jsn: rec.JSN}
 	at := sort.Search(len(ix.byTime), func(i int) bool {
 		t := ix.byTime[i]
 		return t.ts > te.ts || (t.ts == te.ts && t.jsn > te.jsn)
@@ -194,13 +109,13 @@ func (ix *Index) applyLocked(e *entry) {
 	ix.byTime = append(ix.byTime, timeEntry{})
 	copy(ix.byTime[at+1:], ix.byTime[at:])
 	ix.byTime[at] = te
-	ix.bySigner[e.signer] = append(ix.bySigner[e.signer], e.jsn)
+	ix.bySigner[rec.ClientPK] = append(ix.bySigner[rec.ClientPK], rec.JSN)
 }
 
 // Sync brings the projections up to the ledger's current size and
-// purge base: ingest new journals (appending them to the entries log),
-// then drop purged rows. Queries call it first, so the index is
-// read-triggered — no background goroutine to leak or race.
+// purge base: ingest new journals, then drop purged rows. Queries call
+// it first, so the index is read-triggered — no background goroutine to
+// leak or race.
 func (ix *Index) Sync() error {
 	ix.syncCh <- struct{}{}
 	defer func() { <-ix.syncCh }()
@@ -208,40 +123,27 @@ func (ix *Index) Sync() error {
 }
 
 // syncTail is the body of a sync pass. Caller holds the sync slot, so
-// watermark/base are stable and the entries log is ours alone; ix.mu is
-// taken only around the in-memory projection updates, never across the
-// journal reads or log appends. The appended rows are NOT fsynced: the
-// log is a replay accelerator whose loss costs a re-tail, so a query
-// never waits on the disk for it. It reaches the disk when the stream
-// flushes on its own (DiskOptions.SyncEvery, segment seals) and on Close.
+// watermark/base are stable; ix.mu is taken only around the in-memory
+// projection updates, never across the journal scan. A journal purged
+// under the scan is skipped, and its rows pruned below.
 func (ix *Index) syncTail() error {
 	size := ix.led.Size()
-	for jsn := ix.watermark; jsn < size; jsn++ {
-		rec, err := ix.led.GetJournal(jsn)
-		if errors.Is(err, ledger.ErrPurged) {
-			ix.mu.Lock()
-			ix.watermark = jsn + 1 // purged under our feet; pruned below
-			ix.mu.Unlock()
-			continue
-		}
-		if err != nil {
-			return err
-		}
-		e := entryOf(rec)
-		w := wire.NewWriter(128)
-		e.encode(w)
-		if _, err := ix.log.Append(w.Bytes()); err != nil {
-			return err
-		}
+	err := ix.led.ScanJournals(ix.watermark, size, func(rec *journal.Record) error {
 		ix.mu.Lock()
-		ix.applyLocked(e)
-		ix.watermark = jsn + 1
+		ix.applyLocked(rec)
+		ix.watermark = rec.JSN + 1
+		ix.mu.Unlock()
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	if ix.watermark < size { // the tail was purged under the scan
+		ix.mu.Lock()
+		ix.watermark = size
 		ix.mu.Unlock()
 	}
 	if base := ix.led.Base(); base > ix.base {
-		if err := ix.pruneLog(base); err != nil {
-			return err
-		}
 		ix.mu.Lock()
 		ix.pruneLocked(base)
 		ix.base = base
@@ -252,7 +154,7 @@ func (ix *Index) syncTail() error {
 
 // pruneLocked drops every projection row with jsn < base — the live
 // half of the purge-replay invariant (the rebuild half falls out of
-// Open skipping stale log rows).
+// Open scanning only the live journals).
 func (ix *Index) pruneLocked(base uint64) {
 	keep := func(jsns []uint64) []uint64 {
 		at := sort.Search(len(jsns), func(i int) bool { return jsns[i] >= base })
@@ -286,26 +188,6 @@ func (ix *Index) pruneLocked(base uint64) {
 		}
 	}
 }
-
-// pruneLog truncates the entries log's stale prefix. Entries are in
-// jsn order, so the cut point is the first row at or above base.
-func (ix *Index) pruneLog(base uint64) error {
-	cut := ix.log.Base()
-	err := ix.log.Iterate(ix.log.Base(), func(seq uint64, record []byte) error {
-		e, err := decodeEntry(record)
-		if err != nil || e.jsn >= base {
-			return errStopIterate
-		}
-		cut = seq + 1
-		return nil
-	})
-	if err != nil && !errors.Is(err, errStopIterate) {
-		return err
-	}
-	return ix.log.Truncate(cut)
-}
-
-var errStopIterate = errors.New("index: stop iteration")
 
 // match runs the query predicate against the projections, returning
 // the matched jsns ascending plus whether the limit cut the set. Clue
@@ -464,7 +346,7 @@ func projectionBytes(names []string, byClue map[string][]uint64, byTime []timeEn
 // CrossCheck is the audit pass: replay the journal stream from the
 // ledger (the truth) into fresh projections and diff them against the
 // live ones. Any disagreement — missed record, stale purged row,
-// corrupted sidecar — is an ErrMismatch naming the projection.
+// corrupted projection — is an ErrMismatch naming the projection.
 func (ix *Index) CrossCheck() error {
 	// Hold the sync slot for the whole audit: it freezes watermark, base,
 	// and the projections (every mutation runs inside the slot), so the
@@ -483,15 +365,12 @@ func (ix *Index) CrossCheck() error {
 	// Replay exactly the window the live projections have ingested
 	// ([base, watermark)); a concurrent append past the watermark cannot
 	// manufacture a false mismatch.
-	for jsn := ix.base; jsn < ix.watermark; jsn++ {
-		rec, err := ix.led.GetJournal(jsn)
-		if errors.Is(err, ledger.ErrPurged) {
-			continue
-		}
-		if err != nil {
-			return err
-		}
-		fresh.applyLocked(entryOf(rec))
+	err := ix.led.ScanJournals(ix.base, ix.watermark, func(rec *journal.Record) error {
+		fresh.applyLocked(rec)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()

@@ -13,7 +13,6 @@ import (
 	"ledgerdb/internal/ledger"
 	"ledgerdb/internal/sig"
 	"ledgerdb/internal/streamfs"
-	"ledgerdb/internal/wire"
 )
 
 // env wires a deterministic ledger for the sidecar under test.
@@ -103,30 +102,28 @@ func mustOpen(t testing.TB, e *env, store streamfs.Store) *Index {
 	return ix
 }
 
-// TestRebuildIsByteIdentical is the acceptance check: a warm reopen
-// from the sidecar log and a cold rebuild from a deleted sidecar must
-// produce byte-identical projections.
+// TestRebuildIsByteIdentical is the acceptance check: projections
+// tailed live, one Sync at a time, and projections built by a fresh
+// Open's single scan must be byte-identical.
 func TestRebuildIsByteIdentical(t *testing.T) {
 	e := newEnv(t)
-	store := streamfs.NewMemory()
-	ix := mustOpen(t, e, store)
+	ix := mustOpen(t, e, nil)
 	for i := 0; i < 20; i++ {
 		e.append(t, fmt.Sprintf("doc-%d", i), fmt.Sprintf("clue-%d", i%5))
+		if i%3 == 0 {
+			if err := ix.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	if err := ix.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	want := ix.ProjectionBytes()
-
-	warm := mustOpen(t, e, store) // same sidecar log
-	if !bytes.Equal(warm.ProjectionBytes(), want) {
-		t.Fatal("warm reopen diverges from live projections")
+	fresh := mustOpen(t, e, nil)
+	if !bytes.Equal(fresh.ProjectionBytes(), ix.ProjectionBytes()) {
+		t.Fatal("fresh open diverges from live-tailed projections")
 	}
-	cold := mustOpen(t, e, streamfs.NewMemory()) // rm -rf equivalent
-	if !bytes.Equal(cold.ProjectionBytes(), want) {
-		t.Fatal("cold rebuild diverges from live projections")
-	}
-	if err := cold.CrossCheck(); err != nil {
+	if err := fresh.CrossCheck(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -136,7 +133,7 @@ func TestRebuildIsByteIdentical(t *testing.T) {
 func TestQueryKindsVerify(t *testing.T) {
 	e := newEnv(t)
 	other := sig.GenerateDeterministic("ix-other")
-	ix := mustOpen(t, e, streamfs.NewMemory())
+	ix := mustOpen(t, e, nil)
 	var invoiceJSNs []uint64
 	for i := 0; i < 6; i++ {
 		r := e.append(t, fmt.Sprintf("inv-%d", i), fmt.Sprintf("invoice/%d", i))
@@ -216,7 +213,7 @@ func TestQueryKindsVerify(t *testing.T) {
 // prefix result is only acceptable with a verifiable absence proof.
 func TestEmptyPrefixCarriesAbsence(t *testing.T) {
 	e := newEnv(t)
-	ix := mustOpen(t, e, streamfs.NewMemory())
+	ix := mustOpen(t, e, nil)
 	e.append(t, "doc", "present")
 	q := ledger.Query{Kind: ledger.QueryByPrefix, Prefix: "missing/"}
 	res, err := ix.Query(q)
@@ -231,13 +228,12 @@ func TestEmptyPrefixCarriesAbsence(t *testing.T) {
 	}
 }
 
-// TestPurgeThenQuery is the ISSUE regression: after a purge, the purged
-// clue must yield a verifiable absence — never a stale hit — on both
-// the live-tailing path and a cold rebuild.
+// TestPurgeThenQuery: after a purge, the purged clue must yield a
+// verifiable absence — never a stale hit — on both the live-tailing path
+// and a fresh Open.
 func TestPurgeThenQuery(t *testing.T) {
 	e := newEnv(t)
-	store := streamfs.NewMemory()
-	ix := mustOpen(t, e, store)
+	ix := mustOpen(t, e, nil)
 	for i := 0; i < 4; i++ {
 		e.append(t, fmt.Sprintf("doc-%d", i), "doomed")
 	}
@@ -267,14 +263,11 @@ func TestPurgeThenQuery(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
-	check("live-tail", ix)                                      // prune during tailing
-	check("warm-reopen", mustOpen(t, e, store))                 // stale log rows skipped
-	check("cold-rebuild", mustOpen(t, e, streamfs.NewMemory())) // full replay
+	check("live-tail", ix)                   // prune during tailing
+	check("fresh-open", mustOpen(t, e, nil)) // scan of the live journals
 
-	// All three agree byte for byte.
-	want := ix.ProjectionBytes()
-	if !bytes.Equal(mustOpen(t, e, store).ProjectionBytes(), want) ||
-		!bytes.Equal(mustOpen(t, e, streamfs.NewMemory()).ProjectionBytes(), want) {
+	// Both agree byte for byte.
+	if !bytes.Equal(mustOpen(t, e, nil).ProjectionBytes(), ix.ProjectionBytes()) {
 		t.Fatal("post-purge projections diverge between rebuild paths")
 	}
 
@@ -294,7 +287,7 @@ func TestPurgeThenQuery(t *testing.T) {
 // the proof layer must fail verification rather than serve it.
 func TestTamperedIndexNeverServedSilently(t *testing.T) {
 	e := newEnv(t)
-	ix := mustOpen(t, e, streamfs.NewMemory())
+	ix := mustOpen(t, e, nil)
 	rIn := e.append(t, "in", "wanted")
 	rOut := e.append(t, "out", "unrelated")
 	if err := ix.Sync(); err != nil {
@@ -331,7 +324,7 @@ func TestCrossCheckCatchesEveryProjection(t *testing.T) {
 		"by-signer": func(ix *Index) { delete(ix.bySigner, e.client.Public()) },
 	}
 	for name, corrupt := range corruptions {
-		ix := mustOpen(t, e, streamfs.NewMemory())
+		ix := mustOpen(t, e, nil)
 		if err := ix.CrossCheck(); err != nil {
 			t.Fatalf("%s: clean index: %v", name, err)
 		}
@@ -348,7 +341,7 @@ func TestCrossCheckCatchesEveryProjection(t *testing.T) {
 // are picked up by the next query without reopening.
 func TestSyncIsIncremental(t *testing.T) {
 	e := newEnv(t)
-	ix := mustOpen(t, e, streamfs.NewMemory())
+	ix := mustOpen(t, e, nil)
 	q := ledger.Query{Kind: ledger.QueryByPrefix, Prefix: "late"}
 	res, err := ix.Query(q)
 	if err != nil {
@@ -365,22 +358,6 @@ func TestSyncIsIncremental(t *testing.T) {
 	recs, err := ledger.VerifyQueryResult(e.lsp.Public(), q, res)
 	if err != nil || len(recs) != 1 {
 		t.Fatalf("after append: %d recs, err %v", len(recs), err)
-	}
-}
-
-func TestEntryCodecRoundTrip(t *testing.T) {
-	e := &entry{jsn: 42, ts: -7, signer: sig.GenerateDeterministic("x").Public(), clues: []string{"a", "b"}}
-	w := wire.NewWriter(128)
-	e.encode(w)
-	got, err := decodeEntry(w.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.jsn != e.jsn || got.ts != e.ts || got.signer != e.signer || len(got.clues) != 2 {
-		t.Fatalf("round trip: %+v", got)
-	}
-	if _, err := decodeEntry(w.Bytes()[:3]); err == nil {
-		t.Fatal("truncated entry must not decode")
 	}
 }
 
@@ -446,7 +423,7 @@ func TestRepeatedClueQueryVerifies(t *testing.T) {
 	e := newEnv(t)
 	first := e.append(t, "twice", "dup", "dup").JSN
 	second := e.append(t, "once", "dup").JSN
-	ix := mustOpen(t, e, streamfs.NewMemory())
+	ix := mustOpen(t, e, nil)
 	for _, limit := range []uint64{0, 1} {
 		q := ledger.Query{Kind: ledger.QueryByPrefix, Prefix: "dup", Limit: limit}
 		want, cut := []uint64{first, second}, false
@@ -484,7 +461,7 @@ func TestHotClueQueryReadsOnlyTheLimit(t *testing.T) {
 		}
 		both = append(both, e.append(t, fmt.Sprintf("d%d", i), clues...).JSN)
 	}
-	ix := mustOpen(t, e, streamfs.NewMemory())
+	ix := mustOpen(t, e, nil)
 	for _, c := range []struct {
 		name   string
 		q      ledger.Query

@@ -226,50 +226,3 @@ func (l *Ledger) completePurgeLocked(desc *PurgeDescriptor) error {
 	l.invalidateProofsLocked() // the truncated prefix changes what proofs may reflect
 	return nil
 }
-
-// pendingPurgeLocked detects a purge that was decided — purge journal
-// and pseudo genesis both on the durable prefix — but whose destructive
-// half did not finish before a crash. A purge journal without its pseudo
-// genesis is NOT pending: the decision point is the durability of both
-// (they are synced together before any truncation), so a lone purge
-// journal from a torn tail stays inert on the ledger forever.
-func (l *Ledger) pendingPurgeLocked() (*PurgeDescriptor, error) {
-	var lastDesc *PurgeDescriptor
-	var lastJSN uint64
-	err := l.journals.Iterate(l.base, func(jsn uint64, raw []byte) error {
-		rec, err := journal.DecodeRecord(raw)
-		if err != nil {
-			return err
-		}
-		if rec.Type != journal.TypePurge {
-			return nil
-		}
-		extra, err := DecodePurgeExtra(rec.Extra)
-		if err != nil {
-			return err
-		}
-		lastDesc, lastJSN = extra.Desc, jsn
-		return nil
-	})
-	if err != nil || lastDesc == nil || lastDesc.Point <= l.base {
-		return nil, err
-	}
-	// The doubly-linked pseudo genesis sits immediately after the purge
-	// journal; its snapshot must name this purge back.
-	if lastJSN+1 >= l.nextJSN {
-		return nil, nil
-	}
-	raw, err := l.journals.Read(lastJSN + 1)
-	if err != nil {
-		return nil, nil // tail lost with the crash: purge not decided
-	}
-	rec, err := journal.DecodeRecord(raw)
-	if err != nil || rec.Type != journal.TypePseudoGenesis {
-		return nil, nil
-	}
-	info, err := DecodePseudoGenesis(rec.Extra)
-	if err != nil || info.PurgeJSN != lastJSN {
-		return nil, nil
-	}
-	return lastDesc, nil
-}

@@ -674,6 +674,42 @@ func (l *Ledger) GetJournal(jsn uint64) (*journal.Record, error) {
 	return rec, nil
 }
 
+// ScanJournals calls fn with every live journal whose jsn lies in
+// [from, to), in jsn order, decoded from one chunked pass over the
+// journal stream. It holds no ledger lock: to must not exceed a Size the
+// caller has read (committed records are immutable), and a purge racing
+// the scan skips the journals it removes, which the caller reconciles
+// against Base. The records carry no Occulted bit.
+func (l *Ledger) ScanJournals(from, to uint64, fn func(*journal.Record) error) error {
+	for {
+		from = max(from, l.journals.Base())
+		if from >= to {
+			return nil
+		}
+		err := l.journals.Iterate(from, func(jsn uint64, raw []byte) error {
+			if jsn >= to {
+				return errStopIterate
+			}
+			rec, err := journal.DecodeRecord(raw)
+			if err != nil {
+				return fmt.Errorf("ledger: journal %d: %w", jsn, err)
+			}
+			if err := fn(rec); err != nil {
+				return err
+			}
+			from = jsn + 1
+			return nil
+		})
+		if errors.Is(err, streamfs.ErrNotFound) && from < l.journals.Base() {
+			continue // purged under the scan: resume past the last journal handed over
+		}
+		if err == errStopIterate {
+			return nil
+		}
+		return err
+	}
+}
+
 // readJournalBytes reads a committed record's raw bytes without holding
 // the ledger lock. The caller has already bounds-checked jsn; if a
 // concurrent purge truncated the prefix between that check and this

@@ -202,7 +202,10 @@ func (l *Ledger) recover() error {
 
 	// If the ledger was purged, seed clue / state / membership data from
 	// the most recent pseudo genesis before replaying live journals.
-	var redoErase []uint64 // synchronously occulted journals met by the replay
+	var (
+		redoErase []uint64  // synchronously occulted journals met by the replay
+		purges    purgeScan // the newest purge journal met by seed and replay
+	)
 	replayFrom := l.base
 	if l.base > 0 {
 		info, jsn, err := l.findPseudoGenesis()
@@ -211,7 +214,7 @@ func (l *Ledger) recover() error {
 		}
 		switch {
 		case info != nil:
-			if err := l.seedFromSnapshot(info, jsn, &redoErase); err != nil {
+			if err := l.seedFromSnapshot(info, jsn, &redoErase, &purges); err != nil {
 				return err
 			}
 			replayFrom = jsn + 1
@@ -240,7 +243,7 @@ func (l *Ledger) recover() error {
 			return fmt.Errorf("ledger: journal %d: %w", jsn, err)
 		}
 		l.replayRecord(rec, &redoErase)
-		return nil
+		return purges.observe(rec)
 	}); err != nil {
 		return err
 	}
@@ -262,16 +265,50 @@ func (l *Ledger) recover() error {
 	// hit before truncation/erasure finished, complete it now. The
 	// replay above rebuilt payloadRefs over every live record, so the
 	// idempotent completePurgeLocked converges on the decided state.
-	desc, err := l.pendingPurgeLocked()
-	if err != nil {
-		return err
-	}
-	if desc != nil {
+	if desc := purges.pending(l.base); desc != nil {
 		if err := l.completePurgeLocked(desc); err != nil {
 			return fmt.Errorf("ledger: roll purge forward: %w", err)
 		}
 	}
 	return nil
+}
+
+// purgeScan follows a recovery pass over the live journals, in jsn
+// order, to find a purge that was decided — purge journal and pseudo
+// genesis both on the durable prefix — but whose destructive half did
+// not finish before a crash. Only the newest purge journal counts, and
+// only if the record right after it is the doubly-linked pseudo genesis
+// naming it back: the decision point is the durability of both (they
+// are synced together before any truncation), so a lone purge journal
+// from a torn tail stays inert on the ledger forever.
+type purgeScan struct {
+	desc    *PurgeDescriptor // the newest purge journal's descriptor
+	jsn     uint64           // and its jsn
+	decided bool             // the record at jsn+1 is its pseudo genesis
+}
+
+func (p *purgeScan) observe(rec *journal.Record) error {
+	switch {
+	case rec.Type == journal.TypePurge:
+		extra, err := DecodePurgeExtra(rec.Extra)
+		if err != nil {
+			return fmt.Errorf("ledger: purge journal %d: %w", rec.JSN, err)
+		}
+		p.desc, p.jsn, p.decided = extra.Desc, rec.JSN, false
+	case rec.Type == journal.TypePseudoGenesis && p.desc != nil && rec.JSN == p.jsn+1:
+		info, err := DecodePseudoGenesis(rec.Extra)
+		p.decided = err == nil && info.PurgeJSN == p.jsn
+	}
+	return nil
+}
+
+// pending returns the decided purge that truncation has not yet reached
+// (its point lies above base), or nil.
+func (p *purgeScan) pending(base uint64) *PurgeDescriptor {
+	if !p.decided || p.desc.Point <= base {
+		return nil
+	}
+	return p.desc
 }
 
 // clueNamesLocked lists clue names for snapshot building.
@@ -307,8 +344,9 @@ func (l *Ledger) findPseudoGenesis() (*PseudoGenesisInfo, uint64, error) {
 
 // seedFromSnapshot restores clue, state, and membership data covering
 // everything up to (and including) the pseudo genesis journal. redoErase
-// is replayOccult's.
-func (l *Ledger) seedFromSnapshot(info *PseudoGenesisInfo, pseudoJSN uint64, redoErase *[]uint64) error {
+// is replayOccult's; purges, when non-nil, observes the journals the
+// seed reads.
+func (l *Ledger) seedFromSnapshot(info *PseudoGenesisInfo, pseudoJSN uint64, redoErase *[]uint64, purges *purgeScan) error {
 	type clueSeed struct {
 		name string
 		jsns []uint64
@@ -346,6 +384,9 @@ func (l *Ledger) seedFromSnapshot(info *PseudoGenesisInfo, pseudoJSN uint64, red
 		}
 		l.payloadRefs[rec.PayloadDigest]++
 		l.replayOccult(rec, redoErase)
+		if purges != nil {
+			return purges.observe(rec)
+		}
 		return nil
 	})
 	if err == errStopIterate {

@@ -348,7 +348,7 @@ func (l *Ledger) projectReplicatedLocked(rec *journal.Record) error {
 			return fmt.Errorf("ledger: replicated pseudo genesis %d: %w", rec.JSN, err)
 		}
 		//lint:ignore L1 seeding scans the survival stream to rebuild projections — recovery's own stop-the-world path, run here under the replica's apply lock
-		if err := l.seedFromSnapshot(info, rec.JSN, nil); err != nil {
+		if err := l.seedFromSnapshot(info, rec.JSN, nil, nil); err != nil {
 			return err
 		}
 		l.replica.seeding = false
@@ -363,7 +363,7 @@ func (l *Ledger) projectReplicatedLocked(rec *journal.Record) error {
 		if err := l.syncCommitLocked(); err != nil {
 			return err
 		}
-		desc, err := l.pendingPurgeLocked()
+		desc, err := l.decidedPurgeLocked(rec)
 		if err != nil {
 			return err
 		}
@@ -374,6 +374,31 @@ func (l *Ledger) projectReplicatedLocked(rec *journal.Record) error {
 		}
 	}
 	return nil
+}
+
+// decidedPurgeLocked returns the purge a just-applied pseudo genesis
+// decides, when truncation has not yet reached it, reading only the
+// purge journal the snapshot names — recovery's purgeScan rule applied
+// to the one pair that can decide it.
+func (l *Ledger) decidedPurgeLocked(pseudo *journal.Record) (*PurgeDescriptor, error) {
+	info, err := DecodePseudoGenesis(pseudo.Extra)
+	if err != nil || info.PurgeJSN+1 != pseudo.JSN {
+		return nil, nil // names no purge right before it: decides nothing
+	}
+	purge, err := l.getJournalLocked(info.PurgeJSN)
+	if errors.Is(err, ErrPurged) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	var scan purgeScan
+	for _, rec := range []*journal.Record{purge, pseudo} {
+		if err := scan.observe(rec); err != nil {
+			return nil, err
+		}
+	}
+	return scan.pending(l.base), nil
 }
 
 // ApplyReplicatedBlocks appends replicated block headers, verifying the

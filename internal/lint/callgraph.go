@@ -115,7 +115,6 @@ var l1Allowlist = map[string]string{
 	// the same stop-the-world argument as Purge itself; recovery reuses
 	// it pre-concurrency to roll a decided purge forward.
 	"internal/ledger.completePurgeLocked": "purge truncation/erasure is stop-the-world",
-	"internal/ledger.pendingPurgeLocked":  "recovery-time scan runs before any concurrency",
 }
 
 // l1SkipPackages are module-relative package prefixes L1 does not apply

@@ -2,7 +2,6 @@ package streamfs
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -292,9 +291,9 @@ func dropTornHeaderTails(fsys FileSystem, paths []string) ([]string, error) {
 	return paths, nil
 }
 
-// scanChunk is the read-ahead of walkFrames: segments are scanned through
-// one buffer of this size (grown only for a single frame that exceeds
-// it), never loaded whole.
+// scanChunk is the read-ahead of walkFrames and Iterate: segments are
+// scanned through one buffer of this size (grown only for a single frame
+// that exceeds it), never loaded whole.
 const scanChunk = 256 << 10
 
 // walkFrames validates the frames of one segment file in order and hands
@@ -642,11 +641,18 @@ func (st *diskStream) Len() uint64 {
 	return st.next
 }
 
-// Iterate walks [from, Len-at-start) in order. A Truncate racing the
-// iteration may purge records ahead of the cursor; those are skipped —
-// the iteration reflects records live at the moment each is read — not
-// reported as a spurious ErrNotFound (records cannot vanish any other
-// way, so a miss below the advanced base is always a concurrent purge).
+// Iterate walks [from, Len-at-start) in order, reading consecutive
+// frames of a segment up to scanChunk bytes per ReadAt (a larger frame
+// is read alone) instead of one pread per record. Each frame is checked
+// as ReadBuf checks it, just before fn sees it, so a damaged record ends
+// the walk with ErrCorrupt naming its seq. fn's record is a view into
+// the chunk buffer, valid only during the call.
+//
+// A Truncate racing the iteration may purge records ahead of the
+// cursor; those are skipped — the iteration reflects records live at
+// the moment each is delivered — not reported as a spurious
+// ErrNotFound (records cannot vanish any other way, so a miss below the
+// advanced base is always a concurrent purge).
 func (st *diskStream) Iterate(from uint64, fn func(uint64, []byte) error) error {
 	st.mu.RLock()
 	base, next := st.base, st.next
@@ -657,26 +663,83 @@ func (st *diskStream) Iterate(from uint64, fn func(uint64, []byte) error) error 
 	if from > next {
 		return ErrOutOfRange
 	}
-	for seq := from; seq < next; seq++ {
-		rec, err := st.Read(seq)
-		if err != nil {
-			if errors.Is(err, ErrNotFound) {
-				st.mu.RLock()
-				b := st.base
-				st.mu.RUnlock()
-				if seq < b { // concurrent Truncate: jump over the purged gap
-					if b >= next {
-						return nil
-					}
-					seq = b - 1
-					continue
-				}
+	var c chunk
+	for seq := from; seq < next; {
+		if err := st.readChunk(&c, seq, next); err != nil {
+			return err
+		}
+		seq = c.seq
+		for i := range c.frames() {
+			if i > 0 && seq < st.Base() {
+				break // purged under the cursor: the next chunk skips the gap
 			}
-			return err
+			frame := c.buf[c.offs[i]-c.offs[0] : c.offs[i+1]-c.offs[0]]
+			if what := checkFrame(frame); what != "" {
+				return fmt.Errorf("%w: %s seq %d: %s", ErrCorrupt, c.path, seq, what)
+			}
+			if err := fn(seq, frame[frameHdrLen:]); err != nil {
+				return err
+			}
+			seq++
 		}
-		if err := fn(seq, rec); err != nil {
-			return err
+	}
+	return nil
+}
+
+// chunk is one ReadAt's worth of consecutive frames of a segment.
+type chunk struct {
+	seq  uint64 // seq of the first frame
+	path string
+	buf  []byte
+	offs []int64 // file offset of each frame, then the end of the last
+}
+
+func (c *chunk) frames() uint64 { return uint64(max(len(c.offs)-1, 0)) }
+
+// readChunk fills c with the frames from seq (below next) that share
+// seq's segment and fit in scanChunk bytes, at least one. A concurrent
+// Truncate past seq moves the chunk to the new base, or leaves it empty
+// at next when the purge reached it. The ReadAt holds the read lock, as
+// ReadBuf's does, so a Truncate cannot retire the segment under it.
+func (st *diskStream) readChunk(c *chunk, seq, next uint64) error {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	c.offs = c.offs[:0]
+	if seq < st.base {
+		seq = min(st.base, next)
+	}
+	c.seq = seq
+	if seq == next {
+		return nil
+	}
+	seg := st.findSeg(seq)
+	if seg == nil {
+		return ErrNotFound
+	}
+	c.path = seg.path
+	first, stop := seq-seg.firstSeq, min(next, seg.lastSeq())-seg.firstSeq
+	c.offs = append(c.offs, seg.offsets[first])
+	for i := first; i < stop; i++ {
+		end := seg.size
+		if i+1 < uint64(len(seg.offsets)) {
+			end = seg.offsets[i+1]
 		}
+		if i > first && end-c.offs[0] > scanChunk {
+			break
+		}
+		c.offs = append(c.offs, end)
+	}
+	n := c.offs[len(c.offs)-1] - c.offs[0]
+	if int64(cap(c.buf)) < n {
+		c.buf = make([]byte, n)
+	}
+	c.buf = c.buf[:n]
+	f, err := seg.reader(st.opts.FS)
+	if err != nil {
+		return err
+	}
+	if _, err := f.ReadAt(c.buf, c.offs[0]); err != nil {
+		return fmt.Errorf("%w: %s seq %d: %v", ErrCorrupt, seg.path, seq, err)
 	}
 	return nil
 }

@@ -24,8 +24,8 @@ func ReadRange(s Stream, from uint64, maxRecords, maxBytes int) ([][]byte, error
 		total int
 	)
 	err := s.Iterate(from, func(seq uint64, rec []byte) error {
-		// Iterate may hand a view of backend-owned storage (the memory
-		// backend does); copy so the result outlives the stream's locks.
+		// Iterate hands a view valid only during the call (the disk
+		// backend's chunk buffer); copy so the result outlives it.
 		cp := make([]byte, len(rec))
 		copy(cp, rec)
 		out = append(out, cp)

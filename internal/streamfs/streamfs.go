@@ -63,7 +63,13 @@ type Stream interface {
 	// has purged a prefix).
 	Base() uint64
 	// Iterate calls fn for each record with sequence >= from, in order,
-	// until the end of the stream or fn returns an error.
+	// until the end of the stream or fn returns an error. record is a
+	// view valid only during the call — the disk backend reuses one
+	// chunk buffer for the whole walk — so fn must copy whatever it
+	// keeps. Every caller decodes into fresh storage or copies:
+	// ledger recovery (digests, blocks, journals, the pseudo-genesis
+	// search and seed), Ledger.ScanJournals, Survivors, proof bundles'
+	// time-journal search and ReadRange.
 	Iterate(from uint64, fn func(seq uint64, record []byte) error) error
 	// Truncate discards all records with sequence < before, releasing
 	// their storage where the backend allows. Reads of purged sequences

@@ -92,7 +92,7 @@ type (
 	QueryResult = ledger.QueryResult
 	// AbsenceProof is an authenticated "no such clue" statement.
 	AbsenceProof = ledger.AbsenceProof
-	// Index is the rebuildable sidecar behind the rich-query layer.
+	// Index is the in-memory query index behind the rich-query layer.
 	Index = index.Index
 	// ProofBundle is a self-contained offline proof (record + fam path +
 	// anchored checkpoint + time-attestation chain).
@@ -132,7 +132,8 @@ var (
 	VerifyQueryResult = ledger.VerifyQueryResult
 	// VerifyAbsenceProof is the client-side absence verification.
 	VerifyAbsenceProof = ledger.VerifyAbsence
-	// OpenIndex opens (or rebuilds) a sidecar query index over a ledger.
+	// OpenIndex builds a query index over a ledger from its journal
+	// stream (the store argument is unused).
 	OpenIndex = index.Open
 	// VerifyBundle is the fully-offline proof-bundle verification: no
 	// network, no ledger — just the bundle bytes, the pinned LSP key, and
@@ -205,7 +206,7 @@ type StackOptions struct {
 	// Each follower is an apply-only engine continuously pulling its
 	// shard's streams through the sealed-frame replication protocol —
 	// crash recovery running as a service — with its own rich-query
-	// sidecar. Followers live in memory (a replica is rebuildable from
+	// index. Followers live in memory (a replica is rebuildable from
 	// its primary by construction) and drain before the stack closes.
 	Followers int
 	// FollowerInterval is each follower's idle poll period once caught
@@ -224,7 +225,7 @@ type DiskOptions = streamfs.DiskOptions
 type Stack struct {
 	Ledger      *ledger.Ledger   // shard 0 — the whole ledger in single-node mode
 	Shards      []*ledger.Ledger // all shards, in partition order
-	Indexes     []*index.Index   // per-shard rich-query sidecars, same order
+	Indexes     []*index.Index   // per-shard rich-query indexes, same order
 	Followers   []*Follower      // read replicas, grouped by shard then replica slot
 	Partitioner *shard.Partitioner
 	Coordinator *shard.Coordinator
@@ -235,16 +236,15 @@ type Stack struct {
 	LSP         *sig.KeyPair
 	DBA         *sig.KeyPair
 
-	uri       string
-	clock     func() int64
-	idxStores []streamfs.Store // sidecar stores, closed with the stack
+	uri   string
+	clock func() int64
 
 	closeOnce sync.Once
 	closeErr  error
 }
 
 // Follower is one running read replica: an apply-only engine fed by a
-// background Puller, plus its own rich-query sidecar. It serves every
+// background Puller, plus its own rich-query index. It serves every
 // read the primary serves — existence and clue proofs, rich queries,
 // absence — anchored to the newest primary-signed checkpoint it has
 // verified, and keeps serving them (honestly stale) when the primary is
@@ -255,10 +255,9 @@ type Follower struct {
 	Puller *replica.Puller
 	Shard  int // index of the shard this follower replicates
 
-	primary  *ledger.Ledger
-	cancel   context.CancelFunc
-	done     chan struct{}
-	idxStore streamfs.Store
+	primary *ledger.Ledger
+	cancel  context.CancelFunc
+	done    chan struct{}
 }
 
 // Status returns the follower's replication snapshot (watermarks, lag,
@@ -290,19 +289,12 @@ func (f *Follower) WaitCaughtUp(ctx context.Context) error {
 }
 
 // stop cancels the puller, waits for its loop to exit, then closes the
-// follower's engine and sidecar store — in that order, so nothing
-// applies into a closed ledger.
+// follower's engine — in that order, so nothing applies into a closed
+// ledger.
 func (f *Follower) stop() error {
 	f.cancel()
 	<-f.done
-	var errs []error
-	if err := f.Ledger.Close(); err != nil {
-		errs = append(errs, err)
-	}
-	if err := f.idxStore.Close(); err != nil {
-		errs = append(errs, err)
-	}
-	return errors.Join(errs...)
+	return f.Ledger.Close()
 }
 
 // shardWiring is the deployment-wide context every shard builder shares:
@@ -338,21 +330,6 @@ func (w shardWiring) openShardStorage(i, total int) (streamfs.Store, streamfs.Bl
 		return nil, nil, err
 	}
 	return store, blobs, nil
-}
-
-// openIndexStorage opens shard i's sidecar index store. It lives beside
-// the ledger streams (Dir[/shard-<i>]/index) but is deliberately a
-// separate store: the index is cache, so deleting just this directory
-// and reopening rebuilds it from the journal stream.
-func (w shardWiring) openIndexStorage(i, total int) (streamfs.Store, error) {
-	if w.opts.Dir == "" {
-		return streamfs.NewMemory(), nil
-	}
-	dir := w.opts.Dir
-	if total > 1 {
-		dir = filepath.Join(dir, fmt.Sprintf("shard-%d", i))
-	}
-	return streamfs.OpenDisk(filepath.Join(dir, "index"), w.opts.Disk)
 }
 
 // buildShardLedger wires one engine instance — the reusable per-shard
@@ -402,8 +379,7 @@ func (w shardWiring) startFollower(shardIdx int, primary *ledger.Ledger) (*Follo
 	if err != nil {
 		return nil, err
 	}
-	idxStore := streamfs.NewMemory()
-	ix, err := index.Open(led, idxStore)
+	ix, err := index.Open(led, nil)
 	if err != nil {
 		led.Close()
 		return nil, err
@@ -419,14 +395,13 @@ func (w shardWiring) startFollower(shardIdx int, primary *ledger.Ledger) (*Follo
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	f := &Follower{
-		Ledger:   led,
-		Index:    ix,
-		Puller:   pl,
-		Shard:    shardIdx,
-		primary:  primary,
-		cancel:   cancel,
-		done:     make(chan struct{}),
-		idxStore: idxStore,
+		Ledger:  led,
+		Index:   ix,
+		Puller:  pl,
+		Shard:   shardIdx,
+		primary: primary,
+		cancel:  cancel,
+		done:    make(chan struct{}),
 	}
 	go func() {
 		defer close(f.done)
@@ -536,19 +511,13 @@ func NewStack(opts StackOptions) (*Stack, error) {
 		}
 	}
 	indexes := make([]*index.Index, nShards)
-	idxStores := make([]streamfs.Store, nShards)
 	for i, l := range shards {
-		st, err := wiring.openIndexStorage(i, nShards)
-		if err != nil {
-			closeAll()
-			return nil, fmt.Errorf("ledgerdb: shard %d index store: %w", i, err)
-		}
-		ix, err := index.Open(l, st)
+		ix, err := index.Open(l, nil)
 		if err != nil {
 			closeAll()
 			return nil, fmt.Errorf("ledgerdb: shard %d index: %w", i, err)
 		}
-		indexes[i], idxStores[i] = ix, st
+		indexes[i] = ix
 	}
 	var followers []*Follower
 	for i, l := range shards {
@@ -557,9 +526,6 @@ func NewStack(opts StackOptions) (*Stack, error) {
 			if err != nil {
 				for _, started := range followers {
 					started.stop()
-				}
-				for _, st := range idxStores {
-					st.Close()
 				}
 				closeAll()
 				return nil, fmt.Errorf("ledgerdb: shard %d follower %d: %w", i, r, err)
@@ -576,7 +542,6 @@ func NewStack(opts StackOptions) (*Stack, error) {
 		Shards:      shards,
 		Indexes:     indexes,
 		Followers:   followers,
-		idxStores:   idxStores,
 		Partitioner: part,
 		Coordinator: coord,
 		TLedger:     tl,
@@ -638,7 +603,7 @@ func (s *Stack) VerifyExistenceGlobal(shardIdx int, jsn uint64) (*Record, []byte
 	return rec, p.Record.Payload, nil
 }
 
-// QueryShard runs a rich read against one shard's sidecar index and
+// QueryShard runs a rich read against one shard's query index and
 // returns the raw proof-carrying result (what a remote verifier would
 // receive).
 func (s *Stack) QueryShard(i int, q Query) (*QueryResult, error) {
@@ -1025,9 +990,9 @@ func (s *Stack) Audit() (*AuditReport, error) {
 	return agg, nil
 }
 
-// AuditIndexes is the rich-query leg of the audit: every shard's sidecar
+// AuditIndexes is the rich-query leg of the audit: every shard's index
 // projections are cross-checked against a fresh replay of that shard's
-// journal stream (index.CrossCheck). A corrupted or stale sidecar
+// journal stream (index.CrossCheck). A corrupted or stale projection
 // surfaces here as index.ErrMismatch naming the projection.
 func (s *Stack) AuditIndexes() error {
 	for i, ix := range s.Indexes {
@@ -1164,14 +1129,6 @@ func (s *Stack) Close() error {
 		for i, l := range s.Shards {
 			if err := l.Close(); err != nil {
 				errs = append(errs, fmt.Errorf("ledgerdb: shard %d close: %w", i, err))
-			}
-		}
-		for i, st := range s.idxStores {
-			if st == nil {
-				continue
-			}
-			if err := st.Close(); err != nil {
-				errs = append(errs, fmt.Errorf("ledgerdb: shard %d index close: %w", i, err))
 			}
 		}
 		s.closeErr = errors.Join(errs...)

@@ -14,7 +14,7 @@
 #   scripts/check.sh shard    # multi-shard topology e2e incl. kill-one-shard chaos + local/remote backend parity (-race)
 #   scripts/check.sh query    # rich-query layer: index + absence tests (-race), crash + fuzz smoke
 #   scripts/check.sh replica  # replication: puller/bundle tests (-race), partition chaos, follower crash torture
-#   scripts/check.sh perf     # hot-path bench smoke + allocs/op, proof-size, ECDSA-count, signature fan-out, held-record, read-cost, payload-log and routed-append guards + the ledgerbench module's own vet/tests
+#   scripts/check.sh perf     # hot-path bench smoke + allocs/op, proof-size, ECDSA-count, signature fan-out, held-record, read-cost, reopen, payload-log and routed-append guards + the ledgerbench module's own vet/tests
 #   scripts/check.sh all      # everything
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -115,8 +115,9 @@ stage_query() {
     go test -race -timeout 600s -run 'TestEndToEndQuery|TestEndToEndPurgeThenQuery|TestQueryWithoutIndex' -count 1 ./internal/server
     go test -race -timeout 600s -run 'TestShardedQueryAndAbsence|TestRouterPurgeStatusCodes|TestRouterOccultStatusCode' -count 1 ./internal/integration/shardtest
 
-    echo "== index crash convergence (mid-rebuild, mid-tail, ledger and sidecar cut together) =="
-    go test -run 'TestIndexCrash' -count 1 ./internal/integration/crashtest
+    echo "== index over a crashed ledger (power cut under the ledger, both crash models) + the index touches no store =="
+    go test -run 'TestIndexCrashBothStores' -count 1 ./internal/integration/crashtest
+    go test -run 'TestIndexStoreUntouched' -count 1 ./internal/server
 
     echo "== absence proof fuzz smoke =="
     go test -run xxx -fuzz FuzzDecodeAbsenceProof -fuzztime 10s ./internal/ledger > /dev/null
@@ -180,8 +181,11 @@ stage_perf() {
     go test -run 'TestHeldReadsSendNoRecordBytes' -count 1 -v ./internal/server | grep -E 'version clue|PASS|FAIL|ok '
     go test -run 'TestHeldMutationSoundness|TestHeldPlaceholderListMutations' -count 1 ./internal/ledger
 
-    echo "== read-cost guard (mixed_verify cycle through Server: <= 2 state signatures per cycle where every read used to sign, 0 fsyncs of the index store on the query path) =="
+    echo "== read-cost guard (mixed_verify cycle through Server: <= 2 state signatures per cycle where every read used to sign, 0 creates/writes/fsyncs of the index store on the query path) =="
     go test -run 'TestReadsDoNotPayForTheCommitBefore' -count 1 -v ./internal/server | grep -E 'state signatures|PASS|FAIL|ok '
+
+    echo "== reopen guard (4 096-journal disk ledger + index: exact ReadAt count, chunked scans, 0 writes to the index store) =="
+    go test -run 'TestReopenReadCount' -count 1 -v ./internal/server | grep -E 'ReadAt|PASS|FAIL|ok '
 
     echo "== routed-append guard (in-process shard backends >= 1.2x faster than client backends: one loopback round trip + one cold P-256 verify must not come back) =="
     ROUTED_PERF_GUARD=1 go test -run 'TestRoutedAppendLocalBeatsRemote' -count 1 -v ./internal/benchkit | grep -E 'routed append|PASS|FAIL|ok '
