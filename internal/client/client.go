@@ -127,8 +127,11 @@ type Client struct {
 	// memo remembers signatures this client (or a clone) has already
 	// verified on the read path, so a proof that repeats the LSP state
 	// of an unchanged generation or a record seen before skips those
-	// ECDSA checks. Always on; see sig.Memo for why it cannot change a
-	// verdict.
+	// ECDSA checks. Append, AppendBatch and their routed forms also
+	// file the π_c they make (sig.Memo.Signed), so a proof of a record
+	// this client wrote skips its π_c check too; filed triples count as
+	// neither hits nor misses. Always on; see sig.Memo for why it cannot
+	// change a verdict.
 	memo *sig.Memo
 	// held remembers the records clue and query replies proved, so a
 	// repeat of the question can name them and get placeholders back
@@ -171,7 +174,8 @@ func (c *Client) verifier() ledger.Verifier {
 
 // MemoStats reports how many read-path signature checks this client and
 // its clones answered from the verified-signature memo (hits) and how
-// many ran ECDSA (misses).
+// many ran ECDSA (misses). The π_c an append files when it signs counts
+// as neither; only a later read of it does.
 func (c *Client) MemoStats() (hits, misses uint64) {
 	c.shared()
 	return c.memo.Stats()
@@ -524,8 +528,8 @@ func (c *Client) AppendBatch(payloads [][]byte, clues [][]string) (*ledger.Batch
 
 // signBatch builds one normal request per payload and signs them all:
 // the nonces are drawn in payload order, the signatures made on every
-// core (par.Each). It returns the requests with the request-hash each
-// was signed over.
+// core (par.Each) and filed in the memo. It returns the requests with
+// the request-hash each was signed over.
 func (c *Client) signBatch(payloads [][]byte, clues [][]string) ([]*journal.Request, []hashutil.Digest, error) {
 	if clues != nil && len(clues) != len(payloads) {
 		return nil, nil, fmt.Errorf("%w: %d clue sets for %d payloads", journal.ErrBadRequest, len(clues), len(payloads))
@@ -550,6 +554,11 @@ func (c *Client) signBatch(payloads [][]byte, clues [][]string) ([]*journal.Requ
 	if err != nil {
 		return nil, nil, err
 	}
+	signed := make([]sig.Check, len(reqs))
+	for i, req := range reqs {
+		signed[i] = sig.Check{PK: req.ClientPK, Digest: hashes[i], Sig: req.ClientSig}
+	}
+	c.memo.Signed(signed...)
 	return reqs, hashes, nil
 }
 

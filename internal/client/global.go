@@ -22,7 +22,8 @@ import (
 // SubmitRequest forwards an already-signed request, verifying the
 // returned receipt against the pinned LSP key and the request hash. The
 // router uses this per shard; it is also the path for relaying a
-// request signed by someone other than this client's Key.
+// request signed by someone other than this client's Key, so its π_c
+// is not filed in the verified-signature memo.
 func (c *Client) SubmitRequest(req *journal.Request) (*journal.Receipt, error) {
 	_, receipt, err := c.submitRequest(req)
 	return receipt, err
@@ -156,9 +157,11 @@ func (c *Client) AppendRouted(payload []byte, clues ...string) (int, *journal.Re
 		Payload:   payload,
 		Nonce:     c.nextNonce(),
 	}
-	if err := req.Sign(c.Key); err != nil {
+	h, err := req.SignHash(c.Key)
+	if err != nil {
 		return 0, nil, err
 	}
+	c.memo.Signed(sig.Check{PK: req.ClientPK, Digest: h, Sig: req.ClientSig})
 	rep, receipt, err := c.submitRequest(req)
 	if err != nil {
 		return 0, nil, err

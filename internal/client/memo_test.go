@@ -13,10 +13,12 @@ import (
 	"os"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
 	"ledgerdb/internal/index"
+	"ledgerdb/internal/journal"
 	"ledgerdb/internal/ledger"
 	"ledgerdb/internal/logicalclock"
 	"ledgerdb/internal/netchaos"
@@ -75,6 +77,19 @@ func memoClientVia(t testing.TB, wrap func(http.Handler) http.Handler) *Client {
 	}
 }
 
+// writerFor returns another member of c's ledger: its own key pair and
+// its own client, sharing no memo with c. A client files the π_c it
+// signs, so records it wrote itself are never cold for it; tests that
+// count cold reads have this writer append them.
+func writerFor(c *Client) *Client {
+	return &Client{
+		BaseURL: c.BaseURL,
+		Key:     sig.GenerateDeterministic("cli-memo-writer"),
+		LSP:     c.LSP,
+		URI:     c.URI,
+	}
+}
+
 // appendVersions commits n journals under one clue in one batch.
 func appendVersions(t testing.TB, c *Client, clue string, n int) {
 	t.Helper()
@@ -119,16 +134,18 @@ func (tt *tamperTransport) RoundTrip(req *http.Request) (*http.Response, error) 
 }
 
 // TestMemoPerfGuard is the count-based guard scripts/check.sh perf runs:
-// the second VerifyClue of an unchanged 64-version range performs zero
-// ECDSA verifications, and a reply tampered at any of 64 offsets is
-// refused by the warm client exactly as by a client whose memo has
-// verified nothing yet. The two share the held-record store, so both
-// name the same records and are sent the same reply.
+// the first VerifyClue of a 64-version range another member wrote runs
+// one ECDSA check per signature, the second of the unchanged range
+// performs zero, and a reply tampered at any of 64 offsets is refused
+// by the warm client exactly as by a client whose memo has verified
+// nothing yet. The two share the held-record store, so both name the
+// same records and are sent the same reply.
 func TestMemoPerfGuard(t *testing.T) {
 	const versions = 64
 	c := memoClient(t)
-	appendVersions(t, c, "hot", versions)
-	if h, m := c.MemoStats(); h != 0 || m != 0 {
+	w := writerFor(c)
+	appendVersions(t, w, "hot", versions)
+	if h, m := w.MemoStats(); h != 0 || m != 0 {
 		t.Fatalf("appends touched the memo: hits %d misses %d", h, m)
 	}
 	if _, err := c.VerifyClue("hot", 0, versions); err != nil {
@@ -314,7 +331,9 @@ func TestMemoHitShare(t *testing.T) {
 	}
 	t.Logf("append-only mix: %d journals, memo lookups 0, hit share 0", journals+100)
 
-	reader := c.Clone() // shares the memo, as the harness's per-worker clients do
+	// proof_read reads after a restart, through a client that signed
+	// none of the preload: a fresh member, not a clone of the writer.
+	reader := &Client{BaseURL: c.BaseURL, LSP: c.LSP, URI: c.URI}
 	pattern := []byte("PPPPCPPPPQ")
 	for i := 0; i < ops; i++ {
 		switch pattern[i%len(pattern)] {
@@ -335,7 +354,7 @@ func TestMemoHitShare(t *testing.T) {
 			}
 		}
 	}
-	h, m := c.MemoStats()
+	h, m := reader.MemoStats()
 	share := float64(h) / float64(h+m)
 	t.Logf("read mix: %d ops on %d journals: %d signature checks, %d memo hits, %d ECDSA; hit share %.3f",
 		ops, journals, h+m, h, m, share)
@@ -345,16 +364,17 @@ func TestMemoHitShare(t *testing.T) {
 }
 
 // TestColdClueFanOutRace: eight clones of one client verify
-// overlapping, never-seen clue ranges at once, so each reply's memo
-// misses fan out over the cores while the other clones read and fill
-// the same memo; run under -race (scripts/check.sh race). Every reply
-// verifies, every record of the union is ECDSA-checked at least once,
-// and no clone checks more than its own range.
+// overlapping, never-seen clue ranges another member wrote at once, so
+// each reply's memo misses fan out over the cores while the other
+// clones read and fill the same memo; run under -race
+// (scripts/check.sh race). Every reply verifies, every record of the
+// union is ECDSA-checked at least once, and no clone checks more than
+// its own range.
 func TestColdClueFanOutRace(t *testing.T) {
 	const clones, versions, width = 8, 64, 32
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0))))
 	c := memoClient(t)
-	appendVersions(t, c, "hot", versions)
+	appendVersions(t, writerFor(c), "hot", versions)
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < clones; g++ {
@@ -378,13 +398,14 @@ func TestColdClueFanOutRace(t *testing.T) {
 }
 
 // TestMemoSharedByClonesRace hammers one memo from many clones doing
-// verified reads of overlapping records while another appends; run
-// under -race. Every reply must verify, and the clones must have
-// shared: the hot range is ECDSA-verified about once, not once per clone.
+// verified reads of overlapping records another member wrote while one
+// clone appends; run under -race. Every reply must verify, and the
+// clones must have shared: the hot range is ECDSA-verified about once,
+// not once per clone.
 func TestMemoSharedByClonesRace(t *testing.T) {
 	const clones, rounds, versions = 8, 6, 32
 	c := memoClient(t)
-	appendVersions(t, c, "hot", versions)
+	appendVersions(t, writerFor(c), "hot", versions)
 	var wg sync.WaitGroup
 	for g := 0; g < clones; g++ {
 		wg.Add(1)
@@ -416,4 +437,207 @@ func TestMemoSharedByClonesRace(t *testing.T) {
 		t.Fatalf("%d ECDSA checks for %d clones of a %d-record range: clones are not sharing the memo", m, clones, versions)
 	}
 	t.Logf("%d clones: %d memo hits, %d ECDSA checks", clones, h, m)
+}
+
+// stateTransport passes every reply through unchanged and records the
+// signed state each existence, clue and query reply carries, by its
+// encoding: how many distinct LSP signatures a run of reads was shown.
+type stateTransport struct {
+	t      testing.TB
+	mu     sync.Mutex
+	states map[string]bool
+}
+
+func (st *stateTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil {
+		return nil, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(body))
+	var env envelope
+	if err := json.Unmarshal(body, &env); err != nil {
+		st.t.Errorf("%s: %v", req.URL.Path, err)
+		return resp, nil
+	}
+	blob := func(field string) []byte {
+		b, err := base64.StdEncoding.DecodeString(field)
+		if err != nil {
+			st.t.Errorf("%s: %v", req.URL.Path, err)
+		}
+		return b
+	}
+	var state *ledger.SignedState
+	switch p := req.URL.Path; {
+	case strings.HasPrefix(p, "/v1/proof/"):
+		if ep, err := ledger.DecodeExistenceProof(blob(env.Proof)); err == nil {
+			state = ep.State
+		}
+	case strings.HasPrefix(p, "/v1/clue/"):
+		if cb, err := ledger.DecodeClueProofBundle(blob(env.Proof)); err == nil {
+			state = cb.State
+		}
+	case p == "/v1/query":
+		if res, err := ledger.DecodeQueryResult(blob(env.Result)); err == nil && res.Batch != nil {
+			state = res.Batch.State
+		}
+	default:
+		return resp, nil
+	}
+	if state == nil {
+		st.t.Errorf("%s: no signed state in the reply", req.URL.Path)
+		return resp, nil
+	}
+	w := wire.NewWriter(256)
+	state.Encode(w)
+	st.mu.Lock()
+	st.states[string(w.Bytes())] = true
+	st.mu.Unlock()
+	return resp, nil
+}
+
+// TestOwnWritesVerifyWithoutECDSA is the guard scripts/check.sh perf
+// runs for the π_c a client files when it signs: after 32 single
+// appends and one 32-request batch under one clue, an existence proof
+// of each version, one clue proof over all 64 and one prefix query run
+// ECDSA only for the distinct signed states the replies carry — every
+// π_c is a triple the client made itself. A request signed by another
+// key and relayed with SubmitRequest is not filed.
+func TestOwnWritesVerifyWithoutECDSA(t *testing.T) {
+	const singles, batched = 32, 32
+	const versions = singles + batched
+	st := &stateTransport{t: t, states: map[string]bool{}}
+	c := memoClient(t)
+	c.HTTP = &http.Client{Transport: st}
+	var jsns []uint64
+	for i := 0; i < singles; i++ {
+		r, err := c.Append([]byte(fmt.Sprintf("own/v%d", i)), "own")
+		if err != nil {
+			t.Fatal(err)
+		}
+		jsns = append(jsns, r.JSN)
+	}
+	payloads, clues := make([][]byte, batched), make([][]string, batched)
+	for i := range payloads {
+		payloads[i] = []byte(fmt.Sprintf("own/v%d", singles+i))
+		clues[i] = []string{"own"}
+	}
+	br, _, err := c.AppendBatch(payloads, clues)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < br.Count; i++ {
+		jsns = append(jsns, br.FirstJSN+i)
+	}
+	if h, m := c.MemoStats(); h != 0 || m != 0 {
+		t.Fatalf("appends touched the memo: hits %d misses %d, want 0/0", h, m)
+	}
+
+	for _, jsn := range jsns {
+		if _, _, err := c.VerifyExistence(jsn, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if recs, err := c.VerifyClue("own", 0, versions); err != nil || len(recs) != versions {
+		t.Fatalf("clue proof: %d records, %v", len(recs), err)
+	}
+	q := ledger.Query{Kind: ledger.QueryByPrefix, Prefix: "own", Limit: versions}
+	if recs, err := c.QueryRecords(q); err != nil || len(recs) != versions {
+		t.Fatalf("prefix query: %d records, %v", len(recs), err)
+	}
+	hits, misses := c.MemoStats()
+	if misses != uint64(len(st.states)) {
+		t.Fatalf("reads of %d records this client signed ran %d ECDSA checks, want %d: one per distinct signed state",
+			versions, misses, len(st.states))
+	}
+	// Each existence proof checks a state and one π_c; the clue proof
+	// and the query a state and all 64.
+	if checks := hits + misses; checks != 2*versions+2*(versions+1) {
+		t.Fatalf("%d signature checks, want %d", checks, 2*versions+2*(versions+1))
+	}
+	t.Logf("%d reads, %d signature checks: %d ECDSA, all for signed states", versions+2, hits+misses, misses)
+
+	relayed := &journal.Request{
+		LedgerURI: c.URI,
+		Type:      journal.TypeNormal,
+		Clues:     []string{"own"},
+		Payload:   []byte("relayed"),
+		Nonce:     1,
+	}
+	h, err := relayed.SignHash(sig.GenerateDeterministic("cli-memo-other"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.SubmitRequest(relayed); err != nil {
+		t.Fatal(err)
+	}
+	if h2, m2 := c.MemoStats(); h2 != hits || m2 != misses {
+		t.Fatalf("SubmitRequest moved the memo stats: %d/%d -> %d/%d", hits, misses, h2, m2)
+	}
+	// The memo has no size to read; probe for the one entry SubmitRequest
+	// could have filed. Checking the relayed π_c must run ECDSA.
+	if err := c.memo.Verify(relayed.ClientPK, h, relayed.ClientSig); err != nil {
+		t.Fatal(err)
+	}
+	if _, m3 := c.MemoStats(); m3 != misses+1 {
+		t.Fatal("SubmitRequest filed the π_c of a request another key signed")
+	}
+}
+
+// TestOwnWritesTamperVerdicts: an existence, clue or query reply
+// tampered at any of 64 offsets is refused by the client that signed
+// every record it proves exactly when a fresh client refuses it. Both
+// start each read with no held records, so they send the same request.
+func TestOwnWritesTamperVerdicts(t *testing.T) {
+	const versions = 64
+	c := memoClient(t)
+	appendVersions(t, c, "own", versions) // jsns 1..64
+	reads := []struct {
+		kind string
+		read func(cl *Client, k uint64) error
+	}{
+		{"existence", func(cl *Client, k uint64) error {
+			_, _, err := cl.VerifyExistence(1+k%versions, false)
+			return err
+		}},
+		{"clue", func(cl *Client, k uint64) error {
+			_, err := cl.VerifyClue("own", 0, versions)
+			return err
+		}},
+		{"query", func(cl *Client, k uint64) error {
+			_, err := cl.QueryRecords(ledger.Query{Kind: ledger.QueryByPrefix, Prefix: "own", Limit: versions})
+			return err
+		}},
+	}
+	for _, r := range reads {
+		refused := 0
+		for k := uint64(0); k < 64; k++ {
+			tt := &tamperTransport{pick: k * 409}
+			verdict := func(cl *Client) bool {
+				err := r.read(cl, k)
+				var te *TamperError
+				if err != nil && !errors.As(err, &te) {
+					t.Fatalf("%s pick %d: failed, but not as tamper evidence: %v", r.kind, tt.pick, err)
+				}
+				return err != nil
+			}
+			signer := &Client{BaseURL: c.BaseURL, HTTP: &http.Client{Transport: tt}, LSP: c.LSP, URI: c.URI, memo: c.memo}
+			fresh := &Client{BaseURL: c.BaseURL, HTTP: &http.Client{Transport: tt}, LSP: c.LSP, URI: c.URI}
+			warm, cold := verdict(signer), verdict(fresh)
+			if warm != cold {
+				t.Fatalf("%s pick %d: signing client refused=%t, fresh client refused=%t", r.kind, tt.pick, warm, cold)
+			}
+			if warm {
+				refused++
+			}
+		}
+		if refused == 0 {
+			t.Fatalf("%s: no tampered reply was refused", r.kind)
+		}
+		t.Logf("%s: %d of 64 tampered replies refused by both clients", r.kind, refused)
+	}
 }

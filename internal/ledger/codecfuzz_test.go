@@ -39,10 +39,19 @@ type proofCodec struct {
 
 // buildProofCodecs makes one ledger with clues, state keys, a time
 // journal and sealed fam epochs, then captures every proof shape a
-// client verifies over it, plus the LSP key they verify under.
-func buildProofCodecs(t *testing.T) ([]proofCodec, sig.PublicKey) {
+// client verifies over it, plus the LSP key they verify under and the
+// π_c of every request appended, as the client that signed them holds
+// them.
+func buildProofCodecs(t *testing.T) ([]proofCodec, sig.PublicKey, []sig.Check) {
 	t.Helper()
 	e := newEnv(t, nil)
+	var signed []sig.Check
+	appendReq := func(req *journal.Request) {
+		signed = append(signed, sig.Check{PK: req.ClientPK, Digest: req.Hash(), Sig: req.ClientSig})
+		if _, err := e.ledger.Append(req); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for i := 0; i < 7; i++ {
 		e.nonce++
 		req := e.request(t, fmt.Sprintf("doc-%d", i), "K", fmt.Sprintf("solo-%d", i))
@@ -50,9 +59,7 @@ func buildProofCodecs(t *testing.T) ([]proofCodec, sig.PublicKey) {
 		if err := req.Sign(e.client); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.ledger.Append(req); err != nil {
-			t.Fatal(err)
-		}
+		appendReq(req)
 	}
 	// A time journal gives bundles a when-chain; the tail seals fam
 	// epochs so the anchored proof is the short one.
@@ -61,7 +68,7 @@ func buildProofCodecs(t *testing.T) ([]proofCodec, sig.PublicKey) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 33; i++ {
-		e.append(t, fmt.Sprintf("tail-%d", i))
+		appendReq(e.request(t, fmt.Sprintf("tail-%d", i)))
 	}
 	anchor := e.ledger.Anchor()
 	if anchor.Epochs == 0 {
@@ -199,7 +206,7 @@ func buildProofCodecs(t *testing.T) ([]proofCodec, sig.PublicKey) {
 				return claimBytes(parts...)
 			},
 		},
-	}, e.lsp.Public()
+	}, e.lsp.Public(), signed
 }
 
 // existenceCodec, clueCodec and batchCodec wrap one captured proof of
@@ -300,7 +307,7 @@ func stateBytes(st *SignedState) []byte {
 // TestProofCodecRoundTrip: decode(encode(p)) re-encodes to the exact
 // original bytes and still verifies.
 func TestProofCodecRoundTrip(t *testing.T) {
-	codecs, lsp := buildProofCodecs(t)
+	codecs, lsp, _ := buildProofCodecs(t)
 	for _, c := range codecs {
 		t.Run(c.name, func(t *testing.T) {
 			v, err := c.decode(c.enc)
@@ -320,7 +327,7 @@ func TestProofCodecRoundTrip(t *testing.T) {
 // TestProofCodecTruncation: every strict prefix of a valid encoding
 // must fail to decode — cleanly, without panicking.
 func TestProofCodecTruncation(t *testing.T) {
-	codecs, _ := buildProofCodecs(t)
+	codecs, _, _ := buildProofCodecs(t)
 	for _, c := range codecs {
 		t.Run(c.name, func(t *testing.T) {
 			for i := 0; i < len(c.enc); i++ {
@@ -351,7 +358,7 @@ func (c *proofCodec) forEachByteFlip(mask byte, fn func(i int, v any)) {
 // decode AND verify — every semantic byte is covered by a digest or a
 // signature.
 func TestProofCodecCorruption(t *testing.T) {
-	codecs, lsp := buildProofCodecs(t)
+	codecs, lsp, _ := buildProofCodecs(t)
 	for _, c := range codecs {
 		t.Run(c.name, func(t *testing.T) { c.checkCorruption(t, lsp) })
 	}
@@ -378,7 +385,7 @@ func (c *proofCodec) checkCorruption(t *testing.T, lsp sig.PublicKey) {
 // TestProofCodecTrailingGarbage: appended bytes must be rejected (the
 // readers demand full consumption).
 func TestProofCodecTrailingGarbage(t *testing.T) {
-	codecs, _ := buildProofCodecs(t)
+	codecs, _, _ := buildProofCodecs(t)
 	for _, c := range codecs {
 		t.Run(c.name, func(t *testing.T) {
 			if _, err := c.decode(append(append([]byte(nil), c.enc...), 0xAB)); err == nil {

@@ -40,17 +40,21 @@ func verdict(err error) string {
 // proof shape a client verifies it warms a memo on the valid proof,
 // checks that re-verifying it costs no ECDSA, then runs the single-byte
 // mutation sweep (every byte, inverted and low-bit-flipped) through a
-// Verifier holding the warm memo and through one without, and requires
-// the same verdict — accept/reject, error classes, message — on every
-// mutant. A memo that could turn one rejection into an acceptance, or
-// change what a caller sees on failure, fails here.
+// Verifier holding the warm memo, through one whose memo holds only the
+// π_c the writer filed when it signed (sig.Memo.Signed), and through
+// one without, and requires the same verdict — accept/reject, error
+// classes, message — on every mutant. A memo that could turn one
+// rejection into an acceptance, or change what a caller sees on
+// failure, fails here.
 func TestVerifierMemoDifferential(t *testing.T) {
-	codecs, lsp := buildProofCodecs(t)
+	codecs, lsp, signed := buildProofCodecs(t)
 	for _, c := range codecs {
 		t.Run(c.name, func(t *testing.T) {
 			atProcs(t, func(note func(string)) {
 				cold := Verifier{LSP: lsp}
 				warm := Verifier{LSP: lsp, Memo: new(sig.Memo)}
+				own := Verifier{LSP: lsp, Memo: new(sig.Memo)}
+				own.Memo.Signed(signed...)
 				orig, err := c.decode(c.enc)
 				if err != nil {
 					t.Fatal(err)
@@ -68,12 +72,21 @@ func TestVerifierMemoDifferential(t *testing.T) {
 				if _, again := warm.Memo.Stats(); again != misses {
 					t.Fatalf("re-verifying the same proof ran %d ECDSA checks", again-misses)
 				}
+				if err := c.verify(orig, own); err != nil {
+					t.Fatalf("valid proof under the signer's memo: %v", err)
+				}
+				if _, ownMisses := own.Memo.Stats(); ownMisses > misses {
+					t.Fatalf("the signer's memo ran %d ECDSA checks on the valid proof, an empty one %d", ownMisses, misses)
+				}
 				mutants, rejected := 0, 0
 				for _, mask := range []byte{0xFF, 0x01} {
 					c.forEachByteFlip(mask, func(i int, v any) {
 						want, got := verdict(c.verify(v, cold)), verdict(c.verify(v, warm))
 						if got != want {
 							t.Fatalf("byte %d ^ %#x:\n  nil memo:  %s\n  warm memo: %s", i, mask, want, got)
+						}
+						if got := verdict(c.verify(v, own)); got != want {
+							t.Fatalf("byte %d ^ %#x:\n  nil memo:    %s\n  signer memo: %s", i, mask, want, got)
 						}
 						note(want)
 						mutants++

@@ -332,7 +332,7 @@ func (l *Ledger) Occult(desc *OccultDescriptor, ms *sig.MultiSig) (*journal.Rece
 	if l.occulted[desc.JSN] {
 		return nil, fmt.Errorf("%w: journal %d already occulted", ErrNotPermitted, desc.JSN)
 	}
-	if err := l.checkOccultSigners(desc, ms); err != nil {
+	if err := l.checkOccultSigners(desc.Digest(), ms); err != nil {
 		return nil, err
 	}
 	req := &journal.Request{LedgerURI: l.cfg.URI, Type: journal.TypeOccult, Payload: []byte("occult")}
@@ -359,10 +359,11 @@ func (l *Ledger) Occult(desc *OccultDescriptor, ms *sig.MultiSig) (*journal.Rece
 	return receipt, nil
 }
 
-// checkOccultSigners enforces Prerequisite 2: DBA plus a certified
+// checkOccultSigners enforces Prerequisite 2 over the digest of an
+// occult descriptor (one journal's or one clue's): DBA plus a certified
 // regulator (when a registry is configured).
-func (l *Ledger) checkOccultSigners(desc *OccultDescriptor, ms *sig.MultiSig) error {
-	if err := ms.VerifyAll(desc.Digest(), []sig.PublicKey{l.cfg.DBA}); err != nil {
+func (l *Ledger) checkOccultSigners(digest hashutil.Digest, ms *sig.MultiSig) error {
+	if err := ms.VerifyAll(digest, []sig.PublicKey{l.cfg.DBA}); err != nil {
 		return fmt.Errorf("%w: prerequisite 2: %v", ErrNotPermitted, err)
 	}
 	if l.cfg.Registry == nil {
@@ -430,20 +431,8 @@ func (l *Ledger) OccultClue(clue string, ms *sig.MultiSig) ([]uint64, error) {
 		return nil, fmt.Errorf("%w: clue %q", ErrNotFound, clue)
 	}
 	desc := &OccultClueDescriptor{URI: l.cfg.URI, Clue: clue}
-	if err := ms.VerifyAll(desc.Digest(), []sig.PublicKey{l.cfg.DBA}); err != nil {
-		return nil, fmt.Errorf("%w: prerequisite 2: %v", ErrNotPermitted, err)
-	}
-	if l.cfg.Registry != nil {
-		ok := false
-		for _, pk := range ms.Signers() {
-			if l.cfg.Registry.Check(pk, ca.RoleRegulator) == nil {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return nil, fmt.Errorf("%w: prerequisite 2: no regulator signature", ErrNotPermitted)
-		}
+	if err := l.checkOccultSigners(desc.Digest(), ms); err != nil {
+		return nil, err
 	}
 	var hidden []uint64
 	for _, jsn := range jsns {

@@ -21,6 +21,14 @@ const memoGen = 16 << 10
 // deterministic predicate of the exact triple, only successes are
 // stored, and a triple differing in any bit has a different key.
 //
+// A signer may also file the triples it has just produced with its own
+// key pair (Signed), so it never ECDSA-checks its own π_c when a proof
+// brings the record back. That is the same soundness argument: a triple
+// KeyPair.Sign returned verifies by construction, so filing it states a
+// success without running the check, and a record differing in any bit
+// of key, digest or signature still misses. Filed triples count as
+// neither hits nor misses.
+//
 // The zero value is an empty memo, safe for concurrent use. A nil *Memo
 // verifies from scratch every time, which is how the package-level
 // verifiers stay pure.
@@ -45,6 +53,15 @@ func memoKey(pk PublicKey, digest hashutil.Digest, sg Signature) hashutil.Digest
 	n += copy(buf[n:], digest[:])
 	copy(buf[n:], sg[:])
 	return hashutil.Sum(buf[:])
+}
+
+// memoKeys is the memoKey of each check of cs.
+func memoKeys(cs []Check) []hashutil.Digest {
+	keys := make([]hashutil.Digest, len(cs))
+	for i := range cs {
+		keys[i] = memoKey(cs[i].PK, cs[i].Digest, cs[i].Sig)
+	}
+	return keys
 }
 
 // Verify is sig.Verify, skipped when this memo has already seen the
@@ -96,10 +113,7 @@ func (m *Memo) VerifyAll(cs []Check) (int, error) {
 		bad, _, err := verifyEach(cs, miss)
 		return bad, err
 	}
-	keys := make([]hashutil.Digest, len(cs))
-	for i := range cs {
-		keys[i] = memoKey(cs[i].PK, cs[i].Digest, cs[i].Sig)
-	}
+	keys := memoKeys(cs)
 	var pending map[hashutil.Digest]struct{} // keys of miss; made on the first
 	m.mu.Lock()
 	for i, k := range keys {
@@ -132,6 +146,25 @@ func (m *Memo) VerifyAll(cs []Check) (int, error) {
 	}
 	m.mu.Unlock()
 	return bad, err
+}
+
+// Signed files checks whose signatures the caller has just made with
+// its own key pair (KeyPair.Sign over Digest, PK its public key), under
+// one lock acquisition. Each verifies by construction, so a later Verify
+// or VerifyAll of the exact triple is a hit; nothing is counted here.
+// Filing a triple that does not verify would make the memo accept it:
+// callers pass only what a nil-error Sign returned. A nil memo files
+// nothing.
+func (m *Memo) Signed(cs ...Check) {
+	if m == nil || len(cs) == 0 {
+		return
+	}
+	keys := memoKeys(cs)
+	m.mu.Lock()
+	for _, k := range keys {
+		m.insertLocked(k)
+	}
+	m.mu.Unlock()
 }
 
 // failedCheck carries the index of a failed check through par.Each.
@@ -196,7 +229,8 @@ func (m *Memo) insertLocked(k hashutil.Digest) {
 
 // Stats returns how many checks (a Verify call, or one entry of a
 // VerifyAll) were answered from the memo (hits) and how many ECDSA
-// checks ran (misses). A nil memo reports zeros.
+// checks ran (misses). Triples filed by Signed count as neither. A nil
+// memo reports zeros.
 func (m *Memo) Stats() (hits, misses uint64) {
 	if m == nil {
 		return 0, 0

@@ -222,3 +222,60 @@ func TestVerifyAllCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestMemoSigned: a triple filed by Signed is a hit at its next check,
+// without an ECDSA verify, and the filing counts as neither hit nor
+// miss; a triple differing in any field from a filed one still runs
+// ECDSA and is refused; a nil memo files nothing; one call files many,
+// within the same two-generation bound.
+func TestMemoSigned(t *testing.T) {
+	a, b := signedTriple("signed", "a"), signedTriple("signed", "b")
+	check := func(tr triple) Check { return Check{PK: tr.pk, Digest: tr.d, Sig: tr.sg} }
+	var none *Memo
+	none.Signed(check(a))
+
+	m := new(Memo)
+	m.Signed(check(a), check(b))
+	if h, ms := m.Stats(); h != 0 || ms != 0 || len(m.cur) != 2 {
+		t.Fatalf("after filing 2 triples: hits %d misses %d, %d entries; want 0/0, 2", h, ms, len(m.cur))
+	}
+	_, v0 := OpCounts()
+	if err := a.verify(m); err != nil {
+		t.Fatal(err)
+	}
+	if i, err := m.VerifyAll([]Check{check(b), check(a)}); i != 2 || err != nil {
+		t.Fatalf("filed triples = (%d, %v)", i, err)
+	}
+	if _, v1 := OpCounts(); v1 != v0 {
+		t.Fatalf("checking filed triples ran %d ECDSA verifies", v1-v0)
+	}
+	if h, ms := m.Stats(); h != 3 || ms != 0 {
+		t.Fatalf("filed triples checked 3 times: hits %d misses %d, want 3/0", h, ms)
+	}
+
+	other := signedTriple("signed-other", "a")
+	for name, tr := range map[string]triple{
+		"key":       {other.pk, a.d, a.sg},
+		"digest":    {a.pk, b.d, a.sg},
+		"signature": {a.pk, a.d, b.sg},
+	} {
+		_, before := m.Stats()
+		if err := tr.verify(m); !errors.Is(err, ErrBadSignature) {
+			t.Fatalf("filed triple with another %s: %v, want a bad signature", name, err)
+		}
+		if _, after := m.Stats(); after != before+1 {
+			t.Fatalf("filed triple with another %s did not run ECDSA", name)
+		}
+	}
+
+	chunk := make([]Check, memoGen/4)
+	for i := 0; i < 3*2*memoGen; i += len(chunk) {
+		for j := range chunk {
+			binary.BigEndian.PutUint64(chunk[j].Digest[:], uint64(i+j))
+		}
+		m.Signed(chunk...)
+		if n := len(m.cur) + len(m.old); n > 2*memoGen {
+			t.Fatalf("after filing %d triples the memo holds %d entries, bound %d", i+len(chunk), n, 2*memoGen)
+		}
+	}
+}

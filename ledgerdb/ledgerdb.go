@@ -555,9 +555,6 @@ func NewStack(opts StackOptions) (*Stack, error) {
 	}, nil
 }
 
-// ShardCount returns the number of shards (1 in single-node mode).
-func (s *Stack) ShardCount() int { return len(s.Shards) }
-
 // Route returns the shard a request belongs to.
 func (s *Stack) Route(req *Request) int { return s.Partitioner.Route(req) }
 
@@ -601,13 +598,6 @@ func (s *Stack) VerifyExistenceGlobal(shardIdx int, jsn uint64) (*Record, []byte
 		return nil, nil, err
 	}
 	return rec, p.Record.Payload, nil
-}
-
-// QueryShard runs a rich read against one shard's query index and
-// returns the raw proof-carrying result (what a remote verifier would
-// receive).
-func (s *Stack) QueryShard(i int, q Query) (*QueryResult, error) {
-	return s.Indexes[i].Query(q)
 }
 
 // QueryRecords runs a rich read across every shard and returns the

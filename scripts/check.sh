@@ -170,8 +170,8 @@ stage_perf() {
     echo "== payload-log guards (10 000 payloads = one file per segment, <= 16 B framing each; erased bytes in no file; one rewrite per touched segment; memory-store parity) =="
     go test -run 'TestPayloadLogFileCount|TestPayloadLogEraseLeavesNoBytes|TestPayloadLogDeleteRewritesEachSegmentOnce|TestPayloadLogMatchesMemoryModel' -count 1 ./internal/streamfs
 
-    echo "== verified-signature memo guard (repeat clue proof = 0 ECDSA; tampered replies still refused) =="
-    go test -run 'TestMemoPerfGuard' -count 1 ./internal/client
+    echo "== verified-signature memo guard (repeat clue proof = 0 ECDSA; reads of the client's own writes = 1 ECDSA per distinct signed state; tampered replies still refused) =="
+    go test -run 'TestMemoPerfGuard|TestOwnWritesVerifyWithoutECDSA|TestOwnWritesTamperVerdicts' -count 1 ./internal/client
 
     echo "== signature fan-out guards (warm 64-record clue verify within testdata/verify_clue_warm64_allocs_budget: no goroutine; cold one = one ECDSA verify per signature; forged lineage = 0 ECDSA; sweeps identical at GOMAXPROCS 1 and 4) =="
     go test -run 'TestVerifyClue64Costs' -count 1 -v ./internal/ledger | grep -E 'clue verify|PASS|FAIL|ok '
