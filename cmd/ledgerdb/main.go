@@ -13,7 +13,6 @@
 //	get <jsn>                    fetch a journal record
 //	payload <jsn>                fetch (and digest-check) a raw payload
 //	verify <jsn>                 client-side existence verification
-//	verify-anchored <jsn>        fam-aoa verification under the live anchor
 //	verify-state <key>           verifiable world-state read
 //	verify-clue <clue>           client-side lineage verification
 //	query prefix <P> [limit]     verified rich read: clues starting with P
@@ -50,7 +49,7 @@ func main() {
 	tsaHex := flag.String("tsa", "", "comma-separated pinned TSA public keys (hex) for bundle verify; empty = any TSA")
 	keySeed := flag.String("key-seed", "", "deterministic client key seed (testing); empty = fresh key")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: ledgerdb [flags] <info|append|get|payload|verify|verify-batch|verify-anchored|verify-state|verify-clue|query|absence|anchor-time|state|bundle> [args]\n")
+		fmt.Fprintf(os.Stderr, "usage: ledgerdb [flags] <info|append|get|payload|verify|verify-batch|verify-state|verify-clue|query|absence|anchor-time|state|bundle> [args]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -152,20 +151,6 @@ func main() {
 			fmt.Printf("  jsn %-6d tx-hash %s  payload %dB present=%v\n",
 				rec.JSN, rec.TxHash().Short(), rec.PayloadSize, payloads[i] != nil)
 		}
-	case "verify-anchored":
-		// The fam-aoa regime: fetch the service's current anchor, then
-		// verify with the near-constant-size anchored proof. A real
-		// deployment audits before adopting the anchor and persists it.
-		anchor, err := cli.FetchAnchor()
-		if err != nil {
-			fail("%v", err)
-		}
-		rec, _, err := cli.VerifyExistenceAnchored(argJSN(args), anchor, true)
-		if err != nil {
-			fail("VERIFICATION FAILED: %v", err)
-		}
-		fmt.Printf("VERIFIED jsn %d under anchor covering %d journals (%d sealed epochs)\n",
-			rec.JSN, anchor.Size, anchor.Epochs)
 	case "verify-state":
 		if len(args) != 1 {
 			fail("verify-state needs a key")

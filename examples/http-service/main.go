@@ -93,19 +93,18 @@ func main() {
 	}
 	fmt.Println("cold existence verification passed (full fam chain)")
 
-	// Anchored verification (fam-aoa): fetch the anchor once, then
-	// verify deep history with near-constant-size proofs.
-	anchor, err := cli.FetchAnchor()
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, jsn := range []uint64{1, 10, 20, 39} {
-		if _, _, err := cli.VerifyExistenceAnchored(jsn, anchor, false); err != nil {
-			log.Fatalf("anchored verify %d: %v", jsn, err)
+	// Learned-anchor verification (fam-aoa, Figure 4(a)): every cold
+	// proof that crosses a merged-leaf hop teaches the client the root of
+	// the sealed epoch it starts in, and a later read of a journal there
+	// comes back as its in-epoch path alone, checked against that root.
+	// No anchor is fetched or adopted on the server's word.
+	for _, jsn := range []uint64{1, 10, 20, 39, 20} {
+		if _, _, err := cli.VerifyExistence(jsn, false); err != nil {
+			log.Fatalf("verify %d: %v", jsn, err)
 		}
 	}
-	fmt.Printf("anchored verification passed for 4 journals under an anchor covering %d journals (%d sealed epochs)\n",
-		anchor.Size, anchor.Epochs)
+	_, _, short := cli.StateSlotStats()
+	fmt.Printf("learned-anchor verification passed: %d of 6 existence proofs were in-epoch paths alone\n", short)
 
 	// Lineage over HTTP (§IV-C client side).
 	recs, err := cli.VerifyClue("stream-a", 0, 0)

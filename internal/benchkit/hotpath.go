@@ -89,7 +89,10 @@ func resultOf(name string, r testing.BenchmarkResult) HotPathResult {
 // proof (build + encoded size, decode + verify), the repeat 64-version
 // clue read of a client holding every record (build + encoded size,
 // decode + fill + warm verify) and its cold twin (decode + verify with
-// no memo), and last one verified
+// no memo), the existence replies of a client holding the fixture's
+// state and epoch 0's learned root (build + encoded size for an epoch-0
+// and an open-epoch journal, decode + fill + verify of the first), and
+// last one verified
 // member call through the 2-shard router with in-process and with
 // remote (client-backed) shard backends, and the restart of the
 // proof-size fixture from disk, ledger and query index. It returns the
@@ -131,7 +134,8 @@ func HotPath() (*Table, *HotPathReport) {
 	}
 	prove, verify := benchProofBatch16(tl, jsns)
 	clueProve, clueWarm, clueCold := benchClue64(tl, jsns)
-	rep.Results = append(rep.Results, prove, verify, clueProve, clueWarm, clueCold)
+	warmSealed, warmOpen, warmVerify := benchProofWarm(tl, jsns)
+	rep.Results = append(rep.Results, prove, verify, clueProve, clueWarm, clueCold, warmSealed, warmOpen, warmVerify)
 	add("routed-append-local", benchRouted(true, false))
 	add("routed-append-remote", benchRouted(false, false))
 	add("routed-query-local", benchRouted(true, true))
@@ -140,7 +144,7 @@ func HotPath() (*Table, *HotPathReport) {
 
 	t := &Table{
 		Title:  "Hot paths: steady-state cost of the profiled append and serve paths",
-		Note:   "encode-digest is the zero-alloc core; append-* include one π_c ECDSA verify per op (the single-core floor): append-sequential is one goroutine calling Append, append-pipelined 32 submitters per core; prove-after-append is append-sequential plus an existence proof of an earlier journal; *-disk and disk-* rows run on the temp dir's file system; *-batch16 rows prove/verify the 16 oldest versions of the hottest clue on the 40 000-journal δ=15 fixture (verify is cold: 17 ECDSA checks); *-warm64 rows prove/verify its newest 64 versions for a client holding all 64 records (every record a placeholder; verify fills them back in under a warm memo: 0 ECDSA checks), verify-clue-cold64 the same versions sent in full to a client with no memo (65 ECDSA checks, fanned out over GOMAXPROCS); routed-* rows are one verified member call through a 2-shard router on memory stores, -local with the shards' *Server as backends (what ledgerdb-server -shards N runs), -remote with client.Client backends over loopback; reopen-40k is ledger.Open + index.Open of the 40 000-journal fixture written to disk (page-cached), with its ReadAt count",
+		Note:   "encode-digest is the zero-alloc core; append-* include one π_c ECDSA verify per op (the single-core floor): append-sequential is one goroutine calling Append, append-pipelined 32 submitters per core; prove-after-append is append-sequential plus an existence proof of an earlier journal; *-disk and disk-* rows run on the temp dir's file system; *-batch16 rows prove/verify the 16 oldest versions of the hottest clue on the 40 000-journal δ=15 fixture (verify is cold: 17 ECDSA checks); *-warm64 rows prove/verify its newest 64 versions for a client holding all 64 records (every record a placeholder; verify fills them back in under a warm memo: 0 ECDSA checks), verify-clue-cold64 the same versions sent in full to a client with no memo (65 ECDSA checks, fanned out over GOMAXPROCS); proof-warm-* rows prove an existence proof for a client holding the fixture's signed state and epoch 0's learned root — proof-warm-sealed-bytes a journal of sealed epoch 0 (in-epoch path, no state), proof-warm-open-bytes the newest journal (cold path, state left out) — and verify-proof-warm checks the first (1 ECDSA check, the record's π_c); routed-* rows are one verified member call through a 2-shard router on memory stores, -local with the shards' *Server as backends (what ledgerdb-server -shards N runs), -remote with client.Client backends over loopback; reopen-40k is ledger.Open + index.Open of the 40 000-journal fixture written to disk (page-cached), with its ReadAt count",
 		Header: []string{"workload", "ns/op", "allocs/op", "B/op", "ops/s", "wire B", "ReadAt"},
 	}
 	for _, r := range rep.Results {

@@ -5,8 +5,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"ledgerdb/internal/hashutil"
 	"ledgerdb/internal/journal"
 	"ledgerdb/internal/ledger"
+	"ledgerdb/internal/merkle/fam"
 	"ledgerdb/internal/sig"
 	"ledgerdb/internal/streamfs"
 )
@@ -93,7 +95,7 @@ func benchProofBatch16(tl *TestLedger, jsns []uint64) (prove, verify HotPathResu
 	prove = resultOf("proof-batch16-bytes", testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			batch, err := tl.L.ProveExistenceBatch(jsns, false)
+			batch, err := tl.L.ProveExistenceBatch(jsns, false, ledger.Held{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -217,4 +219,62 @@ func benchClue64(tl *TestLedger, jsns []uint64) (prove, warm, cold HotPathResult
 	warm = verify("verify-clue-warm64", enc, ver)
 	cold = verify("verify-clue-cold64", cr.Cold.EncodeBytes(), ledger.Verifier{LSP: tl.LSP.Public()})
 	return prove, warm, cold
+}
+
+// benchProofWarm measures the existence replies of a client that holds
+// the fixture's signed state and the root of sealed epoch 0, which it
+// learned from a cold proof (ledger.SealedRoot): for a journal of epoch
+// 0 the in-epoch path alone with no state, for the newest journal (the
+// open epoch) the cold path with the state left out. WireBytes is what
+// each reply puts on the wire. verify-proof-warm is what the client pays
+// for the epoch-0 reply: decode, fill, check against the learned root,
+// and the record's π_c from scratch (a journal it has not read before).
+func benchProofWarm(tl *TestLedger, jsns []uint64) (sealed, open, verify HotPathResult) {
+	lsp := tl.LSP.Public()
+	cold, err := tl.L.ProveExistence(jsns[0], false)
+	if err != nil {
+		panic(err)
+	}
+	if _, err := ledger.VerifyExistence(cold, lsp); err != nil {
+		panic(err)
+	}
+	epoch, root, ok := cold.SealedRoot()
+	if !ok || epoch != 0 {
+		panic(fmt.Sprintf("benchkit: cold proof of jsn %d taught no epoch-0 root", jsns[0]))
+	}
+	anchor := &fam.Anchor{Epochs: 1, Roots: []hashutil.Digest{root}}
+	held := ledger.Held{State: cold.State.Digest(), Sealed: 1}
+	measure := func(name string, jsn uint64, slot ledger.StateSlot) (HotPathResult, []byte) {
+		var enc []byte
+		r := resultOf(name, testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p, err := tl.L.ProveExistenceHeld(jsn, false, held)
+				if err != nil || p.Slot != slot {
+					b.Fatalf("jsn %d: state slot %d, %v", jsn, p.Slot, err)
+				}
+				enc = p.EncodeBytes()
+			}
+		}))
+		r.WireBytes = int64(len(enc))
+		return r, enc
+	}
+	sealed, enc := measure("proof-warm-sealed-bytes", jsns[0], ledger.StateNone)
+	open, _ = measure("proof-warm-open-bytes", tl.L.Size()-1, ledger.StateHeld)
+	verify = resultOf("verify-proof-warm", testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			p, err := ledger.DecodeExistenceProof(enc)
+			if err == nil {
+				err = p.FillState(cold.State, 1)
+			}
+			if err == nil {
+				_, err = ledger.Verifier{LSP: lsp}.VerifyExistenceAnchored(p, anchor)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}))
+	return sealed, open, verify
 }

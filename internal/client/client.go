@@ -30,7 +30,6 @@ import (
 	"ledgerdb/internal/hashutil"
 	"ledgerdb/internal/journal"
 	"ledgerdb/internal/ledger"
-	"ledgerdb/internal/merkle/fam"
 	"ledgerdb/internal/par"
 	"ledgerdb/internal/sig"
 	"ledgerdb/internal/wire"
@@ -610,10 +609,21 @@ func (c *Client) GetPayload(jsn uint64) ([]byte, error) {
 
 // VerifyExistence runs the full client-side what(+who) verification for
 // one journal: fetch the proof bundle and validate every layer locally.
+// The request names the newest signed state this client verified and the
+// sealed fam epoch roots it learned (held.go): a journal in a learned
+// epoch comes back as its in-epoch path alone, checked against the
+// learned root, and an unchanged state comes back as a placeholder.
 func (c *Client) VerifyExistence(jsn uint64, withPayload bool) (*journal.Record, []byte, error) {
-	path := fmt.Sprintf("/v1/proof/%d", jsn)
+	c.shared()
+	key := c.trustKey()
+	named := c.held.snapshot(key)
+	query := named.params(true)
 	if withPayload {
-		path += "?payload=1"
+		query += "&payload=1"
+	}
+	path := fmt.Sprintf("/v1/proof/%d", jsn)
+	if query != "" {
+		path += "?" + query[1:]
 	}
 	rep, err := c.call("GET", path, nil)
 	if err != nil {
@@ -627,13 +637,19 @@ func (c *Client) VerifyExistence(jsn uint64, withPayload bool) (*journal.Record,
 	if err != nil {
 		return nil, nil, rep.tamper("existence proof decode", err)
 	}
-	rec, err := c.verifier().VerifyExistenceAnchored(proof, nil)
+	c.held.saw(proof.Slot)
+	anchor, err := named.fillExistence(proof)
+	if err != nil {
+		return nil, nil, rep.tamper("existence proof state slot", err)
+	}
+	rec, err := c.verifier().VerifyExistenceAnchored(proof, anchor)
 	if err != nil {
 		return nil, nil, rep.tamper("existence proof verification", err)
 	}
 	if err := bindJSN(rec, jsn); err != nil {
 		return nil, nil, rep.tamper("existence proof jsn binding", err)
 	}
+	c.held.learn(key, proof.State, proof)
 	return rec, proof.Payload, nil
 }
 
@@ -652,10 +668,17 @@ func bindJSN(rec *journal.Record, jsn uint64) error {
 // proof the reply carries. Returns the verified records (in jsns order) and their
 // payloads (nil entries for digest-only or occulted journals).
 func (c *Client) VerifyExistenceBatch(jsns []uint64, withPayload bool) ([]*journal.Record, [][]byte, error) {
-	rep, err := c.call("POST", "/v1/proofs", map[string]any{
+	c.shared()
+	key := c.trustKey()
+	named := c.held.snapshot(key)
+	body := map[string]any{
 		"jsns":    jsns,
 		"payload": withPayload,
-	})
+	}
+	if named.state != nil {
+		body["state"] = named.dig.String()
+	}
+	rep, err := c.call("POST", "/v1/proofs", body)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -671,10 +694,15 @@ func (c *Client) VerifyExistenceBatch(jsns []uint64, withPayload bool) ([]*journ
 		return nil, nil, rep.tamper("proof batch shape",
 			fmt.Errorf("%w: %d proofs for %d jsns", ledger.ErrVerify, len(batch.Items), len(jsns)))
 	}
+	c.held.saw(batch.Slot)
+	if err := batch.FillState(named.state); err != nil {
+		return nil, nil, rep.tamper("proof batch state slot", err)
+	}
 	recs, err := c.verifier().VerifyExistenceBatch(batch)
 	if err != nil {
 		return nil, nil, rep.tamper("proof batch verification", err)
 	}
+	c.held.learn(key, batch.State, nil)
 	payloads := make([][]byte, len(recs))
 	for i, rec := range recs {
 		if rec.JSN != jsns[i] {
@@ -684,60 +712,6 @@ func (c *Client) VerifyExistenceBatch(jsns []uint64, withPayload bool) ([]*journ
 		payloads[i] = batch.Items[i].Payload
 	}
 	return recs, payloads, nil
-}
-
-// FetchAnchor downloads the service's current fam-aoa anchor. The
-// caller must audit the ledger up to the anchor before trusting it;
-// after that, VerifyExistenceAnchored uses near-constant-size proofs.
-func (c *Client) FetchAnchor() (*fam.Anchor, error) {
-	rep, err := c.call("GET", "/v1/anchor", nil)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := rep.blob(rep.env.Proof, "anchor")
-	if err != nil {
-		return nil, err
-	}
-	a, err := fam.DecodeAnchor(wire.NewReader(raw))
-	if err != nil {
-		return nil, rep.tamper("anchor decode", err)
-	}
-	return a, nil
-}
-
-// VerifyExistenceAnchored is VerifyExistence in the fam-aoa regime: the
-// proof is built and checked against the verifier-held trusted anchor,
-// so sealed-epoch journals cost O(δ) instead of a full merged-leaf
-// chain.
-func (c *Client) VerifyExistenceAnchored(jsn uint64, anchor *fam.Anchor, withPayload bool) (*journal.Record, []byte, error) {
-	path := fmt.Sprintf("/v1/proof-anchored/%d", jsn)
-	if withPayload {
-		path += "?payload=1"
-	}
-	wr := wire.NewWriter(256)
-	anchor.Encode(wr)
-	rep, err := c.call("POST", path, map[string]string{
-		"anchor": base64.StdEncoding.EncodeToString(wr.Bytes()),
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	raw, err := rep.blob(rep.env.Proof, "anchored proof")
-	if err != nil {
-		return nil, nil, err
-	}
-	proof, err := ledger.DecodeExistenceProof(raw)
-	if err != nil {
-		return nil, nil, rep.tamper("anchored proof decode", err)
-	}
-	rec, err := c.verifier().VerifyExistenceAnchored(proof, anchor)
-	if err != nil {
-		return nil, nil, rep.tamper("anchored proof verification", err)
-	}
-	if err := bindJSN(rec, jsn); err != nil {
-		return nil, nil, rep.tamper("anchored proof jsn binding", err)
-	}
-	return rec, proof.Payload, nil
 }
 
 // ClueJSNs lists a clue's journal sequence numbers.
@@ -759,7 +733,8 @@ func (c *Client) VerifyClue(clue string, begin, end uint64) ([]*journal.Record, 
 	c.shared()
 	key := "clue\x00" + clue
 	held := c.held.named(c.BaseURL, key)
-	rep, err := c.call("GET", fmt.Sprintf("/v1/clue/%s/proof?begin=%d&end=%d%s", url.PathEscape(clue), begin, end, held.param()), nil)
+	named := c.held.snapshot(c.trustKey())
+	rep, err := c.call("GET", fmt.Sprintf("/v1/clue/%s/proof?begin=%d&end=%d%s%s", url.PathEscape(clue), begin, end, held.param(), named.params(false)), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -774,15 +749,20 @@ func (c *Client) VerifyClue(clue string, begin, end uint64) ([]*journal.Record, 
 	if err := bindClue(bundle, clue, begin, end); err != nil {
 		return nil, rep.tamper("clue proof binding", err)
 	}
+	c.held.saw(bundle.Slot)
 	filled, err := bundle.Fill(held.get)
 	if err != nil {
 		return nil, rep.tamper("clue held records", err)
+	}
+	if err := bundle.FillState(named.state); err != nil {
+		return nil, rep.tamper("clue state slot", err)
 	}
 	recs, err := c.verifier().VerifyClue(bundle)
 	if err != nil {
 		return nil, rep.tamper("clue lineage verification", err)
 	}
 	c.held.remember(c.BaseURL, key, bundle.Records, recs, filled)
+	c.held.learn(c.trustKey(), bundle.State, nil)
 	return recs, nil
 }
 

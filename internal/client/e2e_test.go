@@ -114,15 +114,22 @@ func TestClientBatchAndAnchored(t *testing.T) {
 	if br.Count != 40 || len(txHashes) != 40 {
 		t.Fatalf("batch: %+v", br)
 	}
-	anchor, err := c.FetchAnchor()
-	if err != nil {
-		t.Fatal(err)
+	// At δ=4 the 41 journals seal epochs 0 and 1: the first read of
+	// journal 2 teaches epoch 0's root, the repeat is the short proof.
+	for i := 0; i < 2; i++ {
+		if rec, payload, err := c.VerifyExistence(2, true); err != nil || rec.JSN != 2 || payload == nil {
+			t.Fatalf("read %d: %v", i, err)
+		}
 	}
-	if anchor.Epochs == 0 {
-		t.Fatal("no sealed epochs at δ=4 after 41 journals")
+	if sent, held, none := c.StateSlotStats(); sent != 1 || held != 0 || none != 1 {
+		t.Fatalf("state slots: sent %d, held %d, none %d; want 1, 0, 1", sent, held, none)
 	}
-	if _, _, err := c.VerifyExistenceAnchored(2, anchor, true); err != nil {
-		t.Fatal(err)
+	recs, _, err := c.VerifyExistenceBatch([]uint64{2, 30, 40}, false)
+	if err != nil || len(recs) != 3 {
+		t.Fatalf("batch after the state was learned: %v", err)
+	}
+	if _, held, _ := c.StateSlotStats(); held != 1 {
+		t.Fatalf("batch at the held state: %d held slots, want 1", held)
 	}
 }
 

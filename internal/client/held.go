@@ -5,9 +5,13 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
+	"ledgerdb/internal/hashutil"
 	"ledgerdb/internal/journal"
 	"ledgerdb/internal/ledger"
+	"ledgerdb/internal/merkle/fam"
+	"ledgerdb/internal/sig"
 )
 
 // Held records: the client remembers the journals it has verified in
@@ -18,14 +22,29 @@ import (
 // folded under the new reply's signed state; the store saves transfer
 // and server reads, never a check. Losing it costs one cold read.
 
+//
+// The same store keeps, per service, the newest signed state the client
+// verified and the sealed fam epoch roots it learned (ledger.SealedRoot).
+// Every request names the state; an existence proof also names how many
+// roots, contiguous from epoch 0, it holds. The reply may then leave the
+// state out, or answer a journal of a learned epoch with its in-epoch
+// path alone, which the client checks against its learned root
+// (ledger/stateslot.go). A request fills its reply from a snapshot taken
+// when it left, so a clone moving the held state meanwhile changes
+// nothing for it.
+
 // heldGen is the entry bound of one generation of the record store: at
 // most two generations, 2 × 8 Ki records of ~250 bytes ≈ 4 MB. answerGen
 // bounds the remembered answers the same way (2 × 512 lists of at most
-// ledger.MaxProofBatch jsns). Constants like the memo's, not options: a
-// wrong size costs cold reads, never correctness.
+// ledger.MaxProofBatch jsns), and trustGen the services whose state and
+// roots are kept (2 × 16, each at most maxSealedRoots roots of 32 bytes).
+// Constants like the memo's, not options: a wrong size costs cold reads,
+// never correctness.
 const (
-	heldGen   = 8 << 10
-	answerGen = 512
+	heldGen        = 8 << 10
+	answerGen      = 512
+	trustGen       = 16
+	maxSealedRoots = 1 << 10
 )
 
 // gens is a map bounded like sig.Memo: two generations of at most n
@@ -72,12 +91,130 @@ type heldStore struct {
 	mu           sync.Mutex
 	records      gens[heldKey, []byte]
 	answers      gens[string, []uint64]
+	trust        gens[trustKey, *trusted]
 	hits, misses uint64
+	slots        [3]atomic.Uint64 // replies received per ledger.StateSlot
 }
 
 func newHeldStore() *heldStore {
-	return &heldStore{records: gens[heldKey, []byte]{n: heldGen}, answers: gens[string, []uint64]{n: answerGen}}
+	return &heldStore{
+		records: gens[heldKey, []byte]{n: heldGen},
+		answers: gens[string, []uint64]{n: answerGen},
+		trust:   gens[trustKey, *trusted]{n: trustGen},
+	}
 }
+
+// trustKey names one service the client verifies: the endpoint and the
+// LSP key pinned for it.
+type trustKey struct {
+	base string
+	lsp  sig.PublicKey
+}
+
+// trusted is what the client verified about one service.
+type trusted struct {
+	state *ledger.SignedState // the newest verified signed state
+	dig   hashutil.Digest     // state.Digest()
+	// sealed holds the learned roots of epochs [0, len(sealed)). It is
+	// only ever appended to, so a snapshot may share it.
+	sealed []hashutil.Digest
+	ahead  map[int]hashutil.Digest // learned roots past the contiguous prefix
+}
+
+// namedTrust is what one request names as verified: the state and the
+// sealed roots the store held when it left.
+type namedTrust struct {
+	state *ledger.SignedState
+	dig   hashutil.Digest
+	roots []hashutil.Digest
+}
+
+// snapshot is what the store holds for key, for a request about to leave.
+func (s *heldStore) snapshot(key trustKey) namedTrust {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t, ok := s.trust.get(key)
+	if !ok {
+		return namedTrust{}
+	}
+	return namedTrust{state: t.state, dig: t.dig, roots: t.sealed[:len(t.sealed):len(t.sealed)]}
+}
+
+// params renders the request's parameters: the state, and with sealed the
+// count of roots (an existence proof's).
+func (n namedTrust) params(sealed bool) string {
+	var b strings.Builder
+	if n.state != nil {
+		b.WriteString("&state=")
+		b.WriteString(n.dig.String())
+	}
+	if sealed && len(n.roots) > 0 {
+		b.WriteString("&sealed=")
+		b.WriteString(strconv.Itoa(len(n.roots)))
+	}
+	return b.String()
+}
+
+// fillExistence fills an existence proof's state slot from the snapshot
+// and returns the anchor to verify it under: the named roots for a
+// stateless proof, nil (the cold fold) for any other.
+func (n namedTrust) fillExistence(p *ledger.ExistenceProof) (*fam.Anchor, error) {
+	if err := p.FillState(n.state, uint64(len(n.roots))); err != nil {
+		return nil, err
+	}
+	if p.Slot != ledger.StateNone {
+		return nil, nil
+	}
+	return &fam.Anchor{Epochs: len(n.roots), Roots: n.roots}, nil
+}
+
+// learn files what a verified reply taught about key's service: its
+// state st when it is newer than the held one, and the sealed root a
+// cold existence proof p authenticated (p may be nil).
+func (s *heldStore) learn(key trustKey, st *ledger.SignedState, p *ledger.ExistenceProof) {
+	epoch, root, rooted := -1, hashutil.Zero, false
+	if p != nil {
+		epoch, root, rooted = p.SealedRoot()
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t, ok := s.trust.get(key)
+	if !ok {
+		t = &trusted{}
+		s.trust.put(key, t)
+	}
+	if st != nil && (t.state == nil || st.JSN > t.state.JSN || (st.JSN == t.state.JSN && st.Timestamp > t.state.Timestamp)) {
+		t.state, t.dig = st, st.Digest()
+	}
+	if !rooted || epoch < len(t.sealed) || epoch >= maxSealedRoots {
+		return
+	}
+	if t.ahead == nil {
+		t.ahead = make(map[int]hashutil.Digest)
+	}
+	t.ahead[epoch] = root
+	for r, ok := t.ahead[len(t.sealed)]; ok; r, ok = t.ahead[len(t.sealed)] {
+		delete(t.ahead, len(t.sealed))
+		t.sealed = append(t.sealed, r)
+	}
+}
+
+// saw counts a reply's state slot as it arrived (decoding admits only
+// the three slots).
+func (s *heldStore) saw(slot ledger.StateSlot) { s.slots[slot].Add(1) }
+
+// StateSlotStats reports how many existence, batch, clue and query
+// replies this client and its clones received with the signed state in
+// full (sent), left out because the request named it (held), and with no
+// state at all — an in-epoch path checked against a learned sealed root
+// (none).
+func (c *Client) StateSlotStats() (sent, held, none uint64) {
+	c.shared()
+	return c.held.slots[ledger.StateSent].Load(), c.held.slots[ledger.StateHeld].Load(), c.held.slots[ledger.StateNone].Load()
+}
+
+// trustKey is this client's key into the store.
+func (c *Client) trustKey() trustKey { return trustKey{c.BaseURL, c.LSP} }
 
 // heldSet is what one request names as held: the jsns, ascending, and
 // the bytes the store had of them when the request left — so an

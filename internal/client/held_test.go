@@ -47,8 +47,9 @@ func wantTamper(t *testing.T, what string, err error, want string) {
 
 // TestVerifiedRepliesAnswerTheQuestion: a valid proof of another journal,
 // another clue or another range of the clue is not an answer to the
-// question asked. A middlebox serves jsn 6 for /v1/proof/5 (plain and
-// anchored), clue b for /v1/clue/a/proof, fewer versions than asked, and
+// question asked. A middlebox serves jsn 6 for /v1/proof/5 (with the
+// state in full and held back), clue b for /v1/clue/a/proof, fewer
+// versions than asked, and
 // — on a read naming held records — another range whose placeholders
 // the client holds.
 func TestVerifiedRepliesAnswerTheQuestion(t *testing.T) {
@@ -57,8 +58,6 @@ func TestVerifiedRepliesAnswerTheQuestion(t *testing.T) {
 		switch r.URL.Path {
 		case "/v1/proof/5":
 			r.URL.Path = "/v1/proof/6"
-		case "/v1/proof-anchored/5":
-			r.URL.Path = "/v1/proof-anchored/6"
 		case "/v1/clue/a/proof":
 			if q.Get("end") == "2" {
 				setQuery(r, "end", "1")
@@ -79,12 +78,6 @@ func TestVerifiedRepliesAnswerTheQuestion(t *testing.T) {
 
 	_, _, err := c.VerifyExistence(5, false)
 	wantTamper(t, "proof of jsn 6 for jsn 5", err, "jsn binding")
-	anchor, err := c.FetchAnchor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = c.VerifyExistenceAnchored(5, anchor, false)
-	wantTamper(t, "anchored proof of jsn 6 for jsn 5", err, "jsn binding")
 	_, err = c.VerifyClue("a", 0, 0)
 	wantTamper(t, "clue b for clue a", err, "binding")
 	_, err = c.VerifyClue("a", 0, 2)
@@ -95,6 +88,12 @@ func TestVerifiedRepliesAnswerTheQuestion(t *testing.T) {
 	// The middlebox passes honest questions through untouched.
 	if rec, _, err := c.VerifyExistence(4, false); err != nil || rec.JSN != 4 {
 		t.Fatalf("honest proof: %v", err)
+	}
+	_, held0, _ := c.StateSlotStats()
+	_, _, err = c.VerifyExistence(5, false)
+	wantTamper(t, "proof of jsn 6 for jsn 5, state held back", err, "jsn binding")
+	if _, held, _ := c.StateSlotStats(); held != held0+1 {
+		t.Fatal("the repeat proof did not hold the state back")
 	}
 	if recs, err := c.VerifyClue("b", 0, 0); err != nil || len(recs) != 3 {
 		t.Fatalf("honest clue proof: %d records, %v", len(recs), err)

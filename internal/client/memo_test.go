@@ -442,6 +442,7 @@ func TestMemoSharedByClonesRace(t *testing.T) {
 // stateTransport passes every reply through unchanged and records the
 // signed state each existence, clue and query reply carries, by its
 // encoding: how many distinct LSP signatures a run of reads was shown.
+// A reply that leaves its state out (held, or none at all) shows none.
 type stateTransport struct {
 	t      testing.TB
 	mu     sync.Mutex
@@ -472,20 +473,24 @@ func (st *stateTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 		return b
 	}
 	var state *ledger.SignedState
+	var slot ledger.StateSlot
 	switch p := req.URL.Path; {
 	case strings.HasPrefix(p, "/v1/proof/"):
 		if ep, err := ledger.DecodeExistenceProof(blob(env.Proof)); err == nil {
-			state = ep.State
+			state, slot = ep.State, ep.Slot
 		}
 	case strings.HasPrefix(p, "/v1/clue/"):
 		if cb, err := ledger.DecodeClueProofBundle(blob(env.Proof)); err == nil {
-			state = cb.State
+			state, slot = cb.State, cb.Slot
 		}
 	case p == "/v1/query":
 		if res, err := ledger.DecodeQueryResult(blob(env.Result)); err == nil && res.Batch != nil {
-			state = res.Batch.State
+			state, slot = res.Batch.State, res.Batch.Slot
 		}
 	default:
+		return resp, nil
+	}
+	if slot != ledger.StateSent {
 		return resp, nil
 	}
 	if state == nil {
@@ -554,10 +559,15 @@ func TestOwnWritesVerifyWithoutECDSA(t *testing.T) {
 		t.Fatalf("reads of %d records this client signed ran %d ECDSA checks, want %d: one per distinct signed state",
 			versions, misses, len(st.states))
 	}
-	// Each existence proof checks a state and one π_c; the clue proof
-	// and the query a state and all 64.
-	if checks := hits + misses; checks != 2*versions+2*(versions+1) {
-		t.Fatalf("%d signature checks, want %d", checks, 2*versions+2*(versions+1))
+	// Each existence proof checks a state and one π_c — a stateless one
+	// (a journal of the sealed epoch the first read taught) only the π_c;
+	// the clue proof and the query a state and all 64.
+	_, _, none := c.StateSlotStats()
+	if none == 0 {
+		t.Fatal("no existence proof took the sealed-epoch path")
+	}
+	if checks, want := hits+misses, 2*versions+2*(versions+1)-none; checks != want {
+		t.Fatalf("%d signature checks, want %d", checks, want)
 	}
 	t.Logf("%d reads, %d signature checks: %d ECDSA, all for signed states", versions+2, hits+misses, misses)
 

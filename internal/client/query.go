@@ -59,7 +59,7 @@ func absencePath(name string, prefix bool) string {
 // and runs the full offline verification against the issued query. The
 // result comes back whole, as a server that held nothing back would
 // have sent it.
-func (c *Client) decodeVerifiedResult(rep *reply, enc string, q ledger.Query, held *heldSet) ([]*journal.Record, *ledger.QueryResult, int, error) {
+func (c *Client) decodeVerifiedResult(rep *reply, enc string, q ledger.Query, held *heldSet, named namedTrust) ([]*journal.Record, *ledger.QueryResult, int, error) {
 	raw, err := rep.blob(enc, "query result")
 	if err != nil {
 		return nil, nil, 0, err
@@ -70,8 +70,12 @@ func (c *Client) decodeVerifiedResult(rep *reply, enc string, q ledger.Query, he
 	}
 	var filled int
 	if res.Batch != nil {
+		c.held.saw(res.Batch.Slot)
 		if filled, err = res.Batch.Fill(held.get); err != nil {
 			return nil, nil, 0, rep.tamper("query held records", err)
+		}
+		if err := res.Batch.FillState(named.state); err != nil {
+			return nil, nil, 0, rep.tamper("query state slot", err)
 		}
 	}
 	recs, err := c.verifier().VerifyQueryResult(q, res)
@@ -90,11 +94,12 @@ func (c *Client) queryHeld(q ledger.Query) (*reply, []*journal.Record, *ledger.Q
 	path := queryPath(q)
 	key := "query\x00" + path
 	held := c.held.named(c.BaseURL, key)
-	rep, err := c.call("GET", path+held.param(), nil)
+	named := c.held.snapshot(c.trustKey())
+	rep, err := c.call("GET", path+held.param()+named.params(false), nil)
 	if err != nil || rep.env.Results != nil {
 		return rep, nil, nil, err
 	}
-	recs, res, filled, err := c.decodeVerifiedResult(rep, rep.env.Result, q, held)
+	recs, res, filled, err := c.decodeVerifiedResult(rep, rep.env.Result, q, held, named)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -104,6 +109,7 @@ func (c *Client) queryHeld(q ledger.Query) (*reply, []*journal.Record, *ledger.Q
 			raws[i] = res.Batch.Items[i].RecordBytes
 		}
 		c.held.remember(c.BaseURL, key, raws, recs, filled)
+		c.held.learn(c.trustKey(), res.Batch.State, nil)
 	}
 	return rep, recs, res, nil
 }
@@ -144,7 +150,7 @@ func (c *Client) QueryRecords(q ledger.Query) ([]*journal.Record, error) {
 	sort.Ints(shards)
 	var out []*journal.Record
 	for _, i := range shards {
-		recs, _, _, err := c.decodeVerifiedResult(rep, rep.env.Results[strconv.Itoa(i)], q, &heldSet{})
+		recs, _, _, err := c.decodeVerifiedResult(rep, rep.env.Results[strconv.Itoa(i)], q, &heldSet{}, namedTrust{})
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}

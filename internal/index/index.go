@@ -273,7 +273,7 @@ func (h *cursorHeap) Pop() any {
 // match, an absence proof for an empty prefix reply. The index only
 // ever nominates jsns; all authority comes from the ledger's proofs.
 func (ix *Index) Query(q ledger.Query) (*ledger.QueryResult, error) {
-	return ix.QueryHeld(q, nil)
+	return ix.QueryHeld(q, ledger.Held{})
 }
 
 // QueryHeld is Query for a requester that holds the journals held

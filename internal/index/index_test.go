@@ -299,7 +299,7 @@ func TestTamperedIndexNeverServedSilently(t *testing.T) {
 	ix.mu.Unlock()
 
 	q := ledger.Query{Kind: ledger.QueryByPrefix, Prefix: "wanted"}
-	res, err := ix.queryOnce(q, nil) // bypass Query's Sync so the tamper persists
+	res, err := ix.queryOnce(q, ledger.Held{}) // bypass Query's Sync so the tamper persists
 	if err != nil {
 		t.Fatal(err)
 	}

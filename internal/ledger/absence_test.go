@@ -232,7 +232,7 @@ func TestVerifyQueryResultRejectsNonMatch(t *testing.T) {
 	lsp := e.lsp.Public()
 
 	q := Query{Kind: QueryByPrefix, Prefix: "invoice/"}
-	batch, err := e.ledger.ProveExistenceBatch([]uint64{r1.JSN}, false)
+	batch, err := e.ledger.ProveExistenceBatch([]uint64{r1.JSN}, false, Held{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestQueryResultCodecRoundTrip(t *testing.T) {
 	e := newEnv(t, nil)
 	r := e.append(t, "doc", "golf")
 	q := Query{Kind: QueryByPrefix, Prefix: "golf"}
-	batch, err := e.ledger.ProveExistenceBatch([]uint64{r.JSN}, true)
+	batch, err := e.ledger.ProveExistenceBatch([]uint64{r.JSN}, true, Held{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,15 +6,21 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"ledgerdb/internal/hashutil"
+	"ledgerdb/internal/merkle/fam"
 	"ledgerdb/internal/sig"
 	"ledgerdb/internal/streamfs"
 )
 
-// TestAnchoredProofsUnderPipelinedAppends races anchored existence
-// proofs against pipelined append traffic. The regression it guards:
-// proveExistence must take the fam path and the signed state from ONE
-// read-lock section — with two separate sections an append can slide in
-// between, leaving a path built against an older accumulator paired
+// TestAnchoredProofsUnderPipelinedAppends races learned-anchor
+// existence proofs against pipelined append traffic. Each verifier
+// learns sealed epoch roots from the cold proofs it verifies and asks
+// again naming them and the state it verified: a journal in a learned
+// epoch comes back as its in-epoch path alone, any other with the state
+// held back when it is unchanged. The regression it guards:
+// ProveExistenceHeld must take the fam path and the signed state from
+// ONE read-lock section — with two separate sections an append can slide
+// in between, leaving a path built against an older accumulator paired
 // with a newer signed root (or vice versa), and verification fails
 // spuriously. Run under -race (scripts/check.sh does) to also certify
 // the lock-narrowed read path.
@@ -83,36 +89,39 @@ func TestAnchoredProofsUnderPipelinedAppends(t *testing.T) {
 		vwg.Add(1)
 		go func(v int) {
 			defer vwg.Done()
+			learned := make(map[int]hashutil.Digest)
 			for i := 0; !done.Load() || i < 8; i++ {
-				// A fresh anchor mid-stream: proofs for journals inside
-				// it must verify against it no matter how far the
-				// ledger has advanced since.
-				a := l.Anchor()
-				if a == nil || a.Size == 0 {
-					continue
-				}
-				jsn := uint64(v*31+i) % a.Size
-				p, err := l.ProveExistenceAnchored(jsn, a, i%2 == 0)
+				jsn := uint64(v*31+i) % l.Size()
+				// Unanchored proofs share the same single-RLock section;
+				// exercise them against the live state concurrently.
+				cold, err := l.ProveExistence(jsn, i%2 == 0)
 				if err != nil {
-					t.Errorf("verifier %d: prove %d under anchor %d: %v", v, jsn, a.Size, err)
+					t.Errorf("verifier %d: live prove %d: %v", v, jsn, err)
 					return
 				}
-				rec, err := VerifyExistenceAnchored(p, lsp.Public(), a)
+				if _, err := VerifyExistence(cold, lsp.Public()); err != nil {
+					t.Errorf("verifier %d: live verify %d: %v", v, jsn, err)
+					return
+				}
+				if e, root, ok := cold.SealedRoot(); ok {
+					learned[e] = root
+				}
+				// The same journal for a verifier holding that state and
+				// the roots learned so far, however far the ledger has
+				// advanced since.
+				q := requester{state: cold.State, anchor: contiguous(learned)}
+				p, err := l.ProveExistenceHeld(jsn, i%2 == 0, Held{State: cold.State.Digest(), Sealed: uint64(q.anchor.Epochs)})
 				if err != nil {
-					t.Errorf("verifier %d: verify %d under anchor %d: %v", v, jsn, a.Size, err)
+					t.Errorf("verifier %d: prove %d under %d learned roots: %v", v, jsn, q.anchor.Epochs, err)
+					return
+				}
+				rec, err := q.verifyExistence(p, Verifier{LSP: lsp.Public()})
+				if err != nil {
+					t.Errorf("verifier %d: verify %d under %d learned roots: %v", v, jsn, q.anchor.Epochs, err)
 					return
 				}
 				if rec.JSN != jsn {
 					t.Errorf("verifier %d: proof for %d decoded as %d", v, jsn, rec.JSN)
-					return
-				}
-				// Unanchored proofs share the same single-RLock section;
-				// exercise them against the live state concurrently.
-				if p2, err := l.ProveExistence(jsn, false); err != nil {
-					t.Errorf("verifier %d: live prove %d: %v", v, jsn, err)
-					return
-				} else if _, err := VerifyExistence(p2, lsp.Public()); err != nil {
-					t.Errorf("verifier %d: live verify %d: %v", v, jsn, err)
 					return
 				}
 				verified.Add(1)
@@ -130,21 +139,41 @@ func TestAnchoredProofsUnderPipelinedAppends(t *testing.T) {
 		t.Fatalf("only %d proofs verified during the race", verified.Load())
 	}
 
-	// The quiesced ledger still proves everything the anchor covers.
-	// The final open epoch (up to 2^FractalHeight journals) is excluded
-	// from anchors by design — its root is still moving.
-	a := l.Anchor()
+	// On the quiesced ledger a verifier that learned every sealed root
+	// gets the short proof for every journal they cover. The final open
+	// epoch (up to 2^FractalHeight journals) has no root to learn — it is
+	// still moving.
 	total := uint64(4 + writers*appendsPer)
-	if wantSize := total - 16; a.Size < wantSize {
-		t.Fatalf("anchor covers %d journals, want >= %d of %d", a.Size, wantSize, total)
+	var probes []uint64
+	for jsn := uint64(0); jsn < total; jsn += 15 {
+		probes = append(probes, jsn)
 	}
-	for jsn := uint64(0); jsn < a.Size; jsn += 17 {
-		p, err := l.ProveExistenceAnchored(jsn, a, false)
+	q := requester{anchor: learnedAnchor(t, l, probes...)}
+	covered := uint64(16 + 15*(q.anchor.Epochs-1)) // epoch 0 holds 16 journals, later ones 15 and the merged leaf
+	if wantSize := total - 16; covered < wantSize {
+		t.Fatalf("learned roots cover %d journals, want >= %d of %d", covered, wantSize, total)
+	}
+	for jsn := uint64(0); jsn < covered; jsn += 17 {
+		p, err := l.ProveExistenceHeld(jsn, false, Held{Sealed: uint64(q.anchor.Epochs)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := VerifyExistenceAnchored(p, lsp.Public(), a); err != nil {
+		if p.Slot != StateNone {
+			t.Fatalf("jsn %d in a learned epoch: state slot %d", jsn, p.Slot)
+		}
+		if _, err := q.verifyExistence(p, Verifier{LSP: lsp.Public()}); err != nil {
 			t.Fatalf("jsn %d: %v", jsn, err)
 		}
 	}
+}
+
+// contiguous is the anchor of the roots learned for epochs 0, 1, … up
+// to the first one not learned yet.
+func contiguous(learned map[int]hashutil.Digest) *fam.Anchor {
+	a := &fam.Anchor{}
+	for root, ok := learned[0]; ok; root, ok = learned[a.Epochs] {
+		a.Roots = append(a.Roots, root)
+		a.Epochs++
+	}
+	return a
 }

@@ -104,14 +104,16 @@ func (s *SignedState) signedDigest() hashutil.Digest {
 // when verification: it binds every accumulator root at this instant.
 func (s *SignedState) Digest() hashutil.Digest { return s.signedDigest() }
 
-func (s *SignedState) sign(kp *sig.KeyPair) error {
+// sign signs the state as kp and returns the digest it signed.
+func (s *SignedState) sign(kp *sig.KeyPair) (hashutil.Digest, error) {
 	s.LSPPK = kp.Public()
-	sg, err := kp.Sign(s.signedDigest())
+	d := s.signedDigest()
+	sg, err := kp.Sign(d)
 	if err != nil {
-		return err
+		return hashutil.Zero, err
 	}
 	s.LSPSig = sg
-	return nil
+	return d, nil
 }
 
 // Verify checks the LSP signature on the state.
@@ -146,8 +148,14 @@ func (s *SignedState) Encode(w *wire.Writer) {
 
 // DecodeSignedState parses a signed state.
 func DecodeSignedState(r *wire.Reader) (*SignedState, error) {
+	return decodeSignedState(r, r.String())
+}
+
+// decodeSignedState parses the rest of a signed state whose URI has
+// been read.
+func decodeSignedState(r *wire.Reader, uri string) (*SignedState, error) {
 	s := &SignedState{
-		URI:         r.String(),
+		URI:         uri,
 		JSN:         r.Uvarint(),
 		JournalRoot: r.Digest(),
 		ClueRoot:    r.Digest(),

@@ -70,16 +70,20 @@ func buildProofCodecs(t *testing.T) ([]proofCodec, sig.PublicKey, []sig.Check) {
 	for i := 0; i < 33; i++ {
 		appendReq(e.request(t, fmt.Sprintf("tail-%d", i)))
 	}
-	anchor := e.ledger.Anchor()
-	if anchor.Epochs == 0 {
-		t.Fatal("fixture sealed no fam epoch")
-	}
+	anchor := learnedAnchor(t, e.ledger, 3)
 
 	ep, err := e.ledger.ProveExistence(3, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ea, err := e.ledger.ProveExistenceAnchored(3, anchor, true)
+	// The learned-anchor reply (no state) and replies that leave out the
+	// state the requester names.
+	held := Held{State: ep.State.Digest(), Sealed: uint64(anchor.Epochs)}
+	ea, err := e.ledger.ProveExistenceHeld(3, true, held)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eh, err := e.ledger.ProveExistenceHeld(e.ledger.Size()-1, true, held)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,14 +91,26 @@ func buildProofCodecs(t *testing.T) ([]proofCodec, sig.PublicKey, []sig.Check) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cbh, err := e.ledger.ProveClueHeld("K", 0, 0, held)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ea.Slot != StateNone || eh.Slot != StateHeld || cbh.Slot != StateHeld {
+		t.Fatalf("state slots %d, %d, %d", ea.Slot, eh.Slot, cbh.Slot)
+	}
 	sp, err := e.ledger.ProveState([]byte("acct-1"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := e.ledger.ProveExistenceBatch([]uint64{1, 3, 5}, true)
+	batch, err := e.ledger.ProveExistenceBatch([]uint64{1, 3, 5}, true, Held{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	batchHeld, err := e.ledger.ProveExistenceBatch([]uint64{1, 3, 5}, true, held)
+	if err != nil || batchHeld.Slot != StateHeld {
+		t.Fatalf("held batch: slot %d, err %v", batchHeld.Slot, err)
+	}
+	named := requester{state: ep.State, anchor: anchor}
 	ap, err := e.ledger.ProveAbsence("M", false) // sorts between "K" and "solo-0": both neighbors set
 	if err != nil {
 		t.Fatal(err)
@@ -160,9 +176,11 @@ func buildProofCodecs(t *testing.T) ([]proofCodec, sig.PublicKey, []sig.Check) {
 	}
 
 	return []proofCodec{
-		existenceCodec(t, "existence", ep, nil),
-		existenceCodec(t, "existence-anchored", ea, anchor),
-		clueCodec(t, "clue-bundle", cb),
+		existenceCodec(t, "existence", ep, requester{}),
+		existenceCodec(t, "existence-anchored", ea, named),
+		existenceCodec(t, "existence-held-state", eh, named),
+		clueCodec(t, "clue-bundle", cb, nil),
+		clueCodec(t, "clue-bundle-held-state", cbh, ep.State),
 		{
 			name:     "state",
 			enc:      sp.EncodeBytes(),
@@ -177,7 +195,8 @@ func buildProofCodecs(t *testing.T) ([]proofCodec, sig.PublicKey, []sig.Check) {
 				return claimBytes(p.Key, p.Value, stateBytes(p.State))
 			},
 		},
-		batchCodec(t, "existence-batch", batch),
+		batchCodec(t, "existence-batch", batch, nil),
+		batchCodec(t, "existence-batch-held-state", batchHeld, ep.State),
 		{
 			name:     "absence",
 			enc:      ap.EncodeBytes(),
@@ -210,15 +229,18 @@ func buildProofCodecs(t *testing.T) ([]proofCodec, sig.PublicKey, []sig.Check) {
 }
 
 // existenceCodec, clueCodec and batchCodec wrap one captured proof of
-// their shape for the sweeps (a nil anchor = plain existence).
-func existenceCodec(t *testing.T, name string, p *ExistenceProof, a *fam.Anchor) proofCodec {
+// their shape for the sweeps. verify fills a copy of the decoded proof
+// from what the requester named (the zero requester named nothing), so
+// the decoded object still re-encodes to the transported bytes.
+func existenceCodec(t *testing.T, name string, p *ExistenceProof, q requester) proofCodec {
 	return proofCodec{
 		name:     name,
 		enc:      p.EncodeBytes(),
 		decode:   func(b []byte) (any, error) { return DecodeExistenceProof(b) },
 		reencode: func(v any) []byte { return v.(*ExistenceProof).EncodeBytes() },
 		verify: func(v any, ver Verifier) error {
-			_, err := ver.VerifyExistenceAnchored(v.(*ExistenceProof), a)
+			p := *v.(*ExistenceProof)
+			_, err := q.verifyExistence(&p, ver)
 			return err
 		},
 		claims: func(v any) []byte {
@@ -228,14 +250,18 @@ func existenceCodec(t *testing.T, name string, p *ExistenceProof, a *fam.Anchor)
 	}
 }
 
-func clueCodec(t *testing.T, name string, b *ClueProofBundle) proofCodec {
+func clueCodec(t *testing.T, name string, b *ClueProofBundle, named *SignedState) proofCodec {
 	return proofCodec{
 		name:     name,
 		enc:      b.EncodeBytes(),
 		decode:   func(b []byte) (any, error) { return DecodeClueProofBundle(b) },
 		reencode: func(v any) []byte { return v.(*ClueProofBundle).EncodeBytes() },
 		verify: func(v any, ver Verifier) error {
-			_, err := ver.VerifyClue(v.(*ClueProofBundle))
+			b := *v.(*ClueProofBundle)
+			if err := b.FillState(named); err != nil {
+				return err
+			}
+			_, err := ver.VerifyClue(&b)
 			return err
 		},
 		claims: func(v any) []byte {
@@ -249,14 +275,18 @@ func clueCodec(t *testing.T, name string, b *ClueProofBundle) proofCodec {
 	}
 }
 
-func batchCodec(t *testing.T, name string, b *ExistenceProofBatch) proofCodec {
+func batchCodec(t *testing.T, name string, b *ExistenceProofBatch, named *SignedState) proofCodec {
 	return proofCodec{
 		name:     name,
 		enc:      b.EncodeBytes(),
 		decode:   func(b []byte) (any, error) { return DecodeExistenceProofBatch(b) },
 		reencode: func(v any) []byte { return v.(*ExistenceProofBatch).EncodeBytes() },
 		verify: func(v any, ver Verifier) error {
-			_, err := ver.VerifyExistenceBatch(v.(*ExistenceProofBatch))
+			b := *v.(*ExistenceProofBatch)
+			if err := b.FillState(named); err != nil {
+				return err
+			}
+			_, err := ver.VerifyExistenceBatch(&b)
 			return err
 		},
 		claims: func(v any) []byte { return batchClaims(t, v.(*ExistenceProofBatch)) },
@@ -299,6 +329,9 @@ func claimBytes(parts ...[]byte) []byte {
 }
 
 func stateBytes(st *SignedState) []byte {
+	if st == nil {
+		return nil // a state the reply left out is the requester's own
+	}
 	w := newTestWriter()
 	st.Encode(w)
 	return w.Bytes()
@@ -404,7 +437,7 @@ func buildBatchFixture(tb testing.TB, journals int, jsns ...uint64) (*ExistenceP
 	for i := 1; i < journals; i++ { // jsn 0 is genesis
 		e.append(tb, fmt.Sprintf("doc-%d", i), "K")
 	}
-	b, err := e.ledger.ProveExistenceBatch(append(jsns, jsns[0]), true)
+	b, err := e.ledger.ProveExistenceBatch(append(jsns, jsns[0]), true, Held{})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"testing"
 
+	"ledgerdb/internal/hashutil"
 	"ledgerdb/internal/journal"
 	"ledgerdb/internal/merkle/fam"
 	"ledgerdb/internal/wire"
@@ -62,6 +63,9 @@ func buildFuzzSeeds(tb testing.TB) (existence, clueBundle, receipt, absence []by
 func FuzzDecodeExistenceProof(f *testing.F) {
 	seed, _, _, _ := buildFuzzSeeds(f)
 	f.Add(seed)
+	held := buildHeldFixture(f)
+	f.Add(held.sealed.EncodeBytes()) // no state: a learned epoch's in-epoch path
+	f.Add(held.open.EncodeBytes())   // the requester's state held back
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := DecodeExistenceProof(data)
@@ -177,7 +181,11 @@ func FuzzDecodeExistenceProofBatch(f *testing.F) {
 				leaves = append(leaves, fam.Leaf{Index: rec.JSN, Digest: rec.TxHash()})
 			}
 		}
-		_ = fam.VerifyBatch(leaves, b.Fam, b.State.JournalRoot) // any verdict; it must come back
+		var root hashutil.Digest // a held state is the requester's: any root will do
+		if b.State != nil {
+			root = b.State.JournalRoot
+		}
+		_ = fam.VerifyBatch(leaves, b.Fam, root) // any verdict; it must come back
 	})
 }
 

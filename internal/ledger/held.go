@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"ledgerdb/internal/hashutil"
 	"ledgerdb/internal/journal"
 	"ledgerdb/internal/wire"
 )
@@ -23,19 +24,30 @@ import (
 // A prover may always send a named record in full (a router, an older
 // server), and payloads are never held back.
 
-// Held names the journals a requester holds verified record bytes of,
-// ascending and without repeats.
-type Held []uint64
+// Held is what a requester names as already verified when it asks for
+// a proof: record bytes of some journals, the newest signed state it
+// holds, and the sealed fam epoch roots it learned (see stateslot.go).
+// The zero value names nothing and gets the cold reply.
+type Held struct {
+	// JSNs are the journals whose verified record bytes the requester
+	// holds, ascending and without repeats.
+	JSNs []uint64
+	// State is the digest of the signed state it holds; zero for none.
+	State hashutil.Digest
+	// Sealed counts the sealed fam epoch roots it holds, epochs
+	// [0, Sealed). Only an existence proof uses it.
+	Sealed uint64
+}
 
 // NewHeld sorts and dedups jsns, in place, into a Held set.
 func NewHeld(jsns []uint64) Held {
 	slices.Sort(jsns)
-	return slices.Compact(jsns)
+	return Held{JSNs: slices.Compact(jsns)}
 }
 
 // Has reports whether jsn is named.
 func (h Held) Has(jsn uint64) bool {
-	_, ok := slices.BinarySearch(h, jsn)
+	_, ok := slices.BinarySearch(h.JSNs, jsn)
 	return ok
 }
 

@@ -7,26 +7,36 @@ import (
 	"slices"
 	"testing"
 
+	"ledgerdb/internal/hashutil"
 	"ledgerdb/internal/journal"
+	"ledgerdb/internal/merkle/fam"
 	"ledgerdb/internal/sig"
 	"ledgerdb/internal/wire"
 )
 
-// heldFixture is one ledger's clue and query replies for a requester
-// that holds most of the answer, next to the replies for one that holds
-// nothing.
+// heldFixture is one ledger's clue, query and existence replies for a
+// requester that holds most of the answer — records, the signed state
+// and the root of sealed fam epoch 0 — next to the replies for one that
+// holds nothing.
 type heldFixture struct {
 	lsp                  sig.PublicKey
 	held                 Held
 	get                  func(jsn uint64) ([]byte, bool) // the requester's verified bytes
+	state                *SignedState                    // the requester's verified state, which held.State names
+	anchor               *fam.Anchor                     // the sealed roots held.Sealed names
 	coldClue, warmClue   *ClueProofBundle
 	query                Query
 	coldQuery, warmQuery *QueryResult
+	// sealed proves a journal of sealed epoch 0 (no state), open one of
+	// the open epoch (state held back); coldSealed and coldOpen are their
+	// cold replies.
+	sealed, open, coldSealed, coldOpen *ExistenceProof
 }
 
 // buildHeldFixture interleaves clue K's nine versions with another
 // clue's journals, so the lineage's jsns are not dense, and holds every
-// version of K but the third and the last.
+// version of K but the third and the last. Thirteen journals at δ = 3
+// seal fam epoch 0; the requester learned its root from a cold proof.
 func buildHeldFixture(tb testing.TB) *heldFixture {
 	tb.Helper()
 	e := newEnv(tb, nil)
@@ -44,10 +54,13 @@ func buildHeldFixture(tb testing.TB) *heldFixture {
 	if f.coldClue, err = e.ledger.ProveClue("K", 0, 0); err != nil {
 		tb.Fatal(err)
 	}
+	f.state = f.coldClue.State
+	f.anchor = learnedAnchor(tb, e.ledger, 2)
+	f.held.State, f.held.Sealed = f.state.Digest(), uint64(f.anchor.Epochs)
 	if f.warmClue, err = e.ledger.ProveClueHeld("K", 0, 0, f.held); err != nil {
 		tb.Fatal(err)
 	}
-	cold, err := e.ledger.ProveQueryBatch(jsns, true, nil)
+	cold, err := e.ledger.ProveQueryBatch(jsns, true, Held{})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -57,6 +70,22 @@ func buildHeldFixture(tb testing.TB) *heldFixture {
 	}
 	f.coldQuery = &QueryResult{Query: f.query, Batch: cold}
 	f.warmQuery = &QueryResult{Query: f.query, Batch: warm}
+	if f.sealed, err = e.ledger.ProveExistenceHeld(jsns[1], true, f.held); err != nil {
+		tb.Fatal(err)
+	}
+	last := jsns[len(jsns)-1]
+	if f.open, err = e.ledger.ProveExistenceHeld(last, true, f.held); err != nil {
+		tb.Fatal(err)
+	}
+	if f.coldOpen, err = e.ledger.ProveExistence(last, true); err != nil {
+		tb.Fatal(err)
+	}
+	if f.coldSealed, err = e.ledger.ProveExistence(jsns[1], true); err != nil {
+		tb.Fatal(err)
+	}
+	if f.warmClue.Slot != StateHeld || warm.Slot != StateHeld || f.open.Slot != StateHeld || f.sealed.Slot != StateNone {
+		tb.Fatalf("warm replies carry state slots %d, %d, %d, %d", f.warmClue.Slot, warm.Slot, f.open.Slot, f.sealed.Slot)
+	}
 	store := make(map[uint64][]byte)
 	for _, raw := range f.coldClue.Records {
 		jsn, err := journal.PeekJSN(raw)
@@ -73,6 +102,60 @@ func buildHeldFixture(tb testing.TB) *heldFixture {
 
 func nothingHeld(uint64) ([]byte, bool) { return nil, false }
 
+// learnedAnchor is what a requester learns from verified cold proofs of
+// jsns (SealedRoot): the roots of sealed epochs 0, 1, ….
+func learnedAnchor(tb testing.TB, l *Ledger, jsns ...uint64) *fam.Anchor {
+	tb.Helper()
+	roots := make(map[int]hashutil.Digest)
+	for _, jsn := range jsns {
+		p, err := l.ProveExistence(jsn, false)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := VerifyExistence(p, l.LSPPublic()); err != nil {
+			tb.Fatal(err)
+		}
+		if e, root, ok := p.SealedRoot(); ok {
+			roots[e] = root
+		}
+	}
+	a := contiguous(roots)
+	if a.Epochs == 0 {
+		tb.Fatalf("no cold proof of %v crossed a sealed epoch", jsns)
+	}
+	return a
+}
+
+// requester is what a check fills a reply from: held record bytes, the
+// named state and the named sealed roots (zero values name nothing).
+type requester struct {
+	get    func(jsn uint64) ([]byte, bool)
+	state  *SignedState
+	anchor *fam.Anchor
+}
+
+func (f *heldFixture) warmRequester() requester {
+	return requester{get: f.get, state: f.state, anchor: f.anchor}
+}
+
+var coldRequester = requester{get: nothingHeld}
+
+// verifyExistence fills p as the requester would and runs the existence
+// verifier, under the named roots only for a stateless proof.
+func (q requester) verifyExistence(p *ExistenceProof, v Verifier) (*journal.Record, error) {
+	var sealed uint64
+	if q.anchor != nil {
+		sealed = uint64(q.anchor.Epochs)
+	}
+	if err := p.FillState(q.state, sealed); err != nil {
+		return nil, err
+	}
+	if p.Slot == StateNone {
+		return v.VerifyExistenceAnchored(p, q.anchor)
+	}
+	return v.VerifyExistenceAnchored(p, nil)
+}
+
 // heldShape is one reply format that can carry placeholders: decode a
 // transported reply, re-encode it as decoded, fill it from get and
 // verify it under v.
@@ -82,7 +165,7 @@ type heldShape struct {
 	// loose are the offsets of the bytes no digest or signature covers:
 	// occult bytes, and a query result's advisory Truncated flag.
 	loose map[int]bool
-	check func(b []byte, get func(uint64) ([]byte, bool), v Verifier) (again []byte, err error)
+	check func(b []byte, q requester, v Verifier) (again []byte, err error)
 }
 
 // slotOccult records, while replaying a slot's encoding into w, the
@@ -122,13 +205,16 @@ func (f *heldFixture) shapes() []heldShape {
 	return []heldShape{
 		{
 			name: "clue bundle", enc: f.warmClue.EncodeBytes(), loose: clueOccult,
-			check: func(b []byte, get func(uint64) ([]byte, bool), v Verifier) ([]byte, error) {
+			check: func(b []byte, q requester, v Verifier) ([]byte, error) {
 				got, err := DecodeClueProofBundle(b)
 				if err != nil {
 					return nil, err
 				}
 				again := got.EncodeBytes()
-				if _, err := got.Fill(get); err != nil {
+				if _, err := got.Fill(q.get); err != nil {
+					return again, err
+				}
+				if err := got.FillState(q.state); err != nil {
 					return again, err
 				}
 				_, err = v.VerifyClue(got)
@@ -137,20 +223,52 @@ func (f *heldFixture) shapes() []heldShape {
 		},
 		{
 			name: "query result", enc: f.warmQuery.EncodeBytes(), loose: queryLoose,
-			check: func(b []byte, get func(uint64) ([]byte, bool), v Verifier) ([]byte, error) {
+			check: func(b []byte, q requester, v Verifier) ([]byte, error) {
 				res, err := DecodeQueryResult(b)
 				if err != nil {
 					return nil, err
 				}
 				again := res.EncodeBytes()
 				if res.Batch != nil {
-					if _, err := res.Batch.Fill(get); err != nil {
+					if _, err := res.Batch.Fill(q.get); err != nil {
+						return again, err
+					}
+					if err := res.Batch.FillState(q.state); err != nil {
 						return again, err
 					}
 				}
 				_, err = v.VerifyQueryResult(f.query, res)
 				return again, err
 			},
+		},
+		existenceShape("existence, sealed epoch", f.sealed),
+		existenceShape("existence, held state", f.open),
+	}
+}
+
+// existenceShape is a single existence reply. Its record's occult flag
+// is unauthenticated, and so is the fam path's epoch number where no hop
+// and no learned root reads it — every check re-derives the path from
+// the record and the signed root (the codec sweeps call it path metadata).
+func existenceShape(name string, p *ExistenceProof) heldShape {
+	w := newTestWriter()
+	w.WriteBytes(p.RecordBytes)
+	loose := map[int]bool{w.Len() - 1: true}
+	w.WriteBytes(p.Payload)
+	w.Uvarint(p.Fam.Index)
+	if len(p.Fam.Hops) == 0 && p.Slot != StateNone {
+		loose[w.Len()] = true
+	}
+	return heldShape{
+		name: name, enc: p.EncodeBytes(), loose: loose,
+		check: func(b []byte, q requester, v Verifier) ([]byte, error) {
+			got, err := DecodeExistenceProof(b)
+			if err != nil {
+				return nil, err
+			}
+			again := got.EncodeBytes()
+			_, err = q.verifyExistence(got, v)
+			return again, err
 		},
 	}
 }
@@ -179,8 +297,11 @@ func TestHeldRepliesFillToColdReplies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, err := b.Fill(f.get); err != nil || n != len(f.held) {
-		t.Fatalf("clue bundle: filled %d of %d, %v", n, len(f.held), err)
+	if n, err := b.Fill(f.get); err != nil || n != len(f.held.JSNs) {
+		t.Fatalf("clue bundle: filled %d of %d, %v", n, len(f.held.JSNs), err)
+	}
+	if err := b.FillState(f.state); err != nil {
+		t.Fatal(err)
 	}
 	if !bytes.Equal(b.EncodeBytes(), f.coldClue.EncodeBytes()) {
 		t.Fatal("filled clue bundle differs from the cold one")
@@ -189,18 +310,34 @@ func TestHeldRepliesFillToColdReplies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, err := res.Batch.Fill(f.get); err != nil || n != len(f.held) {
-		t.Fatalf("query result: filled %d of %d, %v", n, len(f.held), err)
+	if n, err := res.Batch.Fill(f.get); err != nil || n != len(f.held.JSNs) {
+		t.Fatalf("query result: filled %d of %d, %v", n, len(f.held.JSNs), err)
+	}
+	if err := res.Batch.FillState(f.state); err != nil {
+		t.Fatal(err)
 	}
 	if !bytes.Equal(res.EncodeBytes(), f.coldQuery.EncodeBytes()) {
 		t.Fatal("filled query result differs from the cold one")
 	}
+	p, err := DecodeExistenceProof(f.open.EncodeBytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.FillState(f.state, uint64(f.anchor.Epochs)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(p.EncodeBytes(), f.coldOpen.EncodeBytes()) {
+		t.Fatal("filled open-epoch existence proof differs from the cold one")
+	}
+	if len(f.sealed.Fam.Hops) != 0 || len(f.sealed.EncodeBytes())+len(stateBytes(f.state)) >= len(f.coldSealed.EncodeBytes()) {
+		t.Fatalf("sealed-epoch reply: %d hops, %d bytes; cold %d", len(f.sealed.Fam.Hops), len(f.sealed.EncodeBytes()), len(f.coldSealed.EncodeBytes()))
+	}
 
 	for _, s := range f.shapes() {
-		if _, err := s.check(s.enc, f.get, Verifier{LSP: f.lsp}); err != nil {
+		if _, err := s.check(s.enc, f.warmRequester(), Verifier{LSP: f.lsp}); err != nil {
 			t.Fatalf("%s: %v", s.name, err)
 		}
-		if _, err := s.check(s.enc, nothingHeld, Verifier{LSP: f.lsp}); !errors.Is(err, ErrVerify) {
+		if _, err := s.check(s.enc, coldRequester, Verifier{LSP: f.lsp}); !errors.Is(err, ErrVerify) {
 			t.Fatalf("%s: a requester that named nothing accepted placeholders: %v", s.name, err)
 		}
 	}
@@ -223,6 +360,9 @@ func TestHeldMutationSoundness(t *testing.T) {
 	if _, err := warm.VerifyQueryResult(f.query, f.coldQuery); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := warm.VerifyExistenceAnchored(f.coldOpen, nil); err != nil {
+		t.Fatal(err)
+	}
 	cold := Verifier{LSP: f.lsp}
 	for _, s := range f.shapes() {
 		mut := make([]byte, len(s.enc))
@@ -236,8 +376,8 @@ func TestHeldMutationSoundness(t *testing.T) {
 					if i+1 < len(s.enc) {
 						mut[i+1] ^= mask[1]
 					}
-					again, werr := s.check(mut, f.get, warm)
-					_, cerr := s.check(mut, f.get, cold)
+					again, werr := s.check(mut, f.warmRequester(), warm)
+					_, cerr := s.check(mut, f.warmRequester(), cold)
 					note(verdict(werr) + " | " + verdict(cerr))
 					if (werr == nil) != (cerr == nil) {
 						t.Fatalf("%s: byte %d ^ %#02x: warm verdict %v, cold verdict %v", s.name, i, mask, werr, cerr)
@@ -294,21 +434,21 @@ func TestHeldPlaceholderListMutations(t *testing.T) {
 		check func([]slot) error
 	}{
 		"clue bundle": {clueSlots, func(s []slot) error {
-			b := &ClueProofBundle{Clue: f.warmClue.Clue, CM: f.warmClue.CM, State: f.warmClue.State, Held: make([]*Placeholder, len(s))}
+			b := &ClueProofBundle{Clue: f.warmClue.Clue, CM: f.warmClue.CM, Slot: f.warmClue.Slot, Held: make([]*Placeholder, len(s))}
 			for i := range s {
 				b.Records = append(b.Records, s[i].raw)
 				b.Held[i] = s[i].p
 			}
-			_, err := heldShapeCheck(f, "clue bundle")(b.EncodeBytes(), f.get, ver)
+			_, err := heldShapeCheck(f, "clue bundle")(b.EncodeBytes(), f.warmRequester(), ver)
 			return err
 		}},
 		"query result": {querySlots, func(s []slot) error {
-			batch := &ExistenceProofBatch{Fam: f.warmQuery.Batch.Fam, State: f.warmQuery.Batch.State}
+			batch := &ExistenceProofBatch{Fam: f.warmQuery.Batch.Fam, Slot: f.warmQuery.Batch.Slot}
 			for i := range s {
 				batch.Items = append(batch.Items, ExistenceItem{RecordBytes: s[i].raw, Payload: s[i].payload, Held: s[i].p})
 			}
 			res := &QueryResult{Query: f.query, Batch: batch}
-			_, err := heldShapeCheck(f, "query result")(res.EncodeBytes(), f.get, ver)
+			_, err := heldShapeCheck(f, "query result")(res.EncodeBytes(), f.warmRequester(), ver)
 			return err
 		}},
 	}
@@ -348,7 +488,7 @@ func TestHeldPlaceholderListMutations(t *testing.T) {
 }
 
 // heldShapeCheck is the named shape's fill-and-verify body.
-func heldShapeCheck(f *heldFixture, name string) func([]byte, func(uint64) ([]byte, bool), Verifier) ([]byte, error) {
+func heldShapeCheck(f *heldFixture, name string) func([]byte, requester, Verifier) ([]byte, error) {
 	for _, s := range f.shapes() {
 		if s.name == name {
 			return s.check
@@ -367,10 +507,10 @@ func TestHeldPlaceholderCarriesOccultBit(t *testing.T) {
 			t.Fatalf("placeholder for live jsn %d has occult byte %d", p.JSN, p.Occult)
 		}
 	}
-	held, _ := f.get(f.held[0])
+	held, _ := f.get(f.held.JSNs[0])
 	fl := filler{get: f.get}
 	var raw []byte
-	if err := fl.slot(&raw, newPlaceholder(f.held[0], true)); err != nil {
+	if err := fl.slot(&raw, newPlaceholder(f.held.JSNs[0], true)); err != nil {
 		t.Fatal(err)
 	}
 	rec, err := journal.DecodeRecord(raw)

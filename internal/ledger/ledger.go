@@ -927,13 +927,5 @@ func (l *Ledger) FamRootAt(size uint64) (hashutil.Digest, error) {
 	return t.Root()
 }
 
-// Anchor captures a fam trusted anchor (fam-aoa) at the current state.
-// Verifiers set anchors after completing an audit.
-func (l *Ledger) Anchor() *fam.Anchor {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.fam.AnchorNow()
-}
-
 // Clock returns the configured clock (used by the T-Ledger integration).
 func (l *Ledger) Clock() func() int64 { return l.cfg.Clock }

@@ -300,24 +300,36 @@ func TestExistenceVerifyDetectsTampering(t *testing.T) {
 	}
 }
 
+// TestExistenceAnchored: a requester that learned epoch 0's root from a
+// cold proof gets its in-epoch path alone for a journal there — no hop,
+// no state — and checks it against the learned root; a verifier without
+// the root refuses it, and a proof of an open-epoch journal names no
+// stateless path however many roots the request claims.
 func TestExistenceAnchored(t *testing.T) {
 	e := newEnv(t, nil)
 	for i := 0; i < 40; i++ {
 		e.append(t, fmt.Sprintf("doc-%d", i))
 	}
-	anchor := e.ledger.Anchor()
-	if anchor.Epochs == 0 {
-		t.Fatal("no sealed epochs at δ=3 with 41 journals")
-	}
-	p, err := e.ledger.ProveExistenceAnchored(2, anchor, false)
+	q := requester{anchor: learnedAnchor(t, e.ledger, 2)}
+	p, err := e.ledger.ProveExistenceHeld(2, false, Held{Sealed: uint64(q.anchor.Epochs)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Fam.Hops) != 0 {
-		t.Fatalf("anchored proof has %d hops", len(p.Fam.Hops))
+	if p.Slot != StateNone || p.State != nil || len(p.Fam.Hops) != 0 {
+		t.Fatalf("learned-anchor proof: slot %d, %d hops", p.Slot, len(p.Fam.Hops))
 	}
-	if _, err := VerifyExistenceAnchored(p, e.lsp.Public(), anchor); err != nil {
+	if _, err := q.verifyExistence(p, Verifier{LSP: e.lsp.Public()}); err != nil {
 		t.Fatalf("anchored verify: %v", err)
+	}
+	if _, err := VerifyExistence(p, e.lsp.Public()); !errors.Is(err, ErrVerify) {
+		t.Fatalf("stateless proof without the learned root: err = %v", err)
+	}
+	p, err = e.ledger.ProveExistenceHeld(40, false, Held{Sealed: 1 << 40})
+	if err != nil || p.Slot != StateSent {
+		t.Fatalf("open-epoch journal under an oversized sealed count: slot %d, err %v", p.Slot, err)
+	}
+	if _, err := q.verifyExistence(p, Verifier{LSP: e.lsp.Public()}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -187,7 +187,7 @@ func TestVerifierMemoAcrossShapes(t *testing.T) {
 	// Same records, state re-signed by another key: every π_c hits, the
 	// proof must still be refused.
 	forged := *ep.State
-	if err := forged.sign(sig.GenerateDeterministic("mallory")); err != nil {
+	if _, err := forged.sign(sig.GenerateDeterministic("mallory")); err != nil {
 		t.Fatal(err)
 	}
 	ep.State = &forged

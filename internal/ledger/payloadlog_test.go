@@ -70,7 +70,7 @@ func TestProofsSurfacePayloadReadErrors(t *testing.T) {
 			return p.Payload, nil
 		},
 		"ProveExistenceBatch": func(jsn uint64, with bool) ([]byte, error) {
-			b, err := e.ledger.ProveExistenceBatch([]uint64{jsn}, with)
+			b, err := e.ledger.ProveExistenceBatch([]uint64{jsn}, with, Held{})
 			if err != nil {
 				return nil, err
 			}

@@ -41,24 +41,26 @@ type ExistenceItem struct {
 type ExistenceProofBatch struct {
 	Items []ExistenceItem
 	Fam   *fam.BatchProof
-	State *SignedState
+	State *SignedState // nil unless Slot is StateSent
+	Slot  StateSlot
 }
 
 // ProveExistenceBatch builds existence proofs for every jsn in one
 // read-lock section, at the newest signed state that covers them all
-// (provingStateLocked). Like ProveExistence, the lock covers only
-// in-memory snapshotting; journal-stream and blob reads run after it is
-// dropped.
-func (l *Ledger) ProveExistenceBatch(jsns []uint64, withPayload bool) (*ExistenceProofBatch, error) {
-	return l.proveExistenceBatch(jsns, withPayload, false, nil)
+// (provingStateLocked), held back when it is the one held.State names.
+// Like ProveExistence, the lock covers only in-memory snapshotting;
+// journal-stream and blob reads run after it is dropped.
+func (l *Ledger) ProveExistenceBatch(jsns []uint64, withPayload bool, held Held) (*ExistenceProofBatch, error) {
+	return l.proveExistenceBatch(jsns, withPayload, false, held)
 }
 
 // ProveQueryBatch is ProveExistenceBatch for the sidecar index: a query
 // reply anchors to the ledger the index just caught up with — the
 // frontier state (frontierStateLocked) — not to an earlier one that
 // happens to cover the matches. Matches the requester holds go out as
-// placeholders; their journal-stream reads are skipped unless a payload
-// was asked for, which needs the record's payload digest.
+// placeholders, and so does the state when it is the one held.State
+// names; the journal-stream reads of held matches are skipped unless a
+// payload was asked for, which needs the record's payload digest.
 func (l *Ledger) ProveQueryBatch(jsns []uint64, withPayload bool, held Held) (*ExistenceProofBatch, error) {
 	return l.proveExistenceBatch(jsns, withPayload, true, held)
 }
@@ -98,7 +100,8 @@ func (l *Ledger) proveExistenceBatch(jsns []uint64, withPayload, frontier bool, 
 	if err != nil {
 		return nil, err
 	}
-	b := &ExistenceProofBatch{Items: make([]ExistenceItem, len(jsns)), Fam: fp, State: st}
+	b := &ExistenceProofBatch{Items: make([]ExistenceItem, len(jsns)), Fam: fp}
+	b.State, b.Slot = l.stateSlot(st, held)
 	for i, jsn := range jsns {
 		it, payload := &b.Items[i], withPayload && !occ[i]
 		switch {
@@ -223,7 +226,7 @@ func (b *ExistenceProofBatch) EncodeBytes() []byte {
 		w.WriteBytes(b.Items[i].Payload)
 	}
 	b.Fam.Encode(w)
-	b.State.Encode(w)
+	writeState(w, b.State, b.Slot)
 	return w.Bytes()
 }
 
@@ -251,11 +254,9 @@ func DecodeExistenceProofBatch(raw []byte) (*ExistenceProofBatch, error) {
 		return nil, err
 	}
 	b.Fam = fp
-	st, err := DecodeSignedState(r)
-	if err != nil {
+	if b.State, b.Slot, err = readState(r, false); err != nil {
 		return nil, err
 	}
-	b.State = st
 	if err := r.Finish(); err != nil {
 		return nil, err
 	}

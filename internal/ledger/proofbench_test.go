@@ -57,7 +57,7 @@ func BenchmarkExistenceBatch(b *testing.B) {
 	}
 	b.Run("batch=64", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			p, err := e.ledger.ProveExistenceBatch(jsns, false)
+			p, err := e.ledger.ProveExistenceBatch(jsns, false, Held{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -53,7 +53,7 @@ func TestProofBatch16BytesBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := tl.L.ProveExistenceBatch(jsns, false)
+	batch, err := tl.L.ProveExistenceBatch(jsns, false, ledger.Held{})
 	if err != nil {
 		t.Fatal(err)
 	}

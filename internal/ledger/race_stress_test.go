@@ -81,7 +81,9 @@ func TestPipelineDepth16ReadStress(t *testing.T) {
 						t.Errorf("reader %d: VerifyClueServer: %v", r, err)
 					}
 				case 3:
-					l.Anchor()
+					if _, err := l.ProveExistenceHeld(0, false, Held{Sealed: 1}); err != nil {
+						t.Errorf("reader %d: ProveExistenceHeld: %v", r, err)
+					}
 				}
 			}
 		}(r)

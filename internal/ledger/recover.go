@@ -400,9 +400,15 @@ var errStopIterate = fmt.Errorf("ledger: stop iteration")
 // replayRecord applies one live journal during recovery. Journals at or
 // before the pseudo genesis are covered by the snapshot seed, so this is
 // called only for strictly later records. redoErase is replayOccult's.
+// The fam tree already holds every replayed journal's tx-hash (recovery
+// fills it from the digest stream first, a follower appends it before
+// replaying), so the clue lineage takes it from there.
 func (l *Ledger) replayRecord(rec *journal.Record, redoErase *[]uint64) {
 	if len(rec.Clues) > 0 {
-		d := rec.TxHash()
+		d, err := l.fam.Leaf(rec.JSN)
+		if err != nil {
+			d = rec.TxHash()
+		}
 		for _, c := range rec.Clues {
 			if prevLast, existed := l.clues.Insert(c, rec.JSN, d); existed && prevLast < l.base {
 				// Same resurrection rule as the live path

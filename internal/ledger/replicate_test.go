@@ -254,7 +254,7 @@ func TestReplicaPartitionedReads(t *testing.T) {
 	if _, err := VerifyExistence(p, e.lsp.Public()); err != nil {
 		t.Fatalf("partitioned proof does not verify: %v", err)
 	}
-	b, err := f.ProveExistenceBatch([]uint64{1, 2, 3}, false)
+	b, err := f.ProveExistenceBatch([]uint64{1, 2, 3}, false, Held{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,11 +322,11 @@ func TestFollowerAndPrimaryProveAlike(t *testing.T) {
 			t.Fatalf("jsn %d: primary and follower proofs differ under one checkpoint", jsn)
 		}
 	}
-	pb, err := e.ledger.ProveExistenceBatch([]uint64{12, 3, 8}, false)
+	pb, err := e.ledger.ProveExistenceBatch([]uint64{12, 3, 8}, false, Held{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb, err := f.ProveExistenceBatch([]uint64{12, 3, 8}, false)
+	fb, err := f.ProveExistenceBatch([]uint64{12, 3, 8}, false, Held{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func TestReplicaRejectsBadCheckpoints(t *testing.T) {
 	impostor := sig.GenerateDeterministic("impostor")
 	st, _ := e.ledger.State()
 	forged := *st
-	if err := forged.sign(impostor); err != nil {
+	if _, err := forged.sign(impostor); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.SetReplicaState(&forged); err == nil {
@@ -366,7 +366,7 @@ func TestReplicaRejectsBadCheckpoints(t *testing.T) {
 	// stream marks divergence.
 	diverged := *st
 	diverged.JournalRoot[0] ^= 0xff
-	if err := diverged.sign(e.lsp); err != nil {
+	if _, err := diverged.sign(e.lsp); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.SetReplicaState(&diverged); !errors.Is(err, ErrDiverged) {

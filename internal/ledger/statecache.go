@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"ledgerdb/internal/cmtree"
+	"ledgerdb/internal/hashutil"
 	"ledgerdb/internal/mpt"
 	"ledgerdb/internal/sig"
 )
@@ -21,8 +22,9 @@ import (
 // it, the first signs, the rest take the freshly stored state.
 type stateCache struct {
 	mu             sync.Mutex
-	st             *SignedState // nil until the first sign and after a drop
-	clues          *mpt.Trie    // CM-Tree1 as of st
+	st             *SignedState    // nil until the first sign and after a drop
+	dig            hashutil.Digest // st.Digest(), computed when st was signed
+	clues          *mpt.Trie       // CM-Tree1 as of st
 	signed, reused uint64
 }
 
@@ -55,12 +57,25 @@ func (c *stateCache) signAndStore(skel SignedState, clues *mpt.Trie, lsp *sig.Ke
 		c.reused++
 		return c.st, nil
 	}
-	if err := skel.sign(lsp); err != nil {
+	dig, err := skel.sign(lsp)
+	if err != nil {
 		return nil, err
 	}
 	c.signed++
-	c.st, c.clues = &skel, clues
+	c.st, c.dig, c.clues = &skel, dig, clues
 	return c.st, nil
+}
+
+// digestOf is st.Digest(), from the held state's when st is it (a
+// follower's checkpoint, or a state dropped since, is hashed again).
+func (c *stateCache) digestOf(st *SignedState) hashutil.Digest {
+	c.mu.Lock()
+	held, dig := c.st == st, c.dig
+	c.mu.Unlock()
+	if held {
+		return dig
+	}
+	return st.Digest()
 }
 
 // clueSetCache memoizes the sorted clue-set (absence) commitment. Key

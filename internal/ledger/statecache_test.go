@@ -67,7 +67,7 @@ func TestReusedStateProofsDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := e.ledger.ProveExistenceBatch([]uint64{2, 9, 5}, true)
+		b, err := e.ledger.ProveExistenceBatch([]uint64{2, 9, 5}, true, Held{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,9 +95,9 @@ func TestReusedStateProofsDifferential(t *testing.T) {
 		t.Fatal("proof at a reused state differs from the proof given at that state's frontier")
 	}
 	for _, c := range []proofCodec{
-		existenceCodec(t, "existence-reused", p1, nil),
-		batchCodec(t, "batch-reused", b1),
-		clueCodec(t, "clue-reused", c1),
+		existenceCodec(t, "existence-reused", p1, requester{}),
+		batchCodec(t, "batch-reused", b1, nil),
+		clueCodec(t, "clue-reused", c1, nil),
 	} {
 		v, err := c.decode(c.enc)
 		if err != nil {
@@ -158,7 +158,7 @@ func TestStateReuseStops(t *testing.T) {
 	}
 	s2 = stateOf(3)
 	e.append(t, "uncovered-3")
-	if b, err := e.ledger.ProveExistenceBatch([]uint64{1, e.ledger.Size() - 1}, false); err != nil || b.State == s2 {
+	if b, err := e.ledger.ProveExistenceBatch([]uint64{1, e.ledger.Size() - 1}, false, Held{}); err != nil || b.State == s2 {
 		t.Fatalf("batch naming an uncovered jsn reused the state (err %v)", err)
 	}
 
@@ -168,21 +168,31 @@ func TestStateReuseStops(t *testing.T) {
 	if stateOf(3) != s3 {
 		t.Fatal("covered proof re-signed")
 	}
-	if b, err := e.ledger.ProveQueryBatch([]uint64{1, 2}, false, nil); err != nil || b.State.JSN != e.ledger.Size() {
+	if b, err := e.ledger.ProveQueryBatch([]uint64{1, 2}, false, Held{}); err != nil || b.State.JSN != e.ledger.Size() {
 		t.Fatalf("query batch not at the frontier (err %v)", err)
 	}
 	e.append(t, "moves it again")
 	if st, err := e.ledger.State(); err != nil || st.JSN != e.ledger.Size() {
 		t.Fatalf("State not at the frontier (err %v)", err)
 	}
+	// A journal in a sealed epoch whose root the requester learned is
+	// proven with no state at all: nothing signed, however far the
+	// frontier moved.
 	e.append(t, "and again")
-	if p, err := e.ledger.ProveExistenceAnchored(3, e.ledger.Anchor(), false); err != nil || p.State.JSN != e.ledger.Size() {
-		t.Fatalf("anchored proof not at the frontier (err %v)", err)
+	signed, _ := e.ledger.StateSigStats()
+	if p, err := e.ledger.ProveExistenceHeld(3, false, Held{Sealed: 1}); err != nil || p.Slot != StateNone || p.State != nil {
+		t.Fatalf("learned-anchor proof carries a state (err %v)", err)
+	}
+	if again, _ := e.ledger.StateSigStats(); again != signed {
+		t.Fatalf("learned-anchor proof signed %d states", again-signed)
 	}
 
 	// The one-block bound: BlockSize-1 appends behind is still served, a
 	// whole block behind is not. A block cut in between changes nothing
 	// a SignedState says, and drops nothing.
+	if _, err := e.ledger.State(); err != nil { // sign the frontier
+		t.Fatal(err)
+	}
 	s4 := stateOf(3)
 	for i := 0; i < e.cfg.BlockSize-1; i++ {
 		e.append(t, fmt.Sprintf("within-block-%d", i))

@@ -42,32 +42,30 @@ type ExistenceProof struct {
 	RecordBytes []byte
 	Payload     []byte // nil for occulted journals or digest-only proofs
 	Fam         *fam.Proof
-	State       *SignedState
+	State       *SignedState // nil unless Slot is StateSent
+	Slot        StateSlot
 }
 
 // ProveExistence builds an existence proof for jsn at the newest signed
 // state that covers it (provingStateLocked). withPayload controls
 // whether the raw payload ships along.
+func (l *Ledger) ProveExistence(jsn uint64, withPayload bool) (*ExistenceProof, error) {
+	return l.ProveExistenceHeld(jsn, withPayload, Held{})
+}
+
+// ProveExistenceHeld is ProveExistence for a requester that holds what
+// held names (stateslot.go). A journal in one of the first held.Sealed
+// sealed epochs gets its in-epoch path alone (fam.ProveAnchored over
+// this tree's own roots of those epochs) and no state, nothing signed;
+// any other is proven as ProveExistence proves it, its state held back
+// when it is the one held.State names.
 //
 // The ledger lock covers only the in-memory snapshot: bounds, the fam
 // path (copied out by ProveAt), the occult bit, and the signed state.
 // The journal-stream and blob reads happen after the lock is dropped —
 // committed records and content-addressed payloads are immutable, and
 // both stores carry their own locks.
-func (l *Ledger) ProveExistence(jsn uint64, withPayload bool) (*ExistenceProof, error) {
-	return l.proveExistence(jsn, nil, withPayload)
-}
-
-// ProveExistenceAnchored is ProveExistence using a verifier-held fam-aoa
-// trusted anchor, producing the short proof of Figure 4(a). The anchored
-// fam path ends at the live root, so it is paired with the frontier
-// state, both taken under one read-lock section: the hop chain ends at
-// exactly the signed JournalRoot even while concurrent appends land.
-func (l *Ledger) ProveExistenceAnchored(jsn uint64, a *fam.Anchor, withPayload bool) (*ExistenceProof, error) {
-	return l.proveExistence(jsn, a, withPayload)
-}
-
-func (l *Ledger) proveExistence(jsn uint64, a *fam.Anchor, withPayload bool) (*ExistenceProof, error) {
+func (l *Ledger) ProveExistenceHeld(jsn uint64, withPayload bool, held Held) (*ExistenceProof, error) {
 	l.mu.RLock()
 	if jsn >= l.nextJSN {
 		l.mu.RUnlock()
@@ -77,26 +75,26 @@ func (l *Ledger) proveExistence(jsn uint64, a *fam.Anchor, withPayload bool) (*E
 		l.mu.RUnlock()
 		return nil, fmt.Errorf("%w: jsn %d", ErrPurged, jsn)
 	}
-	var fp *fam.Proof
-	var st *SignedState
+	p := &ExistenceProof{}
 	var err error
-	if a != nil {
-		if fp, err = l.fam.ProveAnchored(jsn, a); err == nil {
-			st, err = l.stateLocked()
-		}
-	} else if st, _, err = l.provingStateLocked(jsn); err == nil {
-		fp, err = l.fam.ProveAt(jsn, st.JSN)
+	roots := l.fam.SealedRoots()
+	k := min(held.Sealed, uint64(len(roots)))
+	if sealed := l.fam.JournalCapacity(int(k)); jsn < sealed {
+		p.Slot = StateNone
+		p.Fam, err = l.fam.ProveAnchored(jsn, &fam.Anchor{Size: sealed, Epochs: int(k), Roots: roots[:k]})
+	} else if p.State, _, err = l.provingStateLocked(jsn); err == nil {
+		p.Fam, err = l.fam.ProveAt(jsn, p.State.JSN)
+		p.State, p.Slot = l.stateSlot(p.State, held)
 	}
 	occ := l.occulted[jsn]
 	l.mu.RUnlock()
 	if err != nil {
 		return nil, err
 	}
-	raw, payload, err := l.recordBytes(jsn, withPayload && !occ)
-	if err != nil {
+	if p.RecordBytes, p.Payload, err = l.recordBytes(jsn, withPayload && !occ); err != nil {
 		return nil, err
 	}
-	return &ExistenceProof{RecordBytes: raw, Payload: payload, Fam: fp, State: st}, nil
+	return p, nil
 }
 
 // recordBytes completes a proof whose in-memory half was taken under
@@ -142,21 +140,26 @@ func VerifyExistence(p *ExistenceProof, lsp sig.PublicKey) (*journal.Record, err
 	return Verifier{LSP: lsp}.VerifyExistenceAnchored(p, nil)
 }
 
-// VerifyExistenceAnchored is VerifyExistence under a fam-aoa anchor.
-func VerifyExistenceAnchored(p *ExistenceProof, lsp sig.PublicKey, a *fam.Anchor) (*journal.Record, error) {
-	return Verifier{LSP: lsp}.VerifyExistenceAnchored(p, a)
-}
-
 // VerifyExistenceAnchored is the one existence verifier body: a nil
-// anchor folds the full fam path, a non-nil one the fam-aoa short path.
+// anchor folds the full fam path to the signed root, a non-nil one —
+// sealed epoch roots the verifier learned from earlier verified proofs —
+// takes the fam-aoa short path. A proof without a state (StateNone) is
+// accepted only as an anchored epoch's in-epoch path with no hops,
+// checked against that epoch's anchored root.
 func (v Verifier) VerifyExistenceAnchored(p *ExistenceProof, a *fam.Anchor) (*journal.Record, error) {
-	if p == nil || p.State == nil || p.Fam == nil {
+	if p == nil || p.Fam == nil || (p.State == nil) != (p.Slot == StateNone) {
 		return nil, fmt.Errorf("%w: incomplete proof", ErrVerify)
 	}
-	if err := v.VerifySignedState(p.State); err != nil {
-		return nil, err
+	var root hashutil.Digest
+	if p.State != nil {
+		if err := v.VerifySignedState(p.State); err != nil {
+			return nil, err
+		}
+		root = p.State.JournalRoot
+	} else if a == nil || p.Fam.Epoch < 0 || p.Fam.Epoch >= a.Epochs || len(p.Fam.Hops) > 0 {
+		return nil, fmt.Errorf("%w: proof without a state outside the anchored epochs", ErrVerify)
 	}
-	return v.verifyExistenceItem(p.RecordBytes, p.Payload, p.Fam, a, p.State.JournalRoot)
+	return v.verifyExistenceItem(p.RecordBytes, p.Payload, p.Fam, a, root)
 }
 
 // VerifyExistenceServer is the trusted-LSP fast path: the server checks
@@ -194,7 +197,8 @@ type ClueProofBundle struct {
 	// where Records holds nothing (see Fill).
 	Held  []*Placeholder
 	CM    *cmtree.ClueProof
-	State *SignedState
+	State *SignedState // nil unless Slot is StateSent
+	Slot  StateSlot
 }
 
 // ProveClue builds the bundle for versions [begin, end) of a clue
@@ -203,11 +207,12 @@ type ClueProofBundle struct {
 // for "the entire clue so far". Bounds with begin ≥ end are a bad
 // request; an end past the clue's versions is not found.
 func (l *Ledger) ProveClue(clue string, begin, end uint64) (*ClueProofBundle, error) {
-	return l.ProveClueHeld(clue, begin, end, nil)
+	return l.ProveClueHeld(clue, begin, end, Held{})
 }
 
 // ProveClueHeld is ProveClue for a requester that holds the journals
-// held names: their records go out as placeholders, unread.
+// held names: their records go out as placeholders, unread, and so does
+// the state when it is the one held.State names.
 // The read lock covers the range's jsns, their occult bits, the CM-Tree
 // snapshot as of the signed state, and that state; the proof walk over
 // the snapshot and the journal-stream reads run after the lock is
@@ -253,7 +258,8 @@ func (l *Ledger) ProveClueHeld(clue string, begin, end uint64, held Held) (*Clue
 	if err != nil {
 		return nil, err
 	}
-	b := &ClueProofBundle{Clue: clue, CM: cp, State: st, Records: make([][]byte, len(jsns)), Held: slots}
+	b := &ClueProofBundle{Clue: clue, CM: cp, Records: make([][]byte, len(jsns)), Held: slots}
+	b.State, b.Slot = l.stateSlot(st, held)
 	for i, jsn := range jsns {
 		if b.placeholder(i) != nil {
 			continue
@@ -349,7 +355,7 @@ func (p *ExistenceProof) EncodeBytes() []byte {
 	w.WriteBytes(p.RecordBytes)
 	w.WriteBytes(p.Payload)
 	p.Fam.Encode(w)
-	p.State.Encode(w)
+	writeState(w, p.State, p.Slot)
 	return w.Bytes()
 }
 
@@ -365,11 +371,9 @@ func DecodeExistenceProof(b []byte) (*ExistenceProof, error) {
 		return nil, err
 	}
 	p.Fam = fp
-	st, err := DecodeSignedState(r)
-	if err != nil {
+	if p.State, p.Slot, err = readState(r, true); err != nil {
 		return nil, err
 	}
-	p.State = st
 	if err := r.Finish(); err != nil {
 		return nil, err
 	}
@@ -385,7 +389,7 @@ func (b *ClueProofBundle) EncodeBytes() []byte {
 		writeSlot(w, rec, b.placeholder(i))
 	}
 	b.CM.Encode(w)
-	b.State.Encode(w)
+	writeState(w, b.State, b.Slot)
 	return w.Bytes()
 }
 
@@ -417,11 +421,9 @@ func DecodeClueProofBundle(raw []byte) (*ClueProofBundle, error) {
 		return nil, err
 	}
 	b.CM = cp
-	st, err := DecodeSignedState(r)
-	if err != nil {
+	if b.State, b.Slot, err = readState(r, false); err != nil {
 		return nil, err
 	}
-	b.State = st
 	if err := r.Finish(); err != nil {
 		return nil, err
 	}

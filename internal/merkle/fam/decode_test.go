@@ -19,14 +19,3 @@ func TestDecodeProofNeverPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestDecodeAnchorNeverPanics(t *testing.T) {
-	f := func(b []byte) bool {
-		_, err := DecodeAnchor(wire.NewReader(b))
-		_ = err
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -140,6 +140,20 @@ func locateIn(epochCap, index uint64) (epoch, leaf uint64) {
 	return 1 + rest/per, 1 + rest%per
 }
 
+// Leaf returns the journal digest appended at index — the leaf a proof
+// of index folds.
+func (t *Tree) Leaf(index uint64) (hashutil.Digest, error) {
+	e, leaf, err := t.locate(index)
+	if err != nil {
+		return hashutil.Zero, err
+	}
+	tree := t.epochTree(e)
+	if tree == nil {
+		return hashutil.Zero, fmt.Errorf("%w: epoch %d", ErrPruned, e)
+	}
+	return tree.Leaf(leaf)
+}
+
 // JournalCapacity returns how many journal leaves fit in the first n
 // epochs; benchmarks use it to size workloads to exact epoch boundaries.
 func (t *Tree) JournalCapacity(epochs int) uint64 {
@@ -412,39 +426,6 @@ func (t *Tree) AnchorNow() *Anchor {
 	roots := make([]hashutil.Digest, len(t.roots))
 	copy(roots, t.roots)
 	return &Anchor{Size: size, Epochs: len(t.sealed), Roots: roots}
-}
-
-// Encode appends the anchor to a wire writer (verifiers persist anchors
-// between sessions and ship them to proof endpoints).
-func (a *Anchor) Encode(w *wire.Writer) {
-	w.Uvarint(a.Size)
-	w.Uvarint(uint64(a.Epochs))
-	w.Uvarint(uint64(len(a.Roots)))
-	for _, r := range a.Roots {
-		w.Digest(r)
-	}
-}
-
-// DecodeAnchor reads an anchor from a wire reader.
-func DecodeAnchor(r *wire.Reader) (*Anchor, error) {
-	a := &Anchor{Size: r.Uvarint(), Epochs: int(r.Uvarint())}
-	n := r.Uvarint()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if n > 1<<24 {
-		return nil, fmt.Errorf("%w: %d anchor roots", ErrBadAnchor, n)
-	}
-	for i := uint64(0); i < n; i++ {
-		a.Roots = append(a.Roots, r.Digest())
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-	}
-	if len(a.Roots) != a.Epochs {
-		return nil, fmt.Errorf("%w: %d roots for %d epochs", ErrBadAnchor, len(a.Roots), a.Epochs)
-	}
-	return a, r.Err()
 }
 
 // ProveAnchored produces a proof optimized for a verifier holding anchor:

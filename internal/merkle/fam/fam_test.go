@@ -317,3 +317,29 @@ func TestPathLenBoundedWithAnchor(t *testing.T) {
 		}
 	}
 }
+
+// TestLeafReturnsAppendedDigest: Leaf gives back the digest appended at
+// each journal index, across the merged-leaf shift of later epochs, and
+// refuses an index past the tree and one in a pruned epoch.
+func TestLeafReturnsAppendedDigest(t *testing.T) {
+	tr := MustNew(3)
+	const n = 40 // epochs of 8, 7, 7, 7, 7 journals and an open one
+	for i := uint64(0); i < n; i++ {
+		tr.Append(leafOf(i))
+	}
+	for i := uint64(0); i < n; i++ {
+		if got, err := tr.Leaf(i); err != nil || got != leafOf(i) {
+			t.Fatalf("Leaf(%d) = %s, %v; want %s", i, got.Short(), err, leafOf(i).Short())
+		}
+	}
+	if _, err := tr.Leaf(n); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("Leaf past the tree: %v", err)
+	}
+	tr.PruneEpochs(1)
+	if _, err := tr.Leaf(3); !errors.Is(err, ErrPruned) {
+		t.Fatalf("Leaf in a pruned epoch: %v", err)
+	}
+	if got, err := tr.Leaf(8); err != nil || got != leafOf(8) {
+		t.Fatalf("Leaf(8) after pruning epoch 0: %v", err)
+	}
+}

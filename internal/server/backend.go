@@ -108,7 +108,7 @@ func (s *Server) Query(q ledger.Query) (*ledger.QueryResult, error) {
 		return nil, err
 	}
 	defer s.gate.leave()
-	return s.query(q, nil)
+	return s.query(q, ledger.Held{})
 }
 
 // ProveAbsence implements ShardBackend.

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"ledgerdb/internal/benchkit"
 	"ledgerdb/internal/client"
 	"ledgerdb/internal/index"
 	"ledgerdb/internal/ledger"
@@ -189,5 +190,64 @@ func TestRouterQueriesWithHeldRecords(t *testing.T) {
 				t.Fatalf("shard client held stats %d hits / %d misses, want 12 / 6", h, m)
 			}
 		}
+	}
+}
+
+// TestWarmSealedProofBytes is the guard scripts/check.sh perf runs for
+// held states and learned sealed roots, on the 40 001-journal proof_read
+// fixture (benchkit.ProofReadLedger: δ = 15, so epoch 0 is sealed and
+// holds 82 % of it). A client's first read of an epoch-0 journal is cold
+// and teaches it the epoch's root; its next read of one is the in-epoch
+// path alone and fits testdata/proof_warm_bytes_budget (the reply body,
+// envelope included), and 1 000 more of them sign no state. The size
+// repeats exactly between runs — no signature is in it — so the budget
+// is the measured value: lower it when replies shrink, never raise it to
+// admit a regression.
+func TestWarmSealedProofBytes(t *testing.T) {
+	raw, err := os.ReadFile("testdata/proof_warm_bytes_budget")
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget, err := strconv.Atoi(strings.TrimSpace(string(raw)))
+	if err != nil {
+		t.Fatalf("bad budget file: %v", err)
+	}
+	tl, _, err := benchkit.ProofReadLedger()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tl.L.Close()
+	ts := httptest.NewServer(server.New(tl.L, nil))
+	defer ts.Close()
+	counted := &bodyCounter{}
+	cli := &client.Client{BaseURL: ts.URL, HTTP: &http.Client{Transport: counted}, LSP: tl.LSP.Public(), URI: tl.L.URI()}
+	read := func(jsn uint64) int64 {
+		t.Helper()
+		b0 := counted.n.Load()
+		if rec, _, err := cli.VerifyExistence(jsn, false); err != nil || rec.JSN != jsn {
+			t.Fatalf("verify %d: %v", jsn, err)
+		}
+		return counted.n.Load() - b0
+	}
+	cold := read(1)
+	warm := read(2)
+	open := read(tl.L.Size() - 1)
+	openWarm := read(tl.L.Size() - 2)
+	signed0, _ := tl.L.StateSigStats()
+	for i := uint64(0); i < 1000; i++ {
+		read(3 + 31*i)
+	}
+	signed, _ := tl.L.StateSigStats()
+	sent, held, none := cli.StateSlotStats()
+	t.Logf("epoch-0 journal: cold %d B, warm %d B (budget %d B); open-epoch journal: first %d B, held state %d B; slots sent %d, held %d, none %d",
+		cold, warm, budget, open, openWarm, sent, held, none)
+	if sent != 1 || held != 2 || none != 1001 {
+		t.Fatalf("state slots: sent %d, held %d, none %d; want 1, 2 and 1001", sent, held, none)
+	}
+	if signed != signed0 {
+		t.Fatalf("1 000 warm sealed-epoch proofs signed %d states", signed-signed0)
+	}
+	if warm > int64(budget) {
+		t.Fatalf("warm sealed-epoch reply is %d bytes, budget %d (testdata/proof_warm_bytes_budget)", warm, budget)
 	}
 }

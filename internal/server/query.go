@@ -56,7 +56,10 @@ func queryFromURL(v url.Values) (ledger.Query, error) {
 		}
 		q.Limit = n
 	}
-	q.WithPayload = v.Get("payload") == "1"
+	var err error
+	if q.WithPayload, err = flagParam(v, "payload"); err != nil {
+		return q, err
+	}
 	return q, q.Validate()
 }
 
@@ -64,7 +67,10 @@ func queryFromURL(v url.Values) (ledger.Query, error) {
 // prefix=1 to ask about the whole prefix. An empty clue is only
 // meaningful as a prefix (it asks "is the ledger clue-empty?").
 func absenceFromURL(v url.Values) (name string, prefix bool, err error) {
-	name, prefix = v.Get("clue"), v.Get("prefix") == "1"
+	name = v.Get("clue")
+	if prefix, err = flagParam(v, "prefix"); err != nil {
+		return "", false, err
+	}
 	if name == "" && !prefix {
 		return "", false, fmt.Errorf("%w: missing clue", journal.ErrBadRequest)
 	}

@@ -67,7 +67,11 @@ func (s *Server) handleBundle(w http.ResponseWriter, r *http.Request) (*Envelope
 	if err != nil {
 		return nil, err
 	}
-	return proofReply(s.Ledger.ExportBundle(jsn, r.URL.Query().Get("payload") == "1"))
+	withPayload, err := flagParam(r.URL.Query(), "payload")
+	if err != nil {
+		return nil, err
+	}
+	return proofReply(s.Ledger.ExportBundle(jsn, withPayload))
 }
 
 // health populates the replication fields every /healthz and /readyz

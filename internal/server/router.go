@@ -250,7 +250,10 @@ func (rt *Router) handleProofGlobal(w http.ResponseWriter, r *http.Request) (*En
 	if err != nil {
 		return nil, err
 	}
-	withPayload := r.URL.Query().Get("payload") == "1"
+	withPayload, err := flagParam(r.URL.Query(), "payload")
+	if err != nil {
+		return nil, err
+	}
 	return proofReply(rt.Coord.ProveGlobal(sIdx, jsn, withPayload))
 }
 

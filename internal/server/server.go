@@ -18,7 +18,6 @@ import (
 	"ledgerdb/internal/index"
 	"ledgerdb/internal/journal"
 	"ledgerdb/internal/ledger"
-	"ledgerdb/internal/merkle/fam"
 	"ledgerdb/internal/sig"
 	"ledgerdb/internal/tledger"
 	"ledgerdb/internal/wire"
@@ -64,8 +63,6 @@ func NewWithOptions(l *ledger.Ledger, tl *tledger.TLedger, opts Options) *Server
 	route(s.mux, "GET /v1/payload/{jsn}", s.handlePayload)
 	route(s.mux, "GET /v1/proof/{jsn}", s.handleProof)
 	route(s.mux, "POST /v1/proofs", s.handleProofBatch)
-	route(s.mux, "GET /v1/anchor", s.handleAnchor)
-	route(s.mux, "POST /v1/proof-anchored/{jsn}", s.handleProofAnchored)
 	route(s.mux, "GET /v1/clue/{name}/proof", s.handleClueProof)
 	route(s.mux, "GET /v1/clue/{name}/jsns", s.handleClueJSNs)
 	route(s.mux, "POST /v1/anchor-time", s.handleAnchorTime)
@@ -420,59 +417,52 @@ func (s *Server) handlePayload(w http.ResponseWriter, r *http.Request) (*Envelop
 	return &Envelope{Payload: b64(payload)}, nil
 }
 
+// handleProof serves one existence proof. The requester may name the
+// signed state it holds (state=) and how many sealed fam epoch roots it
+// learned (sealed=): a journal in one of those epochs is answered with
+// its in-epoch path alone, any other with the state left out when it is
+// the named one (ledger.ProveExistenceHeld).
 func (s *Server) handleProof(w http.ResponseWriter, r *http.Request) (*Envelope, error) {
 	jsn, err := pathJSN(r)
 	if err != nil {
 		return nil, err
 	}
-	withPayload := r.URL.Query().Get("payload") == "1"
-	return proofReply(s.Ledger.ProveExistence(jsn, withPayload))
+	q := r.URL.Query()
+	withPayload, err := flagParam(q, "payload")
+	if err != nil {
+		return nil, err
+	}
+	held, err := heldParam(q)
+	if err != nil {
+		return nil, err
+	}
+	if held.Sealed, err = countParam(q, "sealed"); err != nil {
+		return nil, err
+	}
+	return proofReply(s.Ledger.ProveExistenceHeld(jsn, withPayload, held))
 }
 
 // handleProofBatch serves N existence proofs sharing one SignedState
-// (the amortized read path mirroring append-batch on the write side).
-// The ledger enforces the per-batch item ceiling.
+// (the amortized read path mirroring append-batch on the write side),
+// the state left out when it is the one the body names. The ledger
+// enforces the per-batch item ceiling.
 func (s *Server) handleProofBatch(w http.ResponseWriter, r *http.Request) (*Envelope, error) {
 	var body struct {
 		JSNs    []uint64 `json:"jsns"`
 		Payload bool     `json:"payload"`
+		State   string   `json:"state"`
 	}
 	if err := decodeJSONBody(w, r, maxAdminBody, &body); err != nil {
 		return nil, err
 	}
-	return proofReply(s.Ledger.ProveExistenceBatch(body.JSNs, body.Payload))
-}
-
-// handleAnchor hands out the current fam-aoa trusted anchor. A verifier
-// adopts it only AFTER auditing the ledger up to the anchor's size; from
-// then on anchored proofs are near-constant size (Figure 4).
-func (s *Server) handleAnchor(w http.ResponseWriter, r *http.Request) (*Envelope, error) {
-	return &Envelope{Proof: enc(s.Ledger.Anchor())}, nil
-}
-
-// handleProofAnchored builds an existence proof against the anchor the
-// client ships in the request body (the fam-aoa regime).
-func (s *Server) handleProofAnchored(w http.ResponseWriter, r *http.Request) (*Envelope, error) {
-	jsn, err := pathJSN(r)
-	if err != nil {
-		return nil, err
+	var held ledger.Held
+	if body.State != "" {
+		var err error
+		if held.State, err = digestParam("state", body.State); err != nil {
+			return nil, err
+		}
 	}
-	var body struct {
-		Anchor string `json:"anchor"`
-	}
-	if err := decodeJSONBody(w, r, maxAdminBody, &body); err != nil {
-		return nil, err
-	}
-	raw, err := base64.StdEncoding.DecodeString(body.Anchor)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", journal.ErrBadRequest, err)
-	}
-	anchor, err := fam.DecodeAnchor(wire.NewReader(raw))
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", journal.ErrBadRequest, err)
-	}
-	withPayload := r.URL.Query().Get("payload") == "1"
-	return proofReply(s.Ledger.ProveExistenceAnchored(jsn, anchor, withPayload))
+	return proofReply(s.Ledger.ProveExistenceBatch(body.JSNs, body.Payload, held))
 }
 
 // The clue handlers take the path segment verbatim (PathValue has
@@ -496,26 +486,43 @@ func (s *Server) handleClueProof(w http.ResponseWriter, r *http.Request) (*Envel
 	return proofReply(s.Ledger.ProveClueHeld(r.PathValue("name"), begin, end, held))
 }
 
-// heldParam reads the optional held list: comma-separated jsns whose
-// verified record bytes the client already holds, which the reply may
-// then leave out (ledger.Held). At most MaxProofBatch may be named.
+// heldParam reads what the requester names as held: the jsns whose
+// verified record bytes it holds (held=, comma-separated, at most
+// MaxProofBatch), which the reply may then leave out, and the digest of
+// the signed state it holds (state=), which a reply proven at that state
+// leaves out (ledger.Held).
 func heldParam(q url.Values) (ledger.Held, error) {
-	v := q.Get("held")
-	if v == "" {
-		return nil, nil
+	var held ledger.Held
+	if v := q.Get("held"); v != "" {
+		if n := strings.Count(v, ",") + 1; n > ledger.MaxProofBatch {
+			return held, fmt.Errorf("%w: %d held jsns exceed %d", journal.ErrBadRequest, n, ledger.MaxProofBatch)
+		}
+		parts := strings.Split(v, ",")
+		jsns := make([]uint64, len(parts))
+		for i, s := range parts {
+			var err error
+			if jsns[i], err = strconv.ParseUint(s, 10, 64); err != nil {
+				return held, fmt.Errorf("%w: held %q", journal.ErrBadRequest, s)
+			}
+		}
+		held = ledger.NewHeld(jsns)
 	}
-	if n := strings.Count(v, ",") + 1; n > ledger.MaxProofBatch {
-		return nil, fmt.Errorf("%w: %d held jsns exceed %d", journal.ErrBadRequest, n, ledger.MaxProofBatch)
-	}
-	parts := strings.Split(v, ",")
-	jsns := make([]uint64, len(parts))
-	for i, s := range parts {
+	if q.Has("state") {
 		var err error
-		if jsns[i], err = strconv.ParseUint(s, 10, 64); err != nil {
-			return nil, fmt.Errorf("%w: held %q", journal.ErrBadRequest, s)
+		if held.State, err = digestParam("state", q.Get("state")); err != nil {
+			return held, err
 		}
 	}
-	return ledger.NewHeld(jsns), nil
+	return held, nil
+}
+
+// digestParam parses a digest parameter: exactly 64 hex characters.
+func digestParam(name, v string) (hashutil.Digest, error) {
+	d, err := hashutil.Parse(v)
+	if err != nil {
+		return d, fmt.Errorf("%w: %s %q: %v", journal.ErrBadRequest, name, v, err)
+	}
+	return d, nil
 }
 
 // versionParam reads an optional clue-version bound. Absent means 0
@@ -526,11 +533,38 @@ func versionParam(q url.Values, name string) (uint64, error) {
 	if v == "" {
 		return 0, nil
 	}
+	return countParam(q, name)
+}
+
+// countParam reads an optional decimal count: absent means 0, anything
+// but a decimal number is a bad request.
+func countParam(q url.Values, name string) (uint64, error) {
+	if !q.Has(name) {
+		return 0, nil
+	}
+	v := q.Get(name)
 	n, err := strconv.ParseUint(v, 10, 64)
 	if err != nil {
 		return 0, fmt.Errorf("%w: %s %q", journal.ErrBadRequest, name, v)
 	}
 	return n, nil
+}
+
+// flagParam reads an optional flag: absent or 0 is off, 1 is on, and
+// anything else — true, yes, an empty value — is a bad request, never a
+// silent off.
+func flagParam(q url.Values, name string) (bool, error) {
+	if !q.Has(name) {
+		return false, nil
+	}
+	switch v := q.Get(name); v {
+	case "0":
+		return false, nil
+	case "1":
+		return true, nil
+	default:
+		return false, fmt.Errorf("%w: %s %q (want 0 or 1)", journal.ErrBadRequest, name, v)
+	}
 }
 
 func (s *Server) handleClueJSNs(w http.ResponseWriter, r *http.Request) (*Envelope, error) {

@@ -209,6 +209,10 @@ func TestEndToEndTimeAnchoring(t *testing.T) {
 	}
 }
 
+// TestEndToEndAnchoredVerification: the first read of a deep journal is
+// cold and teaches the client its sealed epoch's root; a repeat read of
+// that epoch is the in-epoch path alone, and a read of the open epoch
+// comes back with the state the client holds left out.
 func TestEndToEndAnchoredVerification(t *testing.T) {
 	s := newStack(t)
 	// δ=4: 16-journal epochs; 60 appends seal several.
@@ -217,32 +221,24 @@ func TestEndToEndAnchoredVerification(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	anchor, err := s.cli.FetchAnchor()
-	if err != nil {
-		t.Fatal(err)
+	read := func(jsn uint64, wantSent, wantHeld, wantNone uint64) {
+		t.Helper()
+		sent0, held0, none0 := s.cli.StateSlotStats()
+		rec, payload, err := s.cli.VerifyExistence(jsn, true)
+		if err != nil || rec.JSN != jsn || payload == nil {
+			t.Fatalf("verify %d: %v", jsn, err)
+		}
+		sent, held, none := s.cli.StateSlotStats()
+		if sent-sent0 != wantSent || held-held0 != wantHeld || none-none0 != wantNone {
+			t.Fatalf("verify %d: state slots sent %d, held %d, none %d; want %d, %d, %d",
+				jsn, sent-sent0, held-held0, none-none0, wantSent, wantHeld, wantNone)
+		}
 	}
-	if anchor.Epochs == 0 {
-		t.Fatal("no sealed epochs in anchor")
-	}
-	// A deep historical journal verifies with a hop-free proof.
-	rec, _, err := s.cli.VerifyExistenceAnchored(2, anchor, false)
-	if err != nil {
-		t.Fatalf("anchored verify: %v", err)
-	}
-	if rec.JSN != 2 {
-		t.Fatalf("verified jsn %d", rec.JSN)
-	}
-	// A recent journal also verifies through the residual chain.
-	if _, _, err := s.cli.VerifyExistenceAnchored(59, anchor, true); err != nil {
-		t.Fatalf("anchored verify recent: %v", err)
-	}
-	// A forged anchor (tampered epoch root) must fail verification.
-	forged := *anchor
-	forged.Roots = append([]hashutil.Digest(nil), anchor.Roots...)
-	forged.Roots[0] = hashutil.Leaf([]byte("evil"))
-	if _, _, err := s.cli.VerifyExistenceAnchored(2, &forged, false); err == nil {
-		t.Fatal("forged anchor accepted")
-	}
+	read(2, 1, 0, 0)  // cold: learns epoch 0's root and the state
+	read(3, 0, 0, 1)  // epoch 0 again: no hops, no state
+	read(59, 0, 1, 0) // open epoch: the unchanged state is held back
+	read(20, 0, 1, 0) // epoch 1, not learned yet: cold path, state held back
+	read(21, 0, 0, 1) // now it is
 }
 
 func TestEndToEndErrors(t *testing.T) {
@@ -360,6 +356,70 @@ func TestClueProofRejectsUnparsableBounds(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != want {
 			t.Errorf("GET /v1/clue/lane/proof%s = %d, want %d", query, resp.StatusCode, want)
+		}
+	}
+}
+
+// TestFlagAndHeldParamsAreStrict: a flag parameter is absent, 0 or 1,
+// and anything else — ?payload=true would once have served a
+// digest-only proof — is a 400, as is a named state that is not 64 hex
+// characters or a sealed-root count that is not a decimal number.
+func TestFlagAndHeldParamsAreStrict(t *testing.T) {
+	s := newStack(t)
+	if _, err := s.cli.Append([]byte("v0"), "lane"); err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.cli.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dig := st.Digest().String()
+	for path, want := range map[string]int{
+		"/v1/proof/1":                                         http.StatusOK,
+		"/v1/proof/1?payload=0":                               http.StatusOK,
+		"/v1/proof/1?payload=1":                               http.StatusOK,
+		"/v1/proof/1?payload=true":                            http.StatusBadRequest,
+		"/v1/proof/1?payload=":                                http.StatusBadRequest,
+		"/v1/proof/1?payload=2":                               http.StatusBadRequest,
+		"/v1/proof/1?state=" + dig + "&sealed=3":              http.StatusOK,
+		"/v1/proof/1?state=" + strings.ToUpper(dig):           http.StatusOK,
+		"/v1/proof/1?state=" + dig[:62]:                       http.StatusBadRequest,
+		"/v1/proof/1?state=" + dig + "00":                     http.StatusBadRequest,
+		"/v1/proof/1?state=" + dig[:63] + "g":                 http.StatusBadRequest,
+		"/v1/proof/1?state=":                                  http.StatusBadRequest,
+		"/v1/proof/1?sealed=-1":                               http.StatusBadRequest,
+		"/v1/proof/1?sealed=0x2":                              http.StatusBadRequest,
+		"/v1/proof/1?sealed=":                                 http.StatusBadRequest,
+		"/v1/clue/lane/proof?state=" + dig:                    http.StatusOK,
+		"/v1/clue/lane/proof?state=zz":                        http.StatusBadRequest,
+		"/v1/bundle/1?payload=1":                              http.StatusOK,
+		"/v1/bundle/1?payload=yes":                            http.StatusBadRequest,
+		"/v1/absence?clue=ghost&prefix=1":                     http.StatusOK,
+		"/v1/absence?clue=ghost&prefix=true":                  http.StatusBadRequest,
+		"/v1/absence?clue=ghost&prefix=0":                     http.StatusOK,
+		"/v1/query?kind=prefix&prefix=lane&payload=on":        http.StatusBadRequest,
+		"/v1/query?kind=prefix&prefix=lane&state=" + dig[:10]: http.StatusBadRequest,
+	} {
+		resp, err := http.Get(s.srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("GET %s = %d, want %d", path, resp.StatusCode, want)
+		}
+	}
+	for body, want := range map[string]int{
+		`{"jsns":[1],"state":"` + dig + `"}`:     http.StatusOK,
+		`{"jsns":[1],"state":"` + dig[:8] + `"}`: http.StatusBadRequest,
+	} {
+		resp, err := http.Post(s.srv.URL+"/v1/proofs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("POST /v1/proofs %s = %d, want %d", body, resp.StatusCode, want)
 		}
 	}
 }

@@ -14,7 +14,7 @@
 #   scripts/check.sh shard    # multi-shard topology e2e incl. kill-one-shard chaos + local/remote backend parity (-race)
 #   scripts/check.sh query    # rich-query layer: index + absence tests (-race), crash + fuzz smoke
 #   scripts/check.sh replica  # replication: puller/bundle tests (-race), partition chaos, follower crash torture
-#   scripts/check.sh perf     # hot-path bench smoke + allocs/op, proof-size, ECDSA-count, signature fan-out, held-record, read-cost, reopen, payload-log and routed-append guards + the ledgerbench module's own vet/tests
+#   scripts/check.sh perf     # hot-path bench smoke + allocs/op, proof-size, ECDSA-count, signature fan-out, held-record, held-state, read-cost, reopen, payload-log and routed-append guards + the ledgerbench module's own vet/tests
 #   scripts/check.sh all      # everything
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -181,6 +181,10 @@ stage_perf() {
     go test -run 'TestHeldReadsSendNoRecordBytes' -count 1 -v ./internal/server | grep -E 'version clue|PASS|FAIL|ok '
     go test -run 'TestHeldMutationSoundness|TestHeldPlaceholderListMutations' -count 1 ./internal/ledger
 
+    echo "== held-state guard (warm sealed-epoch proof on the 40 001-journal fixture within testdata/proof_warm_bytes_budget; 1 000 of them sign no state; unasked-for and forked state slots refused) =="
+    go test -run 'TestWarmSealedProofBytes' -count 1 -v ./internal/server | grep -E 'epoch-0 journal|PASS|FAIL|ok '
+    go test -run 'TestHeldStateLies|TestHeldStateMovesForward|TestHeldStateCloneMidRequest' -count 1 ./internal/client
+
     echo "== read-cost guard (mixed_verify cycle through Server: <= 2 state signatures per cycle where every read used to sign, 0 creates/writes/fsyncs of the index store on the query path) =="
     go test -run 'TestReadsDoNotPayForTheCommitBefore' -count 1 -v ./internal/server | grep -E 'state signatures|PASS|FAIL|ok '
 
@@ -212,7 +216,6 @@ stage_cli() {
     sleep 1
     /tmp/ldb-check -server http://127.0.0.1:18421 -key-seed check append "hello" trail 2>/dev/null
     /tmp/ldb-check -server http://127.0.0.1:18421 verify 1 2>/dev/null
-    /tmp/ldb-check -server http://127.0.0.1:18421 verify-anchored 1 2>/dev/null
     /tmp/ldb-check -server http://127.0.0.1:18421 verify-clue trail 2>/dev/null
     /tmp/ldb-check -server http://127.0.0.1:18421 query prefix trail 2>/dev/null
     /tmp/ldb-check -server http://127.0.0.1:18421 absence no-such-clue 2>/dev/null
