@@ -201,16 +201,15 @@ func BenchmarkFig8b_GetProof(b *testing.B) {
 			for _, d := range leaves {
 				tree.Append(d)
 			}
-			anchor := tree.AnchorNow()
-			root, _ := tree.Root()
+			live, _ := tree.Root()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				idx := uint64(i*7919) % n
-				p, err := tree.ProveAnchored(idx, anchor)
+				p, root, err := benchkit.ProveAOA(tree, idx, live)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := fam.VerifyAnchored(leaves[idx], p, anchor, root); err != nil {
+				if err := fam.VerifyBatch([]fam.Leaf{{Index: idx, Digest: leaves[idx]}}, p, root); err != nil {
 					b.Fatal(err)
 				}
 			}

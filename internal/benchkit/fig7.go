@@ -38,8 +38,8 @@ type fig7Workload struct {
 	records  []*journal.Record
 	payloads [][]byte
 	tree     *fam.Tree
-	root     hashutil.Digest
-	proofs   []*fam.Proof
+	proofs   []*fam.BatchProof
+	roots    []hashutil.Digest // the root each proof folds to
 }
 
 func buildFig7Workload(payloadSize, signers int) *fig7Workload {
@@ -80,28 +80,25 @@ func buildFig7Workload(payloadSize, signers int) *fig7Workload {
 		w.payloads = append(w.payloads, payload)
 		w.tree.Append(rec.TxHash())
 	}
-	root, err := w.tree.Root()
+	live, err := w.tree.Root()
 	if err != nil {
 		panic(err)
 	}
-	w.root = root
-	anchor := w.tree.AnchorNow()
 	for i := range w.records {
-		p, err := w.tree.ProveAnchored(uint64(i), anchor)
+		p, root, err := ProveAOA(w.tree, uint64(i), live)
 		if err != nil {
 			panic(err)
 		}
-		w.proofs = append(w.proofs, p)
+		w.proofs, w.roots = append(w.proofs, p), append(w.roots, root)
 	}
 	return w
 }
 
 // whatLatency verifies every journal's existence and payload digest.
 func (w *fig7Workload) whatLatency() time.Duration {
-	anchor := w.tree.AnchorNow()
 	start := time.Now()
 	for i, rec := range w.records {
-		if err := fam.VerifyAnchored(rec.TxHash(), w.proofs[i], anchor, w.root); err != nil {
+		if err := fam.VerifyBatch([]fam.Leaf{{Index: rec.JSN, Digest: rec.TxHash()}}, w.proofs[i], w.roots[i]); err != nil {
 			panic(err)
 		}
 		if hashutil.Sum(w.payloads[i]) != rec.PayloadDigest {

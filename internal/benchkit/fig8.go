@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"time"
 
+	"ledgerdb/internal/hashutil"
 	"ledgerdb/internal/merkle/accumulator"
 	"ledgerdb/internal/merkle/fam"
 )
@@ -134,16 +135,15 @@ func Fig8b(full bool) *Table {
 			for _, d := range leaves {
 				tree.Append(d)
 			}
-			anchor := tree.AnchorNow()
-			root, _ := tree.Root()
+			live, _ := tree.Root()
 			idx := randomIndexes(rng, n, probes)
 			start := time.Now()
 			for _, i := range idx {
-				p, err := tree.ProveAnchored(uint64(i), anchor)
+				p, root, err := ProveAOA(tree, uint64(i), live)
 				if err != nil {
 					panic(err)
 				}
-				if err := fam.VerifyAnchored(leaves[i], p, anchor, root); err != nil {
+				if err := fam.VerifyBatch([]fam.Leaf{{Index: uint64(i), Digest: leaves[i]}}, p, root); err != nil {
 					panic(err)
 				}
 			}
@@ -193,20 +193,39 @@ func Fig8PathLens(full bool) *Table {
 			for _, d := range leaves {
 				tree.Append(d)
 			}
-			anchor := tree.AnchorNow()
+			live, _ := tree.Root()
 			total := 0
 			for _, i := range randomIndexes(rng, n, probes) {
-				p, err := tree.ProveAnchored(uint64(i), anchor)
+				p, _, err := ProveAOA(tree, uint64(i), live)
 				if err != nil {
 					panic(err)
 				}
-				total += p.PathLen()
+				total += len(p.Nodes)
 			}
 			row = append(row, fmt.Sprintf("%.1f", float64(total)/probes))
 		}
 		t.AddRow(row...)
 	}
 	return t
+}
+
+// ProveAOA is the fam-aoa proof of journal i for a verifier that learned
+// every sealed epoch root: the batch of one at the end of i's epoch,
+// checked against that epoch's root, or — for a journal of the open
+// epoch — at the live size, checked against live. It returns the proof
+// and the root it folds to.
+func ProveAOA(tree *fam.Tree, i uint64, live hashutil.Digest) (*fam.BatchProof, hashutil.Digest, error) {
+	roots := tree.SealedRoots()
+	if i >= tree.JournalCapacity(len(roots)) {
+		p, err := tree.ProveBatchAt([]uint64{i}, tree.Size())
+		return p, live, err
+	}
+	p, err := tree.ProveBatchAt([]uint64{i}, tree.EpochEnd(i))
+	if err != nil {
+		return nil, hashutil.Zero, err
+	}
+	e, _ := p.SealedEpoch()
+	return p, roots[e], nil
 }
 
 func labels(sizes []int) []string {

@@ -8,7 +8,6 @@ import (
 	"ledgerdb/internal/hashutil"
 	"ledgerdb/internal/journal"
 	"ledgerdb/internal/ledger"
-	"ledgerdb/internal/merkle/fam"
 	"ledgerdb/internal/sig"
 	"ledgerdb/internal/streamfs"
 )
@@ -235,14 +234,15 @@ func benchProofWarm(tl *TestLedger, jsns []uint64) (sealed, open, verify HotPath
 	if err != nil {
 		panic(err)
 	}
-	if _, err := ledger.VerifyExistence(cold, lsp); err != nil {
+	rec, err := ledger.VerifyExistence(cold, lsp)
+	if err != nil {
 		panic(err)
 	}
-	epoch, root, ok := cold.SealedRoot()
+	epoch, root, ok := cold.SealedRoot(rec)
 	if !ok || epoch != 0 {
 		panic(fmt.Sprintf("benchkit: cold proof of jsn %d taught no epoch-0 root", jsns[0]))
 	}
-	anchor := &fam.Anchor{Epochs: 1, Roots: []hashutil.Digest{root}}
+	roots := []hashutil.Digest{root}
 	held := ledger.Held{State: cold.State.Digest(), Sealed: 1}
 	measure := func(name string, jsn uint64, slot ledger.StateSlot) (HotPathResult, []byte) {
 		var enc []byte
@@ -269,7 +269,7 @@ func benchProofWarm(tl *TestLedger, jsns []uint64) (sealed, open, verify HotPath
 				err = p.FillState(cold.State, 1)
 			}
 			if err == nil {
-				_, err = ledger.Verifier{LSP: lsp}.VerifyExistenceAnchored(p, anchor)
+				_, err = ledger.Verifier{LSP: lsp}.VerifyExistenceLearned(p, roots)
 			}
 			if err != nil {
 				b.Fatal(err)

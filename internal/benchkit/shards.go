@@ -52,8 +52,8 @@ func ShardScaling(full bool) *Table {
 	}
 
 	t := &Table{
-		Title: fmt.Sprintf("Shard scale-out: %d pre-signed appends, %d workers total (fixed budget)", requests, workers),
-		Note:  "speedup vs 1 shard on THIS host; it needs more cores than one pipelined engine already uses",
+		Title:  fmt.Sprintf("Shard scale-out: %d pre-signed appends, %d workers total (fixed budget)", requests, workers),
+		Note:   "speedup vs 1 shard on THIS host; it needs more cores than one pipelined engine already uses",
 		Header: []string{"shards", "elapsed", "appends/s", "speedup", "fold+proof"},
 	}
 	var base time.Duration

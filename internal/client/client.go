@@ -638,18 +638,17 @@ func (c *Client) VerifyExistence(jsn uint64, withPayload bool) (*journal.Record,
 		return nil, nil, rep.tamper("existence proof decode", err)
 	}
 	c.held.saw(proof.Slot)
-	anchor, err := named.fillExistence(proof)
-	if err != nil {
+	if err := proof.FillState(named.state, uint64(len(named.roots))); err != nil {
 		return nil, nil, rep.tamper("existence proof state slot", err)
 	}
-	rec, err := c.verifier().VerifyExistenceAnchored(proof, anchor)
+	rec, err := c.verifier().VerifyExistenceLearned(proof, named.roots)
 	if err != nil {
 		return nil, nil, rep.tamper("existence proof verification", err)
 	}
 	if err := bindJSN(rec, jsn); err != nil {
 		return nil, nil, rep.tamper("existence proof jsn binding", err)
 	}
-	c.held.learn(key, proof.State, proof)
+	c.held.learn(key, proof.State, proof, rec)
 	return rec, proof.Payload, nil
 }
 
@@ -702,7 +701,7 @@ func (c *Client) VerifyExistenceBatch(jsns []uint64, withPayload bool) ([]*journ
 	if err != nil {
 		return nil, nil, rep.tamper("proof batch verification", err)
 	}
-	c.held.learn(key, batch.State, nil)
+	c.held.learn(key, batch.State, nil, nil)
 	payloads := make([][]byte, len(recs))
 	for i, rec := range recs {
 		if rec.JSN != jsns[i] {
@@ -762,7 +761,7 @@ func (c *Client) VerifyClue(clue string, begin, end uint64) ([]*journal.Record, 
 		return nil, rep.tamper("clue lineage verification", err)
 	}
 	c.held.remember(c.BaseURL, key, bundle.Records, recs, filled)
-	c.held.learn(c.trustKey(), bundle.State, nil)
+	c.held.learn(c.trustKey(), bundle.State, nil, nil)
 	return recs, nil
 }
 

@@ -10,7 +10,6 @@ import (
 	"ledgerdb/internal/hashutil"
 	"ledgerdb/internal/journal"
 	"ledgerdb/internal/ledger"
-	"ledgerdb/internal/merkle/fam"
 	"ledgerdb/internal/sig"
 )
 
@@ -27,8 +26,8 @@ import (
 // verified and the sealed fam epoch roots it learned (ledger.SealedRoot).
 // Every request names the state; an existence proof also names how many
 // roots, contiguous from epoch 0, it holds. The reply may then leave the
-// state out, or answer a journal of a learned epoch with its in-epoch
-// path alone, which the client checks against its learned root
+// state out, or answer a journal of a learned epoch with the proof at
+// that epoch's end, which the client checks against its learned root
 // (ledger/stateslot.go). A request fills its reply from a snapshot taken
 // when it left, so a clone moving the held state meanwhile changes
 // nothing for it.
@@ -155,26 +154,13 @@ func (n namedTrust) params(sealed bool) string {
 	return b.String()
 }
 
-// fillExistence fills an existence proof's state slot from the snapshot
-// and returns the anchor to verify it under: the named roots for a
-// stateless proof, nil (the cold fold) for any other.
-func (n namedTrust) fillExistence(p *ledger.ExistenceProof) (*fam.Anchor, error) {
-	if err := p.FillState(n.state, uint64(len(n.roots))); err != nil {
-		return nil, err
-	}
-	if p.Slot != ledger.StateNone {
-		return nil, nil
-	}
-	return &fam.Anchor{Epochs: len(n.roots), Roots: n.roots}, nil
-}
-
 // learn files what a verified reply taught about key's service: its
 // state st when it is newer than the held one, and the sealed root a
-// cold existence proof p authenticated (p may be nil).
-func (s *heldStore) learn(key trustKey, st *ledger.SignedState, p *ledger.ExistenceProof) {
+// cold existence proof p of rec authenticated (p may be nil).
+func (s *heldStore) learn(key trustKey, st *ledger.SignedState, p *ledger.ExistenceProof, rec *journal.Record) {
 	epoch, root, rooted := -1, hashutil.Zero, false
 	if p != nil {
-		epoch, root, rooted = p.SealedRoot()
+		epoch, root, rooted = p.SealedRoot(rec)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -109,7 +109,7 @@ func (c *Client) queryHeld(q ledger.Query) (*reply, []*journal.Record, *ledger.Q
 			raws[i] = res.Batch.Items[i].RecordBytes
 		}
 		c.held.remember(c.BaseURL, key, raws, recs, filled)
-		c.held.learn(c.trustKey(), res.Batch.State, nil)
+		c.held.learn(c.trustKey(), res.Batch.State, nil, nil)
 	}
 	return rep, recs, res, nil
 }

@@ -12,9 +12,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"ledgerdb/internal/journal"
 	"ledgerdb/internal/ledger"
 	"ledgerdb/internal/logicalclock"
-	"ledgerdb/internal/merkle/fam"
 	"ledgerdb/internal/server"
 	"ledgerdb/internal/sig"
 	"ledgerdb/internal/streamfs"
@@ -136,18 +136,31 @@ func (m *proofLie) tell(lie func(*ledger.ExistenceProof)) { m.lie.Store(&lie) }
 // TestHeldStateLies: a server (or a middlebox) that answers with a state
 // slot the request did not ask for — a held state when none was named, a
 // stateless proof for a journal outside the sealed epochs the request
-// named, or one with hops — is refused, and so is a held state in place
-// of one the request did not name, and the in-epoch path of a forked
-// epoch 0 once the client learned the real root. A client that holds
-// nothing accepts the fork's cold proofs: the key holder signed them.
+// named, even a genuine one taken at its epoch's end, or one whose walk
+// ends no sealed epoch — is refused, and so is a held state in place of
+// one the request did not name, and the in-epoch path of a forked epoch
+// 0 once the client learned the real root. A client that holds nothing
+// accepts the fork's cold proofs: the key holder signed them.
 func TestHeldStateLies(t *testing.T) {
-	_, honest := slotService(t, "doc")
+	l, honest := slotService(t, "doc")
 	_, forked := slotService(t, "fork")
 	m := &proofLie{next: honest.Config.Handler, fork: forked.Config.Handler}
 	ts := httptest.NewServer(m)
 	defer ts.Close()
 
-	stateless := func(p *ledger.ExistenceProof) { p.State, p.Slot, p.Fam.Hops = nil, ledger.StateNone, nil }
+	// stateless swaps in the honest proof at the end of the journal's
+	// epoch, the one a request naming every sealed root would get.
+	stateless := func(p *ledger.ExistenceProof) {
+		rec, err := journal.DecodeRecord(p.RecordBytes)
+		if err != nil {
+			panic(err)
+		}
+		q, err := l.ProveExistenceHeld(rec.JSN, false, ledger.Held{Sealed: 1 << 20})
+		if err != nil {
+			panic(err)
+		}
+		*p = *q
+	}
 	cold := slotClient(ts.URL, "cli-slot-cold")
 	m.tell(func(p *ledger.ExistenceProof) { p.State, p.Slot = nil, ledger.StateHeld })
 	_, _, err := cold.VerifyExistence(17, false)
@@ -177,15 +190,26 @@ func TestHeldStateLies(t *testing.T) {
 	}
 
 	m.tell(stateless)
-	_, _, err = two.VerifyExistence(17, false)
-	wantTamper(t, "stateless proof for an open-epoch journal", err, "state slot")
 	_, _, err = one.VerifyExistence(9, false)
 	wantTamper(t, "stateless proof for an epoch past the named roots", err, "state slot")
+	// The cold walk to the signed state with the state dropped ends no
+	// sealed epoch.
 	m.tell(func(p *ledger.ExistenceProof) {
-		p.Fam.Hops = []fam.Hop{{Epoch: 1, MergedLeaf: p.Fam.InEpoch, Commitment: p.Fam.EpochCommitment}}
+		rec, err := journal.DecodeRecord(p.RecordBytes)
+		if err != nil {
+			panic(err)
+		}
+		q, err := l.ProveExistence(rec.JSN, false)
+		if err != nil {
+			panic(err)
+		}
+		*p = *q
+		p.State, p.Slot = nil, ledger.StateNone
 	})
+	_, _, err = two.VerifyExistence(17, false)
+	wantTamper(t, "stateless proof for an open-epoch journal", err, "state slot")
 	_, _, err = two.VerifyExistence(3, false)
-	wantTamper(t, "stateless proof with a hop", err, "state slot")
+	wantTamper(t, "stateless proof with a cold walk", err, "state slot")
 
 	// A proof at another state sent as if it were at the named one.
 	appendN(t, slotClient(honest.URL, "cli-slot-writer"), "more", 4)
@@ -237,7 +261,7 @@ func TestHeldStateMovesForward(t *testing.T) {
 
 	// Learning S1 again, from a reply that was in flight, leaves S2 held.
 	key := c.trustKey()
-	c.held.learn(key, s1, nil)
+	c.held.learn(key, s1, nil, nil)
 	if got := c.held.snapshot(key).dig.String(); got != states[2] {
 		t.Fatalf("an older state replaced the held one: %s", got)
 	}

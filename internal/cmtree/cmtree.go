@@ -327,23 +327,14 @@ func VerifyClue(root hashutil.Digest, p *ClueProof, digests []hashutil.Digest) e
 	if uint64(len(digests)) != p.End-p.Begin {
 		return fmt.Errorf("%w: %d digests for range [%d,%d)", ErrBadProof, len(digests), p.Begin, p.End)
 	}
-	// Layer 2 first: the retrieved journals must reproduce the committed
-	// frontier.
-	if p.Begin == 0 && p.End == p.Size {
-		got := shrubs.RecomputeFrontier(digests)
-		if len(got) != len(p.Frontier) {
-			return fmt.Errorf("%w: lineage frontier size %d, committed %d", ErrBadProof, len(got), len(p.Frontier))
-		}
-		for i := range got {
-			if got[i] != p.Frontier[i] {
-				return fmt.Errorf("%w: frontier entry %d mismatch", ErrBadProof, i)
-			}
-		}
-	} else {
-		commitment := shrubs.BagFrontier(p.Frontier)
-		if err := shrubs.VerifyRange(p.Size, p.Begin, p.End, digests, p.Cells, commitment); err != nil {
-			return fmt.Errorf("%w: range: %v", ErrBadProof, err)
-		}
+	// Layer 2 first: the retrieved journals and the cells must fold to
+	// the committed frontier — a whole clue is the same fold with no
+	// cells.
+	if len(p.Frontier) == 0 {
+		return fmt.Errorf("%w: empty committed frontier", ErrBadProof)
+	}
+	if err := shrubs.VerifyRange(p.Size, p.Begin, p.End, digests, p.Cells, shrubs.BagFrontier(p.Frontier)); err != nil {
+		return fmt.Errorf("%w: lineage: %v", ErrBadProof, err)
 	}
 	// Layer 1: the frontier must be the value committed for this clue in
 	// the CM-Tree1 whose root the verifier trusts.

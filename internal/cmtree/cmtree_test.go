@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"ledgerdb/internal/hashutil"
+	"ledgerdb/internal/merkle/shrubs"
 	"ledgerdb/internal/mpt"
 	"ledgerdb/internal/wire"
 )
@@ -155,6 +156,45 @@ func TestClientVerifyRangeDetectsTampering(t *testing.T) {
 	// Wrong-length slice.
 	if err := VerifyClue(root, p, lineage("k", 16)[4:9]); err == nil {
 		t.Fatal("short range accepted")
+	}
+}
+
+// TestClientVerifyRangeRefusesMalleatedCells: a range proof verifies in
+// one form only. The cells must be exactly the walk's, in its order: a
+// surplus, a repeated or a reordered cell is refused even though every
+// digest in it is genuine.
+func TestClientVerifyRangeRefusesMalleatedCells(t *testing.T) {
+	tr := New()
+	seed(tr, []string{"k"}, 37)
+	snap := tr.Snapshot()
+	root := snap.RootHash()
+	good, err := snap.ProveClue("k", 10, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaves := lineage("k", 37)[10:20]
+	if err := VerifyClue(root, good, leaves); err != nil {
+		t.Fatal(err)
+	}
+	if len(good.Cells) < 2 {
+		t.Fatalf("fixture ships %d cells", len(good.Cells))
+	}
+	with := func(cells []shrubs.CellRef) *ClueProof {
+		p := *good
+		p.Cells = cells
+		return &p
+	}
+	clone := func() []shrubs.CellRef { return append([]shrubs.CellRef(nil), good.Cells...) }
+	swapped := clone()
+	swapped[0], swapped[1] = swapped[1], swapped[0]
+	for name, p := range map[string]*ClueProof{
+		"surplus cell":    with(append(clone(), shrubs.CellRef{Pos: shrubs.Pos{Level: 0, Offset: 10}, Digest: leaves[0]})),
+		"repeated cell":   with(append(clone(), good.Cells[0])),
+		"reordered cells": with(swapped),
+	} {
+		if err := VerifyClue(root, p, leaves); !errors.Is(err, ErrBadProof) {
+			t.Fatalf("%s: err = %v, want ErrBadProof", name, err)
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"ledgerdb/internal/hashutil"
-	"ledgerdb/internal/merkle/fam"
 	"ledgerdb/internal/sig"
 	"ledgerdb/internal/streamfs"
 )
@@ -99,25 +98,26 @@ func TestAnchoredProofsUnderPipelinedAppends(t *testing.T) {
 					t.Errorf("verifier %d: live prove %d: %v", v, jsn, err)
 					return
 				}
-				if _, err := VerifyExistence(cold, lsp.Public()); err != nil {
+				crec, err := VerifyExistence(cold, lsp.Public())
+				if err != nil {
 					t.Errorf("verifier %d: live verify %d: %v", v, jsn, err)
 					return
 				}
-				if e, root, ok := cold.SealedRoot(); ok {
+				if e, root, ok := cold.SealedRoot(crec); ok {
 					learned[e] = root
 				}
 				// The same journal for a verifier holding that state and
 				// the roots learned so far, however far the ledger has
 				// advanced since.
-				q := requester{state: cold.State, anchor: contiguous(learned)}
-				p, err := l.ProveExistenceHeld(jsn, i%2 == 0, Held{State: cold.State.Digest(), Sealed: uint64(q.anchor.Epochs)})
+				q := requester{state: cold.State, roots: contiguous(learned)}
+				p, err := l.ProveExistenceHeld(jsn, i%2 == 0, Held{State: cold.State.Digest(), Sealed: uint64(len(q.roots))})
 				if err != nil {
-					t.Errorf("verifier %d: prove %d under %d learned roots: %v", v, jsn, q.anchor.Epochs, err)
+					t.Errorf("verifier %d: prove %d under %d learned roots: %v", v, jsn, len(q.roots), err)
 					return
 				}
 				rec, err := q.verifyExistence(p, Verifier{LSP: lsp.Public()})
 				if err != nil {
-					t.Errorf("verifier %d: verify %d under %d learned roots: %v", v, jsn, q.anchor.Epochs, err)
+					t.Errorf("verifier %d: verify %d under %d learned roots: %v", v, jsn, len(q.roots), err)
 					return
 				}
 				if rec.JSN != jsn {
@@ -148,13 +148,13 @@ func TestAnchoredProofsUnderPipelinedAppends(t *testing.T) {
 	for jsn := uint64(0); jsn < total; jsn += 15 {
 		probes = append(probes, jsn)
 	}
-	q := requester{anchor: learnedAnchor(t, l, probes...)}
-	covered := uint64(16 + 15*(q.anchor.Epochs-1)) // epoch 0 holds 16 journals, later ones 15 and the merged leaf
+	q := requester{roots: learnedRoots(t, l, probes...)}
+	covered := uint64(16 + 15*(len(q.roots)-1)) // epoch 0 holds 16 journals, later ones 15 and the merged leaf
 	if wantSize := total - 16; covered < wantSize {
 		t.Fatalf("learned roots cover %d journals, want >= %d of %d", covered, wantSize, total)
 	}
 	for jsn := uint64(0); jsn < covered; jsn += 17 {
-		p, err := l.ProveExistenceHeld(jsn, false, Held{Sealed: uint64(q.anchor.Epochs)})
+		p, err := l.ProveExistenceHeld(jsn, false, Held{Sealed: uint64(len(q.roots))})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,13 +167,12 @@ func TestAnchoredProofsUnderPipelinedAppends(t *testing.T) {
 	}
 }
 
-// contiguous is the anchor of the roots learned for epochs 0, 1, … up
-// to the first one not learned yet.
-func contiguous(learned map[int]hashutil.Digest) *fam.Anchor {
-	a := &fam.Anchor{}
-	for root, ok := learned[0]; ok; root, ok = learned[a.Epochs] {
-		a.Roots = append(a.Roots, root)
-		a.Epochs++
+// contiguous lists the roots learned for epochs 0, 1, … up to the first
+// one not learned yet.
+func contiguous(learned map[int]hashutil.Digest) []hashutil.Digest {
+	var roots []hashutil.Digest
+	for root, ok := learned[0]; ok; root, ok = learned[len(roots)] {
+		roots = append(roots, root)
 	}
-	return a
+	return roots
 }

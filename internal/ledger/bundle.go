@@ -35,14 +35,14 @@ const maxBundleBytes = 1 << 26
 type ProofBundle struct {
 	URI         string
 	RecordBytes []byte
-	Payload     []byte // optional; nil for occulted or digest-only bundles
-	Fam         *fam.Proof
+	Payload     []byte          // optional; nil for occulted or digest-only bundles
+	Fam         *fam.BatchProof // the batch of one at State.JSN
 	State       *SignedState
 
 	// Optional when-chain (all three present or all three nil).
 	TimeRecordBytes []byte
-	TimeFam         *fam.Proof
-	TimeProof       *fam.Proof
+	TimeFam         *fam.BatchProof // the time journal, at State.JSN
+	TimeProof       *fam.BatchProof // the record, at the time journal's jsn
 }
 
 // ExportBundle builds an offline bundle for jsn. On a primary it
@@ -67,7 +67,7 @@ func (l *Ledger) ExportBundle(jsn uint64, withPayload bool) (*ProofBundle, error
 		return nil, err
 	}
 	b := &ProofBundle{URI: l.cfg.URI, State: st}
-	if b.Fam, err = l.fam.ProveAt(jsn, st.JSN); err != nil {
+	if b.Fam, err = l.fam.ProveBatchAt([]uint64{jsn}, st.JSN); err != nil {
 		l.mu.RUnlock()
 		return nil, err
 	}
@@ -97,14 +97,14 @@ func (l *Ledger) ExportBundle(jsn uint64, withPayload bool) (*ProofBundle, error
 	}
 	if timeRaw != nil {
 		b.TimeRecordBytes = timeRaw
-		if b.TimeFam, err = l.fam.ProveAt(timeJSN, st.JSN); err != nil {
+		if b.TimeFam, err = l.fam.ProveBatchAt([]uint64{timeJSN}, st.JSN); err != nil {
 			l.mu.RUnlock()
 			return nil, err
 		}
 		// The attestation's digest is the fam root over [0, timeJSN) —
 		// AnchorTimeWith holds the commit lock across the pegging round,
 		// so the root at size timeJSN is exactly what the TSA signed.
-		if b.TimeProof, err = l.fam.ProveAt(jsn, timeJSN); err != nil {
+		if b.TimeProof, err = l.fam.ProveBatchAt([]uint64{jsn}, timeJSN); err != nil {
 			l.mu.RUnlock()
 			return nil, err
 		}
@@ -149,7 +149,7 @@ func (v Verifier) VerifyBundle(b *ProofBundle, tsaKeys []sig.PublicKey) (*journa
 	if err := v.VerifySignedState(b.State); err != nil {
 		return nil, nil, err
 	}
-	rec, err := v.verifyExistenceItem(b.RecordBytes, b.Payload, b.Fam, nil, b.State.JournalRoot)
+	rec, err := v.verifyExistenceItem(b.RecordBytes, b.Payload, b.Fam, b.State.JSN, b.State.JournalRoot)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -162,7 +162,7 @@ func (v Verifier) VerifyBundle(b *ProofBundle, tsaKeys []sig.PublicKey) (*journa
 	if b.TimeFam == nil || b.TimeProof == nil {
 		return nil, nil, fmt.Errorf("%w: incomplete time chain", ErrVerify)
 	}
-	trec, err := v.verifyExistenceItem(b.TimeRecordBytes, nil, b.TimeFam, nil, b.State.JournalRoot)
+	trec, err := v.verifyExistenceItem(b.TimeRecordBytes, nil, b.TimeFam, b.State.JSN, b.State.JournalRoot)
 	if err != nil {
 		return nil, nil, fmt.Errorf("time journal: %w", err)
 	}
@@ -191,12 +191,12 @@ func (v Verifier) VerifyBundle(b *ProofBundle, tsaKeys []sig.PublicKey) (*journa
 			return nil, nil, fmt.Errorf("%w: attestation signed by unpinned TSA key", ErrVerify)
 		}
 	}
-	// The record folds into the digest the TSA signed, so the record
-	// existed when the TSA's clock read ta.Timestamp.
-	if b.TimeProof.Index != rec.JSN {
-		return nil, nil, fmt.Errorf("%w: when proof is for journal %d, record is %d", ErrVerify, b.TimeProof.Index, rec.JSN)
+	// The record folds into the digest the TSA signed, the root over the
+	// journals before the time journal: it existed at ta.Timestamp.
+	if b.TimeProof.Size != trec.JSN {
+		return nil, nil, fmt.Errorf("%w: when proof at size %d, time journal is %d", ErrVerify, b.TimeProof.Size, trec.JSN)
 	}
-	if err := fam.Verify(rec.TxHash(), b.TimeProof, ta.Digest); err != nil {
+	if err := fam.VerifyBatch([]fam.Leaf{{Index: rec.JSN, Digest: rec.TxHash()}}, b.TimeProof, ta.Digest); err != nil {
 		return nil, nil, fmt.Errorf("%w: when: %v", ErrVerify, err)
 	}
 	return rec, ta, nil
@@ -234,7 +234,7 @@ func DecodeProofBundle(raw []byte) (*ProofBundle, error) {
 	if payload := r.BytesCopy(); len(payload) > 0 {
 		b.Payload = payload
 	}
-	fp, err := fam.DecodeProof(r)
+	fp, err := fam.DecodeBatchProof(r)
 	if err != nil {
 		return nil, err
 	}
@@ -250,10 +250,10 @@ func DecodeProofBundle(raw []byte) (*ProofBundle, error) {
 	}
 	if hasTime {
 		b.TimeRecordBytes = r.BytesCopy()
-		if b.TimeFam, err = fam.DecodeProof(r); err != nil {
+		if b.TimeFam, err = fam.DecodeBatchProof(r); err != nil {
 			return nil, err
 		}
-		if b.TimeProof, err = fam.DecodeProof(r); err != nil {
+		if b.TimeProof, err = fam.DecodeBatchProof(r); err != nil {
 			return nil, err
 		}
 	}

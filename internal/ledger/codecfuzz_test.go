@@ -70,7 +70,7 @@ func buildProofCodecs(t *testing.T) ([]proofCodec, sig.PublicKey, []sig.Check) {
 	for i := 0; i < 33; i++ {
 		appendReq(e.request(t, fmt.Sprintf("tail-%d", i)))
 	}
-	anchor := learnedAnchor(t, e.ledger, 3)
+	roots := learnedRoots(t, e.ledger, 3)
 
 	ep, err := e.ledger.ProveExistence(3, true)
 	if err != nil {
@@ -78,7 +78,7 @@ func buildProofCodecs(t *testing.T) ([]proofCodec, sig.PublicKey, []sig.Check) {
 	}
 	// The learned-anchor reply (no state) and replies that leave out the
 	// state the requester names.
-	held := Held{State: ep.State.Digest(), Sealed: uint64(anchor.Epochs)}
+	held := Held{State: ep.State.Digest(), Sealed: uint64(len(roots))}
 	ea, err := e.ledger.ProveExistenceHeld(3, true, held)
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +110,7 @@ func buildProofCodecs(t *testing.T) ([]proofCodec, sig.PublicKey, []sig.Check) {
 	if err != nil || batchHeld.Slot != StateHeld {
 		t.Fatalf("held batch: slot %d, err %v", batchHeld.Slot, err)
 	}
-	named := requester{state: ep.State, anchor: anchor}
+	named := requester{state: ep.State, roots: roots}
 	ap, err := e.ledger.ProveAbsence("M", false) // sorts between "K" and "solo-0": both neighbors set
 	if err != nil {
 		t.Fatal(err)

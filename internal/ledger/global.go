@@ -12,8 +12,8 @@ import (
 // (internal/shard): a coordinator periodically reads each shard's fam
 // head, folds the heads into a global accumulator, and signs one global
 // state. Proofs against that fold need the shard to prove records at the
-// *folded* size — which may trail the live edge — so the prover here is
-// the historical fam.ProveAt rather than the live Prove.
+// *folded* size — which may trail the live edge — so the prover here
+// takes the batch of one at that size rather than at the live one.
 
 // FamHead is one shard's accumulator head: the journal count and the fam
 // root at that count, captured atomically under one lock epoch.
@@ -62,7 +62,7 @@ func (l *Ledger) ProveExistenceAt(jsn, size uint64, withPayload bool) (*RecordPr
 		l.mu.RUnlock()
 		return nil, fmt.Errorf("%w: jsn %d", ErrPurged, jsn)
 	}
-	fp, err := l.fam.ProveAt(jsn, size)
+	fp, err := l.fam.ProveBatchAt([]uint64{jsn}, size)
 	if err != nil {
 		l.mu.RUnlock()
 		return nil, err
@@ -82,23 +82,23 @@ func (l *Ledger) ProveExistenceAt(jsn, size uint64, withPayload bool) (*RecordPr
 // root). ExistenceProof is this plus a shard-local SignedState.
 type RecordProof struct {
 	RecordBytes []byte
-	Payload     []byte // nil for occulted journals or digest-only proofs
-	Fam         *fam.Proof
+	Payload     []byte          // nil for occulted journals or digest-only proofs
+	Fam         *fam.BatchProof // the batch of one at the record's jsn
 }
 
 // VerifyRecordAtRoot is the pure client-side check of a RecordProof
-// against a trusted fam root: fold the record's tx-hash through the fam
-// path to root, re-verify the record's client signatures (who), and match
-// the payload against the recorded digest when present (what). The root's
-// own authenticity — LSP signature, or global accumulator membership plus
-// coordinator signature — is the caller's concern.
-func VerifyRecordAtRoot(recordBytes, payload []byte, fp *fam.Proof, root hashutil.Digest) (*journal.Record, error) {
-	return Verifier{}.VerifyRecordAtRoot(recordBytes, payload, fp, root)
+// against a trusted fam root over size journals: fold the record's
+// tx-hash to root, re-verify the record's client signatures (who), and
+// match the payload against the recorded digest when present (what).
+// The root's own authenticity — LSP signature, or global accumulator
+// membership plus coordinator signature — is the caller's concern.
+func VerifyRecordAtRoot(recordBytes, payload []byte, fp *fam.BatchProof, size uint64, root hashutil.Digest) (*journal.Record, error) {
+	return Verifier{}.VerifyRecordAtRoot(recordBytes, payload, fp, size, root)
 }
 
 // VerifyRecordAtRoot is the package-level VerifyRecordAtRoot under v.
 // The root is the caller's to authenticate, so v.LSP plays no part;
 // v.Memo answers for π_c and the co-signatures.
-func (v Verifier) VerifyRecordAtRoot(recordBytes, payload []byte, fp *fam.Proof, root hashutil.Digest) (*journal.Record, error) {
-	return v.verifyExistenceItem(recordBytes, payload, fp, nil, root)
+func (v Verifier) VerifyRecordAtRoot(recordBytes, payload []byte, fp *fam.BatchProof, size uint64, root hashutil.Digest) (*journal.Record, error) {
+	return v.verifyExistenceItem(recordBytes, payload, fp, size, root)
 }

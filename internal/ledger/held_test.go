@@ -23,7 +23,7 @@ type heldFixture struct {
 	held                 Held
 	get                  func(jsn uint64) ([]byte, bool) // the requester's verified bytes
 	state                *SignedState                    // the requester's verified state, which held.State names
-	anchor               *fam.Anchor                     // the sealed roots held.Sealed names
+	roots                []hashutil.Digest               // the sealed roots held.Sealed names
 	coldClue, warmClue   *ClueProofBundle
 	query                Query
 	coldQuery, warmQuery *QueryResult
@@ -55,8 +55,8 @@ func buildHeldFixture(tb testing.TB) *heldFixture {
 		tb.Fatal(err)
 	}
 	f.state = f.coldClue.State
-	f.anchor = learnedAnchor(tb, e.ledger, 2)
-	f.held.State, f.held.Sealed = f.state.Digest(), uint64(f.anchor.Epochs)
+	f.roots = learnedRoots(tb, e.ledger, 2)
+	f.held.State, f.held.Sealed = f.state.Digest(), uint64(len(f.roots))
 	if f.warmClue, err = e.ledger.ProveClueHeld("K", 0, 0, f.held); err != nil {
 		tb.Fatal(err)
 	}
@@ -102,9 +102,9 @@ func buildHeldFixture(tb testing.TB) *heldFixture {
 
 func nothingHeld(uint64) ([]byte, bool) { return nil, false }
 
-// learnedAnchor is what a requester learns from verified cold proofs of
+// learnedRoots is what a requester learns from verified cold proofs of
 // jsns (SealedRoot): the roots of sealed epochs 0, 1, ….
-func learnedAnchor(tb testing.TB, l *Ledger, jsns ...uint64) *fam.Anchor {
+func learnedRoots(tb testing.TB, l *Ledger, jsns ...uint64) []hashutil.Digest {
 	tb.Helper()
 	roots := make(map[int]hashutil.Digest)
 	for _, jsn := range jsns {
@@ -112,48 +112,42 @@ func learnedAnchor(tb testing.TB, l *Ledger, jsns ...uint64) *fam.Anchor {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		if _, err := VerifyExistence(p, l.LSPPublic()); err != nil {
+		rec, err := VerifyExistence(p, l.LSPPublic())
+		if err != nil {
 			tb.Fatal(err)
 		}
-		if e, root, ok := p.SealedRoot(); ok {
+		if e, root, ok := p.SealedRoot(rec); ok {
 			roots[e] = root
 		}
 	}
-	a := contiguous(roots)
-	if a.Epochs == 0 {
+	learned := contiguous(roots)
+	if len(learned) == 0 {
 		tb.Fatalf("no cold proof of %v crossed a sealed epoch", jsns)
 	}
-	return a
+	return learned
 }
 
 // requester is what a check fills a reply from: held record bytes, the
 // named state and the named sealed roots (zero values name nothing).
 type requester struct {
-	get    func(jsn uint64) ([]byte, bool)
-	state  *SignedState
-	anchor *fam.Anchor
+	get   func(jsn uint64) ([]byte, bool)
+	state *SignedState
+	roots []hashutil.Digest
 }
 
 func (f *heldFixture) warmRequester() requester {
-	return requester{get: f.get, state: f.state, anchor: f.anchor}
+	return requester{get: f.get, state: f.state, roots: f.roots}
 }
 
 var coldRequester = requester{get: nothingHeld}
 
 // verifyExistence fills p as the requester would and runs the existence
-// verifier, under the named roots only for a stateless proof.
+// verifier under the named roots.
 func (q requester) verifyExistence(p *ExistenceProof, v Verifier) (*journal.Record, error) {
-	var sealed uint64
-	if q.anchor != nil {
-		sealed = uint64(q.anchor.Epochs)
-	}
-	if err := p.FillState(q.state, sealed); err != nil {
+	if err := p.FillState(q.state, uint64(len(q.roots))); err != nil {
 		return nil, err
 	}
-	if p.Slot == StateNone {
-		return v.VerifyExistenceAnchored(p, q.anchor)
-	}
-	return v.VerifyExistenceAnchored(p, nil)
+	return v.VerifyExistenceLearned(p, q.roots)
 }
 
 // heldShape is one reply format that can carry placeholders: decode a
@@ -247,16 +241,18 @@ func (f *heldFixture) shapes() []heldShape {
 }
 
 // existenceShape is a single existence reply. Its record's occult flag
-// is unauthenticated, and so is the fam path's epoch number where no hop
-// and no learned root reads it — every check re-derives the path from
-// the record and the signed root (the codec sweeps call it path metadata).
+// is unauthenticated. The fam proof names no position or epoch of its
+// own and its size is bound to the signed one or to a learned epoch's
+// end, but its Height is bound only by the fold: a walk that stays in
+// one epoch after the first hashes no epoch number, so another height
+// under which that walk has the same shape folds to the same root (no
+// hash or signature the verifier holds states δ).
 func existenceShape(name string, p *ExistenceProof) heldShape {
 	w := newTestWriter()
 	w.WriteBytes(p.RecordBytes)
 	loose := map[int]bool{w.Len() - 1: true}
 	w.WriteBytes(p.Payload)
-	w.Uvarint(p.Fam.Index)
-	if len(p.Fam.Hops) == 0 && p.Slot != StateNone {
+	if rec, err := journal.DecodeRecord(p.RecordBytes); err == nil && p.Slot != StateNone && oneLaterEpoch(p.Fam, rec.JSN) {
 		loose[w.Len()] = true
 	}
 	return heldShape{
@@ -271,6 +267,22 @@ func existenceShape(name string, p *ExistenceProof) heldShape {
 			return again, err
 		},
 	}
+}
+
+// oneLaterEpoch reports whether p's walk for journal jsn stays inside one
+// epoch after the first.
+func oneLaterEpoch(p *fam.BatchProof, jsn uint64) bool {
+	if p.Height == 0 {
+		return false
+	}
+	epoch := func(i uint64) uint64 {
+		c := uint64(1) << p.Height
+		if i < c {
+			return 0
+		}
+		return 1 + (i-c)/(c-1)
+	}
+	return epoch(jsn) == epoch(p.Size-1)
 }
 
 // TestHeldRepliesFillToColdReplies: a reply for a requester that holds
@@ -323,14 +335,14 @@ func TestHeldRepliesFillToColdReplies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.FillState(f.state, uint64(f.anchor.Epochs)); err != nil {
+	if err := p.FillState(f.state, uint64(len(f.roots))); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(p.EncodeBytes(), f.coldOpen.EncodeBytes()) {
 		t.Fatal("filled open-epoch existence proof differs from the cold one")
 	}
-	if len(f.sealed.Fam.Hops) != 0 || len(f.sealed.EncodeBytes())+len(stateBytes(f.state)) >= len(f.coldSealed.EncodeBytes()) {
-		t.Fatalf("sealed-epoch reply: %d hops, %d bytes; cold %d", len(f.sealed.Fam.Hops), len(f.sealed.EncodeBytes()), len(f.coldSealed.EncodeBytes()))
+	if e, ok := f.sealed.Fam.SealedEpoch(); !ok || e != 0 || len(f.sealed.EncodeBytes())+len(stateBytes(f.state)) >= len(f.coldSealed.EncodeBytes()) {
+		t.Fatalf("sealed-epoch reply: ends epoch %d (%v), %d bytes; cold %d", e, ok, len(f.sealed.EncodeBytes()), len(f.coldSealed.EncodeBytes()))
 	}
 
 	for _, s := range f.shapes() {
@@ -360,7 +372,7 @@ func TestHeldMutationSoundness(t *testing.T) {
 	if _, err := warm.VerifyQueryResult(f.query, f.coldQuery); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := warm.VerifyExistenceAnchored(f.coldOpen, nil); err != nil {
+	if _, err := warm.VerifyExistenceLearned(f.coldOpen, nil); err != nil {
 		t.Fatal(err)
 	}
 	cold := Verifier{LSP: f.lsp}

@@ -566,7 +566,7 @@ func (l *Ledger) stateLocked() (*SignedState, error) {
 // provingStateLocked is the one proving rule primary and follower share:
 // a proof is built at the newest already-signed state that covers it —
 // one whose prefix includes jsn last, the highest the proof names. fam
-// folds any covered record to that state's root (ProveAt), and the
+// folds any covered record to that state's root (ProveBatchAt), and the
 // returned trie is CM-Tree1 as of it, so nothing needs signing. The
 // primary reuses its last signed state while that trails the frontier by
 // less than one block, and signs the frontier when nothing covers the

@@ -301,8 +301,8 @@ func TestExistenceVerifyDetectsTampering(t *testing.T) {
 }
 
 // TestExistenceAnchored: a requester that learned epoch 0's root from a
-// cold proof gets its in-epoch path alone for a journal there — no hop,
-// no state — and checks it against the learned root; a verifier without
+// cold proof gets the proof at that epoch's end for a journal there — its
+// in-epoch path alone, no state — and checks it against the learned root; a verifier without
 // the root refuses it, and a proof of an open-epoch journal names no
 // stateless path however many roots the request claims.
 func TestExistenceAnchored(t *testing.T) {
@@ -310,13 +310,13 @@ func TestExistenceAnchored(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		e.append(t, fmt.Sprintf("doc-%d", i))
 	}
-	q := requester{anchor: learnedAnchor(t, e.ledger, 2)}
-	p, err := e.ledger.ProveExistenceHeld(2, false, Held{Sealed: uint64(q.anchor.Epochs)})
+	q := requester{roots: learnedRoots(t, e.ledger, 2)}
+	p, err := e.ledger.ProveExistenceHeld(2, false, Held{Sealed: uint64(len(q.roots))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Slot != StateNone || p.State != nil || len(p.Fam.Hops) != 0 {
-		t.Fatalf("learned-anchor proof: slot %d, %d hops", p.Slot, len(p.Fam.Hops))
+	if ep, ok := p.Fam.SealedEpoch(); p.Slot != StateNone || p.State != nil || !ok || ep != 0 {
+		t.Fatalf("learned-anchor proof: slot %d, at size %d", p.Slot, p.Fam.Size)
 	}
 	if _, err := q.verifyExistence(p, Verifier{LSP: e.lsp.Public()}); err != nil {
 		t.Fatalf("anchored verify: %v", err)

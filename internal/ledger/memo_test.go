@@ -178,7 +178,7 @@ func TestVerifierMemoAcrossShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.VerifyExistenceAnchored(ep, nil); err != nil {
+	if _, err := v.VerifyExistenceLearned(ep, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, again := v.Memo.Stats(); again != misses {
@@ -191,7 +191,7 @@ func TestVerifierMemoAcrossShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	ep.State = &forged
-	if _, err := v.VerifyExistenceAnchored(ep, nil); !errors.Is(err, journal.ErrBadSignature) {
+	if _, err := v.VerifyExistenceLearned(ep, nil); !errors.Is(err, journal.ErrBadSignature) {
 		t.Fatalf("state signed by the wrong key under a warm memo: %v", err)
 	}
 }

@@ -165,30 +165,25 @@ func (v Verifier) VerifyExistenceBatch(b *ExistenceProofBatch) ([]*journal.Recor
 
 // verifyExistenceItem runs the per-journal half of single-record
 // existence verification (everything except the state signature, which
-// the caller has already checked): decode, fold the tx-hash through the
-// fam path to root, then verifyRecordContent. Only v.Memo is consulted;
+// the caller has already checked): decode, fold the tx-hash at the
+// record's jsn through the batch of one fp to root — the commitment to
+// size journals — then verifyRecordContent. Only v.Memo is consulted;
 // v.LSP has done its work on the state (or is not the root's authority
 // at all).
-func (v Verifier) verifyExistenceItem(recordBytes, payload []byte, fp *fam.Proof, a *fam.Anchor, root hashutil.Digest) (*journal.Record, error) {
+func (v Verifier) verifyExistenceItem(recordBytes, payload []byte, fp *fam.BatchProof, size uint64, root hashutil.Digest) (*journal.Record, error) {
 	if fp == nil {
 		return nil, fmt.Errorf("%w: incomplete proof", ErrVerify)
+	}
+	// The fold binds Size only where it moves the walk; the caller's
+	// size binds it everywhere.
+	if fp.Size != size {
+		return nil, fmt.Errorf("%w: fam proof at size %d, root commits to %d", ErrVerify, fp.Size, size)
 	}
 	rec, err := journal.DecodeRecord(recordBytes)
 	if err != nil {
 		return nil, err
 	}
-	// The fam fold below binds the record's content; this binds the
-	// path's claimed position, which fam.Verify treats as metadata.
-	if fp.Index != rec.JSN {
-		return nil, fmt.Errorf("%w: fam proof is for journal %d, record is %d", ErrVerify, fp.Index, rec.JSN)
-	}
-	txHash := rec.TxHash()
-	if a != nil {
-		err = fam.VerifyAnchored(txHash, fp, a, root)
-	} else {
-		err = fam.Verify(txHash, fp, root)
-	}
-	if err != nil {
+	if err := fam.VerifyBatch([]fam.Leaf{{Index: rec.JSN, Digest: rec.TxHash()}}, fp, root); err != nil {
 		return nil, fmt.Errorf("%w: what: %v", ErrVerify, err)
 	}
 	if _, err := v.verifyRecordContent([]*journal.Record{rec}, [][]byte{payload}); err != nil {

@@ -12,10 +12,10 @@ import (
 // stateCache holds the newest SignedState the LSP has signed, next to
 // CM-Tree1 as it stood at that state. It is what lets a read skip the
 // signature: fam proves any record below st.JSN against st's root
-// (ProveAt), and the remembered trie proves clue versions below it, so a
-// proof is built at st whenever st covers the request (provingStateLocked)
-// and a burst of reads between — or shortly after — commits shares ONE
-// signature. Purge, occult and reorganize change what a proof may say
+// (ProveBatchAt), and the remembered trie proves clue versions below it,
+// so a proof is built at st whenever st covers the request
+// (provingStateLocked) and a burst of reads between — or shortly after —
+// commits shares ONE signature. Purge, occult and reorganize change what a proof may say
 // without moving the frontier, so they drop the state. The cache has its
 // own mutex (acquired after l.mu in lock order, never the reverse),
 // which doubles as a single-flight gate: concurrent misses serialize on

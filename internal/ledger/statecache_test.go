@@ -317,7 +317,7 @@ func TestStateReuseHammer(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if rec, err := ver.VerifyExistenceAnchored(p, nil); err != nil || rec.JSN != jsn || p.State.JSN <= jsn {
+				if rec, err := ver.VerifyExistenceLearned(p, nil); err != nil || rec.JSN != jsn || p.State.JSN <= jsn {
 					t.Errorf("existence of %d at state %d: %v", jsn, p.State.JSN, err)
 					return
 				}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"ledgerdb/internal/hashutil"
+	"ledgerdb/internal/journal"
+	"ledgerdb/internal/merkle/fam"
 	"ledgerdb/internal/wire"
 )
 
@@ -14,10 +16,11 @@ import (
 // requester puts its own verified copy back (FillState) before the
 // unchanged verifiers run. A requester that has learned the roots of the
 // first k sealed fam epochs — each from a verified cold existence proof
-// whose merged-leaf hops authenticated it — names k on an existence
-// proof, and a journal in one of those epochs is answered with its
-// in-epoch path alone: no hops and no state, checked against the learned
-// root (Verifier.VerifyExistenceAnchored, the fam-aoa regime of Fig. 4(a)).
+// whose walk climbed past that epoch through the next one's merged leaf —
+// names k on an existence proof, and a journal in one of those epochs is
+// answered with the batch of one at its epoch's end: its in-epoch path
+// alone and no state, checked against the learned root
+// (Verifier.VerifyExistenceLearned, the fam-aoa regime of Fig. 4(a)).
 //
 // Every reply is still folded to a root the requester verified under an
 // LSP signature, so a warm reply proves exactly what the cold reply
@@ -34,7 +37,7 @@ const (
 	// back.
 	StateHeld
 	// StateNone: no state at all — an existence proof of a journal in a
-	// sealed epoch the request named, with its in-epoch path alone.
+	// sealed epoch the request named, taken at that epoch's end.
 	StateNone
 )
 
@@ -98,13 +101,13 @@ func fillState(st **SignedState, slot *StateSlot, named *SignedState) error {
 // named none) where the reply left it out, so the proof is the one a
 // requester holding nothing would have got at that state. sealed is how
 // many sealed epoch roots the request named: a StateNone proof stays as
-// it is — VerifyExistenceAnchored checks it against those roots — but
-// only for a journal in one of them and with no hops.
+// it is — VerifyExistenceLearned checks it against those roots — but
+// only when it ends one of them.
 func (p *ExistenceProof) FillState(named *SignedState, sealed uint64) error {
 	if p.Slot != StateNone {
 		return fillState(&p.State, &p.Slot, named)
 	}
-	if p.Fam == nil || p.Fam.Epoch < 0 || uint64(p.Fam.Epoch) >= sealed || len(p.Fam.Hops) > 0 {
+	if e, ok := p.Fam.SealedEpoch(); !ok || e >= sealed {
 		return fmt.Errorf("%w: stateless proof outside the %d sealed epochs the request named", ErrVerify, sealed)
 	}
 	return nil
@@ -123,14 +126,15 @@ func (b *ClueProofBundle) FillState(named *SignedState) error {
 }
 
 // SealedRoot is what a verified existence proof teaches about sealed
-// history: when it carries at least one merged-leaf hop, the journal's
-// epoch was sealed at the proof's state and EpochCommitment is that
-// epoch's root — authenticated, because the hop chain folds the merged
-// leaf hashing (epoch, root) up to the signed journal root. Call it only
-// on a proof that verified with its state.
-func (p *ExistenceProof) SealedRoot() (epoch int, root hashutil.Digest, ok bool) {
-	if p.Fam == nil || p.State == nil || len(p.Fam.Hops) == 0 {
+// history: when its walk climbs past the journal's epoch, that epoch was
+// sealed at the proof's state and the root the walk computed for it is
+// authenticated — the next epoch's merged leaf hashes (epoch, root) into
+// the signed journal root. Call it only on a proof that verified with
+// its state, with the record verification returned.
+func (p *ExistenceProof) SealedRoot(rec *journal.Record) (epoch int, root hashutil.Digest, ok bool) {
+	if p.State == nil {
 		return 0, hashutil.Zero, false
 	}
-	return p.Fam.Epoch, p.Fam.EpochCommitment, true
+	e, root, ok := fam.SealedRoot(fam.Leaf{Index: rec.JSN, Digest: rec.TxHash()}, p.Fam)
+	return int(e), root, ok
 }

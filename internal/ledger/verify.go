@@ -40,9 +40,9 @@ type Verifier struct {
 // the journal is not occulted.
 type ExistenceProof struct {
 	RecordBytes []byte
-	Payload     []byte // nil for occulted journals or digest-only proofs
-	Fam         *fam.Proof
-	State       *SignedState // nil unless Slot is StateSent
+	Payload     []byte          // nil for occulted journals or digest-only proofs
+	Fam         *fam.BatchProof // the batch of one at the record's jsn
+	State       *SignedState    // nil unless Slot is StateSent
 	Slot        StateSlot
 }
 
@@ -55,16 +55,15 @@ func (l *Ledger) ProveExistence(jsn uint64, withPayload bool) (*ExistenceProof, 
 
 // ProveExistenceHeld is ProveExistence for a requester that holds what
 // held names (stateslot.go). A journal in one of the first held.Sealed
-// sealed epochs gets its in-epoch path alone (fam.ProveAnchored over
-// this tree's own roots of those epochs) and no state, nothing signed;
-// any other is proven as ProveExistence proves it, its state held back
-// when it is the one held.State names.
+// sealed epochs is proven at its epoch's end, its in-epoch path alone,
+// with no state and nothing signed; any other is proven as
+// ProveExistence proves it, its state held back when held.State names it.
 //
 // The ledger lock covers only the in-memory snapshot: bounds, the fam
-// path (copied out by ProveAt), the occult bit, and the signed state.
-// The journal-stream and blob reads happen after the lock is dropped —
-// committed records and content-addressed payloads are immutable, and
-// both stores carry their own locks.
+// nodes (copied out by ProveBatchAt), the occult bit, and the signed
+// state. The journal-stream and blob reads happen after the lock is
+// dropped — committed records and content-addressed payloads are
+// immutable, and both stores carry their own locks.
 func (l *Ledger) ProveExistenceHeld(jsn uint64, withPayload bool, held Held) (*ExistenceProof, error) {
 	l.mu.RLock()
 	if jsn >= l.nextJSN {
@@ -77,13 +76,12 @@ func (l *Ledger) ProveExistenceHeld(jsn uint64, withPayload bool, held Held) (*E
 	}
 	p := &ExistenceProof{}
 	var err error
-	roots := l.fam.SealedRoots()
-	k := min(held.Sealed, uint64(len(roots)))
-	if sealed := l.fam.JournalCapacity(int(k)); jsn < sealed {
+	k := min(held.Sealed, uint64(len(l.fam.SealedRoots())))
+	if jsn < l.fam.JournalCapacity(int(k)) {
 		p.Slot = StateNone
-		p.Fam, err = l.fam.ProveAnchored(jsn, &fam.Anchor{Size: sealed, Epochs: int(k), Roots: roots[:k]})
+		p.Fam, err = l.fam.ProveBatchAt([]uint64{jsn}, l.fam.EpochEnd(jsn))
 	} else if p.State, _, err = l.provingStateLocked(jsn); err == nil {
-		p.Fam, err = l.fam.ProveAt(jsn, p.State.JSN)
+		p.Fam, err = l.fam.ProveBatchAt([]uint64{jsn}, p.State.JSN)
 		p.State, p.Slot = l.stateSlot(p.State, held)
 	}
 	occ := l.occulted[jsn]
@@ -137,29 +135,30 @@ func (l *Ledger) proofPayload(raw []byte) ([]byte, error) {
 // Occult Protocol 2 falls out naturally: an occulted journal ships no
 // payload, and its retained PayloadDigest is what the tx-hash covers.
 func VerifyExistence(p *ExistenceProof, lsp sig.PublicKey) (*journal.Record, error) {
-	return Verifier{LSP: lsp}.VerifyExistenceAnchored(p, nil)
+	return Verifier{LSP: lsp}.VerifyExistenceLearned(p, nil)
 }
 
-// VerifyExistenceAnchored is the one existence verifier body: a nil
-// anchor folds the full fam path to the signed root, a non-nil one —
-// sealed epoch roots the verifier learned from earlier verified proofs —
-// takes the fam-aoa short path. A proof without a state (StateNone) is
-// accepted only as an anchored epoch's in-epoch path with no hops,
-// checked against that epoch's anchored root.
-func (v Verifier) VerifyExistenceAnchored(p *ExistenceProof, a *fam.Anchor) (*journal.Record, error) {
+// VerifyExistenceLearned is the one existence verifier body. A proof
+// with a state folds to the signed journal root at the signed size. A
+// proof without one (StateNone) must be taken at the end of a sealed
+// epoch whose root the verifier learned from earlier verified proofs —
+// roots holds those of epochs 0, 1, … — and folds to that root: the
+// fam-aoa short path.
+func (v Verifier) VerifyExistenceLearned(p *ExistenceProof, roots []hashutil.Digest) (*journal.Record, error) {
 	if p == nil || p.Fam == nil || (p.State == nil) != (p.Slot == StateNone) {
 		return nil, fmt.Errorf("%w: incomplete proof", ErrVerify)
 	}
-	var root hashutil.Digest
-	if p.State != nil {
-		if err := v.VerifySignedState(p.State); err != nil {
-			return nil, err
+	if p.State == nil {
+		e, ok := p.Fam.SealedEpoch()
+		if !ok || e >= uint64(len(roots)) {
+			return nil, fmt.Errorf("%w: proof without a state at size %d, past the learned epochs", ErrVerify, p.Fam.Size)
 		}
-		root = p.State.JournalRoot
-	} else if a == nil || p.Fam.Epoch < 0 || p.Fam.Epoch >= a.Epochs || len(p.Fam.Hops) > 0 {
-		return nil, fmt.Errorf("%w: proof without a state outside the anchored epochs", ErrVerify)
+		return v.verifyExistenceItem(p.RecordBytes, p.Payload, p.Fam, p.Fam.Size, roots[e])
 	}
-	return v.verifyExistenceItem(p.RecordBytes, p.Payload, p.Fam, a, root)
+	if err := v.VerifySignedState(p.State); err != nil {
+		return nil, err
+	}
+	return v.verifyExistenceItem(p.RecordBytes, p.Payload, p.Fam, p.State.JSN, p.State.JournalRoot)
 }
 
 // VerifyExistenceServer is the trusted-LSP fast path: the server checks
@@ -366,7 +365,7 @@ func DecodeExistenceProof(b []byte) (*ExistenceProof, error) {
 	if payload := r.BytesCopy(); len(payload) > 0 {
 		p.Payload = payload
 	}
-	fp, err := fam.DecodeProof(r)
+	fp, err := fam.DecodeBatchProof(r)
 	if err != nil {
 		return nil, err
 	}

@@ -1,9 +1,10 @@
 package fam
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"ledgerdb/internal/hashutil"
 	"ledgerdb/internal/merkle/shrubs"
@@ -78,15 +79,9 @@ func (t *Tree) ProveBatchAt(indices []uint64, size uint64) (*BatchProof, error) 
 	if len(indices) == 0 {
 		return nil, fmt.Errorf("%w: empty batch", ErrOutOfRange)
 	}
-	idx := append([]uint64(nil), indices...)
-	sort.Slice(idx, func(i, j int) bool { return idx[i] < idx[j] })
-	distinct := idx[:1]
-	for _, i := range idx[1:] {
-		if i != distinct[len(distinct)-1] {
-			distinct = append(distinct, i)
-		}
-	}
-	idx = distinct
+	idx := slices.Clone(indices)
+	slices.Sort(idx)
+	idx = slices.Compact(idx)
 	if last := idx[len(idx)-1]; last >= size {
 		return nil, fmt.Errorf("%w: journal %d at size %d", ErrOutOfRange, last, size)
 	}
@@ -139,7 +134,8 @@ func epochPositions(epochCap, k uint64, merged bool, idx, pos []uint64) (_ []uin
 // VerifyBatch checks a batch proof: the leaves (any order; a repeated
 // index must repeat its digest) must fold, through the proof's nodes and
 // the merged-leaf chain, to root — the trusted datum — with every node
-// consumed. It is a pure function; all failures are ErrBadProof.
+// consumed. It is a pure function; all failures are ErrBadProof. A
+// batch of one is neither copied nor sorted, and allocates nothing.
 func VerifyBatch(leaves []Leaf, p *BatchProof, root hashutil.Digest) error {
 	if p == nil || p.Size == 0 || len(leaves) == 0 {
 		return fmt.Errorf("%w: empty batch proof", ErrBadProof)
@@ -148,20 +144,21 @@ func VerifyBatch(leaves []Leaf, p *BatchProof, root hashutil.Digest) error {
 	if err != nil {
 		return err
 	}
-	sorted := append([]Leaf(nil), leaves...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Index < sorted[j].Index })
-	distinct := sorted[:1]
-	for _, l := range sorted[1:] {
-		if prev := distinct[len(distinct)-1]; l.Index != prev.Index {
-			distinct = append(distinct, l)
-		} else if l.Digest != prev.Digest {
-			return fmt.Errorf("%w: two digests for journal %d", ErrBadProof, l.Index)
+	var one [1]uint64
+	var posBuf [2]uint64
+	var digBuf [2]hashutil.Digest
+	idx, pos, digs := one[:], posBuf[:0], digBuf[:0]
+	if len(leaves) == 1 {
+		one[0] = leaves[0].Index
+	} else {
+		if leaves, err = sortLeaves(leaves); err != nil {
+			return err
 		}
-	}
-	sorted = distinct
-	idx := make([]uint64, len(sorted))
-	for i, l := range sorted {
-		idx[i] = l.Index
+		idx = make([]uint64, len(leaves))
+		for i, l := range leaves {
+			idx[i] = l.Index
+		}
+		pos, digs = make([]uint64, 0, len(idx)+1), make([]hashutil.Digest, 0, len(idx)+1)
 	}
 	if last := idx[len(idx)-1]; last >= p.Size {
 		return fmt.Errorf("%w: journal %d at size %d", ErrBadProof, last, p.Size)
@@ -169,8 +166,6 @@ func VerifyBatch(leaves []Leaf, p *BatchProof, root hashutil.Digest) error {
 	es, lastLeaf := locateIn(epochCap, p.Size-1)
 	first, _ := locateIn(epochCap, idx[0])
 	nodes := p.Nodes
-	pos := make([]uint64, 0, len(idx)+1)
-	digs := make([]hashutil.Digest, 0, len(idx)+1)
 	var com hashutil.Digest
 	// Every epoch below es holds at least two leaves and is entered with
 	// at most its merged leaf known, so each round consumes a node or a
@@ -183,10 +178,10 @@ func VerifyBatch(leaves []Leaf, p *BatchProof, root hashutil.Digest) error {
 		}
 		var took int
 		pos, took = epochPositions(epochCap, k, k > first, idx, pos[:0])
-		for _, l := range sorted[:took] {
+		for _, l := range leaves[:took] {
 			digs = append(digs, l.Digest)
 		}
-		idx, sorted = idx[took:], sorted[took:]
+		idx, leaves = idx[took:], leaves[took:]
 		n := epochCap
 		if k == es {
 			n = lastLeaf + 1
@@ -205,6 +200,61 @@ func VerifyBatch(leaves []Leaf, p *BatchProof, root hashutil.Digest) error {
 		return fmt.Errorf("%w: chain ends at %s, want root %s", ErrBadProof, com.Short(), root.Short())
 	}
 	return nil
+}
+
+// sortLeaves returns the leaves sorted by index with repeats dropped,
+// refusing an index repeated with another digest.
+func sortLeaves(leaves []Leaf) ([]Leaf, error) {
+	sorted := slices.Clone(leaves)
+	slices.SortFunc(sorted, func(a, b Leaf) int { return cmp.Compare(a.Index, b.Index) })
+	distinct := sorted[:1]
+	for _, l := range sorted[1:] {
+		if prev := distinct[len(distinct)-1]; l.Index != prev.Index {
+			distinct = append(distinct, l)
+		} else if l.Digest != prev.Digest {
+			return nil, fmt.Errorf("%w: two digests for journal %d", ErrBadProof, l.Index)
+		}
+	}
+	return distinct, nil
+}
+
+// SealedEpoch reports the epoch whose end p is taken at: Size is the
+// journal count at which that epoch filled (Tree.EpochEnd), so the root
+// p folds to is the epoch's sealed root. ok is false for any other Size,
+// and for a nil proof. A one-epoch proof (Height 0) ends epoch 0 when
+// Size is a power of two: the fold to a learned root of 2^δ leaves
+// settles which one.
+func (p *BatchProof) SealedEpoch() (epoch uint64, ok bool) {
+	if p == nil || p.Size == 0 {
+		return 0, false
+	}
+	epochCap, err := p.epochCap()
+	if err != nil {
+		return 0, false
+	}
+	if p.Height == 0 {
+		return 0, p.Size > 1 && p.Size&(p.Size-1) == 0
+	}
+	e, leaf := locateIn(epochCap, p.Size-1)
+	return e, leaf == epochCap-1
+}
+
+// SealedRoot returns the root of l's epoch when p's walk climbs past it —
+// the epoch was sealed at Size, and its root went into the next epoch's
+// merged leaf. On a proof VerifyBatch accepted for l against a trusted
+// root, that root is authenticated too: it is what the verifier learned
+// about sealed history.
+func SealedRoot(l Leaf, p *BatchProof) (epoch uint64, root hashutil.Digest, ok bool) {
+	epochCap, err := p.epochCap()
+	if err != nil || p.Height == 0 || l.Index >= p.Size {
+		return 0, hashutil.Zero, false
+	}
+	e, leaf := locateIn(epochCap, l.Index)
+	if es, _ := locateIn(epochCap, p.Size-1); e >= es {
+		return 0, hashutil.Zero, false
+	}
+	root, _, err = shrubs.FoldMulti(epochCap, []uint64{leaf}, []hashutil.Digest{l.Digest}, p.Nodes)
+	return e, root, err == nil
 }
 
 // Encode appends the proof to a wire writer.

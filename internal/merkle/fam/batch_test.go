@@ -18,26 +18,27 @@ func leavesOf(idx []uint64) []Leaf {
 	return out
 }
 
-// singlesAccept reports whether every leaf verifies on its own cold
-// proof at size — the reference VerifyBatch is held to.
-func singlesAccept(t *testing.T, tr *Tree, leaves []Leaf, size uint64, root hashutil.Digest) bool {
+// truth reports whether every leaf is the digest appended at its index
+// and root is the tree's root at size — the reference VerifyBatch is
+// held to, computed without any proof.
+func truth(t *testing.T, tr *Tree, leaves []Leaf, size uint64, root hashutil.Digest) bool {
 	t.Helper()
+	want, err := tr.RootAt(size)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, l := range leaves {
-		p, err := tr.ProveAt(l.Index, size)
-		if err != nil {
-			t.Fatalf("ProveAt(%d, %d): %v", l.Index, size, err)
-		}
-		if Verify(l.Digest, p, root) != nil {
+		if d, err := tr.Leaf(l.Index); err != nil || d != l.Digest {
 			return false
 		}
 	}
-	return true
+	return root == want
 }
 
 // TestBatchDifferential: over seeded random index sets of every shape the
-// ledger serves, VerifyBatch accepts exactly when every per-leaf Verify
-// of ProveAt accepts — on honest leaves, on a batch with one foreign
-// digest, and against the wrong root.
+// ledger serves, VerifyBatch accepts exactly when every leaf is the
+// tree's and the root is the tree's at the proven size — on honest
+// leaves, on a batch with one foreign digest, and against the wrong root.
 func TestBatchDifferential(t *testing.T) {
 	const height, n = 4, 70 // epochs of 16 then 15 journals: 5 epochs, the last open
 	tr := build(t, height, n)
@@ -98,7 +99,7 @@ func TestBatchDifferential(t *testing.T) {
 					{"foreign digest", foreign, root},
 					{"wrong root", honest, hashutil.Node(root, live)},
 				} {
-					want := singlesAccept(t, tr, c.leaves, sh.size, c.root)
+					want := truth(t, tr, c.leaves, sh.size, c.root)
 					err := VerifyBatch(c.leaves, p, c.root)
 					if (err == nil) != want {
 						t.Fatalf("%s, indices %v at size %d: batch err = %v, singles accept = %v", c.name, idx, sh.size, err, want)
@@ -136,12 +137,9 @@ func TestBatchMaxSize(t *testing.T) {
 	if err := VerifyBatch(leaves, p, root); err != nil {
 		t.Fatal(err)
 	}
-	if !singlesAccept(t, tr, leaves, n, root) {
-		t.Fatal("reference proofs rejected")
-	}
 	singles := 0
 	for _, i := range idx {
-		sp, _ := tr.ProveAt(i, n)
+		sp, _ := tr.Prove(i)
 		singles += sp.PathLen()
 	}
 	if len(p.Nodes)*2 > singles {
@@ -226,8 +224,7 @@ func TestBatchProofMutations(t *testing.T) {
 	// Size is bound by the fold only as far as it moves the walk: growing
 	// the open epoch from 5 leaves to 6 turns its last frontier entry from
 	// a leaf into a two-leaf subtree at the same place in the bag, which no
-	// hash tells apart (single proofs share this; TreeSize there is
-	// metadata too). The ledger pins Size to the signed journal count.
+	// hash tells apart. The ledger pins Size to the signed journal count.
 	for _, s := range []uint64{0, 1, n - 1, n + 2, 1 << 40, ^uint64(0)} {
 		reject("other size", &BatchProof{Height: good.Height, Size: s, Nodes: good.Nodes}, leaves)
 	}
@@ -334,5 +331,24 @@ func TestDecodeBatchProofHostileCount(t *testing.T) {
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 {
 			t.Fatalf("count %d: decoder allocated %d bytes before refusing", count, grew)
 		}
+	}
+}
+
+// TestVerifyOneAllocatesNothing: a batch of one — every single existence
+// proof — is verified without copying, sorting or allocating.
+func TestVerifyOneAllocatesNothing(t *testing.T) {
+	tr := build(t, 4, 70)
+	root, _ := tr.Root()
+	p, err := tr.Prove(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaves := []Leaf{{Index: 3, Digest: leafOf(3)}}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := VerifyBatch(leaves, p.BatchProof, root); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("VerifyBatch of one leaf: %.0f allocs, want 0", allocs)
 	}
 }

@@ -30,8 +30,8 @@ func BenchmarkAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkProveAnchoredVsCold is the fam-aoa ablation: how much the
-// trusted anchor saves on deep historical journals.
+// BenchmarkProveAnchoredVsCold is the fam-aoa ablation: how much a
+// learned sealed-epoch root saves on deep historical journals.
 func BenchmarkProveAnchoredVsCold(b *testing.B) {
 	const n = 1 << 14
 	tree := MustNew(5) // many epochs: long cold chains
@@ -39,7 +39,8 @@ func BenchmarkProveAnchoredVsCold(b *testing.B) {
 	for _, d := range leaves {
 		tree.Append(d)
 	}
-	anchor := tree.AnchorNow()
+	roots := tree.SealedRoots()
+	sealed := tree.JournalCapacity(len(roots))
 	root, _ := tree.Root()
 
 	b.Run("cold", func(b *testing.B) {
@@ -56,12 +57,13 @@ func BenchmarkProveAnchoredVsCold(b *testing.B) {
 	})
 	b.Run("anchored", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			idx := uint64(i*7919) % n
-			p, err := tree.ProveAnchored(idx, anchor)
+			idx := uint64(i*7919) % sealed
+			p, err := tree.ProveBatchAt([]uint64{idx}, tree.EpochEnd(idx))
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := VerifyAnchored(leaves[idx], p, anchor, root); err != nil {
+			e, _ := p.SealedEpoch()
+			if err := VerifyBatch([]Leaf{{Index: idx, Digest: leaves[idx]}}, p, roots[e]); err != nil {
 				b.Fatal(err)
 			}
 		}

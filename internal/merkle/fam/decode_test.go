@@ -11,7 +11,7 @@ import (
 // an error, never panic.
 func TestDecodeProofNeverPanics(t *testing.T) {
 	f := func(b []byte) bool {
-		_, err := DecodeProof(wire.NewReader(b))
+		_, err := DecodeBatchProof(wire.NewReader(b))
 		_ = err
 		return true
 	}

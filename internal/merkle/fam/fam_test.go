@@ -116,31 +116,35 @@ func TestVerifyRejectsWrongRoot(t *testing.T) {
 }
 
 func TestVerifyRejectsSplicedHops(t *testing.T) {
+	// δ=2: epochs of 4 then 3 journals. Journal 1's walk takes two nodes
+	// in epoch 0 and two in each full later epoch (its merged leaf's
+	// path) before the open epoch's.
 	tr := build(t, 2, 50)
 	root, _ := tr.Root()
 	p, _ := tr.Prove(1)
-	if len(p.Hops) < 2 {
-		t.Fatalf("expected multiple hops, got %d", len(p.Hops))
+	if len(p.Nodes) < 8 {
+		t.Fatalf("expected several epochs walked, got %d nodes", len(p.Nodes))
 	}
-	// Dropping a hop must break the chain.
-	bad := *p
-	bad.Hops = p.Hops[1:]
-	if err := Verify(leafOf(1), &bad, root); err == nil {
-		t.Fatal("dropped hop accepted")
+	with := func(nodes []hashutil.Digest) *Proof {
+		return &Proof{Index: 1, BatchProof: &BatchProof{Height: p.Height, Size: p.Size, Nodes: nodes}}
 	}
-	// Reordering hops must break the chain.
-	bad2 := *p
-	bad2.Hops = append([]Hop(nil), p.Hops...)
-	bad2.Hops[0], bad2.Hops[1] = bad2.Hops[1], bad2.Hops[0]
-	if err := Verify(leafOf(1), &bad2, root); err == nil {
-		t.Fatal("reordered hops accepted")
+	clone := func() []hashutil.Digest { return append([]hashutil.Digest(nil), p.Nodes...) }
+	// Dropping an epoch's segment must break the chain.
+	if err := Verify(leafOf(1), with(append(clone()[:2], p.Nodes[4:]...)), root); err == nil {
+		t.Fatal("dropped epoch accepted")
 	}
-	// Tampering a hop commitment must fail.
-	bad3 := *p
-	bad3.Hops = append([]Hop(nil), p.Hops...)
-	bad3.Hops[0].Commitment = hashutil.Leaf([]byte("evil"))
-	if err := Verify(leafOf(1), &bad3, root); err == nil {
-		t.Fatal("tampered hop commitment accepted")
+	// Reordering two epochs' segments must break the chain.
+	swapped := clone()
+	copy(swapped[2:4], p.Nodes[4:6])
+	copy(swapped[4:6], p.Nodes[2:4])
+	if err := Verify(leafOf(1), with(swapped), root); err == nil {
+		t.Fatal("reordered epochs accepted")
+	}
+	// Tampering a node of a later epoch must fail.
+	tampered := clone()
+	tampered[3] = hashutil.Leaf([]byte("evil"))
+	if err := Verify(leafOf(1), with(tampered), root); err == nil {
+		t.Fatal("tampered later-epoch node accepted")
 	}
 }
 
@@ -163,77 +167,63 @@ func TestRootCommitsToHistory(t *testing.T) {
 	}
 }
 
+// learned is the proof of journal i for a verifier that learned the root
+// of its sealed epoch: the batch of one at the epoch's end, and that root.
+func learned(t testing.TB, tr *Tree, i uint64) (*BatchProof, hashutil.Digest) {
+	t.Helper()
+	p, err := tr.ProveBatchAt([]uint64{i}, tr.EpochEnd(i))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, ok := p.SealedEpoch()
+	if !ok || int(e) >= len(tr.SealedRoots()) {
+		t.Fatalf("journal %d: proof at size %d ends no sealed epoch", i, p.Size)
+	}
+	return p, tr.SealedRoots()[e]
+}
+
 func TestAnchoredProofShortAndValid(t *testing.T) {
 	tr := build(t, 3, 100)
-	anchor := tr.AnchorNow()
-	if anchor.Epochs == 0 {
+	if len(tr.SealedRoots()) == 0 {
 		t.Fatal("expected sealed epochs")
 	}
 	root, _ := tr.Root()
 
-	// A journal inside an anchored epoch: proof must carry no hops and
-	// verify against the anchor alone.
-	p, err := tr.ProveAnchored(3, anchor)
-	if err != nil {
-		t.Fatal(err)
+	// A journal inside a sealed epoch: its in-epoch path alone, checked
+	// against the learned root.
+	p, epochRoot := learned(t, tr, 3)
+	if len(p.Nodes) != int(tr.Height()) {
+		t.Fatalf("learned-root proof ships %d nodes, want the %d of its in-epoch path", len(p.Nodes), tr.Height())
 	}
-	if len(p.Hops) != 0 {
-		t.Fatalf("anchored proof has %d hops, want 0", len(p.Hops))
-	}
-	if err := VerifyAnchored(leafOf(3), p, anchor, root); err != nil {
-		t.Fatalf("anchored verify: %v", err)
+	if err := VerifyBatch([]Leaf{{Index: 3, Digest: leafOf(3)}}, p, epochRoot); err != nil {
+		t.Fatalf("learned-root verify: %v", err)
 	}
 
-	// A journal after the anchor still verifies through the chain.
+	// A journal of the open epoch still verifies through the chain.
 	idx := tr.Size() - 1
-	p2, err := tr.ProveAnchored(idx, anchor)
+	p2, err := tr.Prove(idx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyAnchored(leafOf(idx), p2, anchor, root); err != nil {
-		t.Fatalf("post-anchor verify: %v", err)
+	if err := Verify(leafOf(idx), p2, root); err != nil {
+		t.Fatalf("open-epoch verify: %v", err)
 	}
 }
 
 func TestAnchoredProofMuchShorterThanCold(t *testing.T) {
 	tr := build(t, 2, 200) // many epochs
-	anchor := tr.AnchorNow()
 	cold, _ := tr.Prove(1)
-	hot, _ := tr.ProveAnchored(1, anchor)
-	if hot.PathLen() >= cold.PathLen() {
-		t.Fatalf("anchored path %d not shorter than cold %d", hot.PathLen(), cold.PathLen())
+	hot, _ := learned(t, tr, 1)
+	if len(hot.Nodes) >= cold.PathLen() {
+		t.Fatalf("learned-root path %d not shorter than cold %d", len(hot.Nodes), cold.PathLen())
 	}
 }
 
 func TestAnchoredVerifyRejectsForgedEpochRoot(t *testing.T) {
 	tr := build(t, 3, 100)
-	anchor := tr.AnchorNow()
-	root, _ := tr.Root()
-	p, _ := tr.ProveAnchored(3, anchor)
-	forged := &Anchor{Size: anchor.Size, Epochs: anchor.Epochs, Roots: append([]hashutil.Digest(nil), anchor.Roots...)}
-	forged.Roots[p.Epoch] = hashutil.Leaf([]byte("evil"))
-	if err := VerifyAnchored(leafOf(3), p, forged, root); err == nil {
-		t.Fatal("forged anchor root accepted")
-	}
-}
-
-func TestProveAnchoredBadAnchor(t *testing.T) {
-	tr := build(t, 3, 20)
-	bad := &Anchor{Epochs: 99}
-	if _, err := tr.ProveAnchored(1, bad); !errors.Is(err, ErrBadAnchor) {
-		t.Fatalf("err = %v, want ErrBadAnchor", err)
-	}
-}
-
-func TestNilAnchorFallsBackToCold(t *testing.T) {
-	tr := build(t, 3, 40)
-	root, _ := tr.Root()
-	p, err := tr.ProveAnchored(2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyAnchored(leafOf(2), p, nil, root); err != nil {
-		t.Fatal(err)
+	p, _ := learned(t, tr, 3)
+	if err := VerifyBatch([]Leaf{{Index: 3, Digest: leafOf(3)}}, p, hashutil.Leaf([]byte("evil"))); err == nil {
+		t.Fatal("forged epoch root accepted")
 	}
 }
 
@@ -243,11 +233,11 @@ func TestProofWireRoundTrip(t *testing.T) {
 	p, _ := tr.Prove(7)
 	w := wire.NewWriter(0)
 	p.Encode(w)
-	got, err := DecodeProof(wire.NewReader(w.Bytes()))
+	got, err := DecodeBatchProof(wire.NewReader(w.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(leafOf(7), got, root); err != nil {
+	if err := Verify(leafOf(7), &Proof{Index: 7, BatchProof: got}, root); err != nil {
 		t.Fatalf("decoded proof rejected: %v", err)
 	}
 }
@@ -284,13 +274,16 @@ func TestQuickAnchoredAgreesWithCold(t *testing.T) {
 		for j := uint64(0); j < n; j++ {
 			tr.Append(leafOf(j))
 		}
-		anchor := tr.AnchorNow()
 		root, _ := tr.Root()
-		p, err := tr.ProveAnchored(i, anchor)
-		if err != nil {
+		cold, err := tr.Prove(i)
+		if err != nil || Verify(leafOf(i), cold, root) != nil {
 			return false
 		}
-		return VerifyAnchored(leafOf(i), p, anchor, root) == nil
+		if tr.EpochEnd(i) >= n {
+			return true // i's epoch is not sealed: the cold proof is the only one
+		}
+		p, epochRoot := learned(t, tr, i)
+		return VerifyBatch([]Leaf{{Index: i, Digest: leafOf(i)}}, p, epochRoot) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -298,22 +291,18 @@ func TestQuickAnchoredAgreesWithCold(t *testing.T) {
 }
 
 func TestPathLenBoundedWithAnchor(t *testing.T) {
-	// The fam-aoa property: anchored path length is bounded by O(δ)
+	// The fam-aoa property: a learned-root path is bounded by O(δ)
 	// regardless of ledger size.
 	const height = 4
 	var maxLen int
 	for _, n := range []uint64{50, 500, 5000} {
 		tr := build(t, height, n)
-		anchor := tr.AnchorNow()
-		p, err := tr.ProveAnchored(1, anchor) // deep historical journal
-		if err != nil {
-			t.Fatal(err)
-		}
+		p, _ := learned(t, tr, 1) // deep historical journal
 		if maxLen == 0 {
-			maxLen = p.PathLen()
+			maxLen = len(p.Nodes)
 		}
-		if p.PathLen() != maxLen {
-			t.Fatalf("anchored path length changed with ledger size: %d vs %d", p.PathLen(), maxLen)
+		if len(p.Nodes) != maxLen {
+			t.Fatalf("learned-root path length changed with ledger size: %d vs %d", len(p.Nodes), maxLen)
 		}
 	}
 }

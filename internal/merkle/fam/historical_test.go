@@ -32,6 +32,16 @@ func TestRootAtMatchesReplay(t *testing.T) {
 	}
 }
 
+// proveAt is the historical proof of journal i at size s: the batch of
+// one at s.
+func proveAt(tr *Tree, i, s uint64) (*Proof, error) {
+	p, err := tr.ProveBatchAt([]uint64{i}, s)
+	if err != nil {
+		return nil, err
+	}
+	return &Proof{Index: i, BatchProof: p}, nil
+}
+
 // TestProveAtAllPairs checks every (index, size) pair across several epoch
 // boundaries: the historical proof must verify against the historical root
 // with the unchanged pure verifier, exactly like a live proof.
@@ -44,7 +54,7 @@ func TestProveAtAllPairs(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := uint64(0); i < s; i++ {
-			p, err := tr.ProveAt(i, s)
+			p, err := proveAt(tr, i, s)
 			if err != nil {
 				t.Fatalf("ProveAt(%d, %d): %v", i, s, err)
 			}
@@ -74,7 +84,7 @@ func TestProveAtLiveEqualsProve(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < n; i++ {
-		p, err := tr.ProveAt(i, n)
+		p, err := proveAt(tr, i, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,13 +96,13 @@ func TestProveAtLiveEqualsProve(t *testing.T) {
 
 func TestProveAtRejectsBadArgs(t *testing.T) {
 	tr := build(t, 3, 10)
-	if _, err := tr.ProveAt(0, 0); !errors.Is(err, ErrOutOfRange) {
+	if _, err := proveAt(tr, 0, 0); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("size 0: %v", err)
 	}
-	if _, err := tr.ProveAt(0, 11); !errors.Is(err, ErrOutOfRange) {
+	if _, err := proveAt(tr, 0, 11); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("size beyond live: %v", err)
 	}
-	if _, err := tr.ProveAt(5, 5); !errors.Is(err, ErrOutOfRange) {
+	if _, err := proveAt(tr, 5, 5); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("index at size: %v", err)
 	}
 }
@@ -104,14 +114,14 @@ func TestProveAtPrunedEpoch(t *testing.T) {
 	if n := tr.PruneEpochs(1); n != 1 {
 		t.Fatalf("pruned %d epochs", n)
 	}
-	if _, err := tr.ProveAt(2, 20); !errors.Is(err, ErrPruned) {
+	if _, err := proveAt(tr, 2, 20); !errors.Is(err, ErrPruned) {
 		t.Fatalf("proof in pruned epoch: %v", err)
 	}
 	if _, err := tr.RootAt(5); !errors.Is(err, ErrPruned) {
 		t.Fatalf("root inside pruned epoch: %v", err)
 	}
 	// Journals in retained epochs still prove at sizes past the pruned one.
-	if _, err := tr.ProveAt(12, 20); err != nil {
+	if _, err := proveAt(tr, 12, 20); err != nil {
 		t.Fatalf("proof in retained epoch: %v", err)
 	}
 }

@@ -8,37 +8,35 @@ import (
 func TestPruneEpochsReleasesStorage(t *testing.T) {
 	tr := build(t, 3, 200)
 	before := tr.CellCount()
-	anchor := tr.AnchorNow()
-	pruned := tr.PruneEpochs(anchor.Epochs)
-	if pruned != anchor.Epochs {
-		t.Fatalf("pruned %d of %d epochs", pruned, anchor.Epochs)
+	sealed := len(tr.SealedRoots())
+	pruned := tr.PruneEpochs(sealed)
+	if pruned != sealed {
+		t.Fatalf("pruned %d of %d epochs", pruned, sealed)
 	}
 	after := tr.CellCount()
 	if after >= before/4 {
 		t.Fatalf("pruning released too little: %d -> %d cells", before, after)
 	}
 	// Idempotent.
-	if tr.PruneEpochs(anchor.Epochs) != 0 {
+	if tr.PruneEpochs(sealed) != 0 {
 		t.Fatal("second prune reported work")
 	}
 }
 
 func TestPrunedJournalsNotProvable(t *testing.T) {
 	tr := build(t, 3, 100)
-	anchor := tr.AnchorNow()
-	tr.PruneEpochs(anchor.Epochs)
+	tr.PruneEpochs(len(tr.SealedRoots()))
 	if _, err := tr.Prove(1); !errors.Is(err, ErrPruned) {
 		t.Fatalf("err = %v, want ErrPruned", err)
 	}
-	if _, err := tr.ProveAnchored(1, anchor); !errors.Is(err, ErrPruned) {
-		t.Fatalf("err = %v, want ErrPruned", err)
+	if _, err := tr.ProveBatchAt([]uint64{1}, tr.EpochEnd(1)); !errors.Is(err, ErrPruned) {
+		t.Fatalf("learned-root proof: err = %v, want ErrPruned", err)
 	}
 }
 
 func TestPruneKeepsLaterJournalsProvable(t *testing.T) {
 	tr := build(t, 3, 100)
-	anchor := tr.AnchorNow()
-	tr.PruneEpochs(anchor.Epochs)
+	tr.PruneEpochs(len(tr.SealedRoots()))
 	root, err := tr.Root()
 	if err != nil {
 		t.Fatal(err)

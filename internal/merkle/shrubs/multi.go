@@ -8,11 +8,12 @@ import (
 	"ledgerdb/internal/hashutil"
 )
 
-// This file implements multi-leaf proofs: one node list that proves a
-// SET of leaves against a frontier snapshot. Where k single-leaf Proofs
-// repeat every cell two audit paths share — and the whole frontier k
-// times — a multi-leaf proof states each needed cell once and omits the
-// ones the verifier can compute from the other proven leaves.
+// This file is the one proof walk and the one fold of the package. A
+// proof is a node list that proves a SET of leaves against a frontier
+// snapshot: a single leaf is a set of one, a clue range (range.go) the
+// set of its consecutive leaves. Each needed cell is stated once; the
+// ones the verifier can compute from the other proven leaves are left
+// out.
 //
 // The node list carries no positions. Prover and verifier walk the tree
 // in the same order — frontier subtrees largest first, each depth-first,
@@ -33,25 +34,47 @@ func (t *Tree) MultiProofAt(n uint64, pos []uint64, nodes []hashutil.Digest) ([]
 	if err := checkPositions(n, pos); err != nil {
 		return nodes, fmt.Errorf("%w: %v", ErrOutOfRange, err)
 	}
-	forEachFrontierSubtree(n, pos, func(level uint, lo uint64, in []uint64) {
-		nodes = t.multiCells(level, lo, in, nodes)
-	})
+	var buf [64]Pos
+	for _, p := range walk(n, pos, buf[:0]) {
+		nodes = append(nodes, t.levels[p.Level][p.Offset])
+	}
 	return nodes, nil
 }
 
-// multiCells walks the complete subtree of the given level whose first
-// leaf is lo; pos holds the proven leaves inside it.
-func (t *Tree) multiCells(level uint, lo uint64, pos []uint64, nodes []hashutil.Digest) []hashutil.Digest {
-	if len(pos) == 0 {
-		return append(nodes, t.levels[level][lo>>level])
+// walk appends to out the position of every cell FoldMulti takes from
+// the node list for the leaves at pos of an n-leaf tree, in the order it
+// takes them. Every cell of a complete subtree of the first n leaves is
+// computed and append-stable, so the positions are readable at any
+// later size.
+func walk(n uint64, pos []uint64, out []Pos) []Pos {
+	lo := uint64(0)
+	for b := bits.Len64(n); b > 0; b-- {
+		level := uint(b - 1)
+		if n&(1<<level) == 0 {
+			continue
+		}
+		var in []uint64
+		in, pos = splitBelow(pos, lo+1<<level)
+		out = walkSubtree(level, lo, in, out)
+		lo += 1 << level
 	}
-	if level == 0 {
-		return nodes
+	return out
+}
+
+// walkSubtree is walk inside the complete subtree of the given level
+// whose first leaf is lo; pos holds the proven leaves inside it. A
+// subtree whose every leaf is proven needs no cell.
+func walkSubtree(level uint, lo uint64, pos []uint64, out []Pos) []Pos {
+	if len(pos) == 0 {
+		return append(out, Pos{Level: uint8(level), Offset: lo >> level})
+	}
+	if uint64(len(pos)) == 1<<level {
+		return out
 	}
 	mid := lo + 1<<(level-1)
 	left, right := splitBelow(pos, mid)
-	nodes = t.multiCells(level-1, lo, left, nodes)
-	return t.multiCells(level-1, mid, right, nodes)
+	out = walkSubtree(level-1, lo, left, out)
+	return walkSubtree(level-1, mid, right, out)
 }
 
 // FoldMulti recomputes the commitment of an n-leaf tree from the leaves
@@ -69,12 +92,19 @@ func FoldMulti(n uint64, pos []uint64, leaves, nodes []hashutil.Digest) (hashuti
 	}
 	var frontier [64]hashutil.Digest
 	f := multiFolder{nodes: nodes}
-	fi := 0
-	forEachFrontierSubtree(n, pos, func(level uint, lo uint64, in []uint64) {
+	fi, lo := 0, uint64(0)
+	for b := bits.Len64(n); b > 0; b-- {
+		level := uint(b - 1)
+		if n&(1<<level) == 0 {
+			continue
+		}
+		var in []uint64
+		in, pos = splitBelow(pos, lo+1<<level)
 		frontier[fi] = f.fold(level, lo, in, leaves[:len(in)])
 		leaves = leaves[len(in):]
 		fi++
-	})
+		lo += 1 << level
+	}
 	if f.short {
 		return hashutil.Zero, nil, fmt.Errorf("%w: node list ends before the tree is rebuilt", ErrBadProof)
 	}
@@ -87,7 +117,7 @@ type multiFolder struct {
 	short bool // the walk asked for a node the list did not have
 }
 
-// fold mirrors multiCells: same subtree, same order, hashing upward.
+// fold mirrors walkSubtree: same subtree, same order, hashing upward.
 func (f *multiFolder) fold(level uint, lo uint64, pos []uint64, leaves []hashutil.Digest) hashutil.Digest {
 	if len(pos) == 0 {
 		if len(f.nodes) == 0 {
@@ -108,27 +138,20 @@ func (f *multiFolder) fold(level uint, lo uint64, pos []uint64, leaves []hashuti
 	return hashutil.Node(l, r)
 }
 
-// forEachFrontierSubtree visits the complete subtrees an n-leaf tree's
-// frontier is made of, largest first — the walk order both sides of a
-// multi-leaf proof share — handing each its level, its first leaf and
-// the ascending positions of pos that fall inside it.
-func forEachFrontierSubtree(n uint64, pos []uint64, visit func(level uint, lo uint64, in []uint64)) {
-	lo := uint64(0)
-	for b := bits.Len64(n); b > 0; b-- {
-		level := uint(b - 1)
-		if n&(1<<level) == 0 {
-			continue
-		}
-		var in []uint64
-		in, pos = splitBelow(pos, lo+1<<level)
-		visit(level, lo, in)
-		lo += 1 << level
-	}
-}
-
-// splitBelow cuts ascending positions at the first one not below bound.
+// splitBelow cuts ascending positions at the first one not below bound,
+// in constant time for a run of consecutive positions (a range, a whole
+// subtree).
 func splitBelow(pos []uint64, bound uint64) (below, rest []uint64) {
-	m := sort.Search(len(pos), func(i int) bool { return pos[i] >= bound })
+	n := len(pos)
+	if n == 0 || pos[0] >= bound {
+		return pos[:0], pos
+	}
+	var m int
+	if pos[n-1]-pos[0] == uint64(n-1) {
+		m = int(min(bound-pos[0], uint64(n)))
+	} else {
+		m = sort.Search(n, func(i int) bool { return pos[i] >= bound })
+	}
 	return pos[:m], pos[m:]
 }
 

@@ -44,11 +44,7 @@ func TestMultiProofAllSubsets(t *testing.T) {
 			}
 			singles := 0
 			for _, i := range pos {
-				p, err := tr.ProveAt(i, n)
-				if err != nil {
-					t.Fatal(err)
-				}
-				singles += len(p.Siblings) + len(p.Frontier) - 1
+				singles += len(proveOne(t, tr, n, i))
 			}
 			if len(nodes) > singles {
 				t.Fatalf("n=%d mask=%b: %d nodes, the single proofs ship %d", n, mask, len(nodes), singles)

@@ -17,17 +17,12 @@ import (
 //	N3 = the cells computable from N1 alone (function P2),
 //	N  = N2 − (N2 ∩ N3) — only these are shipped.
 //
-// RangeProofCells computes N directly by recursion: a frontier subtree
-// disjoint from the range contributes just its root; a fully covered
-// subtree contributes nothing (computable); a partially covered subtree
-// splits in half and recurses. VerifyRange replays the same recursion on
-// the client side.
-//
-// multi.go walks the same frontier subtrees for an arbitrary leaf set (a
-// range is the set {begin..end-1}) but ships bare digests in walk order.
-// This positioned variant stays because CellRef is the clue bundle's
-// wire format (ProofBundle is byte-stable) and a client folds it without
-// replaying the prover's walk.
+// N is the multi walk (multi.go) over the set {v1..v2-1}: a frontier
+// subtree disjoint from the range contributes just its root, a fully
+// covered one nothing, a partially covered one splits in half. The cells
+// go out positioned because CellRef is the clue bundle's wire format
+// (ProofBundle is byte-stable); VerifyRange requires each one at the
+// position the walk reaches it and folds them with FoldMulti.
 
 // CellRef is a positioned digest shipped in a range proof.
 type CellRef struct {
@@ -38,63 +33,30 @@ type CellRef struct {
 // RangeProofCells returns the interior cells a verifier holding leaves
 // [begin, end) needs to recompute the frontier of the tree as of the
 // given size (the paper's result set N from step 3 of the clue
-// verification algorithm). size may be a historical snapshot size: the
-// cells of a size-s frontier are append-stable, so they remain readable
-// after the tree grows.
+// verification algorithm), in walk order; none for the whole tree. size
+// may be a historical snapshot size: the cells of a size-s frontier are
+// append-stable, so they remain readable after the tree grows.
 func (t *Tree) RangeProofCells(size, begin, end uint64) ([]CellRef, error) {
-	n := size
-	if n > t.Size() {
-		return nil, fmt.Errorf("%w: size %d beyond tree %d", ErrOutOfRange, n, t.Size())
+	if size > t.Size() {
+		return nil, fmt.Errorf("%w: size %d beyond tree %d", ErrOutOfRange, size, t.Size())
 	}
-	if begin >= end || end > n {
-		return nil, fmt.Errorf("%w: range [%d,%d) of %d", ErrOutOfRange, begin, end, n)
+	if begin >= end || end > size {
+		return nil, fmt.Errorf("%w: range [%d,%d) of %d", ErrOutOfRange, begin, end, size)
 	}
 	var cells []CellRef
-	off := uint64(0)
-	for b := 64; b >= 0; b-- {
-		if n&(1<<uint(b)) == 0 {
-			continue
-		}
-		width := uint64(1) << uint(b)
-		if err := t.collectRange(uint8(b), off>>uint(b), off, off+width, begin, end, &cells); err != nil {
-			return nil, err
-		}
-		off += width
+	for _, p := range walk(size, span(begin, end), nil) {
+		cells = append(cells, CellRef{Pos: p, Digest: t.levels[p.Level][p.Offset]})
 	}
 	return cells, nil
 }
 
-// collectRange walks the subtree rooted at (level, offset) covering
-// leaves [lo, hi), gathering the cells needed for range [begin, end).
-func (t *Tree) collectRange(level uint8, offset, lo, hi, begin, end uint64, cells *[]CellRef) error {
-	if begin <= lo && hi <= end {
-		return nil // fully covered by the client's leaves: computable
-	}
-	if hi <= begin || lo >= end {
-		// Disjoint: ship this cell's digest.
-		d, err := t.Cell(Pos{Level: level, Offset: offset})
-		if err != nil {
-			return err
-		}
-		*cells = append(*cells, CellRef{Pos: Pos{Level: level, Offset: offset}, Digest: d})
-		return nil
-	}
-	if level == 0 {
-		// A leaf that is partially covered cannot happen (ranges are
-		// leaf-aligned), so reaching here means covered or disjoint above.
-		return fmt.Errorf("shrubs: internal error: leaf partially covered")
-	}
-	mid := lo + (hi-lo)/2
-	if err := t.collectRange(level-1, offset*2, lo, mid, begin, end, cells); err != nil {
-		return err
-	}
-	return t.collectRange(level-1, offset*2+1, mid, hi, begin, end, cells)
-}
-
 // VerifyRange checks that leaves are exactly the tree's leaves [begin,
 // end) for a tree of the given size whose frontier bags to commitment,
-// using the shipped cells for everything outside the range. It returns
-// nil only when the recomputed frontier matches.
+// using the shipped cells for everything outside the range. The cells
+// must be exactly the ones the walk takes, each at its position and in
+// walk order: a missing, surplus, repeated or reordered cell is refused
+// before anything is hashed. It returns nil only when the fold reaches
+// commitment. The whole tree (begin 0, end size) takes no cells.
 func VerifyRange(size, begin, end uint64, leaves []hashutil.Digest, cells []CellRef, commitment hashutil.Digest) error {
 	if begin >= end || end > size {
 		return fmt.Errorf("%w: range [%d,%d) of %d", ErrBadProof, begin, end, size)
@@ -102,54 +64,36 @@ func VerifyRange(size, begin, end uint64, leaves []hashutil.Digest, cells []Cell
 	if uint64(len(leaves)) != end-begin {
 		return fmt.Errorf("%w: %d leaves for range of %d", ErrBadProof, len(leaves), end-begin)
 	}
-	lookup := make(map[Pos]hashutil.Digest, len(cells))
-	for _, c := range cells {
-		lookup[c.Pos] = c.Digest
+	pos := span(begin, end)
+	var buf [64]Pos
+	want := walk(size, pos, buf[:0])
+	if len(cells) != len(want) {
+		return fmt.Errorf("%w: %d proof cells, the range needs %d", ErrBadProof, len(cells), len(want))
 	}
-	var frontier []hashutil.Digest
-	off := uint64(0)
-	for b := 64; b >= 0; b-- {
-		if size&(1<<uint(b)) == 0 {
-			continue
+	nodes := make([]hashutil.Digest, len(cells))
+	for i, c := range cells {
+		if c.Pos != want[i] {
+			return fmt.Errorf("%w: proof cell %d at %s, the walk needs %s", ErrBadProof, i, c.Pos, want[i])
 		}
-		width := uint64(1) << uint(b)
-		root, err := rebuild(uint8(b), off>>uint(b), off, off+width, begin, end, leaves, lookup)
-		if err != nil {
-			return err
-		}
-		frontier = append(frontier, root)
-		off += width
+		nodes[i] = c.Digest
 	}
-	if got := BagFrontier(frontier); got != commitment {
+	got, _, err := FoldMulti(size, pos, leaves, nodes)
+	if err != nil {
+		return err
+	}
+	if got != commitment {
 		return fmt.Errorf("%w: recomputed frontier bags to %s, want %s", ErrBadProof, got.Short(), commitment.Short())
 	}
 	return nil
 }
 
-// rebuild recomputes the digest of the subtree at (level, offset) covering
-// [lo, hi), pulling in-range leaves from leaves and out-of-range digests
-// from lookup.
-func rebuild(level uint8, offset, lo, hi, begin, end uint64, leaves []hashutil.Digest, lookup map[Pos]hashutil.Digest) (hashutil.Digest, error) {
-	if hi <= begin || lo >= end {
-		d, ok := lookup[Pos{Level: level, Offset: offset}]
-		if !ok {
-			return hashutil.Zero, fmt.Errorf("%w: missing proof cell %s", ErrBadProof, Pos{Level: level, Offset: offset})
-		}
-		return d, nil
+// span lists the leaf positions [begin, end).
+func span(begin, end uint64) []uint64 {
+	pos := make([]uint64, end-begin)
+	for i := range pos {
+		pos[i] = begin + uint64(i)
 	}
-	if level == 0 {
-		return leaves[lo-begin], nil
-	}
-	mid := lo + (hi-lo)/2
-	left, err := rebuild(level-1, offset*2, lo, mid, begin, end, leaves, lookup)
-	if err != nil {
-		return hashutil.Zero, err
-	}
-	right, err := rebuild(level-1, offset*2+1, mid, hi, begin, end, leaves, lookup)
-	if err != nil {
-		return hashutil.Zero, err
-	}
-	return hashutil.Node(left, right), nil
+	return pos
 }
 
 // EncodeCells serializes range-proof cells.

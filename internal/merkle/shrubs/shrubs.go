@@ -13,7 +13,8 @@
 // and the per-clue CM-Tree2 accumulators (package cmtree), which need to
 // fetch arbitrary interior cells by position — so, unlike a pure frontier
 // accumulator, Shrubs retains all computed cells, addressable by the
-// paper's (level, offset) scheme.
+// paper's (level, offset) scheme. Every proof over it — one leaf, a clue
+// range, a batch — is one walk and one fold (multi.go).
 package shrubs
 
 import (
@@ -172,127 +173,6 @@ func (t *Tree) Leaf(i uint64) (hashutil.Digest, error) {
 	return t.Cell(Pos{Level: 0, Offset: i})
 }
 
-// Proof is a membership proof for one leaf against a frontier snapshot:
-// the audit path inside the leaf's complete subtree, plus the other
-// frontier roots so the verifier can re-bag the full commitment.
-type Proof struct {
-	Index    uint64 // leaf index
-	TreeSize uint64 // size when the proof was taken
-	// Siblings is the bottom-up audit path within the complete subtree
-	// containing the leaf.
-	Siblings []hashutil.Digest
-	// Frontier is the node-set proof at TreeSize. The subtree containing
-	// the leaf appears at FrontierIdx; the verifier recomputes that entry
-	// from Siblings and re-bags.
-	Frontier    []hashutil.Digest
-	FrontierIdx int
-}
-
-// Prove produces the membership proof for leaf index at the current size.
-func (t *Tree) Prove(index uint64) (*Proof, error) {
-	return t.ProveAt(index, t.Size())
-}
-
-// ProveAt produces the membership proof leaf index would have received
-// when the tree held exactly n leaves, n ≤ Size(). The audit path inside
-// the leaf's then-complete subtree only touches cells that existed at
-// size n, so retained history serves proofs against any past frontier.
-func (t *Tree) ProveAt(index, n uint64) (*Proof, error) {
-	if index >= n {
-		return nil, fmt.Errorf("%w: leaf %d of %d", ErrOutOfRange, index, n)
-	}
-	f, err := t.FrontierAt(n)
-	if err != nil {
-		return nil, err
-	}
-	p := &Proof{Index: index, TreeSize: n, Frontier: f}
-	// Locate the complete subtree (frontier entry) containing the leaf.
-	off := uint64(0)
-	fi := 0
-	for b := bits.Len64(n); b > 0; b-- {
-		lvl := uint(b - 1)
-		if n&(1<<lvl) == 0 {
-			continue
-		}
-		width := uint64(1) << lvl
-		if index < off+width {
-			p.FrontierIdx = fi
-			// Audit path inside this subtree, bottom-up.
-			rel := index - off
-			base := off
-			for l := uint(0); l < lvl; l++ {
-				sibOff := (base >> l) + (rel>>l ^ 1)
-				p.Siblings = append(p.Siblings, t.levels[l][sibOff])
-			}
-			return p, nil
-		}
-		off += width
-		fi++
-	}
-	return nil, fmt.Errorf("%w: leaf %d not covered by frontier", ErrOutOfRange, index)
-}
-
-// VerifyProof checks a leaf against a commitment produced by BagFrontier
-// over the proof's frontier. It is a pure function.
-func VerifyProof(leaf hashutil.Digest, p *Proof, commitment hashutil.Digest) error {
-	if p == nil || p.TreeSize == 0 || p.Index >= p.TreeSize {
-		return fmt.Errorf("%w: malformed proof", ErrBadProof)
-	}
-	if p.FrontierIdx < 0 || p.FrontierIdx >= len(p.Frontier) {
-		return fmt.Errorf("%w: frontier index %d of %d", ErrBadProof, p.FrontierIdx, len(p.Frontier))
-	}
-	if bits.OnesCount64(p.TreeSize) != len(p.Frontier) {
-		return fmt.Errorf("%w: frontier has %d entries for size %d", ErrBadProof, len(p.Frontier), p.TreeSize)
-	}
-	// Recompute the subtree root from the leaf and its audit path. The
-	// leaf's relative index inside its subtree determines sibling sides.
-	rel, width, err := relativeIndex(p.Index, p.TreeSize, p.FrontierIdx)
-	if err != nil {
-		return err
-	}
-	if uint64(1)<<len(p.Siblings) != width {
-		return fmt.Errorf("%w: path length %d for subtree of %d", ErrBadProof, len(p.Siblings), width)
-	}
-	acc := leaf
-	for l, sib := range p.Siblings {
-		if (rel>>uint(l))&1 == 0 {
-			acc = hashutil.Node(acc, sib)
-		} else {
-			acc = hashutil.Node(sib, acc)
-		}
-	}
-	if acc != p.Frontier[p.FrontierIdx] {
-		return fmt.Errorf("%w: subtree root %s != frontier entry %s", ErrBadProof, acc.Short(), p.Frontier[p.FrontierIdx].Short())
-	}
-	if got := BagFrontier(p.Frontier); got != commitment {
-		return fmt.Errorf("%w: bagged frontier %s != commitment %s", ErrBadProof, got.Short(), commitment.Short())
-	}
-	return nil
-}
-
-// relativeIndex returns the leaf's index inside its frontier subtree and
-// that subtree's width, walking the set bits of size.
-func relativeIndex(index, size uint64, frontierIdx int) (rel, width uint64, err error) {
-	off := uint64(0)
-	fi := 0
-	for b := bits.Len64(size); b > 0; b-- {
-		lvl := uint(b - 1)
-		if size&(1<<lvl) == 0 {
-			continue
-		}
-		w := uint64(1) << lvl
-		if index < off+w {
-			if fi != frontierIdx {
-				return 0, 0, fmt.Errorf("%w: leaf %d lies in frontier entry %d, proof says %d", ErrBadProof, index, fi, frontierIdx)
-			}
-			return index - off, w, nil
-		}
-		off += w
-		fi++
-	}
-	return 0, 0, fmt.Errorf("%w: index %d outside size %d", ErrBadProof, index, size)
-}
-
 // RecomputeFrontier rebuilds the frontier from raw leaf digests. Clue
 // verification (CM-Tree2) uses it to check a retrieved journal set against
 // the frontier stored in CM-Tree1 in O(m).
@@ -305,47 +185,6 @@ func RecomputeFrontier(leaves []hashutil.Digest) []hashutil.Digest {
 		return nil
 	}
 	return t.Frontier()
-}
-
-// Encode appends the proof to a wire writer.
-func (p *Proof) Encode(w *wire.Writer) {
-	w.Uvarint(p.Index)
-	w.Uvarint(p.TreeSize)
-	w.Uvarint(uint64(p.FrontierIdx))
-	w.Uvarint(uint64(len(p.Siblings)))
-	for _, s := range p.Siblings {
-		w.Digest(s)
-	}
-	w.Uvarint(uint64(len(p.Frontier)))
-	for _, f := range p.Frontier {
-		w.Digest(f)
-	}
-}
-
-// DecodeProof reads a proof from a wire reader.
-func DecodeProof(r *wire.Reader) (*Proof, error) {
-	p := &Proof{Index: r.Uvarint(), TreeSize: r.Uvarint(), FrontierIdx: int(r.Uvarint())}
-	ns := r.Uvarint()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if ns > 64 {
-		return nil, fmt.Errorf("%w: %d siblings", ErrBadProof, ns)
-	}
-	for i := uint64(0); i < ns; i++ {
-		p.Siblings = append(p.Siblings, r.Digest())
-	}
-	nf := r.Uvarint()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if nf > 64 {
-		return nil, fmt.Errorf("%w: %d frontier entries", ErrBadProof, nf)
-	}
-	for i := uint64(0); i < nf; i++ {
-		p.Frontier = append(p.Frontier, r.Digest())
-	}
-	return p, r.Err()
 }
 
 // EncodeFrontier serializes a frontier (node-set proof) for storage as a

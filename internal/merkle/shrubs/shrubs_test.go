@@ -8,7 +8,6 @@ import (
 	"testing/quick"
 
 	"ledgerdb/internal/hashutil"
-	"ledgerdb/internal/wire"
 )
 
 func leafOf(i uint64) hashutil.Digest {
@@ -99,17 +98,30 @@ func TestEmptyRoot(t *testing.T) {
 	}
 }
 
+// proveOne is the proof of a single leaf: the walk over a set of one.
+func proveOne(t testing.TB, tr *Tree, n, i uint64) []hashutil.Digest {
+	t.Helper()
+	nodes, err := tr.MultiProofAt(n, []uint64{i}, nil)
+	if err != nil {
+		t.Fatalf("n=%d prove %d: %v", n, i, err)
+	}
+	return nodes
+}
+
+// foldsTo reports whether leaf at i folds through nodes, all consumed,
+// to com.
+func foldsTo(n, i uint64, leaf hashutil.Digest, nodes []hashutil.Digest, com hashutil.Digest) bool {
+	got, rest, err := FoldMulti(n, []uint64{i}, []hashutil.Digest{leaf}, nodes)
+	return err == nil && len(rest) == 0 && got == com
+}
+
 func TestProveVerifyAllIndicesManySizes(t *testing.T) {
 	for _, n := range []uint64{1, 2, 3, 5, 6, 7, 8, 11, 16, 21, 32, 57, 64, 100} {
 		tr := build(n)
 		com, _ := tr.Root()
 		for i := uint64(0); i < n; i++ {
-			p, err := tr.Prove(i)
-			if err != nil {
-				t.Fatalf("n=%d Prove(%d): %v", n, i, err)
-			}
-			if err := VerifyProof(leafOf(i), p, com); err != nil {
-				t.Fatalf("n=%d Verify(%d): %v", n, i, err)
+			if !foldsTo(n, i, leafOf(i), proveOne(t, tr, n, i), com) {
+				t.Fatalf("n=%d: leaf %d does not fold to the root", n, i)
 			}
 		}
 	}
@@ -118,30 +130,26 @@ func TestProveVerifyAllIndicesManySizes(t *testing.T) {
 func TestVerifyRejectsTampering(t *testing.T) {
 	tr := build(21)
 	com, _ := tr.Root()
-	p, _ := tr.Prove(9)
+	nodes := proveOne(t, tr, 21, 9)
 
-	if err := VerifyProof(leafOf(10), p, com); err == nil {
+	if foldsTo(21, 9, leafOf(10), nodes, com) {
 		t.Fatal("wrong leaf accepted")
 	}
-	bad := *p
-	bad.Frontier = append([]hashutil.Digest(nil), p.Frontier...)
-	bad.Frontier[0] = hashutil.Leaf([]byte("evil"))
-	if err := VerifyProof(leafOf(9), &bad, com); err == nil {
-		t.Fatal("tampered frontier accepted")
+	if foldsTo(21, 10, leafOf(9), nodes, com) {
+		t.Fatal("leaf at the wrong position accepted")
 	}
-	bad2 := *p
-	bad2.FrontierIdx = (p.FrontierIdx + 1) % len(p.Frontier)
-	if err := VerifyProof(leafOf(9), &bad2, com); err == nil {
-		t.Fatal("wrong frontier index accepted")
+	bad := append([]hashutil.Digest(nil), nodes...)
+	bad[len(bad)-1] = hashutil.Leaf([]byte("evil"))
+	if foldsTo(21, 9, leafOf(9), bad, com) {
+		t.Fatal("tampered frontier node accepted")
 	}
-	if len(p.Siblings) > 0 {
-		bad3 := *p
-		bad3.Siblings = p.Siblings[:len(p.Siblings)-1]
-		if err := VerifyProof(leafOf(9), &bad3, com); err == nil {
-			t.Fatal("truncated siblings accepted")
-		}
+	if foldsTo(21, 9, leafOf(9), nodes[:len(nodes)-1], com) {
+		t.Fatal("truncated node list accepted")
 	}
-	if err := VerifyProof(leafOf(9), p, hashutil.Leaf([]byte("other"))); err == nil {
+	if foldsTo(20, 9, leafOf(9), nodes, com) {
+		t.Fatal("other tree size accepted")
+	}
+	if foldsTo(21, 9, leafOf(9), nodes, hashutil.Leaf([]byte("other"))) {
 		t.Fatal("wrong commitment accepted")
 	}
 }
@@ -226,32 +234,14 @@ func TestFrontierEncodingRoundTrip(t *testing.T) {
 	}
 }
 
-func TestProofWireRoundTrip(t *testing.T) {
-	tr := build(21)
-	com, _ := tr.Root()
-	p, _ := tr.Prove(17)
-	w := wire.NewWriter(0)
-	p.Encode(w)
-	got, err := DecodeProof(wire.NewReader(w.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyProof(leafOf(17), got, com); err != nil {
-		t.Fatalf("decoded proof rejected: %v", err)
-	}
-}
-
 func TestQuickProveVerify(t *testing.T) {
 	f := func(nRaw, iRaw uint16) bool {
 		n := uint64(nRaw%400) + 1
 		i := uint64(iRaw) % n
 		tr := build(n)
 		com, _ := tr.Root()
-		p, err := tr.Prove(i)
-		if err != nil {
-			return false
-		}
-		return VerifyProof(leafOf(i), p, com) == nil
+		nodes, err := tr.MultiProofAt(n, []uint64{i}, nil)
+		return err == nil && foldsTo(n, i, leafOf(i), nodes, com)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

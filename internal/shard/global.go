@@ -201,7 +201,7 @@ func (v Verifier) VerifyGlobal(p *GlobalProof) (*journal.Record, error) {
 	if p.Head.Size == 0 {
 		return nil, fmt.Errorf("%w: empty shard head cannot cover a record", ErrBadProof)
 	}
-	rec, err := ledger.Verifier{Memo: v.Memo}.VerifyRecordAtRoot(p.Record.RecordBytes, p.Record.Payload, p.Record.Fam, p.Head.Root)
+	rec, err := ledger.Verifier{Memo: v.Memo}.VerifyRecordAtRoot(p.Record.RecordBytes, p.Record.Payload, p.Record.Fam, p.Head.Size, p.Head.Root)
 	if err != nil {
 		return nil, fmt.Errorf("%w: shard %d: %v", ErrBadProof, p.Head.Shard, err)
 	}
@@ -233,7 +233,7 @@ func DecodeGlobalProof(b []byte) (*GlobalProof, error) {
 	if payload := r.BytesCopy(); len(payload) > 0 {
 		rp.Payload = payload
 	}
-	fp, err := fam.DecodeProof(r)
+	fp, err := fam.DecodeBatchProof(r)
 	if err != nil {
 		return nil, err
 	}

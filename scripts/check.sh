@@ -6,7 +6,7 @@
 # Stages are individually invocable:
 #
 #   scripts/check.sh          # everything (same as `all`)
-#   scripts/check.sh lint     # build + vet + verlint only
+#   scripts/check.sh lint     # build + gofmt + vet + verlint only
 #   scripts/check.sh fuzz     # 10s native fuzz smoke per wire decoder
 #   scripts/check.sh race     # the -race suites only
 #   scripts/check.sh crash    # crash-recovery torture (1000 crash points) + payload-log byte sweeps
@@ -25,6 +25,13 @@ stage_build() {
 }
 
 stage_lint() {
+    echo "== gofmt (any listed file fails) =="
+    unformatted=$(gofmt -l .)
+    if [ -n "$unformatted" ]; then
+        echo "$unformatted"
+        exit 1
+    fi
+
     echo "== vet =="
     go vet ./...
 
