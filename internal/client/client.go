@@ -132,9 +132,9 @@ type Client struct {
 	// neither hits nor misses. Always on; see sig.Memo for why it cannot
 	// change a verdict.
 	memo *sig.Memo
-	// held remembers the records clue and query replies proved, so a
-	// repeat of the question can name them and get placeholders back
-	// (held.go). Always on, like the memo.
+	// held remembers the records clue and query replies proved and the
+	// client's own acknowledged writes, so a read of them can name them
+	// and get placeholders back (held.go). Always on, like the memo.
 	held *heldStore
 }
 
@@ -502,9 +502,11 @@ func (c *Client) doOnce(ctx context.Context, method, path string, payload []byte
 }
 
 // Append signs and submits a normal journal, verifying the returned
-// receipt (π_s) against the pinned LSP key and the submitted hashes.
-// The submission carries an idempotency key (the signed request's
-// hash), so a retry after a lost response cannot double-append.
+// receipt (π_s) against the pinned LSP key and that it acknowledges the
+// record the request makes (acknowledges); the client then holds that
+// record (held.go). The submission carries an idempotency key (the
+// signed request's hash), so a retry after a lost response cannot
+// double-append.
 func (c *Client) Append(payload []byte, clues ...string) (*journal.Receipt, error) {
 	_, receipt, err := c.AppendRouted(payload, clues...)
 	return receipt, err
@@ -512,17 +514,22 @@ func (c *Client) Append(payload []byte, clues ...string) (*journal.Receipt, erro
 
 // AppendBatch signs and submits several payloads in one exchange (the
 // amortized write path). The batch receipt is verified against the
-// pinned LSP key and the returned tx-hash list; payloads[i] maps to jsn
-// FirstJSN+i. The submission carries an idempotency key derived from
-// all request hashes, so a retry after a lost response cannot
-// double-append the batch.
+// pinned LSP key and the returned tx-hash list, whose entry i must be
+// the record payloads[i]'s request makes at jsn FirstJSN+i (bindBatch);
+// the client then holds those records. The submission carries an
+// idempotency key derived from all request hashes, so a retry after a
+// lost response cannot double-append the batch.
 func (c *Client) AppendBatch(payloads [][]byte, clues [][]string) (*ledger.BatchReceipt, []hashutil.Digest, error) {
 	reqs, hashes, err := c.signBatch(payloads, clues)
 	if err != nil {
 		return nil, nil, err
 	}
-	br, txHashes, _, err := c.submitBatch(reqs, hashes)
-	return br, txHashes, err
+	br, txHashes, recs, _, err := c.submitBatch(reqs, hashes)
+	if err != nil {
+		return nil, nil, err
+	}
+	c.held.file(c.BaseURL, recs...)
+	return br, txHashes, nil
 }
 
 // signBatch builds one normal request per payload and signs them all:
@@ -609,15 +616,17 @@ func (c *Client) GetPayload(jsn uint64) ([]byte, error) {
 
 // VerifyExistence runs the full client-side what(+who) verification for
 // one journal: fetch the proof bundle and validate every layer locally.
-// The request names the newest signed state this client verified and the
-// sealed fam epoch roots it learned (held.go): a journal in a learned
-// epoch comes back as its in-epoch path alone, checked against the
-// learned root, and an unchanged state comes back as a placeholder.
+// The request names the newest signed state this client verified, the
+// sealed fam epoch roots it learned and the record when the store holds
+// it (held.go): a journal in a learned epoch comes back as its in-epoch
+// path alone, checked against the learned root, and an unchanged state
+// and a held record come back as placeholders.
 func (c *Client) VerifyExistence(jsn uint64, withPayload bool) (*journal.Record, []byte, error) {
 	c.shared()
 	key := c.trustKey()
 	named := c.held.snapshot(key)
-	query := named.params(true)
+	held := c.held.holding(c.BaseURL, jsn)
+	query := held.param() + named.params(true)
 	if withPayload {
 		query += "&payload=1"
 	}
@@ -638,6 +647,10 @@ func (c *Client) VerifyExistence(jsn uint64, withPayload bool) (*journal.Record,
 		return nil, nil, rep.tamper("existence proof decode", err)
 	}
 	c.held.saw(proof.Slot)
+	filled, err := proof.Fill(held.get)
+	if err != nil {
+		return nil, nil, rep.tamper("existence held record", err)
+	}
 	if err := proof.FillState(named.state, uint64(len(named.roots))); err != nil {
 		return nil, nil, rep.tamper("existence proof state slot", err)
 	}
@@ -649,6 +662,7 @@ func (c *Client) VerifyExistence(jsn uint64, withPayload bool) (*journal.Record,
 		return nil, nil, rep.tamper("existence proof jsn binding", err)
 	}
 	c.held.learn(key, proof.State, proof, rec)
+	c.held.count(filled, 1)
 	return rec, proof.Payload, nil
 }
 
@@ -664,18 +678,24 @@ func bindJSN(rec *journal.Record, jsn uint64) error {
 // VerifyExistenceBatch fetches one batched proof for jsns and runs the
 // client-side verification with the LSP state signature checked once
 // and all journals folded to the shared signed root through the one fam
-// proof the reply carries. Returns the verified records (in jsns order) and their
-// payloads (nil entries for digest-only or occulted journals).
+// proof the reply carries. The request names the state and the records
+// the store holds, as VerifyExistence does. Returns the verified records
+// (in jsns order) and their payloads (nil entries for digest-only or
+// occulted journals).
 func (c *Client) VerifyExistenceBatch(jsns []uint64, withPayload bool) ([]*journal.Record, [][]byte, error) {
 	c.shared()
 	key := c.trustKey()
 	named := c.held.snapshot(key)
+	held := c.held.holding(c.BaseURL, jsns...)
 	body := map[string]any{
 		"jsns":    jsns,
 		"payload": withPayload,
 	}
 	if named.state != nil {
 		body["state"] = named.dig.String()
+	}
+	if len(held.jsns) > 0 {
+		body["held"] = held.jsns
 	}
 	rep, err := c.call("POST", "/v1/proofs", body)
 	if err != nil {
@@ -694,6 +714,10 @@ func (c *Client) VerifyExistenceBatch(jsns []uint64, withPayload bool) ([]*journ
 			fmt.Errorf("%w: %d proofs for %d jsns", ledger.ErrVerify, len(batch.Items), len(jsns)))
 	}
 	c.held.saw(batch.Slot)
+	filled, err := batch.Fill(held.get)
+	if err != nil {
+		return nil, nil, rep.tamper("proof batch held records", err)
+	}
 	if err := batch.FillState(named.state); err != nil {
 		return nil, nil, rep.tamper("proof batch state slot", err)
 	}
@@ -710,6 +734,7 @@ func (c *Client) VerifyExistenceBatch(jsns []uint64, withPayload bool) ([]*journ
 		}
 		payloads[i] = batch.Items[i].Payload
 	}
+	c.held.count(filled, len(recs))
 	return recs, payloads, nil
 }
 
@@ -730,7 +755,7 @@ func (c *Client) ClueJSNs(clue string) ([]uint64, error) {
 // lineage is verified.
 func (c *Client) VerifyClue(clue string, begin, end uint64) ([]*journal.Record, error) {
 	c.shared()
-	key := "clue\x00" + clue
+	key := clueKey(clue)
 	held := c.held.named(c.BaseURL, key)
 	named := c.held.snapshot(c.trustKey())
 	rep, err := c.call("GET", fmt.Sprintf("/v1/clue/%s/proof?begin=%d&end=%d%s%s", url.PathEscape(clue), begin, end, held.param(), named.params(false)), nil)

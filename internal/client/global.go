@@ -20,12 +20,13 @@ import (
 )
 
 // SubmitRequest forwards an already-signed request, verifying the
-// returned receipt against the pinned LSP key and the request hash. The
-// router uses this per shard; it is also the path for relaying a
-// request signed by someone other than this client's Key, so its π_c
-// is not filed in the verified-signature memo.
+// returned receipt against the pinned LSP key and that it acknowledges
+// the request (acknowledges). The router uses this per shard; it is
+// also the path for relaying a request signed by someone other than
+// this client's Key, so its π_c is not filed in the verified-signature
+// memo and its record is not held.
 func (c *Client) SubmitRequest(req *journal.Request) (*journal.Receipt, error) {
-	_, receipt, err := c.submitRequest(req)
+	_, receipt, _, err := c.submitRequest(req, req.Hash())
 	return receipt, err
 }
 
@@ -34,48 +35,131 @@ func (c *Client) SubmitRequest(req *journal.Request) (*journal.Receipt, error) {
 // upstream, of an append that had already committed). The router
 // forwards under its own request's context and passes the marker on.
 func (c *Client) SubmitRequestReplay(ctx context.Context, req *journal.Request) (*journal.Receipt, bool, error) {
-	rep, receipt, err := c.WithContext(ctx).submitRequest(req)
+	rep, receipt, _, err := c.WithContext(ctx).submitRequest(req, req.Hash())
 	if err != nil {
 		return nil, false, err
 	}
 	return receipt, rep.replay, nil
 }
 
-func (c *Client) submitRequest(req *journal.Request) (*reply, *journal.Receipt, error) {
+// submitRequest sends a signed request whose request-hash is h and
+// verifies the receipt: its π_s, and that it acknowledges this request.
+// It returns the record the receipt acknowledges, rebuilt from req.
+func (c *Client) submitRequest(req *journal.Request, h hashutil.Digest) (*reply, *journal.Receipt, *journal.Record, error) {
 	rep, err := c.callIdem("POST", "/v1/append", map[string]string{
 		"request": base64.StdEncoding.EncodeToString(req.EncodeBytes()),
-	}, journal.RequestKey(req.Hash()))
+	}, journal.RequestKey(h))
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	raw, err := rep.blob(rep.env.Receipt, "receipt")
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	receipt, err := journal.DecodeReceipt(wire.NewReader(raw))
 	if err != nil {
-		return nil, nil, rep.tamper("receipt decode", err)
+		return nil, nil, nil, rep.tamper("receipt decode", err)
 	}
 	if err := receipt.Verify(c.LSP); err != nil {
-		return nil, nil, rep.tamper("receipt signature", err)
+		return nil, nil, nil, rep.tamper("receipt signature", err)
 	}
-	if receipt.RequestHash != req.Hash() {
-		return nil, nil, rep.tamper("receipt request binding",
-			fmt.Errorf("%w: receipt acknowledges a different request", journal.ErrBadSignature))
+	rec := ownRecord(req, h)
+	if receipt.RequestHash != h || !acknowledges(rec, receipt.JSN, receipt.Timestamp, receipt.TxHash) {
+		return nil, nil, nil, rep.tamper("receipt request binding", unbound(receipt.JSN))
 	}
-	return rep, receipt, nil
+	return rep, receipt, rec, nil
+}
+
+// ownRecord is the record a receipt acknowledges for req, whose
+// request-hash is h, before the commit gives it a jsn and a timestamp:
+// everything in it comes from the request the client signed, and a
+// normal journal carries no Extra.
+func ownRecord(req *journal.Request, h hashutil.Digest) *journal.Record {
+	return &journal.Record{
+		Type:          req.Type,
+		RequestHash:   h,
+		PayloadDigest: hashutil.Sum(req.Payload),
+		PayloadSize:   uint64(len(req.Payload)),
+		Clues:         req.Clues,
+		StateKey:      req.StateKey,
+		ClientPK:      req.ClientPK,
+		ClientSig:     req.ClientSig,
+		CoSigners:     req.CoSigners,
+	}
+}
+
+// acknowledges places rec at jsn and commit time ts and reports whether
+// its tx-hash is tx: whether π_s over tx at that position acknowledges
+// the request rec was rebuilt from. A group or batch receipt signs only
+// tx-hashes and the first jsn, so this is what binds the request, and
+// the commit time, to it.
+func acknowledges(rec *journal.Record, jsn uint64, ts int64, tx hashutil.Digest) bool {
+	rec.JSN, rec.Timestamp = jsn, ts
+	return rec.TxHash() == tx
+}
+
+// unbound is the error for a receipt that acknowledges, at jsn, a
+// record other than the one the submitted request makes.
+func unbound(jsn uint64) error {
+	return fmt.Errorf("%w: receipt at jsn %d acknowledges another record than the request", journal.ErrBadSignature, jsn)
+}
+
+// bindBatch checks that a batch receipt at first (commit time ts, tx-hashes
+// tx) acknowledges reqs, whose request-hashes are hashes: reqs[i] at jsn
+// first+i. It returns the rebuilt records.
+func bindBatch(reqs []*journal.Request, hashes []hashutil.Digest, first uint64, ts int64, tx []hashutil.Digest) ([]*journal.Record, error) {
+	if len(tx) != len(reqs) {
+		return nil, fmt.Errorf("%w: batch receipt covers %d journals, submitted %d", journal.ErrBadSignature, len(tx), len(reqs))
+	}
+	recs := make([]*journal.Record, len(reqs))
+	for i, req := range reqs {
+		recs[i] = ownRecord(req, hashes[i])
+		if !acknowledges(recs[i], first+uint64(i), ts, tx[i]) {
+			return nil, unbound(first + uint64(i))
+		}
+	}
+	return recs, nil
+}
+
+// bindShards is bindBatch for a batch a router split by shard. Each
+// shard's sub-batch keeps submission order, so the requests a shard's
+// receipt acknowledges are a subsequence of reqs, found by one forward
+// scan; a request is acknowledged at most once.
+func bindShards(reqs []*journal.Request, hashes []hashutil.Digest, receipts map[int]*ledger.BatchReceipt, tx map[int][]hashutil.Digest) error {
+	recs := make([]*journal.Record, len(reqs))
+	for i, req := range reqs {
+		recs[i] = ownRecord(req, hashes[i])
+	}
+	taken := make([]bool, len(reqs))
+	for s, br := range receipts {
+		next := 0
+		for k, t := range tx[s] {
+			jsn := br.FirstJSN + uint64(k)
+			for next < len(reqs) && (taken[next] || !acknowledges(recs[next], jsn, br.Timestamp, t)) {
+				next++
+			}
+			if next == len(reqs) {
+				return unbound(jsn)
+			}
+			taken[next] = true
+			next++
+		}
+	}
+	return nil
 }
 
 // SubmitBatch forwards a pre-signed batch, verifying the batch receipt
-// and returning it with the committed tx-hashes.
+// and its binding to the requests (bindBatch), and returning it with the
+// committed tx-hashes.
 func (c *Client) SubmitBatch(reqs []*journal.Request) (*ledger.BatchReceipt, []hashutil.Digest, error) {
-	br, txHashes, _, err := c.submitBatch(reqs, requestHashes(reqs))
+	br, txHashes, _, _, err := c.submitBatch(reqs, requestHashes(reqs))
 	return br, txHashes, err
 }
 
 // SubmitBatchReplay is SubmitRequestReplay for a batch.
 func (c *Client) SubmitBatchReplay(ctx context.Context, reqs []*journal.Request) (*ledger.BatchReceipt, []hashutil.Digest, bool, error) {
-	return c.WithContext(ctx).submitBatch(reqs, requestHashes(reqs))
+	br, txHashes, _, replay, err := c.WithContext(ctx).submitBatch(reqs, requestHashes(reqs))
+	return br, txHashes, replay, err
 }
 
 func requestHashes(reqs []*journal.Request) []hashutil.Digest {
@@ -87,18 +171,33 @@ func requestHashes(reqs []*journal.Request) []hashutil.Digest {
 }
 
 // submitBatch sends signed requests whose request-hashes are hashes and
-// verifies the batch receipt of a single-node service.
-func (c *Client) submitBatch(reqs []*journal.Request, hashes []hashutil.Digest) (*ledger.BatchReceipt, []hashutil.Digest, bool, error) {
+// verifies the batch receipt of a single-node service (batchReceipt).
+func (c *Client) submitBatch(reqs []*journal.Request, hashes []hashutil.Digest) (*ledger.BatchReceipt, []hashutil.Digest, []*journal.Record, bool, error) {
 	rep, err := c.postBatch(reqs, hashes)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, nil, false, err
 	}
+	br, txHashes, recs, err := c.batchReceipt(rep, reqs, hashes)
+	return br, txHashes, recs, rep.replay, err
+}
+
+// batchReceipt decodes and verifies the one batch receipt of a
+// single-node reply to reqs and binds it to them (bindBatch), returning
+// the rebuilt records.
+func (c *Client) batchReceipt(rep *reply, reqs []*journal.Request, hashes []hashutil.Digest) (*ledger.BatchReceipt, []hashutil.Digest, []*journal.Record, error) {
 	raw, err := rep.blob(rep.env.Receipt, "batch receipt")
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, nil, err
 	}
 	br, txHashes, err := c.decodeBatchReceipt(rep, raw)
-	return br, txHashes, rep.replay, err
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	recs, err := bindBatch(reqs, hashes, br.FirstJSN, br.Timestamp, txHashes)
+	if err != nil {
+		return nil, nil, nil, rep.tamper("batch receipt request binding", err)
+	}
+	return br, txHashes, recs, nil
 }
 
 // postBatch sends signed requests to /v1/append-batch under the
@@ -148,7 +247,8 @@ func (c *Client) decodeBatchReceipt(rep *reply, raw []byte) (*ledger.BatchReceip
 // AppendRouted is Append against a sharded router: it also returns the
 // shard index the request landed on, which VerifyExistenceGlobal needs
 // (receipts carry shard-local jsns). Against a single-node service the
-// shard is 0.
+// shard is 0, and the client holds the record it rebuilt (held.go), so
+// a later read of it gets a placeholder.
 func (c *Client) AppendRouted(payload []byte, clues ...string) (int, *journal.Receipt, error) {
 	req := &journal.Request{
 		LedgerURI: c.URI,
@@ -162,22 +262,23 @@ func (c *Client) AppendRouted(payload []byte, clues ...string) (int, *journal.Re
 		return 0, nil, err
 	}
 	c.memo.Signed(sig.Check{PK: req.ClientPK, Digest: h, Sig: req.ClientSig})
-	rep, receipt, err := c.submitRequest(req)
+	rep, receipt, rec, err := c.submitRequest(req, h)
 	if err != nil {
 		return 0, nil, err
 	}
-	shardIdx := 0
 	if rep.env.Shard != nil {
-		shardIdx = *rep.env.Shard
+		return *rep.env.Shard, receipt, nil
 	}
-	return shardIdx, receipt, nil
+	c.held.file(c.BaseURL, rec)
+	return 0, receipt, nil
 }
 
 // AppendBatchSharded signs and submits a batch through the router's
 // fan-out, returning each shard's verified batch receipt and tx-hashes
 // keyed by shard index. The client checks that the shards' receipts
 // cover exactly the submitted count — a router cannot silently drop a
-// sub-batch.
+// sub-batch — and acknowledge its requests (bindShards). Against a
+// single-node service it holds the rebuilt records, as AppendBatch does.
 func (c *Client) AppendBatchSharded(payloads [][]byte, clues [][]string) (map[int]*ledger.BatchReceipt, map[int][]hashutil.Digest, error) {
 	reqs, reqHashes, err := c.signBatch(payloads, clues)
 	if err != nil {
@@ -190,14 +291,11 @@ func (c *Client) AppendBatchSharded(payloads [][]byte, clues [][]string) (map[in
 	if rep.env.Receipts == nil {
 		// A single-node service answered with one receipt; present it as
 		// shard 0 so callers are topology-agnostic.
-		raw, err := rep.blob(rep.env.Receipt, "batch receipt")
+		br, tx, recs, err := c.batchReceipt(rep, reqs, reqHashes)
 		if err != nil {
 			return nil, nil, err
 		}
-		br, tx, err := c.decodeBatchReceipt(rep, raw)
-		if err != nil {
-			return nil, nil, err
-		}
+		c.held.file(c.BaseURL, recs...)
 		return map[int]*ledger.BatchReceipt{0: br}, map[int][]hashutil.Digest{0: tx}, nil
 	}
 	receipts := make(map[int]*ledger.BatchReceipt, len(rep.env.Receipts))
@@ -223,6 +321,9 @@ func (c *Client) AppendBatchSharded(payloads [][]byte, clues [][]string) (map[in
 	if covered != uint64(len(payloads)) {
 		return nil, nil, rep.tamper("batch coverage",
 			fmt.Errorf("%w: receipts cover %d journals, submitted %d", ledger.ErrVerify, covered, len(payloads)))
+	}
+	if err := bindShards(reqs, reqHashes, receipts, hashes); err != nil {
+		return nil, nil, rep.tamper("batch receipt request binding", err)
 	}
 	return receipts, hashes, nil
 }

@@ -20,6 +20,13 @@ import (
 // reply before the unchanged verifiers run, so every record is still
 // folded under the new reply's signed state; the store saves transfer
 // and server reads, never a check. Losing it costs one cold read.
+//
+// It also holds the client's own writes. After a verified receipt of a
+// single-node service the client rebuilds each acknowledged record from
+// the request it signed — and the receipt is only accepted when that
+// record's tx-hash is the one π_s signed (acknowledges) — then files the
+// bytes and adds the jsn to each of its clues' remembered answers. An
+// existence proof names any jsn the store holds.
 
 //
 // The same store keeps, per service, the newest signed state the client
@@ -235,14 +242,33 @@ func (h *heldSet) get(jsn uint64) ([]byte, bool) {
 	return h.bytes[i], true
 }
 
+// clueKey is the question key of a clue read.
+func clueKey(clue string) string { return "clue\x00" + clue }
+
 // named is the held set for a request asking the question key again:
 // the jsns of its last verified answer the store still holds.
 func (s *heldStore) named(base, key string) *heldSet {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	h := &heldSet{}
 	answer, _ := s.answers.get(base + key)
-	for _, jsn := range answer {
+	return s.heldOf(base, answer)
+}
+
+// holding is the held set for a request naming jsns, in any order: those
+// the store holds.
+func (s *heldStore) holding(base string, jsns ...uint64) *heldSet {
+	jsns = slices.Clone(jsns)
+	slices.Sort(jsns)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.heldOf(base, jsns)
+}
+
+// heldOf collects, under s.mu, the jsns of an ascending list the store
+// holds, each once.
+func (s *heldStore) heldOf(base string, jsns []uint64) *heldSet {
+	h := &heldSet{}
+	for _, jsn := range jsns {
 		if n := len(h.jsns); n > 0 && h.jsns[n-1] == jsn {
 			continue // a clue lineage may list one journal twice
 		}
@@ -271,13 +297,59 @@ func (s *heldStore) remember(base, key string, raws [][]byte, recs []*journal.Re
 		s.records.put(heldKey{base, rec.JSN}, raws[i])
 	}
 	s.answers.put(base+key, jsns)
-	s.hits += uint64(filled)
-	s.misses += uint64(len(recs) - filled)
+	s.countLocked(filled, len(recs))
 }
 
-// HeldStats reports how many records clue and query replies left out
-// because this client (or a clone) already held them (hits), and how
-// many arrived in full (misses).
+// file holds the client's own records, rebuilt from its requests and
+// bound to the tx-hashes π_s signed: their bytes, and each jsn in the
+// remembered answer of every clue it carries, so that the next read of
+// the clue names it.
+func (s *heldStore) file(base string, recs ...*journal.Record) {
+	raws := make([][]byte, len(recs))
+	for i, rec := range recs {
+		raws[i] = rec.EncodeBytes()
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, rec := range recs {
+		s.records.put(heldKey{base, rec.JSN}, raws[i])
+		for _, clue := range rec.Clues {
+			key := base + clueKey(clue)
+			answer, _ := s.answers.get(key)
+			s.answers.put(key, withJSN(answer, rec.JSN))
+		}
+	}
+}
+
+// withJSN adds jsn to an ascending answer, which keeps its newest
+// MaxProofBatch jsns. Clones commit concurrently and file in whatever
+// order their receipts arrive, so jsn goes where it sorts.
+func withJSN(answer []uint64, jsn uint64) []uint64 {
+	i, found := slices.BinarySearch(answer, jsn)
+	if found {
+		return answer
+	}
+	answer = slices.Insert(answer, i, jsn)
+	return answer[max(0, len(answer)-ledger.MaxProofBatch):]
+}
+
+// count adds one reply's records to HeldStats: filled of them left out,
+// the rest of total sent in full.
+func (s *heldStore) count(filled, total int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.countLocked(filled, total)
+}
+
+func (s *heldStore) countLocked(filled, total int) {
+	s.hits += uint64(filled)
+	s.misses += uint64(total - filled)
+}
+
+// HeldStats reports how many records existence, batch, clue and query
+// replies left out because this client (or a clone) already held them
+// (hits), and how many arrived in full (misses). Filing an own write
+// counts as neither; only a later read of it does.
 func (c *Client) HeldStats() (hits, misses uint64) {
 	c.shared()
 	c.held.mu.Lock()

@@ -73,8 +73,11 @@ func TestVerifiedRepliesAnswerTheQuestion(t *testing.T) {
 			}
 		}
 	}))
-	appendVersions(t, c, "a", 3) // jsns 1-3
-	appendVersions(t, c, "b", 3) // jsns 4-6
+	// Another member writes: records c wrote itself would be held from
+	// the start.
+	w := writerFor(c)
+	appendVersions(t, w, "a", 3) // jsns 1-3
+	appendVersions(t, w, "b", 3) // jsns 4-6
 
 	_, _, err := c.VerifyExistence(5, false)
 	wantTamper(t, "proof of jsn 6 for jsn 5", err, "jsn binding")
@@ -111,8 +114,11 @@ func TestVerifiedRepliesAnswerTheQuestion(t *testing.T) {
 // client that holds nothing reads cold.
 func TestHeldRecordsRepeatReads(t *testing.T) {
 	c := memoClient(t)
-	appendVersions(t, c, "hot", 40)
-	appendVersions(t, c, "cold", 5)
+	// Another member writes: records c wrote itself would be held from
+	// the start.
+	w := writerFor(c)
+	appendVersions(t, w, "hot", 40)
+	appendVersions(t, w, "cold", 5)
 	stats := func(wantHits, wantMisses uint64) {
 		t.Helper()
 		if h, m := c.HeldStats(); h != wantHits || m != wantMisses {
@@ -192,7 +198,8 @@ func replyRewriter(edit func(path string, blob []byte) []byte) func(http.Handler
 
 // TestHeldPlaceholderRefusals: a placeholder the client did not name, one
 // its held bytes contradict, or one moved out of the answer's order is
-// tamper evidence, never another error class.
+// tamper evidence, never another error class. Another member writes the
+// records, so that the client holds nothing it did not read.
 func TestHeldPlaceholderRefusals(t *testing.T) {
 	// Unnamed: the middlebox names the clue's jsns on the client's behalf,
 	// so the honest server leaves out records the client never held.
@@ -203,7 +210,7 @@ func TestHeldPlaceholderRefusals(t *testing.T) {
 		setQuery(r, "held", "1,2,3,4,5,6,7,8")
 	}
 	c := memoClientVia(t, rewrite(inject))
-	appendVersions(t, c, "hot", 8)
+	appendVersions(t, writerFor(c), "hot", 8)
 	_, err := c.VerifyClue("hot", 0, 0)
 	wantTamper(t, "clue placeholders never named", err, "clue held records")
 	_, err = c.QueryRecords(ledger.Query{Kind: ledger.QueryByPrefix, Prefix: "hot"})
@@ -211,7 +218,7 @@ func TestHeldPlaceholderRefusals(t *testing.T) {
 
 	// Contradicted: the store's bytes for jsn 3 are jsn 4's record.
 	c = memoClient(t)
-	appendVersions(t, c, "hot", 8)
+	appendVersions(t, writerFor(c), "hot", 8)
 	if _, err := c.VerifyClue("hot", 0, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +239,7 @@ func TestHeldPlaceholderRefusals(t *testing.T) {
 		return b.EncodeBytes()
 	}
 	c = memoClientVia(t, replyRewriter(swap))
-	appendVersions(t, c, "hot", 8)
+	appendVersions(t, writerFor(c), "hot", 8)
 	if _, err := c.VerifyClue("hot", 0, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +290,7 @@ func (e *evictingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 // reply verifies in one exchange, with no error and no retry.
 func TestHeldSurvivesEviction(t *testing.T) {
 	c := memoClient(t)
-	appendVersions(t, c, "hot", 16)
+	appendVersions(t, writerFor(c), "hot", 16)
 	if _, err := c.VerifyClue("hot", 0, 0); err != nil {
 		t.Fatal(err)
 	}

@@ -360,9 +360,12 @@ type Receipt struct {
 	// the staged pipeline and π_s covers the whole jsn-dense commit group
 	// at once — the signed digest binds the group's first jsn and every
 	// tx-hash in it, and TxHash must equal GroupHashes[GroupIndex]. The
-	// journal's own jsn, request hash, and timestamp stay bound through
-	// TxHash; BlockHeight/BlockHash are advisory here and are pinned
-	// during audit, not by π_s.
+	// RequestHash and Timestamp fields are not signed here: they are
+	// bound only through TxHash, which Verify cannot check on its own. A
+	// submitter binds them by rebuilding the record from the request it
+	// signed, at JSN and Timestamp, and comparing its tx-hash with TxHash
+	// (the ledger client does, on every append). BlockHeight/BlockHash
+	// are advisory here and are pinned during audit, not by π_s.
 	GroupHashes []hashutil.Digest
 	GroupIndex  uint64
 }

@@ -64,8 +64,9 @@ func FuzzDecodeExistenceProof(f *testing.F) {
 	seed, _, _, _ := buildFuzzSeeds(f)
 	f.Add(seed)
 	held := buildHeldFixture(f)
-	f.Add(held.sealed.EncodeBytes()) // no state: a learned epoch's in-epoch path
-	f.Add(held.open.EncodeBytes())   // the requester's state held back
+	f.Add(held.sealed.EncodeBytes())  // no state: a learned epoch's in-epoch path
+	f.Add(held.open.EncodeBytes())    // the requester's state held back
+	f.Add(held.heldRec.EncodeBytes()) // the requester's record held back: a placeholder
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := DecodeExistenceProof(data)
@@ -228,6 +229,7 @@ func TestRegenFuzzCorpus(t *testing.T) {
 	for name, data := range map[string][]byte{
 		"FuzzDecodeClueBundle":          held.warmClue.EncodeBytes(),
 		"FuzzDecodeExistenceProofBatch": held.warmQuery.Batch.EncodeBytes(),
+		"FuzzDecodeExistenceProof":      held.heldRec.EncodeBytes(),
 	} {
 		entry := "go test fuzz v1\n[]byte(" + strconv.Quote(string(data)) + ")\n"
 		if err := os.WriteFile(filepath.Join("testdata", "fuzz", name, "held-placeholders"), []byte(entry), 0o644); err != nil {

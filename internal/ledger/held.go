@@ -10,16 +10,19 @@ import (
 )
 
 // Held records. A requester that already holds verified bytes of some
-// journals names them (Held) when it reads a clue or runs a query
-// again, and the prover leaves those records out of the reply: a
-// Placeholder — the jsn and the record's occult byte — stands where the
-// record's bytes would be, and the prover skips that journal-stream
-// read. The requester puts its own bytes back in (Fill) and runs the
+// journals names them (Held) when it asks for an existence proof, reads
+// a clue or runs a query, and the prover leaves those records out of
+// the reply: a Placeholder — the jsn and the record's occult byte —
+// stands where the record's bytes would be, and the prover skips that
+// journal-stream read. The requester puts its own bytes back in (Fill) and runs the
 // unchanged verifiers, so every record is still folded under the
 // reply's own signed state. Nothing verified earlier is trusted beyond
 // the bytes themselves, which is why no consistency proof between the
 // two signed states is needed: a placeholder saves transfer and a read,
-// never a check.
+// never a check. The bytes a requester holds are records it verified in
+// earlier replies, or records it rebuilt from its own signed request and
+// matched to the tx-hash an LSP receipt signed (the ledger client's own
+// writes).
 //
 // A prover may always send a named record in full (a router, an older
 // server), and payloads are never held back.
@@ -70,9 +73,26 @@ func newPlaceholder(jsn uint64, occulted bool) *Placeholder {
 	return p
 }
 
-// writeSlot writes one record of a clue or query reply: its bytes, or
-// its placeholder — an empty byte string (no record encodes to nothing),
-// the jsn and the occult byte.
+// slotBytes completes one record slot of a proof whose in-memory half
+// was taken under the ledger lock: the record's bytes, or a placeholder
+// when held names jsn — its journal-stream read skipped unless a payload
+// was asked for, which needs the record's payload digest — and the
+// payload when asked for and not occulted.
+func (l *Ledger) slotBytes(jsn uint64, withPayload, occulted bool, held Held) (raw []byte, p *Placeholder, payload []byte, err error) {
+	withPayload = withPayload && !occulted
+	if !held.Has(jsn) {
+		raw, payload, err = l.recordBytes(jsn, withPayload)
+		return raw, nil, payload, err
+	}
+	if withPayload {
+		_, payload, err = l.recordBytes(jsn, true)
+	}
+	return nil, newPlaceholder(jsn, occulted), payload, err
+}
+
+// writeSlot writes one record slot of a reply: its bytes, or its
+// placeholder — an empty byte string (no record encodes to nothing), the
+// jsn and the occult byte.
 func writeSlot(w *wire.Writer, raw []byte, p *Placeholder) {
 	if p == nil {
 		w.WriteBytes(raw)
@@ -93,17 +113,21 @@ func readSlot(r *wire.Reader) ([]byte, *Placeholder) {
 }
 
 // filler puts held bytes back into a reply slot by slot. get returns the
-// requester's verified bytes of a jsn its request named.
+// requester's verified bytes of a jsn its request named. ordered says
+// the answer's jsns never go backwards: a clue lineage's. A batch
+// answers jsns in the order they were asked, and the query verifier
+// checks a query result's order itself.
 type filler struct {
-	get    func(jsn uint64) ([]byte, bool)
-	prev   uint64
-	n      int
-	filled int
+	get     func(jsn uint64) ([]byte, bool)
+	ordered bool
+	prev    uint64
+	n       int
+	filled  int
 }
 
-// slot fills *raw when p is set and checks that the answer's jsns never
-// go backwards. A placeholder for a jsn the request did not name, or
-// one the held bytes do not match, is refused.
+// slot fills *raw when p is set and, for an ordered answer, checks that
+// its jsns never go backwards. A placeholder for a jsn the request did
+// not name, or one the held bytes do not match, is refused.
 func (f *filler) slot(raw *[]byte, p *Placeholder) error {
 	if p != nil {
 		held, ok := f.get(p.JSN)
@@ -115,6 +139,9 @@ func (f *filler) slot(raw *[]byte, p *Placeholder) error {
 		*raw = filled
 		f.filled++
 	}
+	if p == nil && !f.ordered {
+		return nil
+	}
 	jsn, err := journal.PeekJSN(*raw)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrVerify, err)
@@ -122,7 +149,7 @@ func (f *filler) slot(raw *[]byte, p *Placeholder) error {
 	if p != nil && jsn != p.JSN {
 		return fmt.Errorf("%w: placeholder for jsn %d filled with record %d", ErrVerify, p.JSN, jsn)
 	}
-	if f.n > 0 && jsn < f.prev {
+	if f.ordered && f.n > 0 && jsn < f.prev {
 		return fmt.Errorf("%w: record %d (jsn %d) out of order after jsn %d", ErrVerify, f.n, jsn, f.prev)
 	}
 	f.prev, f.n = jsn, f.n+1
@@ -148,7 +175,7 @@ func (b *ClueProofBundle) Fill(get func(jsn uint64) ([]byte, bool)) (int, error)
 	if len(b.Held) != len(b.Records) {
 		return 0, fmt.Errorf("%w: %d placeholders for %d records", ErrVerify, len(b.Held), len(b.Records))
 	}
-	f := filler{get: get}
+	f := filler{get: get, ordered: true}
 	for i := range b.Records {
 		if err := f.slot(&b.Records[i], b.placeholder(i)); err != nil {
 			return 0, err
@@ -158,7 +185,8 @@ func (b *ClueProofBundle) Fill(get func(jsn uint64) ([]byte, bool)) (int, error)
 	return f.filled, nil
 }
 
-// Fill is ClueProofBundle.Fill for a query reply's batch.
+// Fill is ClueProofBundle.Fill for a batch: a query reply's, or a
+// batched existence proof's.
 func (b *ExistenceProofBatch) Fill(get func(jsn uint64) ([]byte, bool)) (int, error) {
 	if !slices.ContainsFunc(b.Items, func(it ExistenceItem) bool { return it.Held != nil }) {
 		return 0, nil
@@ -171,4 +199,18 @@ func (b *ExistenceProofBatch) Fill(get func(jsn uint64) ([]byte, bool)) (int, er
 		b.Items[i].Held = nil
 	}
 	return f.filled, nil
+}
+
+// Fill is ClueProofBundle.Fill for a single existence proof, whose one
+// record slot may be a placeholder.
+func (p *ExistenceProof) Fill(get func(jsn uint64) ([]byte, bool)) (int, error) {
+	if p.Held == nil {
+		return 0, nil
+	}
+	f := filler{get: get}
+	if err := f.slot(&p.RecordBytes, p.Held); err != nil {
+		return 0, err
+	}
+	p.Held = nil
+	return 1, nil
 }

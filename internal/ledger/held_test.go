@@ -28,9 +28,10 @@ type heldFixture struct {
 	query                Query
 	coldQuery, warmQuery *QueryResult
 	// sealed proves a journal of sealed epoch 0 (no state), open one of
-	// the open epoch (state held back); coldSealed and coldOpen are their
-	// cold replies.
-	sealed, open, coldSealed, coldOpen *ExistenceProof
+	// the open epoch (state held back), heldRec a held journal of the open
+	// epoch (record and state held back, payload sent); coldSealed,
+	// coldOpen and coldHeldRec are their cold replies.
+	sealed, open, heldRec, coldSealed, coldOpen, coldHeldRec *ExistenceProof
 }
 
 // buildHeldFixture interleaves clue K's nine versions with another
@@ -70,21 +71,23 @@ func buildHeldFixture(tb testing.TB) *heldFixture {
 	}
 	f.coldQuery = &QueryResult{Query: f.query, Batch: cold}
 	f.warmQuery = &QueryResult{Query: f.query, Batch: warm}
-	if f.sealed, err = e.ledger.ProveExistenceHeld(jsns[1], true, f.held); err != nil {
-		tb.Fatal(err)
+	prove := func(jsn uint64, held Held) *ExistenceProof {
+		p, err := e.ledger.ProveExistenceHeld(jsn, true, held)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return p
 	}
+	// jsns[2] is the unheld version in epoch 0, jsns[7] a held one past it.
 	last := jsns[len(jsns)-1]
-	if f.open, err = e.ledger.ProveExistenceHeld(last, true, f.held); err != nil {
-		tb.Fatal(err)
+	f.sealed, f.coldSealed = prove(jsns[2], f.held), prove(jsns[2], Held{})
+	f.open, f.coldOpen = prove(last, f.held), prove(last, Held{})
+	f.heldRec, f.coldHeldRec = prove(jsns[7], f.held), prove(jsns[7], Held{})
+	if f.warmClue.Slot != StateHeld || warm.Slot != StateHeld || f.open.Slot != StateHeld || f.sealed.Slot != StateNone || f.heldRec.Slot != StateHeld {
+		tb.Fatalf("warm replies carry state slots %d, %d, %d, %d, %d", f.warmClue.Slot, warm.Slot, f.open.Slot, f.sealed.Slot, f.heldRec.Slot)
 	}
-	if f.coldOpen, err = e.ledger.ProveExistence(last, true); err != nil {
-		tb.Fatal(err)
-	}
-	if f.coldSealed, err = e.ledger.ProveExistence(jsns[1], true); err != nil {
-		tb.Fatal(err)
-	}
-	if f.warmClue.Slot != StateHeld || warm.Slot != StateHeld || f.open.Slot != StateHeld || f.sealed.Slot != StateNone {
-		tb.Fatalf("warm replies carry state slots %d, %d, %d, %d", f.warmClue.Slot, warm.Slot, f.open.Slot, f.sealed.Slot)
+	if f.sealed.Held != nil || f.open.Held != nil || f.heldRec.Held == nil || f.heldRec.Payload == nil {
+		tb.Fatal("existence replies left out the wrong records")
 	}
 	store := make(map[uint64][]byte)
 	for _, raw := range f.coldClue.Records {
@@ -237,20 +240,24 @@ func (f *heldFixture) shapes() []heldShape {
 		},
 		existenceShape("existence, sealed epoch", f.sealed),
 		existenceShape("existence, held state", f.open),
+		existenceShape("existence, held record", f.heldRec),
 	}
 }
 
-// existenceShape is a single existence reply. Its record's occult flag
-// is unauthenticated. The fam proof names no position or epoch of its
-// own and its size is bound to the signed one or to a learned epoch's
-// end, but its Height is bound only by the fold: a walk that stays in
-// one epoch after the first hashes no epoch number, so another height
-// under which that walk has the same shape folds to the same root (no
-// hash or signature the verifier holds states δ).
+// existenceShape is a single existence reply. Its record's (or
+// placeholder's) occult flag is unauthenticated. The fam proof names no
+// position or epoch of its own and its size is bound to the signed one
+// or to a learned epoch's end, but its Height is bound only by the fold:
+// a walk that stays in one epoch after the first hashes no epoch number,
+// so another height under which that walk has the same shape folds to
+// the same root (no hash or signature the verifier holds states δ).
+// A reply with a placeholder in its record slot is held to the
+// placeholder's occult byte alone: no other byte of it may move and
+// still verify.
 func existenceShape(name string, p *ExistenceProof) heldShape {
 	w := newTestWriter()
-	w.WriteBytes(p.RecordBytes)
-	loose := map[int]bool{w.Len() - 1: true}
+	loose := make(map[int]bool)
+	slotOccult(w, loose, p.RecordBytes, p.Held)
 	w.WriteBytes(p.Payload)
 	if rec, err := journal.DecodeRecord(p.RecordBytes); err == nil && p.Slot != StateNone && oneLaterEpoch(p.Fam, rec.JSN) {
 		loose[w.Len()] = true
@@ -263,6 +270,9 @@ func existenceShape(name string, p *ExistenceProof) heldShape {
 				return nil, err
 			}
 			again := got.EncodeBytes()
+			if _, err := got.Fill(q.get); err != nil {
+				return again, err
+			}
 			_, err = q.verifyExistence(got, v)
 			return again, err
 		},
@@ -341,6 +351,21 @@ func TestHeldRepliesFillToColdReplies(t *testing.T) {
 	if !bytes.Equal(p.EncodeBytes(), f.coldOpen.EncodeBytes()) {
 		t.Fatal("filled open-epoch existence proof differs from the cold one")
 	}
+	if p, err = DecodeExistenceProof(f.heldRec.EncodeBytes()); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := p.Fill(f.get); err != nil || n != 1 {
+		t.Fatalf("held-record existence proof: filled %d, %v", n, err)
+	}
+	if err := p.FillState(f.state, uint64(len(f.roots))); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(p.EncodeBytes(), f.coldHeldRec.EncodeBytes()) {
+		t.Fatal("filled held-record existence proof differs from the cold one")
+	}
+	if warm, cold := len(f.heldRec.EncodeBytes()), len(f.coldHeldRec.EncodeBytes()); cold-warm < len(p.RecordBytes)+len(stateBytes(f.state))-8 {
+		t.Fatalf("held-record existence proof is %d bytes, cold %d", warm, cold)
+	}
 	if e, ok := f.sealed.Fam.SealedEpoch(); !ok || e != 0 || len(f.sealed.EncodeBytes())+len(stateBytes(f.state)) >= len(f.coldSealed.EncodeBytes()) {
 		t.Fatalf("sealed-epoch reply: ends epoch %d (%v), %d bytes; cold %d", e, ok, len(f.sealed.EncodeBytes()), len(f.coldSealed.EncodeBytes()))
 	}
@@ -372,8 +397,10 @@ func TestHeldMutationSoundness(t *testing.T) {
 	if _, err := warm.VerifyQueryResult(f.query, f.coldQuery); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := warm.VerifyExistenceLearned(f.coldOpen, nil); err != nil {
-		t.Fatal(err)
+	for _, p := range []*ExistenceProof{f.coldOpen, f.coldHeldRec} {
+		if _, err := warm.VerifyExistenceLearned(p, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	cold := Verifier{LSP: f.lsp}
 	for _, s := range f.shapes() {

@@ -58,9 +58,8 @@ func (l *Ledger) ProveExistenceBatch(jsns []uint64, withPayload bool, held Held)
 // reply anchors to the ledger the index just caught up with — the
 // frontier state (frontierStateLocked) — not to an earlier one that
 // happens to cover the matches. Matches the requester holds go out as
-// placeholders, and so does the state when it is the one held.State
-// names; the journal-stream reads of held matches are skipped unless a
-// payload was asked for, which needs the record's payload digest.
+// placeholders (slotBytes), and so does the state when it is the one
+// held.State names.
 func (l *Ledger) ProveQueryBatch(jsns []uint64, withPayload bool, held Held) (*ExistenceProofBatch, error) {
 	return l.proveExistenceBatch(jsns, withPayload, true, held)
 }
@@ -103,17 +102,8 @@ func (l *Ledger) proveExistenceBatch(jsns []uint64, withPayload, frontier bool, 
 	b := &ExistenceProofBatch{Items: make([]ExistenceItem, len(jsns)), Fam: fp}
 	b.State, b.Slot = l.stateSlot(st, held)
 	for i, jsn := range jsns {
-		it, payload := &b.Items[i], withPayload && !occ[i]
-		switch {
-		case !held.Has(jsn):
-			it.RecordBytes, it.Payload, err = l.recordBytes(jsn, payload)
-		case payload:
-			it.Held = newPlaceholder(jsn, occ[i])
-			_, it.Payload, err = l.recordBytes(jsn, true)
-		default:
-			it.Held = newPlaceholder(jsn, occ[i])
-		}
-		if err != nil {
+		it := &b.Items[i]
+		if it.RecordBytes, it.Held, it.Payload, err = l.slotBytes(jsn, withPayload, occ[i], held); err != nil {
 			return nil, err
 		}
 	}

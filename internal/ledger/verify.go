@@ -40,10 +40,13 @@ type Verifier struct {
 // the journal is not occulted.
 type ExistenceProof struct {
 	RecordBytes []byte
-	Payload     []byte          // nil for occulted journals or digest-only proofs
-	Fam         *fam.BatchProof // the batch of one at the record's jsn
-	State       *SignedState    // nil unless Slot is StateSent
-	Slot        StateSlot
+	// Held is set, and RecordBytes empty, where the reply left the record
+	// out for a requester that holds it (see Fill).
+	Held    *Placeholder
+	Payload []byte          // nil for occulted journals or digest-only proofs
+	Fam     *fam.BatchProof // the batch of one at the record's jsn
+	State   *SignedState    // nil unless Slot is StateSent
+	Slot    StateSlot
 }
 
 // ProveExistence builds an existence proof for jsn at the newest signed
@@ -58,6 +61,7 @@ func (l *Ledger) ProveExistence(jsn uint64, withPayload bool) (*ExistenceProof, 
 // sealed epochs is proven at its epoch's end, its in-epoch path alone,
 // with no state and nothing signed; any other is proven as
 // ProveExistence proves it, its state held back when held.State names it.
+// A journal held.JSNs names goes out as a placeholder (slotBytes).
 //
 // The ledger lock covers only the in-memory snapshot: bounds, the fam
 // nodes (copied out by ProveBatchAt), the occult bit, and the signed
@@ -89,7 +93,7 @@ func (l *Ledger) ProveExistenceHeld(jsn uint64, withPayload bool, held Held) (*E
 	if err != nil {
 		return nil, err
 	}
-	if p.RecordBytes, p.Payload, err = l.recordBytes(jsn, withPayload && !occ); err != nil {
+	if p.RecordBytes, p.Held, p.Payload, err = l.slotBytes(jsn, withPayload, occ, held); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -351,7 +355,7 @@ func (v Verifier) VerifyClue(b *ClueProofBundle) ([]*journal.Record, error) {
 // EncodeBytes serializes an existence proof for transport.
 func (p *ExistenceProof) EncodeBytes() []byte {
 	w := wire.NewWriter(1024)
-	w.WriteBytes(p.RecordBytes)
+	writeSlot(w, p.RecordBytes, p.Held)
 	w.WriteBytes(p.Payload)
 	p.Fam.Encode(w)
 	writeState(w, p.State, p.Slot)
@@ -361,7 +365,8 @@ func (p *ExistenceProof) EncodeBytes() []byte {
 // DecodeExistenceProof parses a transported existence proof.
 func DecodeExistenceProof(b []byte) (*ExistenceProof, error) {
 	r := wire.NewReader(b)
-	p := &ExistenceProof{RecordBytes: r.BytesCopy()}
+	p := &ExistenceProof{}
+	p.RecordBytes, p.Held = readSlot(r)
 	if payload := r.BytesCopy(); len(payload) > 0 {
 		p.Payload = payload
 	}

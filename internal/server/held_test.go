@@ -103,10 +103,9 @@ func TestHeldReadsSendNoRecordBytes(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	counted := &bodyCounter{}
-	cli := &client.Client{
-		BaseURL: ts.URL, HTTP: &http.Client{Transport: counted},
-		Key: sig.GenerateDeterministic("held/client"), LSP: lsp.Public(), URI: "ledger://held",
-	}
+	cli := &client.Client{BaseURL: ts.URL, HTTP: &http.Client{Transport: counted}, LSP: lsp.Public(), URI: "ledger://held"}
+	// Another member writes: a client holds its own writes from the start.
+	writer := &client.Client{BaseURL: ts.URL, Key: sig.GenerateDeterministic("held/client"), LSP: lsp.Public(), URI: "ledger://held"}
 	// Every 16th journal is the hot clue's: 64 versions among 1 024.
 	for batch := 0; batch < 4; batch++ {
 		payloads, clues := make([][]byte, 256), make([][]string, 256)
@@ -118,7 +117,7 @@ func TestHeldReadsSendNoRecordBytes(t *testing.T) {
 				clues[j] = []string{"hot"}
 			}
 		}
-		if _, _, err := cli.AppendBatch(payloads, clues); err != nil {
+		if _, _, err := writer.AppendBatch(payloads, clues); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -249,5 +248,108 @@ func TestWarmSealedProofBytes(t *testing.T) {
 	}
 	if warm > int64(budget) {
 		t.Fatalf("warm sealed-epoch reply is %d bytes, budget %d (testdata/proof_warm_bytes_budget)", warm, budget)
+	}
+}
+
+// TestOwnWritesHeld is the guard scripts/check.sh perf runs for own
+// writes. A client appends 16 journals one by one and 16 more in one
+// batch (disk streams on a counting file system, the benchmark's δ = 15
+// and block size), then proves each and reads the clue's whole lineage:
+// every record slot of those 33 replies is a placeholder (HeldStats
+// counts 64 hits and no miss) and the service reads no journal from the
+// stream. After the first proof, which teaches the client the signed
+// state, the 32 replies carry no signature, so their size repeats
+// exactly between runs and fits testdata/proof_own_bytes_budget: lower
+// it when replies shrink, never raise it to admit a regression. A
+// client that wrote nothing gets every record in full.
+func TestOwnWritesHeld(t *testing.T) {
+	raw, err := os.ReadFile("testdata/proof_own_bytes_budget")
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget, err := strconv.Atoi(strings.TrimSpace(string(raw)))
+	if err != nil {
+		t.Fatalf("bad budget file: %v", err)
+	}
+	fs := &journalReadFS{FileSystem: faultfs.NewDisk()}
+	store, err := streamfs.OpenDisk("ledger", streamfs.DiskOptions{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lsp := sig.GenerateDeterministic("own/lsp")
+	l, err := ledger.Open(ledger.Config{
+		URI: "ledger://own", FractalHeight: 15, BlockSize: 128, LSP: lsp,
+		DBA:   sig.GenerateDeterministic("own/dba").Public(),
+		Store: store, Blobs: streamfs.NewMemoryBlobs(), Clock: logicalclock.New(9_000_000).Tick,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	ts := httptest.NewServer(server.New(l, nil))
+	defer ts.Close()
+	counted := &bodyCounter{}
+	cli := &client.Client{
+		BaseURL: ts.URL, HTTP: &http.Client{Transport: counted},
+		Key: sig.GenerateDeterministic("own/client"), LSP: lsp.Public(), URI: "ledger://own",
+	}
+	const each = 16
+	var jsns []uint64
+	for i := 0; i < each; i++ {
+		rc, err := cli.Append([]byte(fmt.Sprintf("own-%d", i)), "own")
+		if err != nil {
+			t.Fatal(err)
+		}
+		jsns = append(jsns, rc.JSN)
+	}
+	payloads, clues := make([][]byte, each), make([][]string, each)
+	for i := range payloads {
+		payloads[i], clues[i] = []byte(fmt.Sprintf("own-batch-%d", i)), []string{"own"}
+	}
+	br, _, err := cli.AppendBatch(payloads, clues)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range payloads {
+		jsns = append(jsns, br.FirstJSN+uint64(i))
+	}
+
+	// readAll proves every jsn and the clue through c, returning the reply
+	// bytes after the first proof and the journal reads of all of them.
+	readAll := func(c *client.Client) (bytes, reads int64) {
+		t.Helper()
+		var b0 int64
+		r0 := fs.reads.Load()
+		for i, jsn := range jsns {
+			if i == 1 {
+				b0 = counted.n.Load()
+			}
+			if rec, _, err := c.VerifyExistence(jsn, false); err != nil || rec.JSN != jsn {
+				t.Fatalf("verify %d: %v", jsn, err)
+			}
+		}
+		if recs, err := c.VerifyClue("own", 0, 0); err != nil || len(recs) != 2*each {
+			t.Fatalf("clue: %d records, %v", len(recs), err)
+		}
+		return counted.n.Load() - b0, fs.reads.Load() - r0
+	}
+	own, ownReads := readAll(cli)
+	fresh := &client.Client{BaseURL: ts.URL, HTTP: &http.Client{Transport: counted}, LSP: lsp.Public(), URI: "ledger://own"}
+	cold, coldReads := readAll(fresh)
+	hits, misses := cli.HeldStats()
+	fh, fm := fresh.HeldStats()
+	t.Logf("32 own writes: %d B over 31 proofs and one clue read (budget %d B), %d journal reads; a client that wrote nothing: %d B, %d reads",
+		own, budget, ownReads, cold, coldReads)
+	if hits != 4*each || misses != 0 {
+		t.Fatalf("own writes read back with %d hits, %d misses; want %d and 0", hits, misses, 4*each)
+	}
+	if fh != 0 || fm != 4*each {
+		t.Fatalf("a client that wrote nothing: %d hits, %d misses; want 0 and %d", fh, fm, 4*each)
+	}
+	if ownReads != 0 || coldReads != 4*each {
+		t.Fatalf("journal reads: %d for the writer, %d for a fresh client; want 0 and %d", ownReads, coldReads, 4*each)
+	}
+	if own > int64(budget) {
+		t.Fatalf("own-write replies are %d bytes, budget %d (testdata/proof_own_bytes_budget)", own, budget)
 	}
 }

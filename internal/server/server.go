@@ -418,10 +418,11 @@ func (s *Server) handlePayload(w http.ResponseWriter, r *http.Request) (*Envelop
 }
 
 // handleProof serves one existence proof. The requester may name the
-// signed state it holds (state=) and how many sealed fam epoch roots it
-// learned (sealed=): a journal in one of those epochs is answered with
-// its in-epoch path alone, any other with the state left out when it is
-// the named one (ledger.ProveExistenceHeld).
+// signed state it holds (state=), how many sealed fam epoch roots it
+// learned (sealed=) and the records it holds (held=): a journal in one
+// of those epochs is answered with its in-epoch path alone, any other
+// with the state left out when it is the named one, and a held record
+// as a placeholder (ledger.ProveExistenceHeld).
 func (s *Server) handleProof(w http.ResponseWriter, r *http.Request) (*Envelope, error) {
 	jsn, err := pathJSN(r)
 	if err != nil {
@@ -444,18 +445,23 @@ func (s *Server) handleProof(w http.ResponseWriter, r *http.Request) (*Envelope,
 
 // handleProofBatch serves N existence proofs sharing one SignedState
 // (the amortized read path mirroring append-batch on the write side),
-// the state left out when it is the one the body names. The ledger
-// enforces the per-batch item ceiling.
+// the state left out when it is the one the body names and the records
+// it names as held (at most MaxProofBatch, as heldParam) as placeholders.
+// The ledger enforces the per-batch item ceiling.
 func (s *Server) handleProofBatch(w http.ResponseWriter, r *http.Request) (*Envelope, error) {
 	var body struct {
 		JSNs    []uint64 `json:"jsns"`
 		Payload bool     `json:"payload"`
 		State   string   `json:"state"`
+		Held    []uint64 `json:"held"`
 	}
 	if err := decodeJSONBody(w, r, maxAdminBody, &body); err != nil {
 		return nil, err
 	}
-	var held ledger.Held
+	if n := len(body.Held); n > ledger.MaxProofBatch {
+		return nil, fmt.Errorf("%w: %d held jsns exceed %d", journal.ErrBadRequest, n, ledger.MaxProofBatch)
+	}
+	held := ledger.NewHeld(body.Held)
 	if body.State != "" {
 		var err error
 		if held.State, err = digestParam("state", body.State); err != nil {

@@ -14,7 +14,7 @@
 #   scripts/check.sh shard    # multi-shard topology e2e incl. kill-one-shard chaos + local/remote backend parity (-race)
 #   scripts/check.sh query    # rich-query layer: index + absence tests (-race), crash + fuzz smoke
 #   scripts/check.sh replica  # replication: puller/bundle tests (-race), partition chaos, follower crash torture
-#   scripts/check.sh perf     # hot-path bench smoke + allocs/op, proof-size, ECDSA-count, signature fan-out, held-record, held-state, read-cost, reopen, payload-log and routed-append guards + the ledgerbench module's own vet/tests
+#   scripts/check.sh perf     # hot-path bench smoke + allocs/op, proof-size, ECDSA-count, signature fan-out, held-record (own writes included), held-state, read-cost, reopen, payload-log and routed-append guards + the ledgerbench module's own vet/tests
 #   scripts/check.sh all      # everything
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -69,6 +69,9 @@ stage_race() {
     go test -race -timeout 600s -count 3 ./internal/par
     go test -race -timeout 600s -count 3 -run 'TestColdClueFanOutRace|TestMemoSharedByClonesRace' ./internal/client
     go test -race -timeout 600s -count 3 -run 'TestBatchRejectNamesFirstBadRequest|TestAppendBatch' ./internal/ledger
+
+    echo "== tests (race: clones filing their own writes into one held store) =="
+    go test -race -timeout 600s -count 10 -run 'TestOwnWritesFromConcurrentClones' ./internal/client
 
     echo "== tests (race: depth-16 staged pipeline read stress) =="
     go test -race -timeout 600s -run 'TestPipelineDepth16ReadStress|TestPipelineStress' -count 2 ./internal/ledger
@@ -184,8 +187,9 @@ stage_perf() {
     go test -run 'TestVerifyClue64Costs' -count 1 -v ./internal/ledger | grep -E 'clue verify|PASS|FAIL|ok '
     go test -run 'TestVerifyClueFoldsBeforeSignatures|TestVerifierMemoDifferential' -count 1 ./internal/ledger
 
-    echo "== held-record guard (repeat 64-version clue read and Limit-16 query read 0 journals; warm clue reply within testdata/clue_warm64_bytes_budget; placeholder mutation sweeps, warm and cold) =="
-    go test -run 'TestHeldReadsSendNoRecordBytes' -count 1 -v ./internal/server | grep -E 'version clue|PASS|FAIL|ok '
+    echo "== held-record guard (repeat 64-version clue read and Limit-16 query read 0 journals; warm clue reply within testdata/clue_warm64_bytes_budget; own writes read back as placeholders only, within testdata/proof_own_bytes_budget; receipts bound to the request; placeholder mutation sweeps, warm and cold) =="
+    go test -run 'TestHeldReadsSendNoRecordBytes|TestOwnWritesHeld' -count 1 -v ./internal/server | grep -E 'version clue|own writes|PASS|FAIL|ok '
+    go test -run 'TestReceiptBindsRequest|TestOwnWritePlaceholderRefusals|TestOwnWritesFromConcurrentClones' -count 1 ./internal/client
     go test -run 'TestHeldMutationSoundness|TestHeldPlaceholderListMutations' -count 1 ./internal/ledger
 
     echo "== held-state guard (warm sealed-epoch proof on the 40 001-journal fixture within testdata/proof_warm_bytes_budget; 1 000 of them sign no state; unasked-for and forked state slots refused) =="
