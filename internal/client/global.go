@@ -19,21 +19,15 @@ import (
 	"ledgerdb/internal/wire"
 )
 
-// SubmitRequest forwards an already-signed request, verifying the
-// returned receipt against the pinned LSP key and that it acknowledges
-// the request (acknowledges). The router uses this per shard; it is
-// also the path for relaying a request signed by someone other than
-// this client's Key, so its π_c is not filed in the verified-signature
-// memo and its record is not held.
-func (c *Client) SubmitRequest(req *journal.Request) (*journal.Receipt, error) {
-	_, receipt, _, err := c.submitRequest(req, req.Hash())
-	return receipt, err
-}
-
-// SubmitRequestReplay is SubmitRequest under ctx that also reports
-// whether the service answered from its dedup window (a retry, here or
-// upstream, of an append that had already committed). The router
-// forwards under its own request's context and passes the marker on.
+// SubmitRequestReplay forwards an already-signed request under ctx,
+// verifying the returned receipt against the pinned LSP key and that it
+// acknowledges the request (acknowledges), and reports whether the
+// service answered from its dedup window (a retry, here or upstream, of
+// an append that had already committed). The router uses this per
+// shard and passes the marker on; it is also the path for relaying a
+// request signed by someone other than this client's Key, so its π_c
+// is not filed in the verified-signature memo and its record is not
+// held.
 func (c *Client) SubmitRequestReplay(ctx context.Context, req *journal.Request) (*journal.Receipt, bool, error) {
 	rep, receipt, _, err := c.WithContext(ctx).submitRequest(req, req.Hash())
 	if err != nil {
@@ -148,15 +142,9 @@ func bindShards(reqs []*journal.Request, hashes []hashutil.Digest, receipts map[
 	return nil
 }
 
-// SubmitBatch forwards a pre-signed batch, verifying the batch receipt
-// and its binding to the requests (bindBatch), and returning it with the
-// committed tx-hashes.
-func (c *Client) SubmitBatch(reqs []*journal.Request) (*ledger.BatchReceipt, []hashutil.Digest, error) {
-	br, txHashes, _, _, err := c.submitBatch(reqs, requestHashes(reqs))
-	return br, txHashes, err
-}
-
-// SubmitBatchReplay is SubmitRequestReplay for a batch.
+// SubmitBatchReplay is SubmitRequestReplay for a pre-signed batch: it
+// verifies the batch receipt and its binding to the requests
+// (bindBatch), and returns it with the committed tx-hashes.
 func (c *Client) SubmitBatchReplay(ctx context.Context, reqs []*journal.Request) (*ledger.BatchReceipt, []hashutil.Digest, bool, error) {
 	br, txHashes, _, replay, err := c.WithContext(ctx).submitBatch(reqs, requestHashes(reqs))
 	return br, txHashes, replay, err

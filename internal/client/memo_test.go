@@ -2,6 +2,7 @@ package client
 
 import (
 	"bytes"
+	"context"
 	"encoding/base64"
 	"encoding/json"
 	"errors"
@@ -511,7 +512,7 @@ func (st *stateTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 // of each version, one clue proof over all 64 and one prefix query run
 // ECDSA only for the distinct signed states the replies carry — every
 // π_c is a triple the client made itself. A request signed by another
-// key and relayed with SubmitRequest is not filed.
+// key and relayed with SubmitRequestReplay is not filed.
 func TestOwnWritesVerifyWithoutECDSA(t *testing.T) {
 	const singles, batched = 32, 32
 	const versions = singles + batched
@@ -582,19 +583,19 @@ func TestOwnWritesVerifyWithoutECDSA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.SubmitRequest(relayed); err != nil {
+	if _, _, err := c.SubmitRequestReplay(context.Background(), relayed); err != nil {
 		t.Fatal(err)
 	}
 	if h2, m2 := c.MemoStats(); h2 != hits || m2 != misses {
-		t.Fatalf("SubmitRequest moved the memo stats: %d/%d -> %d/%d", hits, misses, h2, m2)
+		t.Fatalf("SubmitRequestReplay moved the memo stats: %d/%d -> %d/%d", hits, misses, h2, m2)
 	}
-	// The memo has no size to read; probe for the one entry SubmitRequest
+	// The memo has no size to read; probe for the one entry SubmitRequestReplay
 	// could have filed. Checking the relayed π_c must run ECDSA.
 	if err := c.memo.Verify(relayed.ClientPK, h, relayed.ClientSig); err != nil {
 		t.Fatal(err)
 	}
 	if _, m3 := c.MemoStats(); m3 != misses+1 {
-		t.Fatal("SubmitRequest filed the π_c of a request another key signed")
+		t.Fatal("SubmitRequestReplay filed the π_c of a request another key signed")
 	}
 }
 

@@ -2,6 +2,7 @@ package client
 
 import (
 	"bytes"
+	"context"
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
@@ -146,7 +147,7 @@ func TestReceiptBindsRequest(t *testing.T) {
 	ls.set(groupOther)
 	_, err = c.Append([]byte("mine"), "k")
 	refuse("group receipt over another record", err)
-	_, err = c.SubmitRequest(relay([]byte("relayed")))
+	_, _, err = c.SubmitRequestReplay(context.Background(), relay([]byte("relayed")))
 	refuse("relayed request, group receipt over another record", err)
 
 	ls.set(batchSwap)
@@ -154,7 +155,7 @@ func TestReceiptBindsRequest(t *testing.T) {
 	refuse("batch receipt with one tx-hash swapped", err)
 	_, _, err = c.AppendBatchSharded(batch, nil)
 	refuse("single-node batch receipt through the sharded call, one tx-hash swapped", err)
-	_, _, err = c.SubmitBatch([]*journal.Request{relay([]byte("r0")), relay([]byte("r1"))})
+	_, _, _, err = c.SubmitBatchReplay(context.Background(), []*journal.Request{relay([]byte("r0")), relay([]byte("r1"))})
 	refuse("relayed batch, one tx-hash swapped", err)
 
 	ls.set(routedOther)

@@ -2,6 +2,7 @@ package shardtest
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -50,12 +51,12 @@ func (b *swapBackend) set(inner server.ShardBackend) {
 	b.inner = inner
 }
 
-func (b *swapBackend) SubmitRequest(req *journal.Request) (*journal.Receipt, error) {
-	return b.get().SubmitRequest(req)
+func (b *swapBackend) SubmitRequestReplay(ctx context.Context, req *journal.Request) (*journal.Receipt, bool, error) {
+	return b.get().SubmitRequestReplay(ctx, req)
 }
 
-func (b *swapBackend) SubmitBatch(reqs []*journal.Request) (*ledger.BatchReceipt, []hashutil.Digest, error) {
-	return b.get().SubmitBatch(reqs)
+func (b *swapBackend) SubmitBatchReplay(ctx context.Context, reqs []*journal.Request) (*ledger.BatchReceipt, []hashutil.Digest, bool, error) {
+	return b.get().SubmitBatchReplay(ctx, reqs)
 }
 
 func (b *swapBackend) Query(q ledger.Query) (*ledger.QueryResult, error) {

@@ -37,13 +37,6 @@ var l9Allowlist = map[string]string{
 	// is the single entry point where that default is applied, so every
 	// other client path inherits a caller-provided context.
 	"internal/client.callIdem": "documented nil-Context default applied at the client's single call entry point",
-	// server.ShardBackend's methods take no context by contract (the
-	// interface predates the router's in-process backends and is frozen);
-	// *Server's two submits are where that contract meets the
-	// context-taking core. The router itself calls the *Replay variants
-	// under its request's context.
-	"internal/server.SubmitRequest": "ShardBackend method: no context by contract",
-	"internal/server.SubmitBatch":   "ShardBackend method: no context by contract",
 	// The golden fixture demonstrating the allowlist escape hatch.
 	"internal/lint/testdata/src/l9.rootBackground": "fixture: the named-allowlist escape hatch under test",
 }

@@ -68,29 +68,16 @@ func (s *Server) query(q ledger.Query, held ledger.Held) (*ledger.QueryResult, e
 	return s.Index.QueryHeld(q, held)
 }
 
-// SubmitRequest implements ShardBackend, whose methods carry no
-// context by contract.
-func (s *Server) SubmitRequest(req *journal.Request) (*journal.Receipt, error) {
-	receipt, _, err := s.SubmitRequestReplay(context.Background(), req)
-	return receipt, err
-}
-
-// SubmitRequestReplay is SubmitRequest under the caller's context, also
-// reporting a deduplicated replay (see replayReporter). ctx bounds only
-// the wait for a concurrent duplicate; an append this call started runs
-// to its commit.
+// SubmitRequestReplay implements ShardBackend: it commits a signed
+// request, also reporting a deduplicated replay. ctx bounds only the
+// wait for a concurrent duplicate; an append this call started runs to
+// its commit.
 func (s *Server) SubmitRequestReplay(ctx context.Context, req *journal.Request) (*journal.Receipt, bool, error) {
 	if err := s.gate.enter(); err != nil {
 		return nil, false, err
 	}
 	defer s.gate.leave()
 	return s.appendOne(ctx, req)
-}
-
-// SubmitBatch implements ShardBackend.
-func (s *Server) SubmitBatch(reqs []*journal.Request) (*ledger.BatchReceipt, []hashutil.Digest, error) {
-	br, txHashes, _, err := s.SubmitBatchReplay(context.Background(), reqs)
-	return br, txHashes, err
 }
 
 // SubmitBatchReplay is SubmitRequestReplay for a batch.

@@ -26,26 +26,18 @@ import (
 
 // ShardBackend is one shard's append and rich-read path as the router
 // sees it. *Server satisfies it in-process (backend.go); the hardened
-// *client.Client satisfies it for a shard elsewhere (SubmitRequest/
-// SubmitBatch forward pre-signed requests verbatim; Query/ProveAbsence
-// fetch and re-verify proof-carrying reads). The client package's own
-// tests stand up servers, so server cannot import client and names the
+// *client.Client satisfies it for a shard elsewhere. The two submits
+// forward pre-signed requests verbatim under the routed request's
+// context and say whether the shard answered out of its dedup window,
+// so the router can pass Idempotent-Replay on; Query/ProveAbsence fetch
+// and re-verify proof-carrying reads. The client package's own tests
+// stand up servers, so server cannot import client and names the
 // interface instead.
 type ShardBackend interface {
-	SubmitRequest(req *journal.Request) (*journal.Receipt, error)
-	SubmitBatch(reqs []*journal.Request) (*ledger.BatchReceipt, []hashutil.Digest, error)
-	Query(q ledger.Query) (*ledger.QueryResult, error)
-	ProveAbsence(name string, prefix bool) (*ledger.AbsenceProof, error)
-}
-
-// replayReporter is the optional half of a backend: the two submits
-// under the routed request's context, also saying whether the shard
-// answered out of its dedup window, so the router can pass
-// Idempotent-Replay on. *Server and *client.Client have it; a backend
-// without it loses the marker and the cancellation, nothing else.
-type replayReporter interface {
 	SubmitRequestReplay(ctx context.Context, req *journal.Request) (*journal.Receipt, bool, error)
 	SubmitBatchReplay(ctx context.Context, reqs []*journal.Request) (*ledger.BatchReceipt, []hashutil.Digest, bool, error)
+	Query(q ledger.Query) (*ledger.QueryResult, error)
+	ProveAbsence(name string, prefix bool) (*ledger.AbsenceProof, error)
 }
 
 // Router fronts a sharded deployment: requests in, shard-routed appends
@@ -164,13 +156,7 @@ func (rt *Router) handleAppend(w http.ResponseWriter, r *http.Request) (*Envelop
 		return nil, err
 	}
 	i := rt.Part.Route(req)
-	var receipt *journal.Receipt
-	var replay bool
-	if b, ok := rt.Backends[i].(replayReporter); ok {
-		receipt, replay, err = b.SubmitRequestReplay(r.Context(), req)
-	} else {
-		receipt, err = rt.Backends[i].SubmitRequest(req)
-	}
+	receipt, replay, err := rt.Backends[i].SubmitRequestReplay(r.Context(), req)
 	if err != nil {
 		return nil, err
 	}
@@ -200,15 +186,7 @@ func (rt *Router) handleAppendBatch(w http.ResponseWriter, r *http.Request) (*En
 		if groups[s] == nil {
 			return "", nil
 		}
-		var br *ledger.BatchReceipt
-		var txHashes []hashutil.Digest
-		var replay bool
-		var err error
-		if b, ok := rt.Backends[s].(replayReporter); ok {
-			br, txHashes, replay, err = b.SubmitBatchReplay(r.Context(), groups[s])
-		} else {
-			br, txHashes, err = rt.Backends[s].SubmitBatch(groups[s])
-		}
+		br, txHashes, replay, err := rt.Backends[s].SubmitBatchReplay(r.Context(), groups[s])
 		if err != nil {
 			return "", err
 		}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/base64"
 	"encoding/json"
 	"errors"
@@ -30,15 +31,16 @@ type stubBackend struct {
 	down bool
 }
 
-func (b *stubBackend) SubmitRequest(req *journal.Request) (*journal.Receipt, error) {
+func (b *stubBackend) SubmitRequestReplay(_ context.Context, req *journal.Request) (*journal.Receipt, bool, error) {
 	if b.down {
-		return nil, errBackendDown
+		return nil, false, errBackendDown
 	}
-	return b.led.Append(req)
+	receipt, err := b.led.Append(req)
+	return receipt, false, err
 }
 
-func (b *stubBackend) SubmitBatch([]*journal.Request) (*ledger.BatchReceipt, []hashutil.Digest, error) {
-	return nil, nil, errBackendDown
+func (b *stubBackend) SubmitBatchReplay(context.Context, []*journal.Request) (*ledger.BatchReceipt, []hashutil.Digest, bool, error) {
+	return nil, nil, false, errBackendDown
 }
 
 func (b *stubBackend) Query(q ledger.Query) (*ledger.QueryResult, error) {

@@ -5,8 +5,11 @@
 // verifiable purge/occult mutations, and the T-Ledger time notary.
 //
 // The package re-exports the internal building blocks under stable names
-// and adds Stack, a batteries-included single-process deployment used by
-// the examples and the quickstart:
+// and adds Stack, the single-node deployment the examples and the
+// quickstart run in one process: one engine and its query index, its
+// read replicas, a CA with a member registry, a TSA pool and the
+// T-Ledger. Scale-out is served, not embedded: cmd/ledgerdb-server
+// -shards N puts internal/server's Router in front of clue shards.
 //
 //	stack, _ := ledgerdb.NewStack(ledgerdb.StackOptions{URI: "ledger://demo"})
 //	alice := stack.NewMember("alice")
@@ -30,7 +33,6 @@ import (
 	"ledgerdb/internal/journal"
 	"ledgerdb/internal/ledger"
 	"ledgerdb/internal/replica"
-	"ledgerdb/internal/shard"
 	"ledgerdb/internal/sig"
 	"ledgerdb/internal/streamfs"
 	"ledgerdb/internal/tledger"
@@ -78,14 +80,6 @@ type (
 	TLedger = tledger.TLedger
 	// TSAPool is a pool of time-stamp authorities.
 	TSAPool = tsa.Pool
-	// Partitioner routes requests to shards by digest range.
-	Partitioner = shard.Partitioner
-	// Coordinator folds shard fam roots into the signed global state.
-	Coordinator = shard.Coordinator
-	// GlobalState is the coordinator-signed top-level LedgerInfo.
-	GlobalState = shard.GlobalState
-	// GlobalProof is the cross-shard record → global-root proof.
-	GlobalProof = shard.GlobalProof
 	// Query is a rich read (by clue prefix, time range, or signer).
 	Query = ledger.Query
 	// QueryResult is a proof-carrying rich-read reply.
@@ -126,8 +120,6 @@ var (
 	VerifyExistence = ledger.VerifyExistence
 	// VerifyClue is the client-side lineage verification (§IV-C).
 	VerifyClue = ledger.VerifyClue
-	// VerifyGlobal is the client-side cross-shard verification.
-	VerifyGlobal = shard.VerifyGlobal
 	// VerifyQueryResult is the client-side rich-read verification.
 	VerifyQueryResult = ledger.VerifyQueryResult
 	// VerifyAbsenceProof is the client-side absence verification.
@@ -168,7 +160,8 @@ var (
 type StackOptions struct {
 	// URI identifies the ledger; empty means "ledger://local".
 	URI string
-	// Dir persists the ledger under a directory; empty means in-memory.
+	// Dir persists the ledger under a directory, in the server's
+	// single-node layout (Dir/streams, Dir/blobs); empty means in-memory.
 	Dir string
 	// FractalHeight is fam's δ (0 = 15). Small values exercise many
 	// epochs; see DESIGN.md.
@@ -192,22 +185,12 @@ type StackOptions struct {
 	// .SyncEvery): commit points always sync; a positive value also
 	// syncs the journal/digest streams every N applied records.
 	SyncEvery int
-	// Shards is the number of clue-sharded engine instances (0 or 1 =
-	// single node — the 1-shard degenerate case). All shards share the
-	// deployment URI, LSP key, CA, registry, and T-Ledger; appends route
-	// by clue through a digest-range partitioner, and a coordinator
-	// folds the per-shard fam roots into one signed global state.
-	Shards int
-	// FoldInterval starts the coordinator's background fold loop with
-	// that period (0 = fold on demand only — proofs and audits fold
-	// synchronously when needed).
-	FoldInterval time.Duration
-	// Followers is the number of read replicas per shard (0 = none).
-	// Each follower is an apply-only engine continuously pulling its
-	// shard's streams through the sealed-frame replication protocol —
-	// crash recovery running as a service — with its own rich-query
-	// index. Followers live in memory (a replica is rebuildable from
-	// its primary by construction) and drain before the stack closes.
+	// Followers is the number of read replicas (0 = none). Each follower
+	// is an apply-only engine continuously pulling the ledger's streams
+	// through the sealed-frame replication protocol — crash recovery
+	// running as a service — with its own rich-query index. Followers
+	// live in memory (a replica is rebuildable from its primary by
+	// construction) and drain before the stack closes.
 	Followers int
 	// FollowerInterval is each follower's idle poll period once caught
 	// up (0 = 50ms).
@@ -217,24 +200,19 @@ type StackOptions struct {
 // DiskOptions re-exports the stream-store tuning knobs.
 type DiskOptions = streamfs.DiskOptions
 
-// Stack is a complete local deployment: N clue-sharded ledgers (one in
-// single-node mode) behind a routing partitioner, the cross-shard
-// coordinator, the shared LSP and DBA identities, a CA with a member
-// registry, a TSA pool, and a T-Ledger. Ledger aliases shard 0, so
-// single-node code reads exactly as before.
+// Stack is a complete local deployment: one ledger and its rich-query
+// index, its read replicas, the LSP and DBA identities, a CA with a
+// member registry, a TSA pool, and a T-Ledger.
 type Stack struct {
-	Ledger      *ledger.Ledger   // shard 0 — the whole ledger in single-node mode
-	Shards      []*ledger.Ledger // all shards, in partition order
-	Indexes     []*index.Index   // per-shard rich-query indexes, same order
-	Followers   []*Follower      // read replicas, grouped by shard then replica slot
-	Partitioner *shard.Partitioner
-	Coordinator *shard.Coordinator
-	TLedger     *tledger.TLedger
-	TSAs        *tsa.Pool
-	CA          *ca.Authority
-	Registry    *ca.Registry
-	LSP         *sig.KeyPair
-	DBA         *sig.KeyPair
+	Ledger    *ledger.Ledger
+	Index     *index.Index
+	Followers []*Follower
+	TLedger   *tledger.TLedger
+	TSAs      *tsa.Pool
+	CA        *ca.Authority
+	Registry  *ca.Registry
+	LSP       *sig.KeyPair
+	DBA       *sig.KeyPair
 
 	uri   string
 	clock func() int64
@@ -253,7 +231,6 @@ type Follower struct {
 	Ledger *ledger.Ledger
 	Index  *index.Index
 	Puller *replica.Puller
-	Shard  int // index of the shard this follower replicates
 
 	primary *ledger.Ledger
 	cancel  context.CancelFunc
@@ -297,11 +274,9 @@ func (f *Follower) stop() error {
 	return f.Ledger.Close()
 }
 
-// shardWiring is the deployment-wide context every shard builder shares:
-// one URI, one LSP key, one registry, one clock. Keeping it explicit is
-// what makes the single-node path the literal 1-shard case instead of a
-// diverging copy of the construction code.
-type shardWiring struct {
+// wiring is what the primary and its followers share: one URI, one LSP
+// key, one registry, one clock.
+type wiring struct {
 	opts     StackOptions
 	clock    func() int64
 	lsp      *sig.KeyPair
@@ -309,37 +284,28 @@ type shardWiring struct {
 	registry *ca.Registry
 }
 
-// openShardStorage opens shard i's stream store and payload log.
-// Single-node keeps the flat layout (Dir/streams, Dir/blobs); sharded
-// deployments nest each shard under Dir/shard-<i>/. (A Dir/blobs written
-// as one file per payload, before the payload log, is refused.)
-func (w shardWiring) openShardStorage(i, total int) (streamfs.Store, streamfs.BlobStore, error) {
+// openStorage opens the stream store and payload log: in memory, or
+// Dir/streams and Dir/blobs on disk. (A Dir/blobs written as one file
+// per payload, before the payload log, is refused.)
+func (w wiring) openStorage() (streamfs.Store, streamfs.BlobStore, error) {
 	if w.opts.Dir == "" {
 		return streamfs.NewMemory(), streamfs.NewMemoryBlobs(), nil
 	}
-	dir := w.opts.Dir
-	if total > 1 {
-		dir = filepath.Join(dir, fmt.Sprintf("shard-%d", i))
-	}
-	store, err := streamfs.OpenDisk(filepath.Join(dir, "streams"), w.opts.Disk)
+	store, err := streamfs.OpenDisk(filepath.Join(w.opts.Dir, "streams"), w.opts.Disk)
 	if err != nil {
 		return nil, nil, err
 	}
-	blobs, err := streamfs.OpenDiskBlobs(filepath.Join(dir, "blobs"))
+	blobs, err := streamfs.OpenDiskBlobs(filepath.Join(w.opts.Dir, "blobs"))
 	if err != nil {
+		store.Close()
 		return nil, nil, err
 	}
 	return store, blobs, nil
 }
 
-// buildShardLedger wires one engine instance — the reusable per-shard
-// builder behind both NewStack paths. Every shard runs under the shared
-// URI and LSP key: client requests are signed over the URI, so routing
-// stays transparent to clients, and the 1-shard stack is byte-identical
-// to the historical single-node one. Shard identity is bound later, in
-// the coordinator's accumulator leaves, not here.
-func (w shardWiring) buildShardLedger(i, total int) (*ledger.Ledger, error) {
-	store, blobs, err := w.openShardStorage(i, total)
+// openLedger opens (or recovers) the primary engine.
+func (w wiring) openLedger() (*ledger.Ledger, error) {
+	store, blobs, err := w.openStorage()
 	if err != nil {
 		return nil, err
 	}
@@ -363,7 +329,7 @@ func (w shardWiring) buildShardLedger(i, total int) (*ledger.Ledger, error) {
 // but the frames are still sealed and the puller still verifies every
 // digest and checkpoint signature, so the trust-boundary code path is
 // exactly the one a remote follower would run.
-func (w shardWiring) startFollower(shardIdx int, primary *ledger.Ledger) (*Follower, error) {
+func (w wiring) startFollower(primary *ledger.Ledger) (*Follower, error) {
 	led, err := ledger.Open(ledger.Config{
 		URI:           w.opts.URI,
 		FractalHeight: w.opts.FractalHeight,
@@ -398,7 +364,6 @@ func (w shardWiring) startFollower(shardIdx int, primary *ledger.Ledger) (*Follo
 		Ledger:  led,
 		Index:   ix,
 		Puller:  pl,
-		Shard:   shardIdx,
 		primary: primary,
 		cancel:  cancel,
 		done:    make(chan struct{}),
@@ -415,14 +380,6 @@ func NewStack(opts StackOptions) (*Stack, error) {
 	if opts.URI == "" {
 		opts.URI = "ledger://local"
 	}
-	nShards := opts.Shards
-	if nShards == 0 {
-		nShards = 1
-	}
-	part, err := shard.NewPartitioner(nShards)
-	if err != nil {
-		return nil, err
-	}
 	clock := opts.Clock
 	if clock == nil {
 		clock = func() int64 { return time.Now().UnixNano() }
@@ -437,10 +394,6 @@ func NewStack(opts StackOptions) (*Stack, error) {
 		return nil, err
 	}
 	dba, err := sig.Generate()
-	if err != nil {
-		return nil, err
-	}
-	coordKey, err := sig.Generate()
 	if err != nil {
 		return nil, err
 	}
@@ -462,16 +415,13 @@ func NewStack(opts StackOptions) (*Stack, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Certify the built-in parties. The coordinator is LSP-operated in
-	// the paper's trust model, so its fold-signing key carries the LSP
-	// role under its own identity.
+	// Certify the built-in parties.
 	for _, grant := range []struct {
 		pk   sig.PublicKey
 		role ca.Role
 		name string
 	}{
 		{lsp.Public(), ca.RoleLSP, "lsp"},
-		{coordKey.Public(), ca.RoleLSP, "coordinator"},
 		{dba.Public(), ca.RoleDBA, "dba"},
 		{tl.Public(), ca.RoleTSA, "t-ledger"},
 	} {
@@ -493,161 +443,41 @@ func NewStack(opts StackOptions) (*Stack, error) {
 		}
 	}
 
-	wiring := shardWiring{opts: opts, clock: clock, lsp: lsp, dba: dba.Public(), registry: registry}
-	shards := make([]*ledger.Ledger, nShards)
-	for i := range shards {
-		l, err := wiring.buildShardLedger(i, nShards)
-		if err != nil {
-			for _, built := range shards[:i] {
-				built.Close()
-			}
-			return nil, fmt.Errorf("ledgerdb: shard %d: %w", i, err)
-		}
-		shards[i] = l
+	w := wiring{opts: opts, clock: clock, lsp: lsp, dba: dba.Public(), registry: registry}
+	led, err := w.openLedger()
+	if err != nil {
+		return nil, fmt.Errorf("ledgerdb: open ledger: %w", err)
 	}
-	closeAll := func() {
-		for _, built := range shards {
-			built.Close()
-		}
-	}
-	indexes := make([]*index.Index, nShards)
-	for i, l := range shards {
-		ix, err := index.Open(l, nil)
-		if err != nil {
-			closeAll()
-			return nil, fmt.Errorf("ledgerdb: shard %d index: %w", i, err)
-		}
-		indexes[i] = ix
+	ix, err := index.Open(led, nil)
+	if err != nil {
+		led.Close()
+		return nil, fmt.Errorf("ledgerdb: index: %w", err)
 	}
 	var followers []*Follower
-	for i, l := range shards {
-		for r := 0; r < opts.Followers; r++ {
-			f, err := wiring.startFollower(i, l)
-			if err != nil {
-				for _, started := range followers {
-					started.stop()
-				}
-				closeAll()
-				return nil, fmt.Errorf("ledgerdb: shard %d follower %d: %w", i, r, err)
+	for r := 0; r < opts.Followers; r++ {
+		f, err := w.startFollower(led)
+		if err != nil {
+			for _, started := range followers {
+				started.stop()
 			}
-			followers = append(followers, f)
+			led.Close()
+			return nil, fmt.Errorf("ledgerdb: follower %d: %w", r, err)
 		}
-	}
-	coord := shard.NewCoordinator(opts.URI, shards, coordKey, clock)
-	if opts.FoldInterval > 0 {
-		coord.Start(opts.FoldInterval)
+		followers = append(followers, f)
 	}
 	return &Stack{
-		Ledger:      shards[0],
-		Shards:      shards,
-		Indexes:     indexes,
-		Followers:   followers,
-		Partitioner: part,
-		Coordinator: coord,
-		TLedger:     tl,
-		TSAs:        pool,
-		CA:          authority,
-		Registry:    registry,
-		LSP:         lsp,
-		DBA:         dba,
-		uri:         opts.URI,
-		clock:       clock,
+		Ledger:    led,
+		Index:     ix,
+		Followers: followers,
+		TLedger:   tl,
+		TSAs:      pool,
+		CA:        authority,
+		Registry:  registry,
+		LSP:       lsp,
+		DBA:       dba,
+		uri:       opts.URI,
+		clock:     clock,
 	}, nil
-}
-
-// Route returns the shard a request belongs to.
-func (s *Stack) Route(req *Request) int { return s.Partitioner.Route(req) }
-
-// Append routes a signed request to its shard and commits it there.
-func (s *Stack) Append(req *Request) (*Receipt, error) {
-	_, rc, err := s.AppendRouted(req)
-	return rc, err
-}
-
-// AppendRouted is Append returning the shard index too — receipts carry
-// shard-local jsns, so cross-shard proofs need the (shard, jsn) pair.
-func (s *Stack) AppendRouted(req *Request) (int, *Receipt, error) {
-	i := s.Partitioner.Route(req)
-	rc, err := s.Shards[i].Append(req)
-	return i, rc, err
-}
-
-// GlobalState folds now and returns the signed cross-shard state.
-func (s *Stack) GlobalState() (*GlobalState, error) {
-	f, err := s.Coordinator.Fold()
-	if err != nil {
-		return nil, err
-	}
-	return f.State, nil
-}
-
-// ProveGlobal builds the cross-shard existence proof for (shard, jsn).
-func (s *Stack) ProveGlobal(shardIdx int, jsn uint64, withPayload bool) (*GlobalProof, error) {
-	return s.Coordinator.ProveGlobal(shardIdx, jsn, withPayload)
-}
-
-// VerifyExistenceGlobal fetches and client-verifies a cross-shard proof:
-// record → shard fam root → coordinator-signed global root.
-func (s *Stack) VerifyExistenceGlobal(shardIdx int, jsn uint64) (*Record, []byte, error) {
-	p, err := s.ProveGlobal(shardIdx, jsn, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	rec, err := shard.VerifyGlobal(p, s.Coordinator.PublicKey())
-	if err != nil {
-		return nil, nil, err
-	}
-	return rec, p.Record.Payload, nil
-}
-
-// QueryRecords runs a rich read across every shard and returns the
-// verified records, grouped by shard in partition order, ascending jsn
-// within each. Every shard's result is re-verified against the LSP key
-// before anything is returned — the index only nominates, the proofs
-// decide.
-func (s *Stack) QueryRecords(q Query) ([]*Record, error) {
-	var out []*Record
-	for i, ix := range s.Indexes {
-		res, err := ix.Query(q)
-		if err != nil {
-			return nil, fmt.Errorf("ledgerdb: shard %d query: %w", i, err)
-		}
-		recs, err := ledger.VerifyQueryResult(s.LSP.Public(), q, res)
-		if err != nil {
-			return nil, fmt.Errorf("ledgerdb: shard %d query verification: %w", i, err)
-		}
-		out = append(out, recs...)
-	}
-	return out, nil
-}
-
-// VerifyAbsence establishes that no live clue equals name (or starts
-// with it when prefix is set), returning the verified proofs a skeptic
-// can re-check offline. An exact clue only ever lives on its partition
-// shard, so one proof suffices; a prefix needs every shard to prove its
-// own clue set clean.
-func (s *Stack) VerifyAbsence(name string, prefix bool) ([]*AbsenceProof, error) {
-	shardIdxs := []int{0}
-	if prefix {
-		shardIdxs = make([]int, len(s.Shards))
-		for i := range shardIdxs {
-			shardIdxs[i] = i
-		}
-	} else if len(s.Shards) > 1 {
-		shardIdxs[0] = s.Partitioner.ShardOfClue(name)
-	}
-	proofs := make([]*AbsenceProof, 0, len(shardIdxs))
-	for _, i := range shardIdxs {
-		ap, err := s.Shards[i].ProveAbsence(name, prefix)
-		if err != nil {
-			return nil, fmt.Errorf("ledgerdb: shard %d absence: %w", i, err)
-		}
-		if err := ledger.VerifyAbsence(s.LSP.Public(), ap); err != nil {
-			return nil, fmt.Errorf("ledgerdb: shard %d absence verification: %w", i, err)
-		}
-		proofs = append(proofs, ap)
-	}
-	return proofs, nil
 }
 
 // Member is a certified ledger user bound to a stack.
@@ -661,28 +491,21 @@ type Member struct {
 // NewMember creates, certifies, and admits a new user identity. It
 // panics only on entropy failure (key generation).
 func (s *Stack) NewMember(name string) *Member {
-	key, err := sig.Generate()
-	if err != nil {
-		panic(err)
-	}
-	cert, err := s.CA.Issue(key.Public(), ca.RoleUser, name)
-	if err != nil {
-		panic(err)
-	}
-	if err := s.Registry.Admit(cert); err != nil {
-		panic(err)
-	}
-	return &Member{Name: name, Key: key, stack: s}
+	return s.certify(name, ca.RoleUser)
 }
 
 // NewRegulator creates and certifies a regulator identity (occult
 // approvals).
 func (s *Stack) NewRegulator(name string) *Member {
+	return s.certify(name, ca.RoleRegulator)
+}
+
+func (s *Stack) certify(name string, role ca.Role) *Member {
 	key, err := sig.Generate()
 	if err != nil {
 		panic(err)
 	}
-	cert, err := s.CA.Issue(key.Public(), ca.RoleRegulator, name)
+	cert, err := s.CA.Issue(key.Public(), role, name)
 	if err != nil {
 		panic(err)
 	}
@@ -709,27 +532,17 @@ func (m *Member) NewRequest(payload []byte, clues ...string) (*Request, error) {
 	return req, nil
 }
 
-// Append signs and commits a journal with optional clues, routed to its
-// clue's shard.
+// Append signs and commits a journal with optional clues.
 func (m *Member) Append(payload []byte, clues ...string) (*Receipt, error) {
-	_, rc, err := m.AppendRouted(payload, clues...)
-	return rc, err
-}
-
-// AppendRouted is Append returning the shard index too. Receipts carry
-// shard-local jsns; cross-shard verification needs the pair.
-func (m *Member) AppendRouted(payload []byte, clues ...string) (int, *Receipt, error) {
 	req, err := m.NewRequest(payload, clues...)
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
-	return m.stack.AppendRouted(req)
+	return m.stack.Ledger.Append(req)
 }
 
 // VerifyExistence fetches and client-verifies an existence proof against
-// the shard-local signed state. The jsn is shard 0's — in single-node
-// mode, the whole ledger's. Multi-shard callers holding a (shard, jsn)
-// pair use VerifyExistenceGlobal.
+// the signed state.
 func (m *Member) VerifyExistence(jsn uint64) (*Record, []byte, error) {
 	p, err := m.stack.Ledger.ProveExistence(jsn, true)
 	if err != nil {
@@ -742,16 +555,9 @@ func (m *Member) VerifyExistence(jsn uint64) (*Record, []byte, error) {
 	return rec, p.Payload, nil
 }
 
-// VerifyExistenceGlobal verifies a record through the cross-shard path:
-// record → shard fam root → coordinator-signed global root.
-func (m *Member) VerifyExistenceGlobal(shardIdx int, jsn uint64) (*Record, []byte, error) {
-	return m.stack.VerifyExistenceGlobal(shardIdx, jsn)
-}
-
-// VerifyClue fetches and client-verifies a clue's full lineage from the
-// clue's shard (the partitioner keeps a lineage in exactly one CM-Tree).
+// VerifyClue fetches and client-verifies a clue's full lineage.
 func (m *Member) VerifyClue(clue string) ([]*Record, error) {
-	b, err := m.stack.clueShard(clue).ProveClue(clue, 0, 0)
+	b, err := m.stack.Ledger.ProveClue(clue, 0, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -760,51 +566,13 @@ func (m *Member) VerifyClue(clue string) ([]*Record, error) {
 
 // AppendBatch signs and commits several payloads under one batch receipt
 // (the amortized write path). payloads[i] gets clues[i] when clues is
-// non-nil. The batch must route to a single shard (always true in
-// single-node mode); spanning batches use AppendBatchSharded.
+// non-nil; a non-nil clues must have one entry per payload.
 func (m *Member) AppendBatch(payloads [][]byte, clues [][]string) (*ledger.BatchReceipt, error) {
-	reqs, err := m.batchRequests(payloads, clues)
-	if err != nil {
-		return nil, err
-	}
-	target := m.stack.Route(reqs[0])
-	for _, req := range reqs[1:] {
-		if got := m.stack.Route(req); got != target {
-			return nil, fmt.Errorf("ledgerdb: batch spans shards %d and %d; use AppendBatchSharded", target, got)
-		}
-	}
-	br, _, err := m.stack.Shards[target].AppendBatch(reqs)
-	return br, err
-}
-
-// AppendBatchSharded splits a batch by shard and commits one sub-batch
-// per shard, returning the receipts keyed by shard index. Sub-batches
-// commit independently: on error, sub-batches already committed stay
-// committed (the per-shard receipt map returned is complete for them).
-func (m *Member) AppendBatchSharded(payloads [][]byte, clues [][]string) (map[int]*ledger.BatchReceipt, error) {
-	reqs, err := m.batchRequests(payloads, clues)
-	if err != nil {
-		return nil, err
-	}
-	groups := make(map[int][]*journal.Request)
-	for _, req := range reqs {
-		i := m.stack.Route(req)
-		groups[i] = append(groups[i], req)
-	}
-	out := make(map[int]*ledger.BatchReceipt, len(groups))
-	for i, group := range groups {
-		br, _, err := m.stack.Shards[i].AppendBatch(group)
-		if err != nil {
-			return out, fmt.Errorf("ledgerdb: shard %d batch: %w", i, err)
-		}
-		out[i] = br
-	}
-	return out, nil
-}
-
-func (m *Member) batchRequests(payloads [][]byte, clues [][]string) ([]*journal.Request, error) {
 	if len(payloads) == 0 {
 		return nil, errors.New("ledgerdb: empty batch")
+	}
+	if clues != nil && len(clues) != len(payloads) {
+		return nil, fmt.Errorf("%w: %d clue sets for %d payloads", journal.ErrBadRequest, len(clues), len(payloads))
 	}
 	reqs := make([]*journal.Request, len(payloads))
 	for i, p := range payloads {
@@ -818,11 +586,12 @@ func (m *Member) batchRequests(payloads [][]byte, clues [][]string) ([]*journal.
 		}
 		reqs[i] = req
 	}
-	return reqs, nil
+	br, _, err := m.stack.Ledger.AppendBatch(reqs)
+	return br, err
 }
 
 // AppendState signs and commits a journal that also updates the
-// world-state entry for key, routed to the key's shard.
+// world-state entry for key.
 func (m *Member) AppendState(key, payload []byte, clues ...string) (*Receipt, error) {
 	req, err := m.NewRequest(payload, clues...)
 	if err != nil {
@@ -832,61 +601,32 @@ func (m *Member) AppendState(key, payload []byte, clues ...string) (*Receipt, er
 	if err := req.Sign(m.Key); err != nil {
 		return nil, err
 	}
-	return m.stack.Append(req)
+	return m.stack.Ledger.Append(req)
 }
 
 // VerifyState runs a verifiable world-state read for key, returning the
-// jsn and payload digest of the journal holding the current value. Keys
-// route like appends, so the read goes to the shard whose MPT owns key.
-// Note: a clued request that also carries a state key routes by its
-// clue, so mixing clue-routing and state reads of the same key across
-// different clues can split a key's history; keep a key's writers
-// clue-consistent (or clueless) if you need VerifyState.
+// jsn and payload digest of the journal holding the current value.
 func (m *Member) VerifyState(key []byte) (uint64, hashutil.Digest, error) {
-	p, err := m.stack.stateShard(key).ProveState(key)
+	p, err := m.stack.Ledger.ProveState(key)
 	if err != nil {
 		return 0, hashutil.Zero, err
 	}
 	return ledger.VerifyState(p, m.stack.LSP.Public())
 }
 
-// VerifyClueByTime verifies the clue versions committed in [t1, t2).
-func (m *Member) VerifyClueByTime(clue string, t1, t2 int64) ([]*Record, error) {
-	b, err := m.stack.clueShard(clue).ProveClueByTime(clue, t1, t2)
-	if err != nil {
-		return nil, err
-	}
-	return ledger.VerifyClue(b, m.stack.LSP.Public())
-}
-
-// ShardFollowers returns the followers replicating shard i, in replica
-// slot order.
-func (s *Stack) ShardFollowers(i int) []*Follower {
-	var out []*Follower
-	for _, f := range s.Followers {
-		if f.Shard == i {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 // VerifyExistenceReplica is the degraded-read path: it fetches an
-// existence proof from a follower of shardIdx and client-verifies it
-// against the primary LSP key. It works even when the primary shard is
-// unreachable — the proof anchors to the follower's newest verified
-// checkpoint, so the answer is honest about how stale it may be (the
-// follower's Status carries the watermark). Payload bytes are returned
-// only when the follower holds them: payload blobs are purgeable and
-// therefore not replicated, so replica reads return the verified record
-// (clues, digests, signatures, tx hash) with a nil payload.
-func (s *Stack) VerifyExistenceReplica(shardIdx int, jsn uint64) (*Record, []byte, error) {
-	fs := s.ShardFollowers(shardIdx)
-	if len(fs) == 0 {
-		return nil, nil, fmt.Errorf("ledgerdb: shard %d has no followers", shardIdx)
-	}
-	var err error
-	for _, f := range fs {
+// existence proof from each follower in turn and client-verifies it
+// against the primary LSP key, returning the first that verifies. It
+// works even when the primary is unreachable — the proof anchors to the
+// follower's newest verified checkpoint, so the answer is honest about
+// how stale it may be (the follower's Status carries the watermark).
+// Payload bytes are returned only when the follower holds them: payload
+// blobs are purgeable and therefore not replicated, so replica reads
+// return the verified record (clues, digests, signatures, tx hash) with
+// a nil payload.
+func (s *Stack) VerifyExistenceReplica(jsn uint64) (*Record, []byte, error) {
+	err := errors.New("ledgerdb: stack has no followers")
+	for _, f := range s.Followers {
 		var p *ExistenceProof
 		if p, err = f.Ledger.ProveExistence(jsn, true); err != nil {
 			continue
@@ -900,26 +640,6 @@ func (s *Stack) VerifyExistenceReplica(shardIdx int, jsn uint64) (*Record, []byt
 	return nil, nil, err
 }
 
-// ExportBundle builds a self-contained offline proof for a shard-0 jsn
-// (single-node mode: any jsn). Anyone holding the bundle bytes and the
-// pinned LSP key can verify the record's existence — and, when a time
-// chain is present, its when-bounds — with VerifyBundle, no network and
-// no ledger required.
-func (s *Stack) ExportBundle(jsn uint64, withPayload bool) (*ProofBundle, error) {
-	return s.Ledger.ExportBundle(jsn, withPayload)
-}
-
-// clueShard returns the engine owning a clue's lineage.
-func (s *Stack) clueShard(clue string) *ledger.Ledger {
-	return s.Shards[s.Partitioner.ShardOfClue(clue)]
-}
-
-// stateShard returns the engine owning a world-state key (for requests
-// routed without clues; see Member.VerifyState for the caveat).
-func (s *Stack) stateShard(key []byte) *ledger.Ledger {
-	return s.Shards[s.Partitioner.ShardOf(hashutil.Sum(key))]
-}
-
 // AnchorTime runs one Protocol 3/4 round through the stack's T-Ledger.
 func (s *Stack) AnchorTime() (*Receipt, error) {
 	return s.Ledger.AnchorTimeWith(s.TLedger.StampFunc(s.uri, s.clock))
@@ -931,131 +651,42 @@ func (s *Stack) FinalizeTime() error {
 	return err
 }
 
-// auditConfig assembles the stack's built-in trust anchors.
-func (s *Stack) auditConfig() audit.Config {
+// Audit runs the Dasein-complete audit (§V) against the stack's built-in
+// trust anchors, then the rich-query leg (AuditIndexes).
+func (s *Stack) Audit() (*AuditReport, error) {
 	trusted := []sig.PublicKey{s.TLedger.Public()}
 	for _, a := range s.TSAs.Members() {
 		trusted = append(trusted, a.Public())
 	}
-	return audit.Config{
+	report, err := audit.Audit(s.Ledger, nil, audit.Config{
 		LSP:        s.LSP.Public(),
 		DBA:        s.DBA.Public(),
 		TrustedTSA: trusted,
 		Registry:   s.Registry,
-	}
-}
-
-// Audit runs the Dasein-complete audit across every shard and returns
-// one aggregate report (summed counters). In multi-shard mode it also
-// cross-checks the fold: it folds now, replays each shard's digest
-// stream up to the folded size to recompute the fam root independently,
-// rebuilds the anchor tree over the recomputed heads, and compares
-// against the coordinator-signed global root. TimeBounds is only set in
-// single-node mode — per-shard jsn keys would collide in an aggregate.
-func (s *Stack) Audit() (*AuditReport, error) {
-	reports, err := s.AuditShards()
+	})
 	if err != nil {
 		return nil, err
-	}
-	agg := &audit.Report{}
-	for _, r := range reports {
-		agg.JournalsReplayed += r.JournalsReplayed
-		agg.BlocksVerified += r.BlocksVerified
-		agg.TimeJournals += r.TimeJournals
-		agg.TimeRanges += r.TimeRanges
-		agg.Purges += r.Purges
-		agg.Occults += r.Occults
-		agg.SignaturesChecked += r.SignaturesChecked
 	}
 	if err := s.AuditIndexes(); err != nil {
 		return nil, err
 	}
-	if len(reports) == 1 {
-		agg.TimeBounds = reports[0].TimeBounds
-		return agg, nil
-	}
-	if err := s.auditFold(); err != nil {
-		return nil, err
-	}
-	return agg, nil
+	return report, nil
 }
 
-// AuditIndexes is the rich-query leg of the audit: every shard's index
-// projections are cross-checked against a fresh replay of that shard's
-// journal stream (index.CrossCheck). A corrupted or stale projection
-// surfaces here as index.ErrMismatch naming the projection.
+// AuditIndexes is the rich-query leg of the audit: the index projections
+// are cross-checked against a fresh replay of the journal stream
+// (index.CrossCheck). A corrupted or stale projection surfaces here as
+// index.ErrMismatch naming the projection.
 func (s *Stack) AuditIndexes() error {
-	for i, ix := range s.Indexes {
-		if err := ix.CrossCheck(); err != nil {
-			return fmt.Errorf("ledgerdb: shard %d index audit: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// AuditShards audits each shard and returns the per-shard reports.
-func (s *Stack) AuditShards() ([]*AuditReport, error) {
-	cfg := s.auditConfig()
-	reports := make([]*audit.Report, len(s.Shards))
-	for i, l := range s.Shards {
-		r, err := audit.Audit(l, nil, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("ledgerdb: shard %d audit: %w", i, err)
-		}
-		reports[i] = r
-	}
-	return reports, nil
-}
-
-// auditFold is the cross-shard leg of the audit: the signed global root
-// must be exactly the anchor tree over the shards' independently
-// recomputed fam roots.
-func (s *Stack) auditFold() error {
-	f, err := s.Coordinator.Fold()
-	if err != nil {
-		return fmt.Errorf("ledgerdb: audit fold: %w", err)
-	}
-	if err := f.State.Verify(s.Coordinator.PublicKey()); err != nil {
-		return fmt.Errorf("ledgerdb: audit fold: %w", err)
-	}
-	recomputed := make([]ledger.FamHead, len(s.Shards))
-	for i, l := range s.Shards {
-		size := f.Heads[i].Size
-		if size == 0 {
-			continue
-		}
-		root, err := l.FamRootAt(size)
-		if err != nil {
-			return fmt.Errorf("ledgerdb: shard %d fam replay: %w", i, err)
-		}
-		if root != f.Heads[i].Root {
-			return fmt.Errorf("ledgerdb: shard %d fam root mismatch at size %d: replayed %s, fold has %s",
-				i, size, root, f.Heads[i].Root)
-		}
-		recomputed[i] = ledger.FamHead{Size: size, Root: root}
-	}
-	if got := shard.FoldRoot(recomputed); got != f.State.Root {
-		return fmt.Errorf("ledgerdb: anchor tree mismatch: rebuilt %s, state signs %s", got, f.State.Root)
+	if err := s.Index.CrossCheck(); err != nil {
+		return fmt.Errorf("ledgerdb: index audit: %w", err)
 	}
 	return nil
 }
 
 // Purge executes a verifiable purge: the stack gathers the DBA signature
-// and the caller supplies the remaining member signatures. Multi-shard
-// stacks use PurgeOn — jsns in the descriptor are shard-local.
+// and the caller supplies the remaining member signatures.
 func (s *Stack) Purge(desc *PurgeDescriptor, signers ...*Member) (*Receipt, error) {
-	if len(s.Shards) > 1 {
-		return nil, errors.New("ledgerdb: multi-shard stack: use PurgeOn with the owning shard index")
-	}
-	return s.PurgeOn(0, desc, signers...)
-}
-
-// PurgeOn executes a verifiable purge on one shard (jsns in the
-// descriptor are that shard's).
-func (s *Stack) PurgeOn(shardIdx int, desc *PurgeDescriptor, signers ...*Member) (*Receipt, error) {
-	if shardIdx < 0 || shardIdx >= len(s.Shards) {
-		return nil, fmt.Errorf("ledgerdb: shard %d out of range [0,%d)", shardIdx, len(s.Shards))
-	}
 	ms := sig.NewMultiSig(desc.Digest())
 	if err := ms.SignWith(s.DBA); err != nil {
 		return nil, err
@@ -1065,23 +696,11 @@ func (s *Stack) PurgeOn(shardIdx int, desc *PurgeDescriptor, signers ...*Member)
 			return nil, err
 		}
 	}
-	return s.Shards[shardIdx].Purge(desc, ms)
+	return s.Ledger.Purge(desc, ms)
 }
 
 // Occult executes a verifiable occult with DBA + regulator signatures.
-// Multi-shard stacks use OccultOn — the target jsn is shard-local.
 func (s *Stack) Occult(desc *OccultDescriptor, regulator *Member) (*Receipt, error) {
-	if len(s.Shards) > 1 {
-		return nil, errors.New("ledgerdb: multi-shard stack: use OccultOn with the owning shard index")
-	}
-	return s.OccultOn(0, desc, regulator)
-}
-
-// OccultOn executes a verifiable occult on one shard.
-func (s *Stack) OccultOn(shardIdx int, desc *OccultDescriptor, regulator *Member) (*Receipt, error) {
-	if shardIdx < 0 || shardIdx >= len(s.Shards) {
-		return nil, fmt.Errorf("ledgerdb: shard %d out of range [0,%d)", shardIdx, len(s.Shards))
-	}
 	if regulator == nil {
 		return nil, errors.New("ledgerdb: occult requires a regulator signer")
 	}
@@ -1092,34 +711,30 @@ func (s *Stack) OccultOn(shardIdx int, desc *OccultDescriptor, regulator *Member
 	if err := ms.SignWith(regulator.Key); err != nil {
 		return nil, err
 	}
-	return s.Shards[shardIdx].Occult(desc, ms)
+	return s.Ledger.Occult(desc, ms)
 }
 
 // URI returns the stack's ledger identifier.
 func (s *Stack) URI() string { return s.uri }
 
-// Close shuts the whole deployment down, idempotently: it stops the
-// coordinator's fold loop, drains every follower's pull loop (cancel,
-// wait, close — a puller must never apply into a closed primary's
-// frames mid-flight, and a follower caught mid-catch-up simply stops at
-// whatever verified prefix it reached), then drains and closes every
-// shard engine (commit pipelines flush, streams sync). Every component
-// is closed even if an earlier one errors; the joined error is sticky
-// across repeat calls. Reads keep working after Close; further appends
-// fail.
+// Close shuts the whole deployment down, idempotently: it drains every
+// follower's pull loop (cancel, wait, close — a puller must never apply
+// into a closed primary's frames mid-flight, and a follower caught
+// mid-catch-up simply stops at whatever verified prefix it reached),
+// then drains and closes the engine (the commit pipeline flushes,
+// streams sync). Every component is closed even if an earlier one
+// errors; the joined error is sticky across repeat calls. Reads keep
+// working after Close; further appends fail.
 func (s *Stack) Close() error {
 	s.closeOnce.Do(func() {
-		s.Coordinator.Stop()
 		var errs []error
 		for i, f := range s.Followers {
 			if err := f.stop(); err != nil {
-				errs = append(errs, fmt.Errorf("ledgerdb: follower %d (shard %d) close: %w", i, f.Shard, err))
+				errs = append(errs, fmt.Errorf("ledgerdb: follower %d close: %w", i, err))
 			}
 		}
-		for i, l := range s.Shards {
-			if err := l.Close(); err != nil {
-				errs = append(errs, fmt.Errorf("ledgerdb: shard %d close: %w", i, err))
-			}
+		if err := s.Ledger.Close(); err != nil {
+			errs = append(errs, fmt.Errorf("ledgerdb: ledger close: %w", err))
 		}
 		s.closeErr = errors.Join(errs...)
 	})

@@ -1,7 +1,13 @@
 package ledgerdb
 
 import (
+	"errors"
+	"path/filepath"
 	"testing"
+
+	"ledgerdb/internal/journal"
+	"ledgerdb/internal/ledger"
+	"ledgerdb/internal/streamfs"
 )
 
 func TestStackLifecycle(t *testing.T) {
@@ -104,6 +110,29 @@ func TestStackBatchAppend(t *testing.T) {
 	}
 }
 
+// TestStackBatchClueCount: a clue list that does not match the payloads
+// one to one is refused before anything is signed or committed.
+func TestStackBatchClueCount(t *testing.T) {
+	stack, err := NewStack(StackOptions{URI: "ledger://facade", FractalHeight: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alice := stack.NewMember("alice")
+	payloads := [][]byte{[]byte("a"), []byte("b"), []byte("c")}
+	before := stack.Ledger.Size()
+	for _, clues := range [][][]string{{{"k"}}, {{"k"}, {"k"}, {"k"}, {"k"}}} {
+		if _, err := alice.AppendBatch(payloads, clues); !errors.Is(err, journal.ErrBadRequest) {
+			t.Fatalf("%d clue sets for %d payloads: %v, want ErrBadRequest", len(clues), len(payloads), err)
+		}
+	}
+	if got := stack.Ledger.Size(); got != before {
+		t.Fatalf("refused batches moved the size %d -> %d", before, got)
+	}
+}
+
+// TestStackOnDisk: a stack's data directory is the server's single-node
+// layout, so after Close the engine opened on Dir/streams + Dir/blobs the
+// way cmd/ledgerdb-server -dir opens it recovers the same ledger.
 func TestStackOnDisk(t *testing.T) {
 	dir := t.TempDir()
 	stack, err := NewStack(StackOptions{URI: "ledger://disk", Dir: dir, FractalHeight: 4})
@@ -111,11 +140,50 @@ func TestStackOnDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := stack.NewMember("m")
-	r, err := m.Append([]byte("persisted"))
+	r, err := m.Append([]byte("persisted"), "trail")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := m.VerifyExistence(r.JSN); err != nil {
 		t.Fatal(err)
+	}
+	size := stack.Ledger.Size()
+	if err := stack.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	store, err := streamfs.OpenDisk(filepath.Join(dir, "streams"), streamfs.DiskOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blobs, err := streamfs.OpenDiskBlobs(filepath.Join(dir, "blobs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	led, err := ledger.Open(ledger.Config{
+		URI:           stack.URI(),
+		FractalHeight: 4,
+		LSP:           stack.LSP,
+		DBA:           stack.DBA.Public(),
+		Store:         store,
+		Blobs:         blobs,
+	})
+	if err != nil {
+		t.Fatalf("reopen the stack's directory: %v", err)
+	}
+	defer led.Close()
+	if got := led.Size(); got != size {
+		t.Fatalf("reopened size %d, stack had %d", got, size)
+	}
+	p, err := led.ProveExistence(r.JSN, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := ledger.VerifyExistence(p, stack.LSP.Public())
+	if err != nil {
+		t.Fatalf("existence after reopen: %v", err)
+	}
+	if rec.JSN != r.JSN || string(p.Payload) != "persisted" {
+		t.Fatalf("reopened jsn %d payload %q", rec.JSN, p.Payload)
 	}
 }

@@ -13,7 +13,7 @@ func waitCaughtUp(t *testing.T, f *Follower) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := f.WaitCaughtUp(ctx); err != nil {
-		t.Fatalf("follower (shard %d) never caught up: %v; status %+v", f.Shard, err, f.Status())
+		t.Fatalf("follower never caught up: %v; status %+v", err, f.Status())
 	}
 }
 
@@ -48,7 +48,7 @@ func TestStackFollowerConverges(t *testing.T) {
 	// The degraded-read path: proof from the replica, verified against
 	// the pinned primary LSP key. Payload blobs are not replicated, so
 	// the verified record comes back payload-less.
-	rec, payload, err := stack.VerifyExistenceReplica(0, last.JSN)
+	rec, payload, err := stack.VerifyExistenceReplica(last.JSN)
 	if err != nil {
 		t.Fatalf("VerifyExistenceReplica: %v", err)
 	}
@@ -122,59 +122,9 @@ func TestStackFollowerPurgeReplicates(t *testing.T) {
 	}
 }
 
-func TestStackFollowersMultiShard(t *testing.T) {
-	stack, err := NewStack(StackOptions{
-		URI:              "ledger://replicated",
-		FractalHeight:    4,
-		BlockSize:        4,
-		Shards:           2,
-		Followers:        2,
-		FollowerInterval: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stack.Close()
-	if len(stack.Followers) != 4 {
-		t.Fatalf("followers = %d", len(stack.Followers))
-	}
-	for i := 0; i < 2; i++ {
-		if got := len(stack.ShardFollowers(i)); got != 2 {
-			t.Fatalf("shard %d followers = %d", i, got)
-		}
-	}
-	alice := stack.NewMember("alice")
-	type placed struct {
-		shard int
-		jsn   uint64
-		body  string
-	}
-	var all []placed
-	for i := 0; i < 12; i++ {
-		body := string([]byte{byte('a' + i)})
-		shardIdx, rc, err := alice.AppendRouted([]byte(body), "clue-"+body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		all = append(all, placed{shardIdx, rc.JSN, body})
-	}
-	for _, f := range stack.Followers {
-		waitCaughtUp(t, f)
-	}
-	for _, p := range all {
-		rec, _, err := stack.VerifyExistenceReplica(p.shard, p.jsn)
-		if err != nil {
-			t.Fatalf("shard %d jsn %d: %v", p.shard, p.jsn, err)
-		}
-		if rec.JSN != p.jsn || len(rec.Clues) != 1 || rec.Clues[0] != "clue-"+p.body {
-			t.Fatalf("shard %d jsn %d: got %d clues %v", p.shard, p.jsn, rec.JSN, rec.Clues)
-		}
-	}
-}
-
 // TestStackCloseDuringCatchUp is the shutdown-ordering race: Close fires
 // while followers are still mid-catch-up. The pullers must drain before
-// the shard engines close (a pull against a closed primary mid-round is
+// the primary engine closes (a pull against a closed primary mid-round is
 // an error the round would surface), Close must stay idempotent, and
 // whatever verified prefix the follower reached must still serve reads.
 func TestStackCloseDuringCatchUp(t *testing.T) {
@@ -212,7 +162,7 @@ func TestStackCloseDuringCatchUp(t *testing.T) {
 		// Whatever checkpointed prefix landed is still readable — a
 		// closed stack keeps serving, and the replica's proofs verify.
 		for jsn := uint64(0); jsn < st.CheckpointJSN; jsn++ {
-			if _, _, err := stack.VerifyExistenceReplica(0, jsn); err != nil {
+			if _, _, err := stack.VerifyExistenceReplica(jsn); err != nil {
 				t.Fatalf("post-close replica read jsn %d: %v", jsn, err)
 			}
 		}

@@ -6,7 +6,7 @@
 # Stages are individually invocable:
 #
 #   scripts/check.sh          # everything (same as `all`)
-#   scripts/check.sh lint     # build + gofmt + vet + verlint only
+#   scripts/check.sh lint     # build + gofmt + vet (ledgerbench too) + verlint only
 #   scripts/check.sh fuzz     # 10s native fuzz smoke per wire decoder
 #   scripts/check.sh race     # the -race suites only
 #   scripts/check.sh crash    # crash-recovery torture (1000 crash points) + payload-log byte sweeps
@@ -34,6 +34,9 @@ stage_lint() {
 
     echo "== vet =="
     go vet ./...
+
+    echo "== vet (ledgerbench: its own module, so ./... above does not reach it) =="
+    (cd ledgerbench && go vet ./...)
 
     echo "== verlint (L1-L9 verification invariants, per-rule timing on stderr) =="
     # JSON mode piped through a tiny jq-free parser so failures print
