@@ -139,7 +139,7 @@ func (t *Tree) Insert(clue string, jsn uint64, digest hashutil.Digest) (prevLast
 	}
 	st.acc.Append(digest)
 	st.jsns = append(st.jsns, jsn)
-	t.trie = t.trie.Put([]byte(clue), shrubs.EncodeFrontier(st.acc.Frontier()))
+	t.trie = t.trie.Put([]byte(clue), st.acc.EncodedFrontier())
 	return prevLast, existed
 }
 
@@ -267,7 +267,7 @@ type ClueProof struct {
 	End      uint64
 	Frontier []hashutil.Digest // committed CM-Tree2 node-set proof
 	Cells    []shrubs.CellRef  // N = N2 − (N2 ∩ N3), empty for whole-clue
-	MPT      *mpt.Proof        // CM-Tree1 path from clue leaf to root
+	MPT      *mpt.Proof        // CM-Tree1 path; VerifyClue rebuilds the leaf from Clue and Frontier
 }
 
 // ProveClue builds the proof bundle for versions [begin, end) of a clue
@@ -356,10 +356,7 @@ func (p *ClueProof) Encode(w *wire.Writer) {
 		w.Digest(d)
 	}
 	shrubs.EncodeCells(w, p.Cells)
-	w.Uvarint(uint64(len(p.MPT.Nodes)))
-	for _, n := range p.MPT.Nodes {
-		w.WriteBytes(n)
-	}
+	p.MPT.Encode(w)
 }
 
 // DecodeClueProof reads a clue proof from a wire reader.
@@ -385,16 +382,8 @@ func DecodeClueProof(r *wire.Reader) (*ClueProof, error) {
 		return nil, err
 	}
 	p.Cells = cells
-	nn := r.Uvarint()
-	if r.Err() != nil {
-		return nil, r.Err()
+	if p.MPT, err = mpt.DecodeProof(r); err != nil {
+		return nil, err
 	}
-	if nn > 4096 {
-		return nil, fmt.Errorf("%w: %d MPT nodes", ErrBadProof, nn)
-	}
-	p.MPT = &mpt.Proof{}
-	for i := uint64(0); i < nn; i++ {
-		p.MPT.Nodes = append(p.MPT.Nodes, r.BytesCopy())
-	}
-	return p, r.Err()
+	return p, nil
 }

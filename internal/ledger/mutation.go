@@ -204,15 +204,9 @@ func DecodeOccultExtra(b []byte) (*OccultExtra, error) {
 	return &OccultExtra{Desc: d, Sigs: ms}, nil
 }
 
-// RequiredPurgeSigners returns the signer set Prerequisite 1 demands for
-// a purge at point: the DBA plus every member whose first journal
-// precedes the point.
-func (l *Ledger) RequiredPurgeSigners(point uint64) []sig.PublicKey {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.requiredPurgeSignersLocked(point)
-}
-
+// requiredPurgeSignersLocked returns the signer set Prerequisite 1
+// demands for a purge at point: the DBA plus every member whose first
+// journal precedes the point.
 func (l *Ledger) requiredPurgeSignersLocked(point uint64) []sig.PublicKey {
 	req := []sig.PublicKey{l.cfg.DBA}
 	var members []sig.PublicKey
@@ -553,13 +547,6 @@ func (l *Ledger) Reorganize() (int, error) {
 	l.eraseQueue = l.eraseQueue[:0]
 	l.invalidateProofsLocked()
 	return n, nil
-}
-
-// PendingErasures reports the async occult backlog.
-func (l *Ledger) PendingErasures() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return len(l.eraseQueue)
 }
 
 // Survivors returns the records preserved in the survival stream, oldest

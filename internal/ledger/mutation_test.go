@@ -11,6 +11,13 @@ import (
 	"ledgerdb/internal/streamfs"
 )
 
+// PendingErasures reports the async occult backlog.
+func (l *Ledger) PendingErasures() int {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return len(l.eraseQueue)
+}
+
 // purgeSetup appends n journals from the shared test client and returns
 // a ready multisig for a purge at point.
 func purgeSetup(t *testing.T, e *testEnv, n int, point uint64, survivors ...uint64) (*PurgeDescriptor, *sig.MultiSig) {

@@ -494,10 +494,7 @@ func (p *StateProof) EncodeBytes() []byte {
 	w := wire.NewWriter(512)
 	w.WriteBytes(p.Key)
 	w.WriteBytes(p.Value)
-	w.Uvarint(uint64(len(p.MPT.Nodes)))
-	for _, n := range p.MPT.Nodes {
-		w.WriteBytes(n)
-	}
+	p.MPT.Encode(w)
 	p.State.Encode(w)
 	return w.Bytes()
 }
@@ -505,16 +502,10 @@ func (p *StateProof) EncodeBytes() []byte {
 // DecodeStateProof parses a transported state proof.
 func DecodeStateProof(raw []byte) (*StateProof, error) {
 	r := wire.NewReader(raw)
-	p := &StateProof{Key: r.BytesCopy(), Value: r.BytesCopy(), MPT: &mpt.Proof{}}
-	n := r.Uvarint()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if n > 4096 {
-		return nil, fmt.Errorf("%w: %d MPT nodes", ErrVerify, n)
-	}
-	for i := uint64(0); i < n; i++ {
-		p.MPT.Nodes = append(p.MPT.Nodes, r.BytesCopy())
+	p := &StateProof{Key: r.BytesCopy(), Value: r.BytesCopy()}
+	var err error
+	if p.MPT, err = mpt.DecodeProof(r); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrVerify, err)
 	}
 	st, err := DecodeSignedState(r)
 	if err != nil {

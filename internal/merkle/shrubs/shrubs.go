@@ -118,17 +118,29 @@ func (t *Tree) FrontierAt(n uint64) ([]hashutil.Digest, error) {
 	if n > t.Size() {
 		return nil, fmt.Errorf("%w: frontier at %d of %d", ErrOutOfRange, n, t.Size())
 	}
-	out := make([]hashutil.Digest, 0, bits.OnesCount64(n))
+	return t.appendFrontier(make([]hashutil.Digest, 0, bits.OnesCount64(n)), n), nil
+}
+
+// appendFrontier appends the frontier of the first n leaves (n ≤ Size)
+// to dst.
+func (t *Tree) appendFrontier(dst []hashutil.Digest, n uint64) []hashutil.Digest {
 	off := uint64(0)
 	for b := bits.Len64(n); b > 0; b-- {
 		lvl := uint(b - 1)
 		if n&(1<<lvl) == 0 {
 			continue
 		}
-		out = append(out, t.levels[lvl][off>>lvl])
+		dst = append(dst, t.levels[lvl][off>>lvl])
 		off += 1 << lvl
 	}
-	return out, nil
+	return dst
+}
+
+// EncodedFrontier is EncodeFrontier(t.Frontier()) with the frontier
+// built on the stack: CM-Tree1 stores it on every append.
+func (t *Tree) EncodedFrontier() []byte {
+	var buf [64]hashutil.Digest
+	return EncodeFrontier(t.appendFrontier(buf[:0], t.Size()))
 }
 
 // Root returns the single digest committing to the whole tree: the root

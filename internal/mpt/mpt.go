@@ -9,6 +9,12 @@
 // client-chosen clue strings. Hashed keys are fixed-length, so every path
 // is 64 nibbles and values live only in leaves.
 //
+// A branch keeps the 16-ary, path-compressed shape, but its digest is the
+// root of a 4-level binary Merkle tree over its 16 child slots (the
+// binary-hashed branch of EIP-3102). A proof therefore ships at most four
+// sibling digests per branch, where a flat 16-child hash would need all
+// sixteen.
+//
 // The trie is persistent (copy-on-write): Put returns a new Trie sharing
 // structure with the old one, and any historical root can keep serving
 // reads and proofs — which is how LedgerDB captures a "verifiable snapshot
@@ -19,6 +25,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"ledgerdb/internal/hashutil"
 	"ledgerdb/internal/wire"
@@ -34,15 +41,19 @@ var (
 // their digests are computed at construction.
 type node interface {
 	digest() hashutil.Digest
-	encode(w *wire.Writer)
 }
 
-// Node encoding tags.
+// Hash tags. A leaf and an extension hash their encoding under their
+// tag; a branch's binary levels hash tagBranch ‖ left ‖ right.
 const (
 	tagLeaf   = 1
 	tagExt    = 2
 	tagBranch = 3
 )
+
+// empty is the digest of an empty slot, and of a binary subtree holding
+// no child.
+var empty = hashutil.Zero
 
 // leafNode terminates a path: suffix is the remaining nibbles of the
 // hashed key ("the long-tail leaf node for residual nibbles" of Figure 6).
@@ -59,16 +70,30 @@ type extNode struct {
 	dig    hashutil.Digest
 }
 
-// branchNode fans out over 16 nibble values.
+// branchNode fans out over 16 nibble values. Its digest is the root of
+// a 4-level binary tree over the 16 slots: a pair of slots, a quad of
+// slots (a quadNode), a half, and the branch. The tree is stored in
+// those two tiers so a Put rehashes only the four binary nodes on its
+// nibble's path: the branch keeps the digests of its halves and a quad
+// the digests of its pairs, so every sibling on the path is at hand.
+// Each tier is one allocation that a Put replaces whole; a tier shared
+// in part with later versions would keep its stale part alive, and
+// through it every older version of the trie.
 type branchNode struct {
-	children [16]node
-	dig      hashutil.Digest
+	quads  [4]*quadNode // slots 4q … 4q+3; nil when all four are empty
+	halves [2]hashutil.Digest
+	dig    hashutil.Digest
+}
+
+// quadNode holds four consecutive slots of a branch.
+type quadNode struct {
+	kids  [4]node
+	pairs [2]hashutil.Digest
+	dig   hashutil.Digest
 }
 
 func newLeaf(suffix, value []byte) *leafNode {
-	n := &leafNode{suffix: suffix, value: value}
-	n.dig = encodeDigest(n)
-	return n
+	return &leafNode{suffix: suffix, value: value, dig: leafDigest(suffix, value)}
 }
 
 func newExt(prefix []byte, child node) node {
@@ -81,68 +106,131 @@ func newExt(prefix []byte, child node) node {
 		prefix = append(append([]byte(nil), prefix...), e.prefix...)
 		child = e.child
 	}
-	n := &extNode{prefix: prefix, child: child}
-	n.dig = encodeDigest(n)
-	return n
+	return &extNode{prefix: prefix, child: child, dig: extDigest(prefix, child.digest())}
 }
 
-func newBranch(children [16]node) *branchNode {
-	n := &branchNode{children: children}
-	// A branch encoding has one size, so it is hashed out of a stack
-	// buffer: every Put rebuilds a branch per trie level.
-	enc := n.encoding()
-	n.dig = hashutil.Sum(enc[:])
-	return n
-}
-
-// encodeDigest hashes a leaf or extension through a pooled writer; the
-// digest copies nothing out of it.
-func encodeDigest(n node) hashutil.Digest {
+// leafDigest and extDigest hash a leaf or extension encoding through a
+// pooled writer; the digest copies nothing out of it.
+func leafDigest(suffix, value []byte) hashutil.Digest {
 	w := wire.GetWriter()
-	n.encode(w)
+	w.Uint8(tagLeaf)
+	w.WriteBytes(suffix)
+	w.WriteBytes(value)
 	d := hashutil.Sum(w.Bytes())
 	wire.PutWriter(w)
 	return d
+}
+
+func extDigest(prefix []byte, child hashutil.Digest) hashutil.Digest {
+	w := wire.GetWriter()
+	w.Uint8(tagExt)
+	w.WriteBytes(prefix)
+	w.Digest(child)
+	d := hashutil.Sum(w.Bytes())
+	wire.PutWriter(w)
+	return d
+}
+
+// binDigest hashes one binary level of a branch. The input has one size,
+// so it is hashed out of a stack buffer.
+func binDigest(left, right hashutil.Digest) hashutil.Digest {
+	var b [1 + 2*hashutil.Size]byte
+	b[0] = tagBranch
+	copy(b[1:], left[:])
+	copy(b[1+hashutil.Size:], right[:])
+	return hashutil.Sum(b[:])
+}
+
+func digestOf(n node) hashutil.Digest {
+	if n == nil {
+		return empty
+	}
+	return n.digest()
 }
 
 func (n *leafNode) digest() hashutil.Digest   { return n.dig }
 func (n *extNode) digest() hashutil.Digest    { return n.dig }
 func (n *branchNode) digest() hashutil.Digest { return n.dig }
 
-func (n *leafNode) encode(w *wire.Writer) {
-	w.Uint8(tagLeaf)
-	w.WriteBytes(n.suffix)
-	w.WriteBytes(n.value)
+func quadDigest(q *quadNode) hashutil.Digest {
+	if q == nil {
+		return empty
+	}
+	return q.dig
 }
 
-func (n *extNode) encode(w *wire.Writer) {
-	w.Uint8(tagExt)
-	w.WriteBytes(n.prefix)
-	w.Digest(n.child.digest())
+// hasher counts the binary-level hashes one Put computes.
+type hasher uint64
+
+// pair is one binary node of a branch: empty when both sides are, else
+// one hash.
+func (h *hasher) pair(left, right hashutil.Digest) hashutil.Digest {
+	if left == empty && right == empty {
+		return empty
+	}
+	*h++
+	return binDigest(left, right)
 }
 
-func (n *branchNode) encode(w *wire.Writer) {
-	enc := n.encoding()
-	w.Raw(enc[:])
+// slot returns the trie child in slot nib of the branch b.
+func (b *branchNode) slot(nib byte) node {
+	if q := b.quads[nib>>2]; q != nil {
+		return q.kids[nib&3]
+	}
+	return nil
 }
 
-// encoding is the branch's wire form: the tag, then the 16 child digests
-// (zero for an empty slot).
-func (n *branchNode) encoding() (enc [1 + 16*hashutil.Size]byte) {
-	enc[0] = tagBranch
-	for i, c := range n.children {
-		if c != nil {
-			d := c.digest()
-			copy(enc[1+i*hashutil.Size:], d[:])
+// with returns branch b with slot nib set to c, sharing every quad but
+// nib's. It rehashes the four binary nodes on nib's path.
+func (b *branchNode) with(nib byte, c node, h *hasher) *branchNode {
+	q := new(quadNode)
+	if old := b.quads[nib>>2]; old != nil {
+		*q = *old
+	}
+	q.kids[nib&3] = c
+	p := nib >> 1 & 1
+	q.pairs[p] = h.pair(digestOf(q.kids[2*p]), digestOf(q.kids[2*p+1]))
+	q.dig = h.pair(q.pairs[0], q.pairs[1])
+	nb := &branchNode{quads: b.quads, halves: b.halves}
+	nb.quads[nib>>2] = q
+	half := nib >> 3
+	nb.halves[half] = h.pair(quadDigest(nb.quads[2*half]), quadDigest(nb.quads[2*half+1]))
+	nb.dig = h.pair(nb.halves[0], nb.halves[1])
+	return nb
+}
+
+// newBranch returns the branch whose only children are ca in slot a and
+// cb in slot b (a != b). It hashes the binary nodes that are not empty:
+// 7−d of them, where d is the level at which the nibbles part.
+func newBranch(a byte, ca node, b byte, cb node, h *hasher) *branchNode {
+	br := new(branchNode)
+	for _, s := range [2]struct {
+		nib byte
+		c   node
+	}{{a, ca}, {b, cb}} {
+		if br.quads[s.nib>>2] == nil {
+			br.quads[s.nib>>2] = new(quadNode)
+		}
+		br.quads[s.nib>>2].kids[s.nib&3] = s.c
+	}
+	for _, q := range br.quads {
+		if q != nil {
+			q.pairs[0] = h.pair(digestOf(q.kids[0]), digestOf(q.kids[1]))
+			q.pairs[1] = h.pair(digestOf(q.kids[2]), digestOf(q.kids[3]))
+			q.dig = h.pair(q.pairs[0], q.pairs[1])
 		}
 	}
-	return enc
+	br.halves[0] = h.pair(quadDigest(br.quads[0]), quadDigest(br.quads[1]))
+	br.halves[1] = h.pair(quadDigest(br.quads[2]), quadDigest(br.quads[3]))
+	br.dig = h.pair(br.halves[0], br.halves[1])
+	return br
 }
 
 // Trie is an immutable trie snapshot. The zero value is an empty trie.
 type Trie struct {
-	root node
-	size int
+	root   node
+	size   int
+	hashes uint64
 }
 
 // New returns an empty trie.
@@ -151,39 +239,45 @@ func New() *Trie { return &Trie{} }
 // Len returns the number of keys.
 func (t *Trie) Len() int { return t.size }
 
+// BranchHashes returns how many binary-level hashes the Puts that built
+// this version computed, counted from the empty trie: four per branch a
+// Put rewrites, and 7−d for a branch it creates (see newBranch).
+func (t *Trie) BranchHashes() uint64 { return t.hashes }
+
 // RootHash returns the trie's commitment. The empty trie has the zero
 // digest.
-func (t *Trie) RootHash() hashutil.Digest {
-	if t.root == nil {
-		return hashutil.Zero
-	}
-	return t.root.digest()
-}
+func (t *Trie) RootHash() hashutil.Digest { return digestOf(t.root) }
 
-// hashKey scatters a client key into the fixed-length nibble path.
-func hashKey(key []byte) []byte {
+// pathLen is the nibble length of every key's path.
+const pathLen = 2 * hashutil.Size
+
+// hashKey scatters a client key into the fixed-length nibble path,
+// written into buf[:pathLen].
+func hashKey(buf, key []byte) []byte {
 	d := hashutil.Sum(key)
-	nibs := make([]byte, 2*len(d))
 	for i, b := range d {
-		nibs[2*i] = b >> 4
-		nibs[2*i+1] = b & 0x0F
+		buf[2*i] = b >> 4
+		buf[2*i+1] = b & 0x0F
 	}
-	return nibs
+	return buf[:pathLen:pathLen]
 }
 
 // Put returns a new trie with key bound to value (replacing any previous
-// binding). The receiver is unchanged.
+// binding). The receiver is unchanged. The key's path and the copy of
+// value share one allocation, as the new leaf keeps both.
 func (t *Trie) Put(key, value []byte) *Trie {
-	v := append([]byte(nil), value...)
-	root, added := put(t.root, hashKey(key), v)
+	buf := make([]byte, pathLen+len(value))
+	copy(buf[pathLen:], value)
+	var h hasher
+	root, added := put(t.root, hashKey(buf, key), buf[pathLen:], &h)
 	size := t.size
 	if added {
 		size++
 	}
-	return &Trie{root: root, size: size}
+	return &Trie{root: root, size: size, hashes: t.hashes + uint64(h)}
 }
 
-func put(n node, path, value []byte) (node, bool) {
+func put(n node, path, value []byte, h *hasher) (node, bool) {
 	if n == nil {
 		return newLeaf(path, value), true
 	}
@@ -194,26 +288,22 @@ func put(n node, path, value []byte) (node, bool) {
 			return newLeaf(path, value), false // overwrite
 		}
 		// Split: branch at the first divergent nibble.
-		var children [16]node
-		children[n.suffix[common]] = newLeaf(n.suffix[common+1:], n.value)
-		children[path[common]] = newLeaf(path[common+1:], value)
-		return newExt(path[:common], newBranch(children)), true
+		br := newBranch(n.suffix[common], newLeaf(n.suffix[common+1:], n.value),
+			path[common], newLeaf(path[common+1:], value), h)
+		return newExt(path[:common], br), true
 	case *extNode:
 		common := commonPrefix(n.prefix, path)
 		if common == len(n.prefix) {
-			child, added := put(n.child, path[common:], value)
+			child, added := put(n.child, path[common:], value, h)
 			return newExt(n.prefix, child), added
 		}
 		// The extension itself splits.
-		var children [16]node
-		children[n.prefix[common]] = newExt(n.prefix[common+1:], n.child)
-		children[path[common]] = newLeaf(path[common+1:], value)
-		return newExt(path[:common], newBranch(children)), true
+		br := newBranch(n.prefix[common], newExt(n.prefix[common+1:], n.child),
+			path[common], newLeaf(path[common+1:], value), h)
+		return newExt(path[:common], br), true
 	case *branchNode:
-		children := n.children
-		child, added := put(children[path[0]], path[1:], value)
-		children[path[0]] = child
-		return newBranch(children), added
+		child, added := put(n.slot(path[0]), path[1:], value, h)
+		return n.with(path[0], child, h), added
 	default:
 		panic("mpt: unknown node type")
 	}
@@ -229,20 +319,31 @@ func commonPrefix(a, b []byte) int {
 
 // Get returns the value bound to key.
 func (t *Trie) Get(key []byte) ([]byte, error) {
+	leaf, err := t.find(key, nil)
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte(nil), leaf.value...), nil
+}
+
+// find walks key's path to its leaf, handing each branch and extension
+// on the way, top down, to step when it is not nil.
+func (t *Trie) find(key []byte, step func(n node, nib byte)) (*leafNode, error) {
 	n := t.root
-	path := hashKey(key)
+	path := hashKey(make([]byte, pathLen), key)
 	for {
 		switch v := n.(type) {
-		case nil:
-			return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
 		case *leafNode:
 			if bytes.Equal(v.suffix, path) {
-				return append([]byte(nil), v.value...), nil
+				return v, nil
 			}
 			return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
 		case *extNode:
-			if len(path) < len(v.prefix) || !bytes.Equal(path[:len(v.prefix)], v.prefix) {
+			if !bytes.HasPrefix(path, v.prefix) {
 				return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
+			}
+			if step != nil {
+				step(v, 0)
 			}
 			path = path[len(v.prefix):]
 			n = v.child
@@ -250,107 +351,198 @@ func (t *Trie) Get(key []byte) ([]byte, error) {
 			if len(path) == 0 {
 				return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
 			}
-			n = v.children[path[0]]
+			if step != nil {
+				step(v, path[0])
+			}
+			n = v.slot(path[0])
 			path = path[1:]
+		default: // nil: an empty trie or an empty slot
+			return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
 		}
 	}
 }
 
-// Proof is a membership proof: the encoded nodes on the path from the
-// root to the key's leaf. The verifier re-hashes each node and follows
-// the key's nibbles, so any splice or substitution is detected.
+// Proof is a membership proof: one entry per branch or extension on the
+// path from the root to the key's leaf, top down. It carries no leaf and
+// no digest on the path: the verifier folds them bottom up from the key
+// and the value it is asked about. An entry is one of
+//
+//   - a branch step: a mask byte 0x01–0x0F, then one digest per set bit.
+//     Bit k stands for the sibling met at the k-th hash of the fold
+//     (bit 0 at the bottom level, next to the slot); a clear bit is an
+//     empty sibling subtree, which is not shipped.
+//   - an extension step: the byte 0x80|n for a run of n ≥ 1 nibbles,
+//     which are the key's own.
 type Proof struct {
 	Nodes [][]byte
 }
 
+// Proof step encoding.
+const (
+	stepExt  = 0x80
+	maxSteps = 64 // each step consumes at least one of the key's 64 nibbles
+)
+
 // Prove produces a membership proof for key.
 func (t *Trie) Prove(key []byte) (*Proof, error) {
-	if _, err := t.Get(key); err != nil {
+	var buf []byte
+	var ends []int
+	_, err := t.find(key, func(n node, nib byte) {
+		switch v := n.(type) {
+		case *extNode:
+			buf = append(buf, stepExt|byte(len(v.prefix)))
+		case *branchNode:
+			buf = v.appendStep(buf, nib)
+		}
+		ends = append(ends, len(buf))
+	})
+	if err != nil {
 		return nil, err
 	}
-	p := &Proof{}
-	n := t.root
-	path := hashKey(key)
-	for n != nil {
-		w := wire.NewWriter(64)
-		n.encode(w)
-		p.Nodes = append(p.Nodes, append([]byte(nil), w.Bytes()...))
-		switch v := n.(type) {
-		case *leafNode:
-			return p, nil
-		case *extNode:
-			path = path[len(v.prefix):]
-			n = v.child
-		case *branchNode:
-			n = v.children[path[0]]
-			path = path[1:]
+	p := &Proof{Nodes: make([][]byte, len(ends))}
+	start := 0
+	for i, end := range ends {
+		p.Nodes[i] = buf[start:end:end]
+		start = end
+	}
+	return p, nil
+}
+
+// appendStep appends branch b's step for nibble nib: the mask and the
+// non-empty siblings, bottom level first.
+func (b *branchNode) appendStep(buf []byte, nib byte) []byte {
+	var sibs [4]hashutil.Digest
+	if q := b.quads[nib>>2]; q != nil {
+		sibs[0] = digestOf(q.kids[nib&3^1])
+		sibs[1] = q.pairs[nib>>1&1^1]
+	}
+	sibs[2] = quadDigest(b.quads[nib>>2^1])
+	sibs[3] = b.halves[nib>>3^1]
+	at := len(buf)
+	buf = append(buf, 0)
+	for k, d := range sibs {
+		if d != empty {
+			buf[at] |= 1 << k
+			buf = append(buf, d[:]...)
 		}
 	}
-	return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
+	return buf
+}
+
+// stepNibbles checks one proof step's shape and returns how many of the
+// key's nibbles it consumes. A shipped sibling is never empty, so every
+// path has one encoding.
+func stepNibbles(s []byte) (int, error) {
+	if len(s) == 0 {
+		return 0, fmt.Errorf("%w: empty step", ErrBadProof)
+	}
+	if s[0]&stepExt != 0 {
+		n := int(s[0] &^ stepExt)
+		if n == 0 || len(s) != 1 {
+			return 0, fmt.Errorf("%w: bad extension step", ErrBadProof)
+		}
+		return n, nil
+	}
+	mask := s[0]
+	if mask == 0 || mask > 0x0F || len(s) != 1+bits.OnesCount8(mask)*hashutil.Size {
+		return 0, fmt.Errorf("%w: bad branch step", ErrBadProof)
+	}
+	for at := 1; at < len(s); at += hashutil.Size {
+		if hashutil.Digest(s[at:at+hashutil.Size]) == empty {
+			return 0, fmt.Errorf("%w: shipped sibling is empty", ErrBadProof)
+		}
+	}
+	return 1, nil
 }
 
 // VerifyProof checks that key is bound to value in the trie whose root
 // hash is root. It is a pure function for client-side verification.
 func VerifyProof(root hashutil.Digest, key, value []byte, p *Proof) error {
-	if p == nil || len(p.Nodes) == 0 {
-		return fmt.Errorf("%w: empty proof", ErrBadProof)
+	if p == nil {
+		return fmt.Errorf("%w: nil proof", ErrBadProof)
 	}
-	path := hashKey(key)
-	want := root
-	for i, enc := range p.Nodes {
-		if hashutil.Sum(enc) != want {
-			return fmt.Errorf("%w: node %d hash mismatch", ErrBadProof, i)
+	if len(p.Nodes) > maxSteps {
+		return fmt.Errorf("%w: %d steps", ErrBadProof, len(p.Nodes))
+	}
+	path := hashKey(make([]byte, pathLen), key)
+	depth := 0
+	for _, s := range p.Nodes {
+		n, err := stepNibbles(s)
+		if err != nil {
+			return err
 		}
-		r := wire.NewReader(enc)
-		switch tag := r.Uint8(); tag {
-		case tagLeaf:
-			suffix := r.ReadBytes()
-			val := r.ReadBytes()
-			if err := r.Finish(); err != nil {
-				return fmt.Errorf("%w: node %d: %v", ErrBadProof, i, err)
+		depth += n
+	}
+	if depth > len(path) {
+		return fmt.Errorf("%w: path of %d nibbles", ErrBadProof, depth)
+	}
+	d := leafDigest(path[depth:], value)
+	for i := len(p.Nodes) - 1; i >= 0; i-- {
+		s := p.Nodes[i]
+		if s[0]&stepExt != 0 {
+			n := int(s[0] &^ stepExt)
+			depth -= n
+			d = extDigest(path[depth:depth+n], d)
+			continue
+		}
+		depth--
+		nib, sibs := path[depth], s[1:]
+		for k := 0; k < 4; k++ {
+			sib := empty
+			if s[0]>>k&1 != 0 {
+				sib, sibs = hashutil.Digest(sibs[:hashutil.Size]), sibs[hashutil.Size:]
 			}
-			if !bytes.Equal(suffix, path) {
-				return fmt.Errorf("%w: leaf suffix does not match key", ErrBadProof)
+			if nib>>k&1 == 0 {
+				d = binDigest(d, sib)
+			} else {
+				d = binDigest(sib, d)
 			}
-			if !bytes.Equal(val, value) {
-				return fmt.Errorf("%w: leaf value mismatch", ErrBadProof)
-			}
-			if i != len(p.Nodes)-1 {
-				return fmt.Errorf("%w: leaf before end of proof", ErrBadProof)
-			}
-			return nil
-		case tagExt:
-			prefix := r.ReadBytes()
-			child := r.Digest()
-			if err := r.Finish(); err != nil {
-				return fmt.Errorf("%w: node %d: %v", ErrBadProof, i, err)
-			}
-			if len(path) < len(prefix) || !bytes.Equal(path[:len(prefix)], prefix) {
-				return fmt.Errorf("%w: extension prefix diverges from key", ErrBadProof)
-			}
-			path = path[len(prefix):]
-			want = child
-		case tagBranch:
-			var children [16]hashutil.Digest
-			for j := range children {
-				children[j] = r.Digest()
-			}
-			if err := r.Finish(); err != nil {
-				return fmt.Errorf("%w: node %d: %v", ErrBadProof, i, err)
-			}
-			if len(path) == 0 {
-				return fmt.Errorf("%w: key exhausted at branch", ErrBadProof)
-			}
-			want = children[path[0]]
-			if want.IsZero() {
-				return fmt.Errorf("%w: branch has no child for nibble %d", ErrBadProof, path[0])
-			}
-			path = path[1:]
-		default:
-			return fmt.Errorf("%w: unknown node tag %d", ErrBadProof, tag)
 		}
 	}
-	return fmt.Errorf("%w: proof ended before a leaf", ErrBadProof)
+	if d != root {
+		return fmt.Errorf("%w: path folds to %s, root is %s", ErrBadProof, d.Short(), root.Short())
+	}
+	return nil
+}
+
+// Encode appends the proof to a wire writer: the step count, then the
+// steps back to back (each step's first byte gives its length).
+func (p *Proof) Encode(w *wire.Writer) {
+	w.Uvarint(uint64(len(p.Nodes)))
+	for _, s := range p.Nodes {
+		w.Raw(s)
+	}
+}
+
+// DecodeProof reads a proof written by Encode. Every step is checked for
+// shape, so a decoded proof is one VerifyProof can fold.
+func DecodeProof(r *wire.Reader) (*Proof, error) {
+	n := r.Uvarint()
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	if n > maxSteps {
+		return nil, fmt.Errorf("%w: %d steps", ErrBadProof, n)
+	}
+	p := &Proof{Nodes: make([][]byte, n)}
+	for i := range p.Nodes {
+		head := r.Uint8()
+		size := 1
+		if head&stepExt == 0 {
+			size += bits.OnesCount8(head&0x0F) * hashutil.Size
+		}
+		s := make([]byte, size)
+		s[0] = head
+		copy(s[1:], r.Raw(size-1))
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
+		if _, err := stepNibbles(s); err != nil {
+			return nil, err
+		}
+		p.Nodes[i] = s
+	}
+	return p, nil
 }
 
 // Walk visits every key-value pair's value in unspecified order. It is
@@ -361,21 +553,21 @@ func (t *Trie) Walk(fn func(value []byte) error) error {
 
 func walk(n node, fn func([]byte) error) error {
 	switch v := n.(type) {
-	case nil:
-		return nil
 	case *leafNode:
 		return fn(v.value)
 	case *extNode:
 		return walk(v.child, fn)
 	case *branchNode:
-		for _, c := range v.children {
-			if c != nil {
+		for _, q := range v.quads {
+			if q == nil {
+				continue
+			}
+			for _, c := range q.kids {
 				if err := walk(c, fn); err != nil {
 					return err
 				}
 			}
 		}
-		return nil
 	}
 	return nil
 }

@@ -14,7 +14,7 @@
 #   scripts/check.sh shard    # multi-shard topology e2e incl. kill-one-shard chaos + local/remote backend parity (-race)
 #   scripts/check.sh query    # rich-query layer: index + absence tests (-race), crash + fuzz smoke
 #   scripts/check.sh replica  # replication: puller/bundle tests (-race), partition chaos, follower crash torture
-#   scripts/check.sh perf     # hot-path bench smoke + allocs/op, proof-size, ECDSA-count, signature fan-out, held-record (own writes included), held-state, read-cost, reopen, payload-log and routed-append guards + the ledgerbench module's own vet/tests
+#   scripts/check.sh perf     # hot-path bench smoke + allocs/op, proof-size, trie-proof, ECDSA-count, signature fan-out, held-record (own writes included), held-state, read-cost, reopen, payload-log and routed-append guards + the ledgerbench module's own vet/tests
 #   scripts/check.sh all      # everything
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -59,6 +59,7 @@ stage_fuzz() {
     go test -run xxx -fuzz FuzzDecodeReceipt -fuzztime 10s ./internal/ledger > /dev/null
     go test -run xxx -fuzz FuzzDecodeSchedule -fuzztime 10s ./internal/netchaos > /dev/null
     go test -run xxx -fuzz FuzzMutateEnvelope -fuzztime 10s ./internal/netchaos > /dev/null
+    go test -run xxx -fuzz FuzzDecodeProof -fuzztime 10s ./internal/mpt > /dev/null
 }
 
 stage_race() {
@@ -174,6 +175,11 @@ stage_perf() {
     go test -run 'TestDigestHelpersDoNotAllocate' -count 1 ./internal/hashutil
     go test -run 'TestReadBufSteadyStateAllocs' -count 1 ./internal/streamfs
     go test -run 'TestInsertAllocBound|TestProveClueAllocsIgnoreClueCount' -count 1 -v ./internal/cmtree | grep -E 'allocs/op|PASS|FAIL|ok '
+
+    echo "== compact trie proofs (4 branch hashes per branch a 1 000-clue insert rewrites; state proof within testdata/state_proof_bytes_budget; roots and proofs of every version match the from-definition trie; path mutation sweeps, bare and inside clue and state proofs; decoder fuzz seeds) =="
+    go test -run 'TestInsertBranchHashes|TestClueProofPathMutations' -count 1 -v ./internal/cmtree | grep -E 'branch hashes|PASS|FAIL|ok '
+    go test -run 'TestStateProofBytesBudget|TestStateProofPathMutations' -count 1 -v ./internal/ledger | grep -E 'state proof|PASS|FAIL|ok '
+    go test -run 'TestTrieMatchesDefinition|TestProofMutationSoundness|FuzzDecodeProof' -count 1 ./internal/mpt
 
     echo "== proof-size budget (16-match batch on the 40 000-journal fixture within testdata/proof_batch16_bytes_budget; every shipped fam node consumed) =="
     go test -run 'TestProofBatch16BytesBudget' -count 1 -v ./internal/ledger | grep -E 'bytes|PASS|FAIL|ok '
